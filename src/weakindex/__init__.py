@@ -42,7 +42,6 @@ from .patterns import (
     find_split,
     find_weak_flower,
     loop_ranks,
-    replicated_by_accepting,
 )
 from .classifier import (
     BorelClass,

@@ -163,16 +163,6 @@ class TreeAutomaton:
         """True when ranks never decrease along transitions."""
         return all(self.rank(t.source) <= self.rank(t.target) for t in self.transitions)
 
-    def successors(self, sid: str) -> set[str]:
-        out = set()
-        for (src, _), pairs in self._moves.items():
-            if src == sid:
-                out.update(tgt for _, tgt in pairs)
-        return out
-
-    def edges(self) -> list[tuple[str, str]]:
-        return [(t.source, t.target) for t in self.transitions]
-
     def with_states(self, states: dict[str, State], name: str = "") -> "TreeAutomaton":
         """Same shape with replaced state table (used by relabelings)."""
         cls = type(self)

@@ -23,8 +23,8 @@ from .automata import (
     UNIVERSAL,
 )
 from .errors import EmptyLanguage, ValidationError
-from .graphs import condensation
 from .patterns import (
+    _condensation,
     find_flower,
     find_replicated_flower,
     find_split,
@@ -165,10 +165,7 @@ def relabel_to(a: DetAutomaton, target: IndexPair) -> DetAutomaton:
     because the parities of top ranks of all closed walks are preserved.
     """
     tops = loop_ranks(a)
-    succ: dict[str, list[str]] = {q: [] for q in a.states}
-    for t in a.transitions:
-        succ[t.source].append(t.target)
-    sccs, comp_of, _ = condensation(sorted(a.states), {q: sorted(set(s)) for q, s in succ.items()})
+    sccs, _, _ = _condensation(a)
     new_rank: dict[str, int] = {}
     for comp in sccs:
         realizer_depth = {}
@@ -230,11 +227,7 @@ def weak_det_index(a: DetAutomaton) -> Optional[tuple[IndexPair, TreeAutomaton]]
     if not is_trimmed(a):
         raise ValidationError("weak_det_index expects a trimmed automaton")
     tops = loop_ranks(a)
-    succ: dict[str, set[str]] = {q: set() for q in a.states}
-    for t in a.transitions:
-        succ[t.source].add(t.target)
-    adj = {q: sorted(s) for q, s in succ.items()}
-    sccs, comp_of, edges = condensation(sorted(a.states), adj)
+    sccs, comp_of, edges = _condensation(a)
     caps: list[Optional[int]] = []  # loop parity per SCC, None = no loop
     for comp in sccs:
         parities = {r % 2 for q in comp for r in tops[q]}

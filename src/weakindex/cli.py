@@ -228,8 +228,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"cannot read {e.filename}", file=sys.stderr)
+    except OSError as e:
+        print(f"cannot open {e.filename}: {e.strerror}", file=sys.stderr)
+        return EXIT_INVALID
+    except UnicodeDecodeError as e:
+        print(f"invalid input: not UTF-8 text ({e.reason} at byte {e.start})", file=sys.stderr)
         return EXIT_INVALID
     except (FormatError, ValidationError) as e:
         print(f"invalid input: {e}", file=sys.stderr)

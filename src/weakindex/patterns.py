@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .automata import BOT, DetAutomaton, IndexPair, Transition, transition_sort_key
 from .errors import GameTooLarge, ValidationError
-from .graphs import condensation, reachable_from, tarjan_scc
+from .graphs import condensation, has_cycle_inside, reachable_from, tarjan_scc
 
 INF = float("inf")
 
@@ -46,8 +46,9 @@ class Loop:
                 raise ValidationError("loop transitions do not chain")
         if self.transitions[-1].target != self.transitions[0].source:
             raise ValidationError("loop is not closed")
+        known = _trans_set(a)
         for t in self.transitions:
-            if t not in a.transitions:
+            if t not in known:
                 raise ValidationError(f"loop uses unknown transition {t}")
         if max(a.rank(q) for q in self.states()) != self.top_rank:
             raise ValidationError("loop top rank mismatch")
@@ -71,8 +72,9 @@ def _verify_path(a: DetAutomaton, path: tuple[Transition, ...]):
     for t, nxt in zip(path, path[1:]):
         if t.target != nxt.source:
             raise ValidationError("path transitions do not chain")
+    known = _trans_set(a)
     for t in path:
-        if t not in a.transitions:
+        if t not in known:
             raise ValidationError(f"path uses unknown transition {t}")
 
 
@@ -226,6 +228,15 @@ def _succ(a: DetAutomaton) -> dict[str, list[str]]:
     return _memo(a, "succ", build)
 
 
+def _pred(a: DetAutomaton) -> dict[str, list[str]]:
+    def build():
+        out: dict[str, set[str]] = {q: set() for q in a.states}
+        for t in a.transitions:
+            out[t.target].add(t.source)
+        return {q: sorted(s) for q, s in out.items()}
+    return _memo(a, "pred", build)
+
+
 def _out_trans(a: DetAutomaton) -> dict[str, list[Transition]]:
     def build():
         out: dict[str, list[Transition]] = {q: [] for q in a.states}
@@ -235,8 +246,46 @@ def _out_trans(a: DetAutomaton) -> dict[str, list[Transition]]:
     return _memo(a, "out_trans", build)
 
 
+def _trans_set(a: DetAutomaton) -> frozenset[Transition]:
+    return _memo(a, "trans_set", lambda: frozenset(a.transitions))
+
+
+def _condensation(a: DetAutomaton):
+    """SCCs of the transition graph in topological order, state -> SCC index,
+    and the SCC successor sets."""
+    return _memo(a, "condensation", lambda: condensation(sorted(a.states), _succ(a)))
+
+
 def _restricted(succ: dict[str, list[str]], keep: set[str]) -> dict[str, list[str]]:
     return {q: [w for w in succ[q] if w in keep] for q in keep}
+
+
+class _RankSCCs(NamedTuple):
+    comps: list[list[str]]  # Tarjan order
+    comp_of: dict[str, int]
+    top: list[bool]  # the component carries a loop whose top rank is exactly r
+
+
+def _rank_sccs(a: DetAutomaton, r: int) -> _RankSCCs:
+    """SCCs of the subgraph of states ranked <= r.
+
+    Each lies inside one SCC of the whole graph, so edges between different
+    whole SCCs are dropped before the search.  Tarjan then explores each
+    whole SCC on its own from its smallest state, and the components inside
+    it come out in the same order as from a search of that SCC alone.
+    """
+    def build():
+        succ = _succ(a)
+        _, scc_of, _ = _condensation(a)
+        keep = sorted(q for q in a.states if a.rank(q) <= r)
+        adj = {q: [w for w in succ[q] if a.rank(w) <= r and scc_of[w] == scc_of[q]]
+               for q in keep}
+        comps = tarjan_scc(keep, adj)
+        comp_of = {q: i for i, comp in enumerate(comps) for q in comp}
+        top = [has_cycle_inside(comp, adj) and any(a.rank(q) == r for q in comp)
+               for comp in comps]
+        return _RankSCCs(comps, comp_of, top)
+    return _memo(a, ("rank_sccs", r), build)
 
 
 def productive_set(a: DetAutomaton) -> set[str]:
@@ -246,47 +295,47 @@ def productive_set(a: DetAutomaton) -> set[str]:
 
 def loop_ranks(a: DetAutomaton) -> dict[str, set[int]]:
     """Per state, the set of exact top ranks achievable on loops through it."""
-    return _memo(a, "loop_ranks", lambda: _loop_ranks_impl(a))
-
-
-def _loop_ranks_impl(a: DetAutomaton) -> dict[str, set[int]]:
-    succ = _succ(a)
-    result: dict[str, set[int]] = {q: set() for q in a.states}
-    for r in sorted(a.ranks()):
-        keep = {q for q in a.states if a.rank(q) <= r}
-        adj = _restricted(succ, keep)
-        for comp in tarjan_scc(sorted(keep), adj):
-            if len(comp) == 1 and comp[0] not in adj[comp[0]]:
-                continue
-            if any(a.rank(q) == r for q in comp):
-                for q in comp:
-                    result[q].add(r)
-    return result
+    def build():
+        result: dict[str, set[int]] = {q: set() for q in a.states}
+        for r in sorted(a.ranks()):
+            rs = _rank_sccs(a, r)
+            for comp, top in zip(rs.comps, rs.top):
+                if top:
+                    for q in comp:
+                        result[q].add(r)
+        return result
+    return _memo(a, "loop_ranks", build)
 
 
 def edge_tops(a: DetAutomaton) -> dict[tuple[str, str, int], set[int]]:
     """Per transition (p, letter, d): exact top ranks of loops starting with it."""
-    return _memo(a, "edge_tops", lambda: _edge_tops_impl(a))
+    def build():
+        result = {(t.source, t.letter, t.direction): set() for t in a.transitions}
+        for r in sorted(a.ranks()):
+            rs = _rank_sccs(a, r)
+            for t in a.transitions:
+                c = rs.comp_of.get(t.source)
+                if c is not None and rs.top[c] and rs.comp_of.get(t.target) == c:
+                    result[(t.source, t.letter, t.direction)].add(r)
+        return result
+    return _memo(a, "edge_tops", build)
 
 
-def _edge_tops_impl(a: DetAutomaton) -> dict[tuple[str, str, int], set[int]]:
-    succ = _succ(a)
-    result = {(t.source, t.letter, t.direction): set() for t in a.transitions}
-    for r in sorted(a.ranks()):
-        keep = {q for q in a.states if a.rank(q) <= r}
-        adj = _restricted(succ, keep)
-        comp_of: dict[str, int] = {}
-        has_r: list[bool] = []
-        for i, comp in enumerate(tarjan_scc(sorted(keep), adj)):
-            has_r.append(any(a.rank(q) == r for q in comp))
-            for q in comp:
-                comp_of[q] = i
-        for t in a.transitions:
-            if t.source in keep and t.target in keep \
-                    and comp_of[t.source] == comp_of[t.target] \
-                    and has_r[comp_of[t.source]]:
-                result[(t.source, t.letter, t.direction)].add(r)
-    return result
+def _scc_loops(a: DetAutomaton) -> list[list[Optional[tuple[int, list[str]]]]]:
+    """Per SCC of the whole graph and per top parity: the smallest such top
+    r of a loop inside the SCC, with the first component of its rank <= r
+    part that carries one; None when the SCC has no loop of that parity."""
+    def build():
+        sccs, scc_of, _ = _condensation(a)
+        best: list[list] = [[None, None] for _ in sccs]
+        for r in sorted(a.ranks()):
+            rs = _rank_sccs(a, r)
+            for comp, top in zip(rs.comps, rs.top):
+                slot = best[scc_of[comp[0]]]
+                if top and slot[r % 2] is None:
+                    slot[r % 2] = (r, comp)
+        return best
+    return _memo(a, "scc_loops", build)
 
 
 # -- witness materialization ------------------------------------------------
@@ -321,15 +370,6 @@ def _bfs_trans(a: DetAutomaton, allowed: set[str], sources: list[str],
     return None
 
 
-def _component_of(a: DetAutomaton, sub: set[str], pivot: str) -> set[str]:
-    succ = _succ(a)
-    adj = _restricted(succ, sub)
-    for comp in tarjan_scc(sorted(sub), adj):
-        if pivot in comp:
-            return set(comp)
-    return {pivot}
-
-
 def _closed_walk(a: DetAutomaton, comp: set[str], pivot: str, via: str, top: int) -> Loop:
     """Nonempty closed walk pivot ~> via ~> pivot inside comp; top rank = top."""
     if via == pivot:
@@ -356,10 +396,10 @@ def _closed_walk(a: DetAutomaton, comp: set[str], pivot: str, via: str, top: int
 
 def _pivot_loop(a: DetAutomaton, pivot: str, r: int) -> Loop:
     """Loop through pivot with top rank exactly r (materialized witness)."""
-    sub = {q for q in a.states if a.rank(q) <= r}
-    comp = _component_of(a, sub, pivot)
+    rs = _rank_sccs(a, r)
+    comp = rs.comps[rs.comp_of[pivot]]
     via = min(q for q in comp if a.rank(q) == r)
-    return _closed_walk(a, comp, pivot, via, r)
+    return _closed_walk(a, set(comp), pivot, via, r)
 
 
 def _edge_loop(a: DetAutomaton, first: Transition, r: int) -> Loop:
@@ -367,28 +407,37 @@ def _edge_loop(a: DetAutomaton, first: Transition, r: int) -> Loop:
     sub = {q for q in a.states if a.rank(q) <= r}
     p, q = first.source, first.target
     reach_q = reachable_from([q], _restricted(_succ(a), sub))
-    candidates = sorted(s for s in reach_q if a.rank(s) == r
-                        and _bfs_trans(a, sub, [s], {p}) is not None)
+    reach_p = reachable_from([p], _restricted(_pred(a), sub))
+    candidates = [s for s in reach_q & reach_p if a.rank(s) == r]
     if not candidates:
         raise ValidationError("edge loop materialization failed")
-    via = candidates[0]
+    via = min(candidates)
     part1 = [] if via == q else _bfs_trans(a, sub, [q], {via})
     part2 = [] if via == p else _bfs_trans(a, sub, [via], {p})
     return Loop(tuple([first] + list(part1) + list(part2)), r)
 
 
+def _scc_loop(a: DetAutomaton, ci: int, parity: int) -> Optional[Loop]:
+    """Smallest-top loop of the given top parity inside SCC `ci`."""
+    found = _scc_loops(a)[ci][parity]
+    if found is None:
+        return None
+    r, comp = found
+    via = min(q for q in comp if a.rank(q) == r)
+    return _closed_walk(a, set(comp), via, via, r)
+
+
 def _loop_with_parity(a: DetAutomaton, node_set: set[str], parity: int) -> Optional[Loop]:
-    """Smallest-top loop of the given top parity inside the induced subgraph."""
+    """Smallest-top loop of the given top parity inside the induced subgraph;
+    `_scc_loop` gives the same loop when `node_set` is a whole SCC."""
     succ = _succ(a)
     ranks = sorted({a.rank(q) for q in node_set if a.rank(q) % 2 == parity})
     for r in ranks:
         sub = {q for q in node_set if a.rank(q) <= r}
         adj = _restricted(succ, sub)
         for comp in tarjan_scc(sorted(sub), adj):
-            if len(comp) == 1 and comp[0] not in adj[comp[0]]:
-                continue
             withr = [q for q in comp if a.rank(q) == r]
-            if withr:
+            if withr and has_cycle_inside(comp, adj):
                 via = min(withr)
                 return _closed_walk(a, set(comp), via, via, r)
     return None
@@ -424,38 +473,7 @@ def find_flower(a: DetAutomaton, i: IndexPair,
     return None
 
 
-def _scc_chain_data(a: DetAutomaton, restrict: Optional[set[str]] = None):
-    """Condensation plus, per SCC, the loop parities achievable inside it
-    (restricted to `restrict` when given)."""
-    key = ("chain_data", None if restrict is None else frozenset(restrict))
-    return _memo(a, key, lambda: _scc_chain_data_impl(a, restrict))
-
-
-def _scc_chain_data_impl(a: DetAutomaton, restrict):
-    succ = _succ(a)
-    sccs, comp_of, edges = condensation(sorted(a.states), succ)
-    caps: list[set[int]] = []
-    for comp in sccs:
-        node_set = set(comp) if restrict is None else set(comp) & restrict
-        have: set[int] = set()
-        if node_set:
-            sub_ranks = sorted({a.rank(q) for q in node_set})
-            for r in sub_ranks:
-                if len(have) == 2:
-                    break
-                sub = {q for q in node_set if a.rank(q) <= r}
-                adj = _restricted(succ, sub)
-                for c in tarjan_scc(sorted(sub), adj):
-                    if len(c) == 1 and c[0] not in adj[c[0]]:
-                        continue
-                    if any(a.rank(q) == r for q in c):
-                        have.add(r % 2)
-                        break
-        caps.append(have)
-    return sccs, comp_of, edges, caps
-
-
-def _chain_start_dp(sccs, edges, caps):
+def _chain_dp(a: DetAutomaton):
     """Longest alternating loop chains over the condensation, counted from
     the front.
 
@@ -464,24 +482,29 @@ def _chain_start_dp(sccs, edges, caps):
     involved (it alternates unboundedly).  desc[ci][parity] is the maximum
     of g over ci and its descendants.
     """
-    n = len(sccs)
-    g = [[-INF, -INF] for _ in range(n)]
-    desc = [[-INF, -INF] for _ in range(n)]
-    for ci in range(n - 1, -1, -1):
-        post = [-INF, -INF]
-        for cj in edges[ci]:
+    def build():
+        _, _, edges = _condensation(a)
+        scc_loops = _scc_loops(a)
+        n = len(edges)
+        g = [[-INF, -INF] for _ in range(n)]
+        desc = [[-INF, -INF] for _ in range(n)]
+        for ci in range(n - 1, -1, -1):
+            post = [-INF, -INF]
+            for cj in edges[ci]:
+                for b in (0, 1):
+                    if desc[cj][b] > post[b]:
+                        post[b] = desc[cj][b]
+            caps = [b for b in (0, 1) if scc_loops[ci][b] is not None]
+            if len(caps) == 2:
+                g[ci][0] = g[ci][1] = INF
+            elif len(caps) == 1:
+                b = caps[0]
+                cont = post[1 - b]
+                g[ci][b] = INF if cont == INF else 1 + max(0, cont)
             for b in (0, 1):
-                if desc[cj][b] > post[b]:
-                    post[b] = desc[cj][b]
-        if len(caps[ci]) == 2:
-            g[ci][0] = g[ci][1] = INF
-        elif len(caps[ci]) == 1:
-            b = next(iter(caps[ci]))
-            cont = post[1 - b]
-            g[ci][b] = INF if cont == INF else 1 + max(0, cont)
-        for b in (0, 1):
-            desc[ci][b] = max(g[ci][b], post[b])
-    return g, desc
+                desc[ci][b] = max(g[ci][b], post[b])
+        return g, desc
+    return _memo(a, "chain_dp", build)
 
 
 def _find_host(ci, b, k, g, edges):
@@ -514,10 +537,10 @@ def _connect_loops(a: DetAutomaton, loops):
     return tuple(paths)
 
 
-def _materialize_chain(a, sccs, edges, g, host, parity, length,
-                       first_nodes: Optional[set[str]] = None):
-    """Loops of an alternating chain of `length` starting in scc `host`;
-    the first loop is drawn from `first_nodes` when given."""
+def _materialize_chain(a, host, parity, length):
+    """Loops of an alternating chain of `length` starting in scc `host`."""
+    _, _, edges = _condensation(a)
+    g, _ = _chain_dp(a)
     loops = []
     cur, b, k = host, parity, length
     while k > 0:
@@ -525,8 +548,7 @@ def _materialize_chain(a, sccs, edges, g, host, parity, length,
             cur = _find_host(cur, b, k, g, edges)
             if cur is None:
                 raise ValidationError("chain materialization failed")
-        node_set = first_nodes if (not loops and first_nodes is not None) else set(sccs[cur])
-        loop = _loop_with_parity(a, node_set, b)
+        loop = _scc_loop(a, cur, b)
         if loop is None:
             raise ValidationError("chain loop materialization failed")
         loops.append(loop)
@@ -540,11 +562,10 @@ def find_weak_flower(a: DetAutomaton, i: IndexPair) -> Optional[FlowerWitness]:
     accepting exactly at even positions."""
     n = i.ranks_used()
     start_parity = i.iota % 2
-    sccs, _, edges, caps = _scc_chain_data(a)
-    g, _ = _chain_start_dp(sccs, edges, caps)
-    for ci in range(len(sccs)):
+    g, _ = _chain_dp(a)
+    for ci in range(len(g)):
         if g[ci][start_parity] >= n:
-            loops = _materialize_chain(a, sccs, edges, g, ci, start_parity, n)
+            loops = _materialize_chain(a, ci, start_parity, n)
             return FlowerWitness(kind="weak", index=i, loops=loops,
                                  paths=_connect_loops(a, loops))
     return None
@@ -577,11 +598,8 @@ def replicated_set(a: DetAutomaton) -> set[str]:
 
 
 def replication_witness_for(a: DetAutomaton, q: str) -> Optional[ReplicationWitness]:
-    """Witness for one replicated state: linear-time, unlike the full map."""
-    pred: dict[str, list[str]] = {s: [] for s in a.states}
-    for t in a.transitions:
-        pred[t.target].append(t.source)
-    back = reachable_from([q], {s: sorted(set(ps)) for s, ps in pred.items()})
+    """Witness for one replicated state; None when `q` is not replicated."""
+    back = reachable_from([q], _pred(a))
     for t, r in _replicating_edges(a):
         sib = Transition(t.source, t.letter, 1 - t.direction,
                          a.step(t.source, t.letter, 1 - t.direction))
@@ -590,44 +608,6 @@ def replication_witness_for(a: DetAutomaton, q: str) -> Optional[ReplicationWitn
             rest = [] if sib.target == q else _bfs_trans(a, set(a.states), [sib.target], {q})
             return ReplicationWitness(loop=loop, path=tuple([sib] + list(rest)), state=q)
     return None
-
-
-def replicated_by_accepting(a: DetAutomaton) -> dict[str, ReplicationWitness]:
-    """Replicated states with witnesses (accepting loop plus branching path)."""
-    return _memo(a, "replicated_witnesses", lambda: _replicated_by_accepting_impl(a))
-
-
-def _replicated_by_accepting_impl(a: DetAutomaton) -> dict[str, ReplicationWitness]:
-    out = _out_trans(a)
-    productive = productive_set(a)
-    result: dict[str, ReplicationWitness] = {}
-    for t, r in _replicating_edges(a):
-        sibling = Transition(t.source, t.letter, 1 - t.direction,
-                             a.step(t.source, t.letter, 1 - t.direction))
-        loop = None
-        parent: dict[str, Optional[Transition]] = {sibling.target: None}
-        queue = [sibling.target]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            if v in productive and v not in result:
-                if loop is None:
-                    loop = _edge_loop(a, t, r)
-                path: list[Transition] = []
-                cur = v
-                while parent[cur] is not None:
-                    tr = parent[cur]
-                    path.append(tr)
-                    cur = tr.source
-                path.append(sibling)
-                result[v] = ReplicationWitness(
-                    loop=loop, path=tuple(reversed(path)), state=v)
-            for tr in out[v]:
-                if tr.target not in parent:
-                    parent[tr.target] = tr
-                    queue.append(tr.target)
-    return result
 
 
 def find_replicated_flower(a: DetAutomaton, i: IndexPair,
@@ -645,23 +625,23 @@ def find_replicated_flower(a: DetAutomaton, i: IndexPair,
     if weak:
         n = i.ranks_used()
         start_parity = i.iota % 2
-        sccs, _, edges, caps_full = _scc_chain_data(a)
-        _, _, _, caps_rep = _scc_chain_data(a, rep)
-        g, desc = _chain_start_dp(sccs, edges, caps_full)
-        for ci in range(len(sccs)):
-            if start_parity not in caps_rep[ci]:
+        sccs, _, edges = _condensation(a)
+        g, desc = _chain_dp(a)
+        for ci, comp in enumerate(sccs):
+            if n > 1 and desc[ci][1 - start_parity] < n - 1:
                 continue
-            if n > 1:
-                cont = desc[ci][1 - start_parity]
-                if cont < n - 1:
-                    continue
-            first_nodes = set(sccs[ci]) & rep
-            first = _loop_with_parity(a, first_nodes, start_parity)
+            first_nodes = set(comp) & rep
+            if len(first_nodes) == len(comp):
+                first = _scc_loop(a, ci, start_parity)
+            else:
+                first = _loop_with_parity(a, first_nodes, start_parity)
+            if first is None:
+                continue
             if n == 1:
                 loops = (first,)
             else:
                 nxt = _find_host(ci, 1 - start_parity, n - 1, g, edges)
-                rest = _materialize_chain(a, sccs, edges, g, nxt, 1 - start_parity, n - 1)
+                rest = _materialize_chain(a, nxt, 1 - start_parity, n - 1)
                 loops = (first,) + rest
             flower = FlowerWitness(kind="weak", index=i, loops=loops,
                                    paths=_connect_loops(a, loops))

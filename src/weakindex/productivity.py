@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from .automata import BOT, DetAutomaton, State, Transition, UNIVERSAL
 from .errors import EmptyLanguage, ValidationError
 from .games import ADAM, EVE, Game, solve_parity
-from .graphs import reachable_from, tarjan_scc
+from .graphs import reachable_from
+from .patterns import _succ, loop_ranks
 
 
 @dataclass(frozen=True)
@@ -137,16 +138,5 @@ def is_universal(a: DetAutomaton) -> bool:
     In the one-player game where Adam picks letters and directions, such a
     cycle is exactly a play violating the parity condition.
     """
-    succ: dict[str, set[str]] = {q: set() for q in a.states}
-    for t in a.transitions:
-        succ[t.source].add(t.target)
-    reach = reachable_from([a.initial], {q: sorted(s) for q, s in succ.items()})
-    for r in sorted({a.rank(q) for q in reach if a.rank(q) % 2 == 1}):
-        sub = [q for q in sorted(reach) if a.rank(q) <= r]
-        sub_set = set(sub)
-        adj = {q: [w for w in sorted(succ[q]) if w in sub_set] for q in sub}
-        for comp in tarjan_scc(sub, adj):
-            if len(comp) > 1 or comp[0] in adj.get(comp[0], []):
-                if any(a.rank(q) == r for q in comp):
-                    return False
-    return True
+    tops = loop_ranks(a)
+    return not any(r % 2 for q in reachable_from([a.initial], _succ(a)) for r in tops[q])

@@ -32,8 +32,8 @@ from .errors import (
     UnsupportedGapConstruction,
     ValidationError,
 )
-from .graphs import condensation, reachable_from
-from .patterns import find_replicated_flower, loop_ranks, replicated_set
+from .graphs import has_cycle_inside, reachable_from
+from .patterns import _condensation, _succ, find_replicated_flower, loop_ranks, replicated_set
 
 
 @dataclass(frozen=True)
@@ -184,30 +184,9 @@ def weaken_13(a: DetAutomaton) -> TreeAutomaton:
 # -- any det without replicated (0,1)-flower -> weak (1,4) ----------------------------
 
 
-def _loop_ranks_within(a: DetAutomaton, nodes: set[str]) -> dict[str, set[int]]:
-    from .graphs import tarjan_scc
-
-    succ: dict[str, list[str]] = {q: [] for q in nodes}
-    for t in a.transitions:
-        if t.source in nodes and t.target in nodes:
-            succ[t.source].append(t.target)
-    succ = {q: sorted(set(s)) for q, s in succ.items()}
-    result: dict[str, set[int]] = {q: set() for q in nodes}
-    for r in sorted({a.rank(q) for q in nodes}):
-        keep = {q for q in nodes if a.rank(q) <= r}
-        adj = {q: [w for w in succ[q] if w in keep] for q in keep}
-        for comp in tarjan_scc(sorted(keep), adj):
-            if len(comp) == 1 and comp[0] not in adj[comp[0]]:
-                continue
-            if any(a.rank(q) == r for q in comp):
-                for q in comp:
-                    result[q].add(r)
-    return result
-
-
 def _component_band_ranks(a: DetAutomaton, comp: set[str]) -> dict[str, int]:
     """Relabel one SCC without a (0,1)-flower into ranks {1,2}."""
-    tops = _loop_ranks_within(a, comp)
+    tops = loop_ranks(a)
     depth = {}
     for q in comp:
         if a.rank(q) in tops[q]:
@@ -247,16 +226,9 @@ def weaken_14(a: DetAutomaton) -> tuple[TreeAutomaton, ConstructionTrace]:
                                    "accepting loop", witness)
 
     rep = replicated_set(a)
-    succ: dict[str, set[str]] = {q: set() for q in a.states}
-    for t in a.transitions:
-        succ[t.source].add(t.target)
-    adj = {q: sorted(s) for q, s in succ.items()}
-    sccs, comp_of, _ = condensation(sorted(a.states), adj)
-    loopy = []
-    for comp in sccs:
-        if len(comp) > 1 or comp[0] in adj[comp[0]]:
-            loopy.append(sorted(comp))
-    loopy.sort(key=lambda c: c[0])
+    adj = _succ(a)
+    loopy = sorted((comp for comp in _condensation(a)[0] if has_cycle_inside(comp, adj)),
+                   key=lambda c: c[0])
 
     n = len(a.states)
     parts: list[TreeAutomaton] = []
@@ -284,8 +256,7 @@ def _bx_replicated(a: DetAutomaton, x: set[str], adj) -> TreeAutomaton:
     """B_X for a component replicated by an accepting loop: outside states
     rank 4 after X and 2 before it, X itself doubled over ranks 2..4."""
     xrank = _component_band_ranks(a, x)
-    after = reachable_from(sorted({w for q in x for w in adj[q] if w not in x}),
-                           {q: [w for w in adj[q]] for q in a.states}) - x
+    after = reachable_from(sorted({w for q in x for w in adj[q] if w not in x}), adj) - x
     states: dict[str, State] = {}
     transitions: list[Transition] = []
 

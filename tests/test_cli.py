@@ -57,8 +57,24 @@ def test_malformed_file_exits_3(tmp_path, capsys):
     assert main(["classify", str(p)]) == 3
 
 
+def _exits_3_with_one_line(path, capsys):
+    assert main(["classify", path]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_missing_file_exits_3(capsys):
-    assert main(["classify", "/nonexistent/xyz.aut"]) == 3
+    _exits_3_with_one_line("/nonexistent/xyz.aut", capsys)
+
+
+def test_directory_exits_3(tmp_path, capsys):
+    _exits_3_with_one_line(str(tmp_path), capsys)
+
+
+def test_non_utf8_file_exits_3(tmp_path, capsys):
+    p = tmp_path / "latin1.aut"
+    p.write_bytes(b"# caf\xe9\nalphabet a\n")
+    _exits_3_with_one_line(str(p), capsys)
 
 
 def test_weaken_writes_automaton(tmp_path, capsys):
@@ -152,3 +168,4 @@ def test_deterministic_reports(all_a_file, capsys):
     a.pop("trim_seconds"), a.pop("classify_seconds")
     b.pop("trim_seconds"), b.pop("classify_seconds")
     assert a == b
+

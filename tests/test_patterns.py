@@ -1,8 +1,12 @@
+import hashlib
+import json
+
 import pytest
 
 from weakindex import catalog
-from weakindex.automata import IndexPair
-from weakindex.errors import GameTooLarge
+from weakindex.automata import DetAutomaton, IndexPair, State, Transition, make_automaton
+from weakindex.classifier import classify
+from weakindex.errors import EmptyLanguage, GameTooLarge
 from weakindex.patterns import (
     brute_force_patterns,
     edge_tops,
@@ -11,7 +15,6 @@ from weakindex.patterns import (
     find_split,
     find_weak_flower,
     loop_ranks,
-    replicated_by_accepting,
     replicated_set,
     replication_witness_for,
 )
@@ -80,6 +83,21 @@ def test_weak_flower_unbounded_alternation():
     w.verify(a)
 
 
+def test_weak_flower_loop_chosen_within_its_scc():
+    # q0 sits before the SCC {q1,q2,q3} and enters it at q2; the rank-0
+    # loop is still the one a search of that SCC alone finds first, at q1
+    trans = [("q0", x, d, "q2") for x in "ab" for d in (0, 1)]
+    for q in ("q1", "q2"):
+        trans += [(q, "a", 0, q), (q, "a", 1, "q3"), (q, "b", 0, q), (q, "b", 1, q)]
+    trans += [("q3", x, d, ("q1", "q2")[d]) for x in "ab" for d in (0, 1)]
+    ranks = {"q0": 0, "q1": 0, "q2": 0, "q3": 1}
+    a = trim(make_automaton("ab", {q: ("A", r) for q, r in ranks.items()}, "q0", trans,
+                            deterministic=True))
+    w = find_weak_flower(a, IndexPair(0, 1))
+    assert [l.states() for l in w.loops] == [{"q1"}, {"q1", "q3"}]
+    w.verify(a)
+
+
 def test_split_min_has_split():
     a = trimmed("split_min")
     w = find_split(a)
@@ -97,17 +115,18 @@ def test_no_split_in_simple_catalog():
 
 def test_replicated_all_a():
     a = trimmed("all_a")
-    rep = replicated_by_accepting(a)
-    assert set(rep) == {"p"}
-    rep["p"].verify(a)
     assert replicated_set(a) == {"p"}
+    w = replication_witness_for(a, "p")
+    assert w is not None and w.state == "p"
+    w.verify(a)
 
 
 def test_replicated_fin_b_left():
     a = trimmed("fin_b_left")
-    rep = replicated_by_accepting(a)
-    assert set(rep) == {"T"}
-    rep["T"].verify(a)
+    assert replicated_set(a) == {"T"}
+    w = replication_witness_for(a, "T")
+    assert w is not None and w.state == "T"
+    w.verify(a)
 
 
 def test_replicated_spine_fin_b():
@@ -133,6 +152,45 @@ def test_replicated_flower_examples():
     assert find_replicated_flower(fin, IndexPair(1, 2), weak=True) is None
 
     assert find_replicated_flower(trimmed("all_a"), IndexPair(1, 2), weak=True) is None
+
+
+# -- witness stability at scale ---------------------------------------------------
+
+
+def _seeded_det(seed, n, ranks):
+    """First automaton with a nonempty language from criterion 9's generator."""
+    rng = SplitMix64(seed)
+    names = [f"q{i}" for i in range(n)]
+    while True:
+        states = {q: State("A", ranks[rng.below(len(ranks))]) for q in names}
+        trans = [Transition(q, x, d, names[rng.below(n)])
+                 for q in names for x in ("a", "b") for d in (0, 1)]
+        a = DetAutomaton(alphabet=("a", "b"), states=states, initial="q0",
+                         transitions=tuple(trans), acceptance="parity")
+        try:
+            trim(a)
+            return a
+        except EmptyLanguage:
+            continue
+
+
+@pytest.mark.parametrize("seed, ranks, blocked, digest", [
+    (1, (0, 0, 0, 0, 1, 1, 2, 2, 2, 3),
+     ["pi1", "pi2", "pi3", "sigma1", "sigma2", "sigma3"],
+     "8e2e03278ab414235fef60cf7dca69f0840d6bd26ef5ed567c6cea5f3111e833"),
+    (2, (1, 2), ["pi1", "sigma1", "sigma2"],
+     "26d1fc2088b8f6b841f32e3d4bb690fd4c0b9b1e65b685276f62205f55427c12"),
+])
+def test_witnesses_stable_at_scale(seed, ranks, blocked, digest):
+    """Every witness of a 300-state classification verifies, and the whole
+    report, witnesses included, is the one frozen here."""
+    report = classify(_seeded_det(seed, 300, ranks))
+    assert sorted(report.borel.witnesses) == blocked
+    for w in report.borel.witnesses.values():
+        w.verify(report.trimmed)
+    d = report.to_json_dict()
+    d.pop("trim_seconds"), d.pop("classify_seconds")
+    assert hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest() == digest
 
 
 # -- oracle equivalence -----------------------------------------------------------
@@ -293,7 +351,9 @@ def test_replication_lemma_constructive():
     built = 0
     for _ in range(60):
         a = random_trimmed(rng)
-        for q, w in replicated_by_accepting(a).items():
+        for q in sorted(replicated_set(a)):
+            w = replication_witness_for(a, q)
+            assert w is not None and w.state == q
             w.verify(a)
             assert w.path[0].source == w.loop.transitions[0].source
             assert w.loop.accepting

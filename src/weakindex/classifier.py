@@ -1,10 +1,14 @@
 """Borel rank, deterministic index, weak deterministic index and weak
 alternating index of a trimmed deterministic automaton.
 
-The Borel ladder is decided from six pattern bits; the weak alternating
-index is its image under the coincidence of the two hierarchies.  Both
-relabelings (strong and weak-deterministic) work per strongly connected
-component from achievable loop top ranks.
+The Borel class is decided from the universality bit and six pattern
+checks; the weak alternating index is its image under the coincidence of
+the two hierarchies.  Both deterministic indices are read off the longest
+alternating chains of loop top ranks, through one pivot for the strong
+index and along the condensation for the weak one, without building
+witnesses.  The strong relabeling works per strongly connected component
+from the same chains; the weak one gives each component the loop parity
+it carries, capped by its successors.
 """
 
 from __future__ import annotations
@@ -24,7 +28,10 @@ from .automata import (
 )
 from .errors import EmptyLanguage, ValidationError
 from .patterns import (
+    _chain_dp,
     _condensation,
+    _greedy_chain,
+    _scc_loops,
     find_flower,
     find_replicated_flower,
     find_split,
@@ -132,28 +139,47 @@ def borel_rank(a: DetAutomaton) -> BorelClass:
 # -- deterministic index --------------------------------------------------------
 
 
-def _candidate_indices():
-    level = 0
-    while True:
-        yield IndexPair(0, level)
-        yield IndexPair(1, level + 1)
-        level += 1
+def _least_index(chain0: int, chain1: int) -> IndexPair:
+    """First index in the order (0,0), (1,1), (0,1), (1,2), ... whose dual
+    has no flower, given the longest alternating chains of loop tops that
+    start at an even and at an odd top.
+
+    The dual of (0,k) needs a chain of k+1 tops starting odd, and the dual
+    of (1,k+1) one of k+1 tops starting even.
+    """
+    k = min(chain0, chain1)
+    return IndexPair(0, k) if chain1 <= chain0 else IndexPair(1, k + 1)
 
 
-def _alternation_depth(tops: list[int], own: int) -> int:
-    """Longest alternating chain of achievable tops starting at the state's
-    own rank (the state must realize it)."""
-    depth = 0
-    need = own % 2
-    for r in tops:
-        if r < own:
-            continue
-        if depth == 0 and r != own:
-            break
-        if r % 2 == need:
-            depth += 1
-            need ^= 1
-    return depth
+def _relabel_component(a: DetAutomaton, comp, target: IndexPair) -> dict[str, int]:
+    """New ranks inside `target` for one SCC that carries a loop.
+
+    A state whose own rank tops a loop through it gets as depth the longest
+    alternating chain of its loop tops from that rank upward; the others
+    take the component's largest depth.  Values count down from there and
+    are shifted by an even amount to sit at the top of the band.
+    """
+    tops = loop_ranks(a)
+    depth = {}
+    for q in comp:
+        own = a.rank(q)
+        if own in tops[q]:
+            depth[q] = len(_greedy_chain(sorted(r for r in tops[q] if r >= own), own % 2))
+    m = max(depth.values())
+    pi = max(a.rank(q) for q in comp if tops[q]) % 2
+    offset = 1 if m % 2 == pi else 0
+    values = {q: offset + m - depth.get(q, m) for q in comp}
+    gap = target.kappa - max(values.values())
+    if gap < 0:
+        raise ValidationError(f"target index {target} too small for component {comp}")
+    shift = gap - (gap % 2)
+    ranks = {}
+    for q in comp:
+        v = values[q] + shift
+        if not (target.iota <= v <= target.kappa):
+            raise ValidationError(f"relabeling fell outside {target} at {q}")
+        ranks[q] = v
+    return ranks
 
 
 def relabel_to(a: DetAutomaton, target: IndexPair) -> DetAutomaton:
@@ -163,55 +189,28 @@ def relabel_to(a: DetAutomaton, target: IndexPair) -> DetAutomaton:
     loop top ranks starting at its own rank; the component's values are
     then shifted by an even amount to sit at the top of the band.  Sound
     because the parities of top ranks of all closed walks are preserved.
+    States outside every loop take the band's lowest rank.
     """
-    tops = loop_ranks(a)
     sccs, _, _ = _condensation(a)
-    new_rank: dict[str, int] = {}
-    for comp in sccs:
-        realizer_depth = {}
-        for q in comp:
-            t_q = sorted(tops[q])
-            if a.rank(q) in tops[q]:
-                realizer_depth[q] = _alternation_depth(t_q, a.rank(q))
-        if not realizer_depth:
-            continue  # transient component, assigned below
-        m = max(realizer_depth.values())
-        pi = max(a.rank(q) for q in comp if tops[q]) % 2
-        offset = 1 if m % 2 == pi else 0
-        values = {}
-        for q in comp:
-            depth = realizer_depth.get(q, m)
-            values[q] = offset + m - depth
-        maxv = max(values.values())
-        gap = target.kappa - maxv
-        if gap < 0:
-            raise ValidationError(f"target index {target} too small for component {comp}")
-        shift = gap - (gap % 2)
-        for q in comp:
-            v = values[q] + shift
-            if not (target.iota <= v <= target.kappa):
-                raise ValidationError(f"relabeling fell outside {target} at {q}")
-            new_rank[q] = v
-    for comp in sccs:
-        for q in comp:
-            if q not in new_rank:
-                new_rank[q] = target.iota
-    states = {q: State(a.states[q].mode, new_rank[q]) for q in a.states}
-    return DetAutomaton(
-        alphabet=a.alphabet, states=states, initial=a.initial,
-        transitions=a.transitions, acceptance="parity", name=a.name,
-    )
+    new_rank = {q: target.iota for q in a.states}
+    for comp, loops in zip(sccs, _scc_loops(a)):
+        if any(loops):
+            new_rank.update(_relabel_component(a, comp, target))
+    return a.with_states({q: State(st.mode, new_rank[q]) for q, st in a.states.items()})
 
 
 def det_index(a: DetAutomaton) -> tuple[IndexPair, DetAutomaton]:
     """Minimal deterministic index: the least (iota,kappa) in the index
-    order admitting no dual flower; plus the relabeled witness automaton."""
+    order admitting no dual flower; plus the relabeled witness automaton.
+
+    A strong flower is a chain of loop tops through one pivot, so the index
+    follows from the longest such chains over all states."""
     if not is_trimmed(a):
         raise ValidationError("det_index expects a trimmed automaton")
-    for cand in _candidate_indices():
-        if find_flower(a, cand.dual()) is None:
-            return cand, relabel_to(a, cand)
-    raise AssertionError("unreachable: the automaton's own index is always admissible")
+    tops = {q: sorted(t) for q, t in loop_ranks(a).items()}
+    index = _least_index(*(max(len(_greedy_chain(t, b)) for t in tops.values())
+                           for b in (0, 1)))
+    return index, relabel_to(a, index)
 
 
 # -- weak deterministic index -----------------------------------------------------
@@ -221,27 +220,22 @@ def weak_det_index(a: DetAutomaton) -> Optional[tuple[IndexPair, TreeAutomaton]]
     """Minimal weak-deterministic index with the rank-monotone relabeling.
 
     None when some SCC carries loops of both parities (weak flowers of
-    every index exist).  Output acceptance is weak and ranks never
-    decrease along transitions.
+    every index exist).  Otherwise a weak flower is a chain of loops along
+    the condensation, and the index follows from the longest such chains.
+    Output acceptance is weak and ranks never decrease along transitions.
     """
     if not is_trimmed(a):
         raise ValidationError("weak_det_index expects a trimmed automaton")
-    tops = loop_ranks(a)
     sccs, comp_of, edges = _condensation(a)
     caps: list[Optional[int]] = []  # loop parity per SCC, None = no loop
-    for comp in sccs:
-        parities = {r % 2 for q in comp for r in tops[q]}
+    for loops in _scc_loops(a):
+        parities = [b for b in (0, 1) if loops[b] is not None]
         if len(parities) == 2:
             return None
-        caps.append(next(iter(parities)) if parities else None)
+        caps.append(parities[0] if parities else None)
 
-    best = None
-    for cand in _candidate_indices():
-        if find_weak_flower(a, cand.dual()) is None:
-            best = cand
-            break
-        if cand.kappa > len(sccs) + 2:
-            raise AssertionError("unreachable: chain lengths are bounded by the SCC count")
+    g, _ = _chain_dp(a)  # never INF here; -INF (no such chain) counts as 0
+    best = _least_index(*(max([0] + [gc[b] for gc in g]) for b in (0, 1)))
     iota, kappa = best.iota, best.kappa
 
     value: list[Optional[int]] = [None] * len(sccs)

@@ -446,16 +446,17 @@ def _loop_with_parity(a: DetAutomaton, node_set: set[str], parity: int) -> Optio
 # -- flowers ----------------------------------------------------------------
 
 
-def _greedy_chain(sorted_ranks: list[int], start_parity: int, length: int) -> Optional[list[int]]:
+def _greedy_chain(sorted_ranks: list[int], start_parity: int) -> list[int]:
+    """Longest chain of `sorted_ranks` with alternating parities, starting at
+    `start_parity`; taking each rank as early as possible makes every prefix
+    the smallest chain of its length."""
     need = start_parity
     chain: list[int] = []
     for r in sorted_ranks:
         if r % 2 == need:
             chain.append(r)
             need ^= 1
-            if len(chain) == length:
-                return chain
-    return None
+    return chain
 
 
 def find_flower(a: DetAutomaton, i: IndexPair,
@@ -466,9 +467,9 @@ def find_flower(a: DetAutomaton, i: IndexPair,
     n = i.ranks_used()
     scan = sorted(pivots) if pivots is not None else sorted(a.states)
     for p in scan:
-        chain = _greedy_chain(sorted(tops[p]), i.iota % 2, n)
-        if chain is not None:
-            loops = tuple(_pivot_loop(a, p, r) for r in chain)
+        chain = _greedy_chain(sorted(tops[p]), i.iota % 2)
+        if len(chain) >= n:
+            loops = tuple(_pivot_loop(a, p, r) for r in chain[:n])
             return FlowerWitness(kind="strong", index=i, pivot=p, loops=loops)
     return None
 

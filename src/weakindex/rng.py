@@ -19,13 +19,3 @@ class SplitMix64:
     def below(self, n: int) -> int:
         """Uniform integer in [0, n); n >= 1."""
         return self.next_u64() % n
-
-    def randrange(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] inclusive."""
-        return lo + self.below(hi - lo + 1)
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]
-
-    def chance(self, num: int, den: int) -> bool:
-        return self.below(den) < num

@@ -24,7 +24,7 @@ from .automata import (
     index_of,
     normalize_ranks,
 )
-from .classifier import BorelLevel, classify, relabel_to
+from .classifier import BorelLevel, _relabel_component, classify, relabel_to
 from .errors import (
     IndexTooHigh,
     NonWeaklyRecognizable,
@@ -184,32 +184,6 @@ def weaken_13(a: DetAutomaton) -> TreeAutomaton:
 # -- any det without replicated (0,1)-flower -> weak (1,4) ----------------------------
 
 
-def _component_band_ranks(a: DetAutomaton, comp: set[str]) -> dict[str, int]:
-    """Relabel one SCC without a (0,1)-flower into ranks {1,2}."""
-    tops = loop_ranks(a)
-    depth = {}
-    for q in comp:
-        if a.rank(q) in tops[q]:
-            depth[q] = 0
-            need = a.rank(q) % 2
-            for r in sorted(tops[q]):
-                if r >= a.rank(q) and r % 2 == need:
-                    depth[q] += 1
-                    need ^= 1
-    m = max(depth.values())
-    if m > 2:
-        raise ValidationError("component unexpectedly contains a (0,1)-flower")
-    pi = max(a.rank(q) for q in comp if tops[q]) % 2
-    offset = 1 if m % 2 == pi else 0
-    values = {}
-    for q in comp:
-        d = depth.get(q, m)
-        values[q] = offset + m - d
-    shift = 2 - max(values.values())
-    shift -= shift % 2
-    return {q: v + shift for q, v in values.items()}
-
-
 def weaken_14(a: DetAutomaton) -> tuple[TreeAutomaton, ConstructionTrace]:
     """Equivalent weak (1,4)-automaton, quadratically many states.
 
@@ -255,7 +229,7 @@ def weaken_14(a: DetAutomaton) -> tuple[TreeAutomaton, ConstructionTrace]:
 def _bx_replicated(a: DetAutomaton, x: set[str], adj) -> TreeAutomaton:
     """B_X for a component replicated by an accepting loop: outside states
     rank 4 after X and 2 before it, X itself doubled over ranks 2..4."""
-    xrank = _component_band_ranks(a, x)
+    xrank = _relabel_component(a, x, IndexPair(1, 2))
     after = reachable_from(sorted({w for q in x for w in adj[q] if w not in x}), adj) - x
     states: dict[str, State] = {}
     transitions: list[Transition] = []

@@ -50,7 +50,7 @@ from weakindex.semantics import (
 )
 from weakindex.transforms import restrict, weaken, weaken_02, weaken_13, weaken_14
 
-from conftest import random_game, random_weak
+from conftest import random_det, random_game, random_weak
 
 INDICES = [IndexPair(0, 0), IndexPair(0, 1), IndexPair(0, 2), IndexPair(0, 3),
            IndexPair(1, 1), IndexPair(1, 2), IndexPair(1, 3)]
@@ -58,22 +58,12 @@ INDICES = [IndexPair(0, 0), IndexPair(0, 1), IndexPair(0, 2), IndexPair(0, 3),
 RANK_STYLES = ((0, 1, 2, 3), (1, 2), (0, 1), (0, 1, 2), (2, 3), (0,), (1, 2, 3))
 
 
-def _random_det(rng, max_states, ranks):
-    n = 1 + rng.below(max_states)
-    names = [f"q{i}" for i in range(n)]
-    states = {q: State("A", ranks[rng.below(len(ranks))]) for q in names}
-    trans = [Transition(q, a, d, names[rng.below(n)])
-             for q in names for a in ("a", "b") for d in (0, 1)]
-    return DetAutomaton(alphabet=("a", "b"), states=states, initial="q0",
-                        transitions=tuple(trans), acceptance="parity")
-
-
 def _trimmed_stream(seed, max_states=5, mixed_bands=False):
     rng = SplitMix64(seed)
     while True:
         ranks = RANK_STYLES[rng.below(len(RANK_STYLES))] if mixed_bands else (0, 1, 2, 3)
         try:
-            yield trim(_random_det(rng, max_states, ranks))
+            yield trim(random_det(rng, max_states, rank_weights=ranks))
         except EmptyLanguage:
             continue
 

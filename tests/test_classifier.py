@@ -1,5 +1,12 @@
 from weakindex import catalog
-from weakindex.automata import IndexPair, index_of, make_automaton
+from weakindex.automata import (
+    DetAutomaton,
+    IndexPair,
+    State,
+    Transition,
+    index_of,
+    make_automaton,
+)
 from weakindex.classifier import (
     BIT_NAMES,
     BorelLevel,
@@ -10,8 +17,9 @@ from weakindex.classifier import (
     weak_alt_level,
     weak_det_index,
 )
+from weakindex.errors import EmptyLanguage
 from weakindex.graphs import tarjan_scc
-from weakindex.patterns import find_flower, find_weak_flower
+from weakindex.patterns import brute_force_patterns, find_flower, find_weak_flower
 from weakindex.productivity import trim
 from weakindex.rng import SplitMix64
 from weakindex.semantics import SamplerParams, alt_accepts, det_accepts, sample_regular_tree
@@ -217,6 +225,65 @@ def test_weak_det_minimality():
             for iota in (0, 1):
                 cand = IndexPair(iota, iota + smaller)
                 assert find_weak_flower(a, cand.dual()) is not None
+
+
+def _index_order():
+    """(0,0), (1,1), (0,1), (1,2), (0,2), ...: the order in which the least
+    index is sought."""
+    level = 0
+    while True:
+        yield IndexPair(0, level)
+        yield IndexPair(1, level + 1)
+        level += 1
+
+
+def _first_without(has_pattern, stop: IndexPair):
+    """Check the candidates up to `stop` against the oracle predicate: every
+    earlier candidate's dual has the pattern, the dual of `stop` has none."""
+    for cand in _index_order():
+        if cand == stop:
+            return not has_pattern(cand.dual())
+        if not has_pattern(cand.dual()):
+            return False
+
+
+def _layered_trimmed(rng: SplitMix64, max_states: int = 6, max_rank: int = 5):
+    """Next trimmed automaton whose moves never lead to a lower-numbered
+    state: its SCCs are single states in a chain, the shape that gives
+    weak-deterministic indices above (0,1)."""
+    while True:
+        n = 1 + rng.below(max_states)
+        names = [f"q{i}" for i in range(n)]
+        states = {q: State("A", rng.below(max_rank + 1)) for q in names}
+        trans = [Transition(q, x, d, names[i + rng.below(n - i)])
+                 for i, q in enumerate(names) for x in ("a", "b") for d in (0, 1)]
+        try:
+            return trim(DetAutomaton(alphabet=("a", "b"), states=states, initial="q0",
+                                     transitions=tuple(trans), acceptance="parity"))
+        except EmptyLanguage:
+            continue
+
+
+def test_indices_match_brute_force_oracle():
+    """Both deterministic indices against the subset enumerator, which
+    shares no code with the chain lengths they are read from."""
+    rng = SplitMix64(5151)
+    pool = [trim(catalog.get(name)) for name in catalog.CATALOG]
+    pool += [random_trimmed(rng, max_rank=(3, 4, 5)[k % 3]) for k in range(300)]
+    pool += [_layered_trimmed(rng) for _ in range(150)]
+    weak_seen = set()
+    for k, a in enumerate(pool):
+        inv = brute_force_patterns(a)
+        index, _ = det_index(a)
+        assert _first_without(inv.has_flower, index), (k, index)
+        res = weak_det_index(a)
+        if res is None:
+            # an SCC with loops of both parities carries weak flowers of any length
+            assert inv.has_weak_flower(IndexPair(0, len(a.states) + 2)), k
+            continue
+        assert _first_without(inv.has_weak_flower, res[0]), (k, res[0])
+        weak_seen.add(res[0])
+    assert {IndexPair(0, 2), IndexPair(1, 3)} <= weak_seen, weak_seen
 
 
 def test_report_rendering_and_json():

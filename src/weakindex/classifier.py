@@ -316,8 +316,6 @@ class ClassificationReport:
         else:
             pretty = " ".join(str(i) for i in sorted(self.weak_alt, key=lambda x: (x.iota, x.kappa)))
             lines.append(f"weak_alt_index: {pretty}")
-        lines.append(f"trim_seconds: {self.trim_seconds:.6f}")
-        lines.append(f"classify_seconds: {self.classify_seconds:.6f}")
         if witnesses:
             for bit in BIT_NAMES:
                 if bit in self.borel.witnesses:

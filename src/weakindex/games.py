@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass, field
 
 from .errors import FormatError, GameTooLarge, ValidationError
+from .graphs import has_cycle_inside, reachable_from, tarjan_scc
 
 EVE = "E"
 ADAM = "A"
@@ -105,18 +106,7 @@ class _Arena:
 
     @classmethod
     def from_game(cls, g: Game) -> "_Arena":
-        ids = sorted(g.positions)
-        index = {pid: i for i, pid in enumerate(ids)}
-        n = len(ids)
-        owner = [0] * n
-        rank = [0] * n
-        succ: list[list[int]] = [[] for _ in range(n)]
-        for pid, (o, r) in g.positions.items():
-            owner[index[pid]] = 0 if o == EVE else 1
-            rank[index[pid]] = r
-        for a, b in g.edges:
-            succ[index[a]].append(index[b])
-        return cls(owner, rank, succ, ids)
+        return cls(*_game_arrays(g))
 
     def attractor(self, player: int, targets, active: set[int]):
         """Attractor of `targets` for `player` within `active`.
@@ -189,44 +179,93 @@ def _zielonka(a: _Arena, active: set[int]):
     return win_sigma, win_opp, stratsb[sigma], strat_opp
 
 
-def _solve_weak_layers(a: _Arena):
-    """Descending-rank attractor layering for the weak condition.
+def _game_arrays(g: Game):
+    """(owner, rank, succ, ids) of a game, positions indexed in sorted id order."""
+    ids = sorted(g.positions)
+    index = {pid: i for i, pid in enumerate(ids)}
+    n = len(ids)
+    owner = [0] * n
+    rank = [0] * n
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for pid, (o, r) in g.positions.items():
+        owner[index[pid]] = 0 if o == EVE else 1
+        rank[index[pid]] = r
+    for a, b in g.edges:
+        succ[index[a]].append(index[b])
+    return owner, rank, succ, ids
 
-    The highest remaining rank layer is attracted first for the player of
-    its parity; each position's strategy (or safe move) stays inside the
-    subgame current at its layer, which keeps play out of regions whose
-    top rank favours the opponent.
+
+def _solve_weak_layers(owner: list[int], rank: list[int], succ: list[list[int]]):
+    """Descending-rank attractor layering for the weak condition, no strategies.
+
+    The arena is totalized as `_Arena` does it: positions n and n+1 are
+    the self-looping sinks Eve and Adam win, and a dead end moves to the
+    sink its owner loses.  Positions wait in one bucket per rank; the
+    highest rank with positions left is attracted for the player of its
+    parity, and each position counts its successors not yet removed, so
+    the opponent is attracted when that count drops to zero.
+
+    Returns (winner, layer, order) over the n + 2 positions: winner 0 is
+    Eve; layer[v] is the rank whose attractor removed v, so layers are
+    peeled in descending order and the subgame current at layer d is the
+    positions with layer <= d; order[v] is v's place in that attractor's
+    queue, whose head is the layer's rank-d positions in index order.
     """
-    remaining = set(range(a.size))
-    winner = [0] * a.size
-    strategy: dict[int, int] = {}
-    safe: dict[int, int] = {}
-    while remaining:
-        d = max(a.rank[v] for v in remaining)
+    n = len(owner)
+    top = max(rank, default=0)
+    owner = list(owner) + [0, 0]
+    rank = list(rank) + [top + 2 - (top % 2), top + 1 + (top % 2)]
+    # a move listed twice is counted twice in `live` and met twice in `pred`
+    succ = [s or [n if owner[v] == 1 else n + 1] for v, s in enumerate(succ)] + [[n], [n + 1]]
+    size = n + 2
+    pred: list[list[int]] = [[] for _ in range(size)]
+    buckets: dict[int, list[int]] = {}
+    for v in range(size):
+        for w in succ[v]:
+            pred[w].append(v)
+        buckets.setdefault(rank[v], []).append(v)
+    live = [len(s) for s in succ]
+    winner = [0] * size
+    layer = [-1] * size
+    order = [0] * size
+    for d in sorted(buckets, reverse=True):
+        queue = [v for v in buckets[d] if layer[v] < 0]
         sigma = d % 2
-        top = {v for v in remaining if a.rank[v] == d}
-        attr, strat_attr = a.attractor(sigma, top, remaining)
-        for v in attr:
-            winner[v] = sigma
-        for v, t in strat_attr.items():
-            strategy[v] = t
-        for v in sorted(attr):
-            if v in strat_attr:
-                continue
-            inside = [w for w in a.succ[v] if w in remaining]
-            if not inside:
-                continue  # totalized arena has no dead ends; defensive
-            choice = min((w for w in inside if w in attr), default=min(inside))
-            if a.owner[v] == sigma:
-                strategy.setdefault(v, choice)
-            else:
-                safe[v] = choice
-        remaining -= attr
-    return winner, strategy, safe
+        for i, v in enumerate(queue):
+            layer[v], order[v], winner[v] = d, i, sigma
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            for u in pred[v]:
+                if layer[u] >= 0:
+                    continue
+                if owner[u] != sigma:
+                    live[u] -= 1
+                    if live[u]:
+                        continue
+                layer[u], order[u], winner[u] = d, len(queue), sigma
+                queue.append(u)
+    return winner, layer, order
 
 
-def _to_solution(g: Game, a: _Arena, win_eve: set[int], strat: dict[int, int],
-                 safe: dict[int, int] | None = None) -> Solution:
+def _cycle_top_reachable(starts, succ: dict, rank, parity: int) -> bool:
+    """Whether a cycle whose top rank has `parity` is reachable from `starts`.
+
+    Rank-restricted cycle check: such a cycle with top r exists iff some
+    SCC of the reachable positions ranked at most r supports a cycle and
+    holds a position of rank exactly r.
+    """
+    reach = reachable_from(starts, succ)
+    for r in sorted({rank[v] for v in reach if rank[v] % 2 == parity}):
+        low = {v: [w for w in succ.get(v, ()) if rank[w] <= r] for v in reach if rank[v] <= r}
+        for comp in tarjan_scc(list(low), low):
+            if has_cycle_inside(comp, low) and any(rank[v] == r for v in comp):
+                return True
+    return False
+
+
+def _to_solution(g: Game, a: _Arena, win_eve: set[int], strat: dict[int, int]) -> Solution:
     winner = {}
     for pid, i in a.index.items():
         winner[pid] = EVE if i in win_eve else ADAM
@@ -235,13 +274,7 @@ def _to_solution(g: Game, a: _Arena, win_eve: set[int], strat: dict[int, int],
         if v >= a.n_real or v in a.dead_ends or t >= a.n_real:
             continue
         strategy[a.ids[v]] = a.ids[t]
-    safe_moves = {}
-    if safe:
-        for v, t in safe.items():
-            if v >= a.n_real or v in a.dead_ends or t >= a.n_real:
-                continue
-            safe_moves[a.ids[v]] = a.ids[t]
-    return Solution(winner=winner, strategy=strategy, safe_moves=safe_moves)
+    return Solution(winner=winner, strategy=strategy)
 
 
 def _zielonka_full(a: _Arena):
@@ -273,28 +306,97 @@ def solve_parity(g: Game) -> Solution:
 
 
 def solve_weak(g: Game) -> Solution:
-    """Solve a weak-parity game by descending-rank attractor layering."""
+    """Solve a weak-parity game by descending-rank attractor layering.
+
+    Strategies are read off the layering.  A position of the layer's
+    player pulled in by the attractor moves to its smallest successor
+    that joined the layer before it.  Every other position moves to its
+    smallest successor in its own layer, or else to its smallest
+    successor in the subgame current at that layer; for a position whose
+    owner loses it, that move is the safe move.
+    """
     if g.condition != "weak":
         raise ValidationError("solve_weak expects condition weak")
-    a = _Arena.from_game(g)
-    winner, strategy, safe = _solve_weak_layers(a)
-    win_eve = {v for v in range(a.size) if winner[v] == 0}
-    return _to_solution(g, a, win_eve, strategy, safe)
+    owner, rank, succ, ids = _game_arrays(g)
+    winner, layer, order = _solve_weak_layers(owner, rank, succ)
+    members: dict[int, list[int]] = {}
+    for v in sorted(range(len(ids)), key=order.__getitem__):
+        members.setdefault(layer[v], []).append(v)
+    strategy: dict[str, str] = {}
+    safe_moves: dict[str, str] = {}
+    for d in sorted(members, reverse=True):
+        sigma = d % 2
+        pulled = [v for v in members[d] if owner[v] == sigma and rank[v] < d]
+        for v in pulled:
+            t = min(w for w in succ[v] if layer[w] == d and order[w] < order[v])
+            strategy[ids[v]] = ids[t]
+        for v in sorted(set(members[d]).difference(pulled)):
+            if not succ[v]:
+                continue
+            inside = [w for w in succ[v] if layer[w] <= d]
+            t = min((w for w in inside if layer[w] == d), default=min(inside))
+            (strategy if owner[v] == sigma else safe_moves)[ids[v]] = ids[t]
+    return Solution(winner={pid: EVE if winner[i] == 0 else ADAM for i, pid in enumerate(ids)},
+                    strategy=strategy, safe_moves=safe_moves)
 
 
 def eve_wins_arrays(owner: list[int], rank: list[int], succ: list[list[int]],
                     weak: bool, position: int = 0) -> bool:
-    """Array-level fast path for membership games (no id or strategy layer).
+    """Membership kernel: does Eve win from `position`?  Winner only.
 
     owner: 0 = Eve, 1 = Adam per position; succ holds successor indices.
-    Dead ends follow the usual rule (stuck owner loses).
+    Dead ends follow the usual rule (stuck owner loses).  Weak games are
+    peeled by `_solve_weak_layers`.  A strong-parity game where Adam owns
+    every position is a cycle check: Adam wins iff a cycle with odd top
+    rank is reachable from `position`.  Other strong games go to
+    Zielonka's solver.
     """
-    a = _Arena(owner, rank, succ)
     if weak:
-        winner, _, _ = _solve_weak_layers(a)
-        return winner[position] == 0
-    w0, _, _, _ = _zielonka_full(a)
+        return _solve_weak_layers(owner, rank, succ)[0][position] == 0
+    if 0 not in owner:
+        return not _cycle_top_reachable([position], dict(enumerate(succ)), rank, 1)
+    w0, _, _, _ = _zielonka_full(_Arena(owner, rank, succ))
     return position in w0
+
+
+def check_strategy(g: Game, sol: Solution) -> bool:
+    """Independent check that a solution's strategies win where it says.
+
+    For each player, the plays from its winning region are those where
+    it follows its fixed positional choices (`strategy`, else
+    `safe_moves`) and the opponent moves freely.  The check passes iff
+    the player never has to move without a legal fixed choice and no
+    reachable cycle has a top rank of the opponent's parity.  In weak
+    games each position is paired with the highest rank seen so far, so
+    the top of a cycle is the highest rank of its play.
+    """
+    if set(sol.winner) != set(g.positions):
+        return False
+    succ: dict[str, list[str]] = {p: [] for p in g.positions}
+    for a, b in g.edges:
+        succ[a].append(b)
+    weak = g.condition == "weak"
+    for player, opp_parity in ((EVE, 1), (ADAM, 0)):
+        starts = [(p, r) for p, (_, r) in g.positions.items() if sol.winner[p] == player]
+        graph: dict[tuple[str, int], list[tuple[str, int]]] = {}
+        stack = list(starts)
+        while stack:
+            node = stack.pop()
+            if node in graph:
+                continue
+            p, seen = node
+            moves = succ[p]
+            if g.positions[p][0] == player:
+                choice = sol.strategy.get(p, sol.safe_moves.get(p))
+                if choice not in moves:
+                    return False
+                moves = [choice]
+            graph[node] = [(w, max(seen, g.positions[w][1]) if weak else g.positions[w][1])
+                           for w in moves]
+            stack.extend(graph[node])
+        if _cycle_top_reachable(starts, graph, {v: v[1] for v in graph}, opp_parity):
+            return False
+    return True
 
 
 def solve(g: Game) -> Solution:

@@ -39,50 +39,51 @@ def _check_labels(a: TreeAutomaton, t: RegularTree):
         raise ValidationError("automaton inputs are binary trees")
 
 
+def _view(a: TreeAutomaton):
+    """Int view of an automaton, built once and kept in `a._memo`.
+
+    States are indexed in sorted order.  Returns (state index, moves by
+    [state][letter] as (direction, target index) pairs in transition
+    order, owner per state with 0 = Eve, rank per state).
+    """
+    view = a._memo.get("membership_view")
+    if view is None:
+        snames = sorted(a.states)
+        sidx = {s: i for i, s in enumerate(snames)}
+        moves = [{letter: [(d, sidx[q]) for d, q in a.moves(s, letter)] for letter in a.alphabet}
+                 for s in snames]
+        owner = [0 if a.states[s].mode == EXISTENTIAL else 1 for s in snames]
+        rank = [a.states[s].rank for s in snames]
+        view = a._memo["membership_view"] = (sidx, moves, owner, rank)
+    return view
+
+
 def _product_arrays(a: TreeAutomaton, t: RegularTree):
     """Reachable product positions (state, node) as an int game."""
-    snames = sorted(a.states)
+    sidx, moves, sowner, srank = _view(a)
     nnames = sorted(t.nodes)
-    sidx = {s: i for i, s in enumerate(snames)}
     nidx = {n: i for i, n in enumerate(nnames)}
-    moves = {}
-    for s in snames:
-        for letter in a.alphabet:
-            mv = a.moves(s, letter)
-            moves[(sidx[s], letter)] = [
-                (d, sidx[q]) for d, q in sorted(mv, key=lambda p: (2 if p[0] is None else p[0], p[1]))
-            ]
-    children = {nidx[n]: tuple(nidx[c] for c in t.nodes[n].children) for n in nnames}
-    labels = {nidx[n]: t.nodes[n].label for n in nnames}
+    children = [tuple(nidx[c] for c in t.nodes[n].children) for n in nnames]
+    labels = [t.nodes[n].label for n in nnames]
     nn = len(nnames)
 
     start = sidx[a.initial] * nn + nidx[t.root]
     indexmap = {start: 0}
-    owner = [0 if a.states[snames[start // nn]].mode == EXISTENTIAL else 1]
-    rank = [a.states[snames[start // nn]].rank]
-    succ: list[list[int]] = [[]]
+    succ: list[list[int]] = []
     order = [start]
-    head = 0
-    while head < len(order):
-        code = order[head]
-        me = indexmap[code]
-        head += 1
+    for code in order:  # breadth-first: `order` grows while it is read
         si, ni = divmod(code, nn)
         out = []
-        for d, qi in moves[(si, labels[ni])]:
-            ni2 = ni if d is None else children[ni][d]
-            code2 = qi * nn + ni2
+        for d, qi in moves[si][labels[ni]]:
+            code2 = qi * nn + (ni if d is None else children[ni][d])
             j = indexmap.get(code2)
             if j is None:
-                j = len(order)
-                indexmap[code2] = j
+                j = indexmap[code2] = len(order)
                 order.append(code2)
-                st = a.states[snames[qi]]
-                owner.append(0 if st.mode == EXISTENTIAL else 1)
-                rank.append(st.rank)
-                succ.append([])
             out.append(j)
-        succ[me] = out
+        succ.append(out)
+    owner = [sowner[code // nn] for code in order]
+    rank = [srank[code // nn] for code in order]
     return owner, rank, succ
 
 

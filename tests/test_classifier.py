@@ -299,3 +299,12 @@ def test_report_rendering_and_json():
     assert set(BIT_NAMES) == set(d["bits"])
     wit = r.render(witnesses=True)
     assert "blocked" in wit
+
+
+def test_report_rendering_is_deterministic():
+    # timings stay on the report and in --json, never in the text
+    first, second = classify(catalog.inf_b_left()), classify(catalog.inf_b_left())
+    assert first.render() == second.render()
+    assert first.render(witnesses=True) == second.render(witnesses=True)
+    assert "seconds" not in first.render(witnesses=True)
+    assert {"trim_seconds", "classify_seconds"} <= set(first.to_json_dict())

@@ -3,7 +3,11 @@ import pytest
 from weakindex.errors import GameTooLarge
 from weakindex.games import (
     Game,
+    Solution,
+    _game_arrays,
     brute_force_solve,
+    check_strategy,
+    eve_wins_arrays,
     parse_game,
     solve,
     solve_parity,
@@ -101,6 +105,7 @@ def test_random_games_match_brute_force(condition):
         fast = solve(g)
         slow = brute_force_solve(g)
         assert fast.winner == slow.winner, g
+        assert check_strategy(g, fast), g
 
 
 @pytest.mark.parametrize("condition", ["parity", "weak"])
@@ -165,6 +170,54 @@ def test_weak_monotone_in_eve_ranks():
                       condition="weak")
         after = solve_weak(bumped).region("E")
         assert before <= after, (g, p)
+
+
+@pytest.mark.parametrize("condition", ["parity", "weak"])
+def test_membership_kernel_matches_full_solvers(condition):
+    # the all-Adam variants take the kernel's cycle check under strong parity
+    rng = SplitMix64(55 if condition == "parity" else 56)
+    weak = condition == "weak"
+    for _ in range(300):
+        g = random_game(rng, max_positions=8, max_rank=5, condition=condition)
+        all_adam = Game(positions={p: ("A", r) for p, (_, r) in g.positions.items()},
+                        edges=g.edges, initial=g.initial, condition=condition)
+        for h in (g, all_adam):
+            sol = solve(h)
+            owner, rank, succ, ids = _game_arrays(h)
+            doubled = [s + s for s in succ]  # products may list a move twice
+            for p, pid in enumerate(ids):
+                eve = sol.winner[pid] == "E"
+                assert eve_wins_arrays(owner, rank, succ, weak, position=p) == eve, (h, pid)
+                assert eve_wins_arrays(owner, rank, doubled, weak, position=p) == eve, (h, pid)
+
+
+def test_check_strategy_rejects_losing_choices():
+    g = game({"p": ("E", 0), "q": ("E", 1)}, [("p", "p"), ("p", "q"), ("q", "q")])
+    sol = solve_parity(g)
+    assert sol.strategy == {"p": "p"} and check_strategy(g, sol)
+    winner = sol.winner
+    assert not check_strategy(g, Solution(winner, {"p": "q"}))  # walks into Adam's cycle
+    assert not check_strategy(g, Solution(winner, {}))  # Eve left without a move
+    assert not check_strategy(g, Solution({"p": "E", "q": "E"}, {"p": "p", "q": "q"}))
+    assert not check_strategy(g, Solution({"p": "E"}, {"p": "p"}))  # q has no winner
+
+
+def test_check_strategy_weak_needs_safe_moves():
+    # Eve wins p (rank 2 is seen first) but loses q; passing through q she
+    # must stay there rather than reach rank 3
+    g = game({"p": ("A", 2), "q": ("E", 1), "s": ("E", 3)},
+             [("p", "q"), ("q", "q"), ("q", "s"), ("s", "s")], condition="weak")
+    sol = solve_weak(g)
+    assert sol.winner == {"p": "E", "q": "A", "s": "A"}
+    assert sol.safe_moves["q"] == "q" and check_strategy(g, sol)
+    assert not check_strategy(g, Solution(sol.winner, sol.strategy,
+                                          {**sol.safe_moves, "q": "s"}))
+    safe = {p: t for p, t in sol.safe_moves.items() if p != "q"}
+    assert not check_strategy(g, Solution(sol.winner, sol.strategy, safe))
+    # read as a strong-parity game the same choices lose p: rank 1 repeats forever
+    strong = game(g.positions, g.edges)
+    assert solve_parity(strong).winner["p"] == "A"
+    assert not check_strategy(strong, Solution(sol.winner, sol.strategy, sol.safe_moves))
 
 
 def test_parse_game_fixture_format():

@@ -43,6 +43,10 @@ def transition_sort_key(t: Transition):
     return (t.source, t.letter, _dir_key(t.direction), t.target)
 
 
+def _has_epsilon(transitions) -> bool:
+    return any(t.direction is None for t in transitions)
+
+
 @dataclass(frozen=True)
 class IndexPair:
     """Mostowski-Rabin index (iota, kappa) with iota in {0,1}, kappa >= iota."""
@@ -106,11 +110,12 @@ class TreeAutomaton:
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(sorted(set(self.alphabet))))
-        object.__setattr__(
-            self,
-            "transitions",
-            tuple(sorted(set(self.transitions), key=transition_sort_key)),
-        )
+        # dedup keeping the given order, which is often sorted already and
+        # then cheap to sort; plain tuple order is transition_sort_key's
+        # order unless a move is epsilon
+        ts = dict.fromkeys(self.transitions)
+        ts = sorted(ts, key=transition_sort_key) if _has_epsilon(ts) else sorted(ts)
+        object.__setattr__(self, "transitions", tuple(ts))
         self._validate()
         moves: dict[tuple[str, str], list[tuple[Direction, str]]] = {}
         for t in self.transitions:
@@ -128,13 +133,13 @@ class TreeAutomaton:
             raise ValidationError(f"initial state {self.initial!r} not declared")
         if self.acceptance not in ("parity", "weak"):
             raise ValidationError(f"unknown acceptance {self.acceptance!r}")
-        for sid, st in self.states.items():
-            if not sid or not all(c.isalnum() or c == "_" for c in sid):
-                raise ValidationError(f"bad state id {sid!r}")
-            if st.mode not in (EXISTENTIAL, UNIVERSAL):
-                raise ValidationError(f"state {sid}: bad mode {st.mode!r}")
-            if st.rank < 0:
-                raise ValidationError(f"state {sid}: negative rank")
+        self._check_states()
+        sources, letters, directions, targets = (
+            map(set, zip(*self.transitions)) if self.transitions else (set(),) * 4)
+        if (self.states.keys() >= sources and self.states.keys() >= targets
+                and set(self.alphabet) >= letters and {0, 1, None} >= directions):
+            return
+        # some transition is bad: report the first one in table order
         for t in self.transitions:
             if t.source not in self.states:
                 raise ValidationError(f"transition from unknown state {t.source!r}")
@@ -144,6 +149,15 @@ class TreeAutomaton:
                 raise ValidationError(f"transition on unknown letter {t.letter!r}")
             if t.direction not in (0, 1, None):
                 raise ValidationError(f"bad direction {t.direction!r}")
+
+    def _check_states(self):
+        for sid, st in self.states.items():
+            if not sid.replace("_", "a").isalnum():
+                raise ValidationError(f"bad state id {sid!r}")
+            if st.mode not in (EXISTENTIAL, UNIVERSAL):
+                raise ValidationError(f"state {sid}: bad mode {st.mode!r}")
+            if st.rank < 0:
+                raise ValidationError(f"state {sid}: negative rank")
 
     # -- queries ---------------------------------------------------------
 
@@ -164,16 +178,15 @@ class TreeAutomaton:
         return all(self.rank(t.source) <= self.rank(t.target) for t in self.transitions)
 
     def with_states(self, states: dict[str, State], name: str = "") -> "TreeAutomaton":
-        """Same shape with replaced state table (used by relabelings)."""
-        cls = type(self)
-        return cls(
-            alphabet=self.alphabet,
-            states=states,
-            initial=self.initial,
-            transitions=self.transitions,
-            acceptance=self.acceptance,
-            name=name or self.name,
-        )
+        """Same automaton with a new state table over the same ids (used by
+        relabelings).  Only the new state table is checked; the checked
+        transition tables are shared with `self` and the memo starts empty."""
+        new = object.__new__(type(self))
+        new.__dict__.update(vars(self), states=states, name=name or self.name, _memo={})
+        new._check_states()
+        if states.keys() != self.states.keys():
+            raise ValidationError("with_states must keep the state ids")
+        return new
 
 
 @dataclass(frozen=True)
@@ -188,23 +201,39 @@ class DetAutomaton(TreeAutomaton):
         super().__post_init__()
         if self.acceptance != "parity":
             raise ValidationError("deterministic automata use strong parity acceptance")
-        delta: dict[tuple[str, str, int], str] = {}
-        for t in self.transitions:
-            if t.direction is None:
-                raise ValidationError(f"epsilon transition {t} in deterministic automaton")
-            key = (t.source, t.letter, t.direction)
-            if key in delta:
-                raise ValidationError(f"duplicate transition for {key}")
-            delta[key] = t.target
-        for sid in self.states:
-            st = self.states[sid]
+        delta = {(p, x, d): q for p, x, d, q in self.transitions}
+        if len(delta) < len(self.transitions) or _has_epsilon(self.transitions):
+            delta = {}
+            for t in self.transitions:
+                if t.direction is None:
+                    raise ValidationError(f"epsilon transition {t} in deterministic automaton")
+                key = (t.source, t.letter, t.direction)
+                if key in delta:
+                    raise ValidationError(f"duplicate transition for {key}")
+                delta[key] = t.target
+        # the keys are distinct and valid, so the count proves totality
+        if len(delta) == 2 * len(self.states) * len(self.alphabet):
+            self._check_universal()
+        else:
+            for sid, st in self.states.items():
+                if st.mode != UNIVERSAL:
+                    raise ValidationError(f"state {sid}: deterministic automata are all-universal")
+                for a in self.alphabet:
+                    for d in (0, 1):
+                        if (sid, a, d) not in delta:
+                            raise ValidationError(
+                                f"missing transition ({sid},{a},{d}): table not total")
+        object.__setattr__(self, "_delta", delta)
+
+    def _check_universal(self):
+        for sid, st in self.states.items():
             if st.mode != UNIVERSAL:
                 raise ValidationError(f"state {sid}: deterministic automata are all-universal")
-            for a in self.alphabet:
-                for d in (0, 1):
-                    if (sid, a, d) not in delta:
-                        raise ValidationError(f"missing transition ({sid},{a},{d}): table not total")
-        object.__setattr__(self, "_delta", delta)
+
+    def with_states(self, states: dict[str, State], name: str = "") -> "DetAutomaton":
+        new = super().with_states(states, name)
+        new._check_universal()
+        return new
 
     def step(self, sid: str, letter: str, direction: int) -> str:
         return self._delta[(sid, letter, direction)]

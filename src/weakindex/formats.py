@@ -20,13 +20,7 @@ W-instance trees use labels of the form E:2 / A:1.
 
 from __future__ import annotations
 
-from .automata import (
-    DetAutomaton,
-    State,
-    Transition,
-    TreeAutomaton,
-    transition_sort_key,
-)
+from .automata import DetAutomaton, State, Transition, TreeAutomaton
 from .errors import FormatError, ValidationError
 from .trees import Node, RegularTree
 
@@ -131,7 +125,7 @@ def serialize_automaton(a: TreeAutomaton) -> str:
     for sid in sorted(a.states):
         st = a.states[sid]
         lines.append(f"state {sid} mode {st.mode} rank {st.rank}")
-    for t in sorted(a.transitions, key=transition_sort_key):
+    for t in a.transitions:
         d = "e" if t.direction is None else str(t.direction)
         lines.append(f"trans {t.source} {t.letter} {d} {t.target}")
     lines.append(f"acceptance {a.acceptance}")
@@ -206,7 +200,7 @@ def automaton_to_dot(a: TreeAutomaton) -> str:
         lines.append(
             f"  {_dot_quote(sid)} [shape={shape} label={_dot_quote(f'{sid}:{st.rank}')}{extra}];"
         )
-    for t in sorted(a.transitions, key=transition_sort_key):
+    for t in a.transitions:
         if t.direction is None:
             label, style = "e", " style=dashed"
         else:

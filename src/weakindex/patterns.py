@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .automata import BOT, DetAutomaton, IndexPair, Transition, transition_sort_key
+from .automata import BOT, DetAutomaton, IndexPair, Transition
 from .errors import GameTooLarge, ValidationError
 from .graphs import condensation, has_cycle_inside, reachable_from, tarjan_scc
 
@@ -580,7 +580,7 @@ def _replicating_edges(a: DetAutomaton, et=None) -> list[tuple[Transition, int]]
     if et is None:
         et = edge_tops(a)
     found = []
-    for t in sorted(a.transitions, key=transition_sort_key):
+    for t in a.transitions:
         evens = [r for r in et[(t.source, t.letter, t.direction)] if r % 2 == 0]
         if evens:
             found.append((t, min(evens)))

@@ -13,7 +13,7 @@ from .automata import BOT, DetAutomaton, State, Transition, UNIVERSAL
 from .errors import EmptyLanguage, ValidationError
 from .games import ADAM, EVE, Game, solve_parity
 from .graphs import reachable_from
-from .patterns import _succ, loop_ranks
+from .patterns import _memo, _succ, loop_ranks
 
 
 @dataclass(frozen=True)
@@ -110,22 +110,25 @@ def trim(a: DetAutomaton) -> DetAutomaton:
 
 
 def is_trimmed(a: DetAutomaton) -> bool:
-    """Structural check of the normal form (used by pattern preconditions)."""
-    productive = set(a.states) - {BOT}
-    for p in productive:
-        for letter in a.alphabet:
-            q1, q2 = a.pair(p, letter)
-            both_prod = q1 in productive and q2 in productive
-            both_bot = q1 == BOT and q2 == BOT
-            if not (both_prod or both_bot):
+    """Structural check of the normal form (used by pattern preconditions),
+    made once per automaton."""
+    def build():
+        productive = set(a.states) - {BOT}
+        for p in productive:
+            for letter in a.alphabet:
+                q1, q2 = a.pair(p, letter)
+                both_prod = q1 in productive and q2 in productive
+                both_bot = q1 == BOT and q2 == BOT
+                if not (both_prod or both_bot):
+                    return False
+        if BOT in a.states:
+            if a.states[BOT].rank % 2 == 0:
                 return False
-    if BOT in a.states:
-        if a.states[BOT].rank % 2 == 0:
-            return False
-        for letter in a.alphabet:
-            if a.pair(BOT, letter) != (BOT, BOT):
-                return False
-    return True
+            for letter in a.alphabet:
+                if a.pair(BOT, letter) != (BOT, BOT):
+                    return False
+        return True
+    return _memo(a, "trimmed", build)
 
 
 def is_empty(a: DetAutomaton) -> bool:

@@ -4,18 +4,22 @@ from weakindex.automata import (
     DetAutomaton,
     IndexPair,
     State,
+    Transition,
     TreeAutomaton,
     dual_index,
     index_leq,
     index_of,
     make_automaton,
+    normalize_ranks,
+    transition_sort_key,
 )
+from weakindex.classifier import det_index, relabel_to
 from weakindex.errors import FormatError, ValidationError
 from weakindex.formats import parse_automaton, serialize_automaton
 from weakindex import catalog
 from weakindex.rng import SplitMix64
 
-from conftest import random_det, random_weak
+from conftest import random_det, random_trimmed, random_weak
 
 
 ONE_STATE = """
@@ -169,3 +173,136 @@ def test_validation_rejects_epsilon_in_deterministic():
                          __import__("weakindex.automata", fromlist=["Transition"])
                          .Transition("q", "a", None, "q"),),
                      acceptance="parity")
+
+
+# -- construction checks -----------------------------------------------------------
+
+
+def _old_totality_error(states, alphabet, transitions):
+    """The key-by-key scan of a deterministic table: first failing state in
+    declaration order, universality before its missing keys."""
+    keys = {(t.source, t.letter, t.direction) for t in transitions}
+    for sid, st in states.items():
+        if st.mode != "A":
+            return f"state {sid}: deterministic automata are all-universal"
+        for x in sorted(set(alphabet)):
+            for d in (0, 1):
+                if (sid, x, d) not in keys:
+                    return f"missing transition ({sid},{x},{d}): table not total"
+    return None
+
+
+def test_constructor_order_is_transition_sort_key():
+    rng = SplitMix64(41)
+    for i in range(150):
+        if i % 3 == 0:
+            a = random_det(rng)
+        else:
+            a = random_weak(rng)
+            if i % 3 == 2:  # alternating parity automaton with the same moves
+                a = TreeAutomaton(alphabet=a.alphabet, states=a.states, initial=a.initial,
+                                  transitions=a.transitions, acceptance="parity")
+        ts = a.transitions[::-1] + a.transitions[: rng.below(len(a.transitions) + 1)]
+        if i % 3 != 0:
+            ts += tuple(Transition(t.source, t.letter, None, t.target) for t in ts[:2])
+        b = type(a)(alphabet=a.alphabet, states=a.states, initial=a.initial,
+                    transitions=ts, acceptance=a.acceptance)
+        assert b.transitions == tuple(sorted(set(ts), key=transition_sort_key))
+
+
+@pytest.mark.parametrize("sid", ["q_1", "_", "_bot", "é1"])
+def test_state_id_accepted(sid):
+    a = TreeAutomaton(alphabet=("a",), states={sid: State("A", 0)}, initial=sid,
+                      transitions=(Transition(sid, "a", 0, sid),))
+    assert a.rank(sid) == 0
+
+
+@pytest.mark.parametrize("sid", ["", "q-1", "q 1", "q.1"])
+def test_state_id_rejected(sid):
+    with pytest.raises(ValidationError, match="bad state id"):
+        TreeAutomaton(alphabet=("a",), states={"q": State("A", 0), sid: State("A", 0)},
+                      initial="q", transitions=())
+
+
+def test_non_total_table_names_first_missing_key():
+    rng = SplitMix64(43)
+    checked = 0
+    for _ in range(300):
+        a = random_det(rng)
+        states = dict(a.states)
+        if rng.below(3) == 0:
+            q = f"q{rng.below(len(states))}"
+            states[q] = State("E", states[q].rank)
+        ts = [t for t in a.transitions if rng.below(6)]
+        expected = _old_totality_error(states, a.alphabet, ts)
+        if expected is None:
+            continue
+        checked += 1
+        with pytest.raises(ValidationError) as info:
+            DetAutomaton(alphabet=a.alphabet, states=states, initial=a.initial,
+                         transitions=tuple(ts))
+        assert str(info.value) == expected
+    assert checked > 200
+
+
+# -- with_states: relabelings share the parent's tables ----------------------------
+
+
+def _relabelings():
+    rng = SplitMix64(47)
+    parents = [catalog.get(name) for name in catalog.CATALOG]
+    parents += [random_trimmed(rng, max_states=6) for _ in range(40)]
+    for a in parents:
+        yield a, det_index(a)[1]
+        for target in (IndexPair(0, 3), IndexPair(1, 4)):
+            yield a, relabel_to(a, target)
+        lifted = a.with_states({q: State(st.mode, st.rank + 4) for q, st in a.states.items()})
+        yield lifted, normalize_ranks(lifted)
+
+
+def test_with_states_shares_tables_and_equals_a_fresh_automaton():
+    for parent, b in _relabelings():
+        assert b._moves is parent._moves and b._delta is parent._delta
+        assert b._memo == {} and b._memo is not parent._memo
+        fresh = DetAutomaton(alphabet=b.alphabet, states=b.states, initial=b.initial,
+                             transitions=b.transitions, acceptance=b.acceptance, name=b.name)
+        assert type(b) is type(fresh)
+        for f in ("alphabet", "states", "initial", "transitions", "acceptance", "name"):
+            assert getattr(b, f) == getattr(fresh, f), f
+        for q in b.states:
+            for x in b.alphabet:
+                assert b.moves(q, x) == fresh.moves(q, x)
+                for d in (0, 1):
+                    assert b.step(q, x, d) == fresh.step(q, x, d)
+
+
+def test_with_states_of_an_alternating_automaton_shares_moves():
+    rng = SplitMix64(53)
+    for _ in range(40):
+        a = random_weak(rng)
+        b = a.with_states({q: State(st.mode, st.rank + 2) for q, st in a.states.items()})
+        assert type(b) is TreeAutomaton and b._moves is a._moves
+        assert b == TreeAutomaton(alphabet=a.alphabet, states=b.states, initial=a.initial,
+                                  transitions=a.transitions, acceptance=a.acceptance)
+
+
+BAD_STATE_TABLES = {
+    "negative_rank": (lambda s, q: {**s, q: State("A", -1)}, "negative rank"),
+    "bad_mode": (lambda s, q: {**s, q: State("X", 0)}, "bad mode"),
+    "existential": (lambda s, q: {**s, q: State("E", 0)}, "all-universal"),
+    "bad_id": (lambda s, q: {("q-1" if p == q else p): st for p, st in s.items()},
+               "bad state id"),
+    "missing_id": (lambda s, q: {p: st for p, st in s.items() if p != q}, "state ids"),
+    "extra_id": (lambda s, q: {**s, "extra": State("A", 0)}, "state ids"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_STATE_TABLES))
+def test_with_states_validates_the_new_state_table(case):
+    change, match = BAD_STATE_TABLES[case]
+    rng = SplitMix64(59)
+    automata = [catalog.get(name) for name in catalog.CATALOG]
+    automata += [random_trimmed(rng) for _ in range(20)]
+    for a in automata:
+        with pytest.raises(ValidationError, match=match):
+            a.with_states(change(a.states, a.initial))

@@ -22,6 +22,7 @@ from .errors import (
     WeakIndexError,
 )
 from .formats import (
+    _tokenized_lines,
     parse_automaton,
     parse_regular_tree,
     serialize_automaton,
@@ -164,10 +165,9 @@ def cmd_fixture(args) -> int:
 
 def cmd_dot(args) -> int:
     text = _read(args.path)
-    try:
-        obj = parse_automaton(text)
-    except FormatError:
-        obj = parse_regular_tree(text)
+    # only the regular-tree format declares an arity
+    is_tree = any(toks[0] == "arity" for _, toks in _tokenized_lines(text))
+    obj = parse_regular_tree(text) if is_tree else parse_automaton(text)
     _write_out(to_dot(obj), args.out)
     return EXIT_OK
 

@@ -5,16 +5,18 @@ visited infinitely often is even, and a weak-parity play when the highest
 rank visited at least once is even.  A player who cannot move loses.
 
 Both solvers return full winning-region partitions with positional
-strategies.  Dead ends are handled by an internal totalization: a stuck
-position gets a single edge to a self-looping sink whose rank is a fresh
-value above every real rank, odd when the stuck owner is Eve and even
-when it is Adam.  That encodes the dead-end rule for both conditions at
-once.
+strategies.  Dead ends are handled by one totalization, `_arena`, which
+both solvers and the membership kernel run on: a stuck position gets a
+single edge to a self-looping sink whose rank is a fresh value above
+every real rank, odd when the stuck owner is Eve and even when it is
+Adam.  That encodes the dead-end rule for both conditions at once.
+Zielonka's strong solver runs its subgames as generator frames on an
+explicit stack, so its depth is not bounded by the interpreter's
+recursion limit, which it leaves alone.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 from .errors import FormatError, GameTooLarge, ValidationError
@@ -70,113 +72,108 @@ class Solution:
         return {p for p, w in self.winner.items() if w == player}
 
 
-class _Arena:
-    """Int-indexed totalized arena shared by both solvers."""
+def _arena(owner: list[int], rank: list[int], succ: list[list[int]]):
+    """Totalized int arena (owner, rank, succ, pred) shared by both solvers.
 
-    def __init__(self, owner: list[int], rank: list[int], succ: list[list[int]],
-                 ids: list[str] | None = None):
-        n = len(owner)
-        self.ids = ids if ids is not None else [str(i) for i in range(n)]
-        self.index = {pid: i for i, pid in enumerate(self.ids)}
-        self.owner = list(owner) + [0, 0]
-        self.rank = list(rank) + [0, 0]
-        self.succ = [sorted(set(s)) for s in succ] + [[], []]
-        self.pred: list[list[int]] = [[] for _ in range(n + 2)]
-        top = max(rank, default=0)
-        even_top = top + 2 - (top % 2)
-        odd_top = top + 1 + (top % 2)
-        # sink n: Eve wins (even rank), sink n+1: Adam wins (odd rank)
-        self.eve_sink, self.adam_sink = n, n + 1
-        self.rank[n], self.rank[n + 1] = even_top, odd_top
-        self.succ[n].append(n)
-        self.succ[n + 1].append(n + 1)
-        self.dead_ends = set()
-        for i in range(n):
-            if not self.succ[i]:
-                self.dead_ends.add(i)
-                sink = self.eve_sink if self.owner[i] == 1 else self.adam_sink
-                self.succ[i].append(sink)
-        for i in range(n + 2):
-            for j in self.succ[i]:
-                self.pred[j].append(i)
-        for i in range(n + 2):
-            self.pred[i].sort()
-        self.n_real = n
-        self.size = n + 2
+    Positions n and n+1 are the self-looping sinks Eve and Adam win, ranked
+    a fresh even and odd value above every real rank, and a dead end moves
+    to the sink its owner loses.  A move listed twice stays listed twice,
+    in `succ` and in `pred`; `pred[w]` lists its sources in index order.
+    """
+    n = len(owner)
+    top = max(rank, default=0)
+    owner = list(owner) + [0, 0]
+    rank = list(rank) + [top + 2 - (top % 2), top + 1 + (top % 2)]
+    succ = [s or [n if owner[v] == 1 else n + 1] for v, s in enumerate(succ)] + [[n], [n + 1]]
+    pred: list[list[int]] = [[] for _ in range(n + 2)]
+    for v, s in enumerate(succ):
+        for w in s:
+            pred[w].append(v)
+    return owner, rank, succ, pred
 
-    @classmethod
-    def from_game(cls, g: Game) -> "_Arena":
-        return cls(*_game_arrays(g))
 
-    def attractor(self, player: int, targets, active: set[int]):
-        """Attractor of `targets` for `player` within `active`.
+def _attractor(arena, player: int, targets, active: set[int]):
+    """Attractor of `targets` for `player` within `active`.
 
-        Returns (attracted set, strategy edges for player positions pulled
-        in).  Deterministic: candidates are processed in index order and the
-        chosen edge is the smallest-index successor already attracted.
-        """
-        attr = set(targets)
-        strat: dict[int, int] = {}
-        cnt = {}
-        queue = sorted(attr)
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for u in self.pred[v]:
-                if u not in active or u in attr:
-                    continue
-                if self.owner[u] == player:
-                    # choose the edge before adding u, so a self-loop cannot
-                    # pose as progress toward the target
-                    strat[u] = min(w for w in self.succ[u] if w in attr)
+    Returns (attracted set, strategy edges for player positions pulled
+    in).  Deterministic: candidates are processed in index order and the
+    chosen edge is the smallest-index successor already attracted.
+    """
+    owner, _, succ, pred = arena
+    attr = set(targets)
+    strat: dict[int, int] = {}
+    cnt = {}
+    queue = sorted(attr)
+    head = 0
+    while head < len(queue):
+        v = queue[head]
+        head += 1
+        for u in pred[v]:
+            if u not in active or u in attr:
+                continue
+            if owner[u] == player:
+                # choose the edge before adding u, so a self-loop cannot
+                # pose as progress toward the target
+                strat[u] = min(w for w in succ[u] if w in attr)
+                attr.add(u)
+                queue.append(u)
+            else:
+                if u not in cnt:
+                    cnt[u] = sum(1 for w in succ[u] if w in active)
+                cnt[u] -= 1
+                if cnt[u] == 0:
                     attr.add(u)
                     queue.append(u)
-                else:
-                    if u not in cnt:
-                        cnt[u] = sum(1 for w in self.succ[u] if w in active)
-                    cnt[u] -= 1
-                    if cnt[u] == 0:
-                        attr.add(u)
-                        queue.append(u)
-        return attr, strat
+    return attr, strat
 
 
-def _zielonka(a: _Arena, active: set[int]):
-    """Returns (eve region, adam region, eve strategy, adam strategy)."""
+def _zielonka(arena, active: set[int]):
+    """Zielonka's algorithm on the subgame `active`, as one generator frame.
+
+    Instead of recursing, it yields each subgame and is sent back that
+    subgame's result; `_zielonka_full` drives the frames.  Returns
+    (regions, strategies), each a list indexed by player, 0 being Eve.
+    """
+    owner, rank, succ, _ = arena
     if not active:
-        return set(), set(), {}, {}
-    d = max(a.rank[v] for v in active)
-    sigma = d % 2  # player favoured by rank d
-    top = {v for v in active if a.rank[v] == d}
-    attr, strat_attr = a.attractor(sigma, top, active)
-    w0, w1, s0, s1 = _zielonka(a, active - attr)
-    wins = (w0, w1)
-    strats = (s0, s1)
-    if not wins[1 - sigma]:
-        strat_sigma = strats[sigma]
-        strat_sigma.update(strat_attr)
+        return [set(), set()], [{}, {}]
+    d = max(rank[v] for v in active)
+    sigma, opp = d % 2, 1 - d % 2  # sigma is the player favoured by rank d
+    top = {v for v in active if rank[v] == d}
+    attr, strat_attr = _attractor(arena, sigma, top, active)
+    wins, strats = yield active - attr
+    if not wins[opp]:
+        strat = strats[sigma]
+        strat.update(strat_attr)
         for v in top:
-            if a.owner[v] == sigma and v not in strat_sigma:
-                strat_sigma[v] = min(w for w in a.succ[v] if w in active)
-        if sigma == 0:
-            return set(active), set(), strat_sigma, {}
-        return set(), set(active), {}, strat_sigma
-    opp = 1 - sigma
-    attr_b, strat_b = a.attractor(opp, wins[opp], active)
-    w0b, w1b, s0b, s1b = _zielonka(a, active - attr_b)
-    winsb = (w0b, w1b)
-    stratsb = (s0b, s1b)
-    strat_opp = dict(stratsb[opp])
-    strat_opp.update(strat_b)
+            if owner[v] == sigma and v not in strat:
+                strat[v] = min(w for w in succ[v] if w in active)
+        wins, strats = [set(), set()], [{}, {}]
+        wins[sigma], strats[sigma] = set(active), strat
+        return wins, strats
+    attr_b, strat_b = _attractor(arena, opp, wins[opp], active)
+    wins_b, strats_b = yield active - attr_b
+    strat = strats_b[opp]
+    strat.update(strat_b)
     for v, t in strats[opp].items():
         if v in wins[opp]:
-            strat_opp.setdefault(v, t)
-    win_opp = winsb[opp] | attr_b
-    win_sigma = winsb[sigma]
-    if opp == 0:
-        return win_opp, win_sigma, strat_opp, stratsb[sigma]
-    return win_sigma, win_opp, stratsb[sigma], strat_opp
+            strat.setdefault(v, t)
+    wins_b[opp] |= attr_b
+    return wins_b, strats_b
+
+
+def _zielonka_full(arena):
+    """Solve the whole arena, running `_zielonka` frames on an explicit stack."""
+    stack = [_zielonka(arena, set(range(len(arena[0]))))]
+    result = None
+    while stack:
+        try:
+            stack.append(_zielonka(arena, stack[-1].send(result)))
+            result = None
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+    return result
 
 
 def _game_arrays(g: Game):
@@ -198,12 +195,11 @@ def _game_arrays(g: Game):
 def _solve_weak_layers(owner: list[int], rank: list[int], succ: list[list[int]]):
     """Descending-rank attractor layering for the weak condition, no strategies.
 
-    The arena is totalized as `_Arena` does it: positions n and n+1 are
-    the self-looping sinks Eve and Adam win, and a dead end moves to the
-    sink its owner loses.  Positions wait in one bucket per rank; the
-    highest rank with positions left is attracted for the player of its
-    parity, and each position counts its successors not yet removed, so
-    the opponent is attracted when that count drops to zero.
+    The arena is totalized by `_arena`.  Positions wait in one bucket per
+    rank; the highest rank with positions left is attracted for the player
+    of its parity, and each position counts its successors not yet
+    removed (a move listed twice counts twice), so the opponent is
+    attracted when that count drops to zero.
 
     Returns (winner, layer, order) over the n + 2 positions: winner 0 is
     Eve; layer[v] is the rank whose attractor removed v, so layers are
@@ -211,19 +207,11 @@ def _solve_weak_layers(owner: list[int], rank: list[int], succ: list[list[int]])
     positions with layer <= d; order[v] is v's place in that attractor's
     queue, whose head is the layer's rank-d positions in index order.
     """
-    n = len(owner)
-    top = max(rank, default=0)
-    owner = list(owner) + [0, 0]
-    rank = list(rank) + [top + 2 - (top % 2), top + 1 + (top % 2)]
-    # a move listed twice is counted twice in `live` and met twice in `pred`
-    succ = [s or [n if owner[v] == 1 else n + 1] for v, s in enumerate(succ)] + [[n], [n + 1]]
-    size = n + 2
-    pred: list[list[int]] = [[] for _ in range(size)]
+    owner, rank, succ, pred = _arena(owner, rank, succ)
+    size = len(owner)
     buckets: dict[int, list[int]] = {}
-    for v in range(size):
-        for w in succ[v]:
-            pred[w].append(v)
-        buckets.setdefault(rank[v], []).append(v)
+    for v, r in enumerate(rank):
+        buckets.setdefault(r, []).append(v)
     live = [len(s) for s in succ]
     winner = [0] * size
     layer = [-1] * size
@@ -265,44 +253,20 @@ def _cycle_top_reachable(starts, succ: dict, rank, parity: int) -> bool:
     return False
 
 
-def _to_solution(g: Game, a: _Arena, win_eve: set[int], strat: dict[int, int]) -> Solution:
-    winner = {}
-    for pid, i in a.index.items():
-        winner[pid] = EVE if i in win_eve else ADAM
-    strategy = {}
-    for v, t in strat.items():
-        if v >= a.n_real or v in a.dead_ends or t >= a.n_real:
-            continue
-        strategy[a.ids[v]] = a.ids[t]
-    return Solution(winner=winner, strategy=strategy)
-
-
-def _zielonka_full(a: _Arena):
-    limit = sys.getrecursionlimit()
-    needed = a.size + 1000
-    if needed > limit:
-        sys.setrecursionlimit(needed)
-    try:
-        return _zielonka(a, set(range(a.size)))
-    finally:
-        if needed > limit:
-            sys.setrecursionlimit(limit)
-
-
 def solve_parity(g: Game) -> Solution:
-    """Solve a strong-parity game by recursive attractor decomposition."""
+    """Solve a strong-parity game by Zielonka's attractor decomposition."""
     if g.condition != "parity":
         raise ValidationError("solve_parity expects condition parity")
-    a = _Arena.from_game(g)
-    w0, w1, s0, s1 = _zielonka_full(a)
-    strat = {}
-    for v, t in s0.items():
-        if v in w0 and a.owner[v] == 0:
-            strat[v] = t
-    for v, t in s1.items():
-        if v in w1 and a.owner[v] == 1:
-            strat[v] = t
-    return _to_solution(g, a, w0, strat)
+    owner, rank, succ, ids = _game_arrays(g)
+    wins, strats = _zielonka_full(_arena(owner, rank, succ))
+    strategy = {}
+    for player in (0, 1):
+        for v, t in strats[player].items():
+            # a move into a sink is a dead end's or a sink's own
+            if t < len(ids) and v in wins[player] and owner[v] == player:
+                strategy[ids[v]] = ids[t]
+    return Solution(winner={pid: EVE if i in wins[0] else ADAM for i, pid in enumerate(ids)},
+                    strategy=strategy)
 
 
 def solve_weak(g: Game) -> Solution:
@@ -349,14 +313,14 @@ def eve_wins_arrays(owner: list[int], rank: list[int], succ: list[list[int]],
     peeled by `_solve_weak_layers`.  A strong-parity game where Adam owns
     every position is a cycle check: Adam wins iff a cycle with odd top
     rank is reachable from `position`.  Other strong games go to
-    Zielonka's solver.
+    `_zielonka_full`, the solver `solve_parity` and trim's emptiness
+    arena use; both solvers run on the `_arena` totalization.
     """
     if weak:
         return _solve_weak_layers(owner, rank, succ)[0][position] == 0
     if 0 not in owner:
         return not _cycle_top_reachable([position], dict(enumerate(succ)), rank, 1)
-    w0, _, _, _ = _zielonka_full(_Arena(owner, rank, succ))
-    return position in w0
+    return position in _zielonka_full(_arena(owner, rank, succ))[0][0]
 
 
 def check_strategy(g: Game, sol: Solution) -> bool:

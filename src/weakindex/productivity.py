@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .automata import BOT, DetAutomaton, State, Transition, UNIVERSAL
 from .errors import EmptyLanguage, ValidationError
-from .games import ADAM, EVE, Game, solve_parity
+from .games import ADAM, EVE, Game, _arena, _zielonka_full
 from .graphs import reachable_from
 from .patterns import _memo, _succ, loop_ranks
 
@@ -43,9 +43,23 @@ def emptiness_game(a: DetAutomaton) -> Game:
 
 
 def nonempty_states(a: DetAutomaton) -> set[str]:
-    """States q with L(A,q) nonempty, via the emptiness game."""
-    sol = solve_parity(emptiness_game(a))
-    return {q for q in a.states if sol.winner[f"s:{q}"] == EVE}
+    """States q with L(A,q) nonempty, by solving the emptiness game.
+
+    The arena is `emptiness_game`'s on int positions, built from the step
+    table: the i-th state in sorted order is Eve's position i, and the
+    pair (q_i, letter x) is Adam's position n + i*|Sigma| + x.
+    """
+    ids = sorted(a.states)
+    index = {q: i for i, q in enumerate(ids)}
+    n, k = len(ids), len(a.alphabet)
+    delta = a._delta
+    owner = [0] * n + [1] * (n * k)
+    rank = [a.states[q].rank for q in ids]
+    rank += [r for r in rank for _ in range(k)]
+    succ = [list(range(n + i * k, n + i * k + k)) for i in range(n)]
+    succ += [[index[delta[q, x, 0]], index[delta[q, x, 1]]] for q in ids for x in a.alphabet]
+    eve = _zielonka_full(_arena(owner, rank, succ))[0][0]
+    return {q for i, q in enumerate(ids) if i in eve}
 
 
 def productive_states(a: DetAutomaton) -> ProductivityInfo:

@@ -155,6 +155,25 @@ def test_dot_export(all_a_file, tmp_path, capsys):
     assert "digraph tree" in capsys.readouterr().out
 
 
+def test_dot_invalid_automaton_reports_its_own_error(tmp_path, capsys):
+    p = tmp_path / "bad.aut"
+    p.write_text("alphabet a\nstart p\nstate p mode E rank 0\n"
+                 "trans p a 0 p\ntrans p a 1 p\nacceptance parity\ndeterministic\n")
+    assert main(["classify", str(p)]) == 3
+    expected = capsys.readouterr().err
+    assert "state p: deterministic automata are all-universal" in expected
+    assert main(["dot", str(p)]) == 3
+    assert capsys.readouterr().err == expected
+
+
+def test_dot_malformed_tree_reports_tree_error(tmp_path, capsys):
+    p = tmp_path / "bad.rt"
+    p.write_text("arity 2\nroot n0\nnode n0 a n0\n")
+    assert main(["dot", str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "exactly 2 child ids" in err and "Traceback" not in err
+
+
 def test_usage_error_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from weakindex.errors import GameTooLarge
@@ -50,6 +52,26 @@ def test_dead_end_owner_loses():
     sol = solve_parity(g)
     assert sol.winner == {"p0": "A", "p1": "A", "p2": "A"}
     assert "p2" not in sol.strategy  # dead ends carry no strategy
+
+
+def test_more_ranks_than_the_recursion_limit(monkeypatch):
+    # one Zielonka level per distinct rank; the solver must neither recurse
+    # that deep nor raise the interpreter's limit to do so
+    def refuse(_):
+        raise AssertionError("the solver changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    n = max(1201, sys.getrecursionlimit() + 1)
+    owner = [i % 2 for i in range(n)]
+    rank = [2 * i for i in range(n)]
+    succ = [[i] for i in range(n)]
+    g = game({f"p{i}": ("EA"[owner[i]], rank[i]) for i in range(n)},
+             [(f"p{i}", f"p{i}") for i in range(n)])
+    sol = solve_parity(g)
+    assert set(sol.winner.values()) == {"E"}
+    assert sol.strategy == {f"p{i}": f"p{i}" for i in range(0, n, 2)}
+    for p in (1, n - 1):  # an Adam and an Eve position
+        assert eve_wins_arrays(owner, rank, succ, weak=False, position=p)
 
 
 def test_brute_force_guard():

@@ -147,11 +147,15 @@ def test_is_empty_is_universal_trivia():
     assert not det_accepts(a, constant_tree("b"))
 
 
-def test_nonempty_matches_emptiness_game_by_construction():
+def test_nonempty_matches_emptiness_game():
+    # the int arena's position layout depends on |Sigma|, so vary it; the
+    # string-keyed `emptiness_game` under `solve_parity` is the reference
     rng = SplitMix64(5150)
-    for _ in range(60):
-        a = random_det(rng)
-        sol = solve_parity(emptiness_game(a))
-        ne = nonempty_states(a)
-        for q in a.states:
-            assert (sol.winner[f"s:{q}"] == "E") == (q in ne)
+    for letters in (("a",), ("a", "b"), ("a", "b", "c")):
+        for max_states in (5, 12):
+            for _ in range(40):
+                a = random_det(rng, max_states, letters)
+                sol = solve_parity(emptiness_game(a))
+                ne = nonempty_states(a)
+                for q in a.states:
+                    assert (sol.winner[f"s:{q}"] == "E") == (q in ne), (a, q)

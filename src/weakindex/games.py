@@ -5,11 +5,13 @@ visited infinitely often is even, and a weak-parity play when the highest
 rank visited at least once is even.  A player who cannot move loses.
 
 Both solvers return full winning-region partitions with positional
-strategies.  Dead ends are handled by one totalization, `_arena`, which
-both solvers and the membership kernel run on: a stuck position gets a
-single edge to a self-looping sink whose rank is a fresh value above
-every real rank, odd when the stuck owner is Eve and even when it is
-Adam.  That encodes the dead-end rule for both conditions at once.
+strategies.  Dead ends are handled by one totalization, `_totalize`,
+which both solvers and the membership kernel run on: a stuck position
+gets a single edge to a self-looping sink whose rank is a fresh value
+above every real rank, odd when the stuck owner is Eve and even when it
+is Adam.  That encodes the dead-end rule for both conditions at once.
+`_arena` builds the predecessor lists of a game and totalizes it;
+membership products record theirs during their search.
 Zielonka's strong solver runs its subgames as generator frames on an
 explicit stack, so its depth is not bounded by the interpreter's
 recursion limit, which it leaves alone.
@@ -73,22 +75,40 @@ class Solution:
 
 
 def _arena(owner: list[int], rank: list[int], succ: list[list[int]]):
-    """Totalized int arena (owner, rank, succ, pred) shared by both solvers.
+    """Totalized int arena (owner, rank, succ, pred) of a game, by `_totalize`.
+
+    `pred[w]` lists the sources of w's moves in index order, a move listed
+    twice twice.  The caller's lists are not changed.
+    """
+    pred: list[list[int]] = [[] for _ in owner]
+    for v, s in enumerate(succ):
+        for w in s:
+            pred[w].append(v)
+    return _totalize(list(owner), list(rank), list(succ), pred)
+
+
+def _totalize(owner: list[int], rank: list[int], succ: list, pred: list[list[int]]):
+    """The dead-end rule, in place: (owner, rank, succ, pred) of n positions
+    becomes the totalized arena both solvers and the membership kernel run on.
 
     Positions n and n+1 are the self-looping sinks Eve and Adam win, ranked
     a fresh even and odd value above every real rank, and a dead end moves
     to the sink its owner loses.  A move listed twice stays listed twice,
-    in `succ` and in `pred`; `pred[w]` lists its sources in index order.
+    in `succ` and in `pred`.
     """
     n = len(owner)
     top = max(rank, default=0)
-    owner = list(owner) + [0, 0]
-    rank = list(rank) + [top + 2 - (top % 2), top + 1 + (top % 2)]
-    succ = [s or [n if owner[v] == 1 else n + 1] for v, s in enumerate(succ)] + [[n], [n + 1]]
-    pred: list[list[int]] = [[] for _ in range(n + 2)]
-    for v, s in enumerate(succ):
-        for w in s:
+    owner += [0, 0]
+    rank += [top + 2 - (top % 2), top + 1 + (top % 2)]
+    pred += [[], []]
+    for v in range(n):
+        if not succ[v]:
+            w = n if owner[v] == 1 else n + 1
+            succ[v] = [w]
             pred[w].append(v)
+    succ += [[n], [n + 1]]
+    pred[n].append(n)
+    pred[n + 1].append(n + 1)
     return owner, rank, succ, pred
 
 
@@ -192,22 +212,23 @@ def _game_arrays(g: Game):
     return owner, rank, succ, ids
 
 
-def _solve_weak_layers(owner: list[int], rank: list[int], succ: list[list[int]]):
+def _solve_weak_layers(arena):
     """Descending-rank attractor layering for the weak condition, no strategies.
 
-    The arena is totalized by `_arena`.  Positions wait in one bucket per
-    rank; the highest rank with positions left is attracted for the player
-    of its parity, and each position counts its successors not yet
-    removed (a move listed twice counts twice), so the opponent is
-    attracted when that count drops to zero.
+    The arena is totalized, as `_totalize` leaves it: `solve_weak` and
+    `eve_wins_arrays` pass `_arena`'s, membership products their own.
+    Positions wait in one bucket per rank; the highest rank with positions
+    left is attracted for the player of its parity, and each position
+    counts its successors not yet removed (a move listed twice counts
+    twice), so the opponent is attracted when that count drops to zero.
 
-    Returns (winner, layer, order) over the n + 2 positions: winner 0 is
+    Returns (winner, layer, order) over the arena's positions: winner 0 is
     Eve; layer[v] is the rank whose attractor removed v, so layers are
     peeled in descending order and the subgame current at layer d is the
     positions with layer <= d; order[v] is v's place in that attractor's
     queue, whose head is the layer's rank-d positions in index order.
     """
-    owner, rank, succ, pred = _arena(owner, rank, succ)
+    owner, rank, succ, pred = arena
     size = len(owner)
     buckets: dict[int, list[int]] = {}
     for v, r in enumerate(rank):
@@ -221,10 +242,7 @@ def _solve_weak_layers(owner: list[int], rank: list[int], succ: list[list[int]])
         sigma = d % 2
         for i, v in enumerate(queue):
             layer[v], order[v], winner[v] = d, i, sigma
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
+        for v in queue:  # the queue grows while it is read
             for u in pred[v]:
                 if layer[u] >= 0:
                     continue
@@ -237,16 +255,16 @@ def _solve_weak_layers(owner: list[int], rank: list[int], succ: list[list[int]])
     return winner, layer, order
 
 
-def _cycle_top_reachable(starts, succ: dict, rank, parity: int) -> bool:
-    """Whether a cycle whose top rank has `parity` is reachable from `starts`.
+def _cycle_top(positions, succ, rank, parity: int) -> bool:
+    """Whether a cycle whose top rank has `parity` lies inside `positions`,
+    which must be closed under `succ`.
 
     Rank-restricted cycle check: such a cycle with top r exists iff some
-    SCC of the reachable positions ranked at most r supports a cycle and
-    holds a position of rank exactly r.
+    SCC of the positions ranked at most r supports a cycle and holds a
+    position of rank exactly r.
     """
-    reach = reachable_from(starts, succ)
-    for r in sorted({rank[v] for v in reach if rank[v] % 2 == parity}):
-        low = {v: [w for w in succ.get(v, ()) if rank[w] <= r] for v in reach if rank[v] <= r}
+    for r in sorted({rank[v] for v in positions if rank[v] % 2 == parity}):
+        low = {v: [w for w in succ[v] if rank[w] <= r] for v in positions if rank[v] <= r}
         for comp in tarjan_scc(list(low), low):
             if has_cycle_inside(comp, low) and any(rank[v] == r for v in comp):
                 return True
@@ -282,7 +300,7 @@ def solve_weak(g: Game) -> Solution:
     if g.condition != "weak":
         raise ValidationError("solve_weak expects condition weak")
     owner, rank, succ, ids = _game_arrays(g)
-    winner, layer, order = _solve_weak_layers(owner, rank, succ)
+    winner, layer, order = _solve_weak_layers(_arena(owner, rank, succ))
     members: dict[int, list[int]] = {}
     for v in sorted(range(len(ids)), key=order.__getitem__):
         members.setdefault(layer[v], []).append(v)
@@ -316,11 +334,13 @@ def eve_wins_arrays(owner: list[int], rank: list[int], succ: list[list[int]],
     `_zielonka_full`, the solver `solve_parity` and trim's emptiness
     arena use; both solvers run on the `_arena` totalization.
     """
+    if not weak and 0 not in owner:
+        graph = dict(enumerate(succ))
+        return not _cycle_top(reachable_from([position], graph), graph, rank, 1)
+    arena = _arena(owner, rank, succ)
     if weak:
-        return _solve_weak_layers(owner, rank, succ)[0][position] == 0
-    if 0 not in owner:
-        return not _cycle_top_reachable([position], dict(enumerate(succ)), rank, 1)
-    return position in _zielonka_full(_arena(owner, rank, succ))[0][0]
+        return _solve_weak_layers(arena)[0][position] == 0
+    return position in _zielonka_full(arena)[0][0]
 
 
 def check_strategy(g: Game, sol: Solution) -> bool:
@@ -358,7 +378,8 @@ def check_strategy(g: Game, sol: Solution) -> bool:
             graph[node] = [(w, max(seen, g.positions[w][1]) if weak else g.positions[w][1])
                            for w in moves]
             stack.extend(graph[node])
-        if _cycle_top_reachable(starts, graph, {v: v[1] for v in graph}, opp_parity):
+        if _cycle_top(reachable_from(starts, graph), graph, {v: v[1] for v in graph},
+                      opp_parity):
             return False
     return True
 

@@ -3,7 +3,14 @@ language membership, Skurczynski fixtures, sampling, bounded equivalence.
 
 Membership of a regular tree in an automaton's language is decided on the
 finite product of automaton and tree graph, solved under the automaton's
-acceptance condition.
+acceptance condition.  Trees enter it as int views (labels, children,
+root).  `bounded_equiv` indexes each tree once and runs both automata on
+that view; it samples its trees as views and builds a `RegularTree` only
+for the counterexample it returns.  The product search records each
+move's predecessor as it finds the move, so a weak product is its own
+totalized arena.  Every product position is reachable from the start, so
+a deterministic run is decided by a cycle check with no reachability
+pass.
 """
 
 from __future__ import annotations
@@ -23,7 +30,16 @@ from .automata import (
     normalize_ranks,
 )
 from .errors import ValidationError
-from .games import ADAM, EVE, Game, eve_wins_arrays
+from .games import (
+    ADAM,
+    EVE,
+    Game,
+    _cycle_top,
+    _solve_weak_layers,
+    _totalize,
+    _zielonka_full,
+    eve_wins_arrays,
+)
 from .rng import SplitMix64
 from .trees import Node, RegularTree, parse_wlabel
 
@@ -31,10 +47,14 @@ from .trees import Node, RegularTree, parse_wlabel
 # -- membership --------------------------------------------------------------
 
 
-def _check_labels(a: TreeAutomaton, t: RegularTree):
-    bad = t.labels() - set(a.alphabet)
+def _check_letters(a: TreeAutomaton, labels):
+    bad = set(labels).difference(a.alphabet)
     if bad:
         raise ValidationError(f"tree labels outside alphabet: {sorted(bad)}")
+
+
+def _check_labels(a: TreeAutomaton, t: RegularTree):
+    _check_letters(a, t.labels())
     if t.arity != 2:
         raise ValidationError("automaton inputs are binary trees")
 
@@ -58,48 +78,93 @@ def _view(a: TreeAutomaton):
     return view
 
 
-def _product_arrays(a: TreeAutomaton, t: RegularTree):
-    """Reachable product positions (state, node) as an int game."""
-    sidx, moves, sowner, srank = _view(a)
-    nnames = sorted(t.nodes)
-    nidx = {n: i for i, n in enumerate(nnames)}
-    children = [tuple(nidx[c] for c in t.nodes[n].children) for n in nnames]
-    labels = [t.nodes[n].label for n in nnames]
-    nn = len(nnames)
+def _tree_view(t: RegularTree):
+    """Int view of a tree: (labels, children, root) with nodes in sorted-name
+    order, children[i] holding child indices."""
+    names = sorted(t.nodes)
+    nidx = {n: i for i, n in enumerate(names)}
+    nodes = [t.nodes[n] for n in names]
+    return ([node.label for node in nodes],
+            [tuple(nidx[c] for c in node.children) for node in nodes],
+            nidx[t.root])
 
-    start = sidx[a.initial] * nn + nidx[t.root]
-    indexmap = {start: 0}
+
+def _tree_of(view) -> RegularTree:
+    """The binary tree of a view, node i named `n{i}`."""
+    labels, children, root = view
+    return RegularTree(2, {f"n{i}": Node(label, (f"n{c0}", f"n{c1}"))
+                           for i, (label, (c0, c1)) in enumerate(zip(labels, children))},
+                       f"n{root}")
+
+
+def _product_arrays(a: TreeAutomaton, view):
+    """Product positions (state, node) reachable from (initial, root), as an
+    int game (owner, rank, succ, pred) in breadth-first order.
+
+    `pred` is recorded as each move is found, so `pred[w]` lists the
+    sources of w's moves in index order, a move listed twice twice.
+    Every position is reachable from position 0.  Positions are numbered
+    in search order, so the game does not depend on how the view numbers
+    its nodes.
+    """
+    sidx, moves, sowner, srank = _view(a)
+    labels, children, root = view
+    nn = len(labels)
+    q0 = sidx[a.initial]
+    indexmap = {q0 * nn + root: 0}  # position (state q, node v) has key q * nn + v
+    states, nodes = [q0], [root]
     succ: list[list[int]] = []
-    order = [start]
-    for code in order:  # breadth-first: `order` grows while it is read
-        si, ni = divmod(code, nn)
+    pred: list[list[int]] = [[]]
+    for i, si in enumerate(states):  # breadth-first: `states` grows while it is read
+        ni = nodes[i]
         out = []
         for d, qi in moves[si][labels[ni]]:
-            code2 = qi * nn + (ni if d is None else children[ni][d])
-            j = indexmap.get(code2)
+            n2 = ni if d is None else children[ni][d]
+            code = qi * nn + n2
+            j = indexmap.get(code)
             if j is None:
-                j = indexmap[code2] = len(order)
-                order.append(code2)
+                j = indexmap[code] = len(states)
+                states.append(qi)
+                nodes.append(n2)
+                pred.append([i])
+            else:
+                pred[j].append(i)
             out.append(j)
         succ.append(out)
-    owner = [sowner[code // nn] for code in order]
-    rank = [srank[code // nn] for code in order]
-    return owner, rank, succ
+    return [sowner[q] for q in states], [srank[q] for q in states], succ, pred
+
+
+def _accepts(a: TreeAutomaton, view) -> bool:
+    """Membership of the tree `view` in the language of `a`: one product
+    search and a winner-only solve at position 0, as `eve_wins_arrays`
+    decides it.
+
+    Every position is reachable from position 0, so a product where Adam
+    moves alone (every deterministic run) is a cycle check with no
+    reachability pass; other products are totalized with the predecessor
+    lists their search recorded.
+    """
+    owner, rank, succ, pred = _product_arrays(a, view)
+    weak = a.acceptance == "weak"
+    if not weak and 0 not in owner:
+        return not _cycle_top(range(len(succ)), succ, rank, 1)
+    arena = _totalize(owner, rank, succ, pred)
+    if weak:
+        return _solve_weak_layers(arena)[0][0] == 0
+    return 0 in _zielonka_full(arena)[0][0]
 
 
 def alt_accepts(a: TreeAutomaton, t: RegularTree) -> bool:
     """Eve wins the acceptance game on the product of automaton and tree."""
     _check_labels(a, t)
-    owner, rank, succ = _product_arrays(a, t)
-    return eve_wins_arrays(owner, rank, succ, weak=(a.acceptance == "weak"), position=0)
+    return _accepts(a, _tree_view(t))
 
 
 def det_accepts(a: DetAutomaton, t: RegularTree) -> bool:
     """Deterministic membership: the unique run must have no reachable cycle
     with odd top rank; the product game is all-Adam."""
     _check_labels(a, t)
-    owner, rank, succ = _product_arrays(a, t)
-    return eve_wins_arrays([1] * len(owner), rank, succ, weak=False, position=0)
+    return _accepts(a, _tree_view(t))
 
 
 def product_game(a: TreeAutomaton, t: RegularTree) -> Game:
@@ -209,18 +274,16 @@ def run_reduction(a: TreeAutomaton, t: RegularTree) -> WInstance:
 
 def w_member(t: RegularTree, band: IndexPair) -> bool:
     """Eve wins the weak parity game read directly off the labeled tree graph."""
-    nnames = sorted(t.nodes)
-    nidx = {n: i for i, n in enumerate(nnames)}
-    owner, rank, succ = [], [], []
-    for n in nnames:
-        lab = parse_wlabel(t.nodes[n].label)
+    labels, succ, root = _tree_view(t)
+    owner, rank = [], []
+    for i, label in enumerate(labels):
+        lab = parse_wlabel(label)
         if not (band.iota <= lab.rank <= band.kappa):
             raise ValidationError(
-                f"node {n} rank {lab.rank} outside band [{band.iota},{band.kappa}]")
+                f"node {sorted(t.nodes)[i]} rank {lab.rank} outside band [{band.iota},{band.kappa}]")
         owner.append(0 if lab.owner == "E" else 1)
         rank.append(lab.rank)
-        succ.append([nidx[c] for c in t.nodes[n].children])
-    return eve_wins_arrays(owner, rank, succ, weak=True, position=nidx[t.root])
+    return eve_wins_arrays(owner, rank, succ, weak=True, position=root)
 
 
 # -- Skurczynski fixtures ------------------------------------------------------
@@ -332,42 +395,38 @@ class SamplerParams:
             raise ValidationError("alphabet must be nonempty")
 
 
-def sample_regular_tree(p: SamplerParams) -> list[RegularTree]:
-    """Deterministic pseudo-random binary regular trees (splitmix64 stream).
+def _sample_views(p: SamplerParams):
+    """The trees of `sample_regular_tree` as views; node i is the tree's `n{i}`.
 
     Node count is uniform in [1, max_nodes]; a random tree skeleton keeps
-    every node reachable, remaining child slots are wired uniformly.
+    every node reachable, remaining child slots are wired uniformly.  The
+    free slots stay in (node, slot) order, so each skeleton step is a pop
+    and two appends.
     """
     rng = SplitMix64(p.seed)
-    out = []
     letters = tuple(p.alphabet)
     for _ in range(p.count):
         k = 1 + rng.below(p.max_nodes)
         labels = [letters[rng.below(len(letters))] for _ in range(k)]
         children: list[list[int | None]] = [[None, None] for _ in range(k)]
+        free = [(0, 0), (0, 1)]
         for j in range(1, k):
-            free = [(i, s) for i in range(j) for s in (0, 1) if children[i][s] is None]
-            i, s = free[rng.below(len(free))]
+            i, s = free.pop(rng.below(len(free)))
             children[i][s] = j
-        for i in range(k):
+            free += ((j, 0), (j, 1))
+        for kids in children:
             for s in (0, 1):
-                if children[i][s] is None:
-                    children[i][s] = rng.below(k)
-        nodes = {
-            f"n{i}": Node(labels[i], (f"n{children[i][0]}", f"n{children[i][1]}"))
-            for i in range(k)
-        }
-        out.append(RegularTree(2, nodes, "n0"))
-    return out
+                if kids[s] is None:
+                    kids[s] = rng.below(k)
+        yield labels, children, 0
+
+
+def sample_regular_tree(p: SamplerParams) -> list[RegularTree]:
+    """Deterministic pseudo-random binary regular trees (splitmix64 stream)."""
+    return [_tree_of(v) for v in _sample_views(p)]
 
 
 # -- bounded equivalence --------------------------------------------------------
-
-
-def _membership(a: TreeAutomaton, t: RegularTree) -> bool:
-    if isinstance(a, DetAutomaton):
-        return det_accepts(a, t)
-    return alt_accepts(a, t)
 
 
 def deterministic_battery(alphabet) -> list[RegularTree]:
@@ -398,14 +457,17 @@ def deterministic_battery(alphabet) -> list[RegularTree]:
 def bounded_equiv(a: TreeAutomaton, b: TreeAutomaton, p: SamplerParams) -> Optional[RegularTree]:
     """Compare memberships on the fixed battery plus sampled trees.
 
-    Returns None on pass, or the first mismatching tree.
+    Each tree is indexed once and both automata run on that view.  Returns
+    None on pass, or the first mismatching tree.
     """
     if set(a.alphabet) != set(b.alphabet):
         raise ValidationError("bounded_equiv needs a shared alphabet")
     for t in deterministic_battery(a.alphabet):
-        if _membership(a, t) != _membership(b, t):
+        view = _tree_view(t)
+        if _accepts(a, view) != _accepts(b, view):
             return t
-    for t in sample_regular_tree(p):
-        if _membership(a, t) != _membership(b, t):
-            return t
+    for view in _sample_views(p):
+        _check_letters(a, view[0])
+        if _accepts(a, view) != _accepts(b, view):
+            return _tree_of(view)
     return None

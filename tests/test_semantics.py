@@ -1,9 +1,13 @@
+import hashlib
+import math
+
 import pytest
 
 from weakindex import catalog
 from weakindex.automata import IndexPair, make_automaton
 from weakindex.errors import ValidationError
 from weakindex.formats import serialize_regular_tree
+from weakindex.games import brute_force_solve, solve
 from weakindex.rng import SplitMix64
 from weakindex.semantics import (
     SamplerParams,
@@ -97,6 +101,50 @@ def test_alt_accepts_coincides_on_deterministic():
         alt = a.as_alternating()
         for t in trees:
             assert det_accepts(a, t) == alt_accepts(alt, t)
+
+
+def _random_alternating(rng, acceptance):
+    """Up to four states.  Each (state, letter) has zero to three moves in
+    direction 0, 1 or epsilon, and sometimes one more target in both
+    directions, so products have dead ends, epsilon moves and moves that
+    land twice on one position (both children of a node coincide)."""
+    n = 1 + rng.below(4)
+    names = [f"q{i}" for i in range(n)]
+    states = {q: ("E" if rng.below(2) else "A", rng.below(4)) for q in names}
+    trans = []
+    for q in names:
+        for x in ("a", "b"):
+            for _ in range(rng.below(4)):
+                trans.append((q, x, (0, 1, None)[rng.below(3)], names[rng.below(n)]))
+            if rng.below(3) == 0:
+                q2 = names[rng.below(n)]
+                trans += [(q, x, 0, q2), (q, x, 1, q2)]
+    return make_automaton(("a", "b"), states, "q0", trans, acceptance=acceptance)
+
+
+def test_membership_matches_independent_solvers():
+    """The membership kernel against full solvers on the string-keyed
+    product game, and against brute force where that game is small: at
+    most 12 positions (the oracle's guard) and at most 256 positional
+    strategy profiles, which keeps the oracle to a few seconds."""
+    rng = SplitMix64(4711)
+    trees = sample_regular_tree(SamplerParams(seed=47, max_nodes=4,
+                                              alphabet=("a", "b"), count=12))
+    brute = 0
+    for k in range(240):
+        if k % 3 == 2:
+            a, accepts = random_det(rng, max_states=4), det_accepts
+        else:
+            a, accepts = _random_alternating(rng, ("weak", "parity")[k % 3]), alt_accepts
+        for t in trees:
+            g = product_game(a, t)
+            winner = solve(g).winner[g.initial]
+            assert accepts(a, t) == (winner == "E"), (a, t)
+            profiles = math.prod(len(g.successors(p)) or 1 for p in g.positions)
+            if len(g.positions) <= 12 and profiles <= 256:
+                assert brute_force_solve(g).winner[g.initial] == winner, (a, t)
+                brute += 1
+    assert brute >= 2000, brute
 
 
 def test_product_game_shape():
@@ -212,6 +260,20 @@ def test_sampler_count_and_validity():
         assert 1 <= len(t.nodes) <= 6  # construction revalidates reachability
 
 
+def test_sampler_trees_pinned():
+    """The sampler's trees, pinned to digests taken from the quadratic
+    skeleton step: a long sample and criterion 4's parameters."""
+    cases = [
+        (SamplerParams(seed=5, max_nodes=3000, alphabet=("a", "b", "c"), count=4),
+         "f735817d0b1d6c52552c2f07f5380ce30474f0b17b85bb49310efe4b3afd2c0c"),
+        (SamplerParams(seed=42, max_nodes=8, alphabet=("a", "b"), count=1000),
+         "ac2f2fb7c1c4b8767434bb7f7bfa6b894b5ea8c2380df8a2a60568723bd1b178"),
+    ]
+    for p, digest in cases:
+        text = "".join(serialize_regular_tree(t) for t in sample_regular_tree(p))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, p
+
+
 def test_sampler_rejects_bad_params():
     with pytest.raises(ValidationError):
         SamplerParams(seed=1, max_nodes=0, alphabet=("a",), count=1)
@@ -237,3 +299,47 @@ def test_bounded_equiv_finds_counterexample():
     ce = bounded_equiv(a, universal, p)
     assert ce is not None
     assert any(n.label == "b" for n in ce.nodes.values())
+
+
+def _label_at(path):
+    """Deterministic automaton: the node at `path` (a string of directions)
+    is labeled a.  Off the path the run accepts."""
+    states = {f"s{i}": ("A", 0) for i in range(len(path) + 1)}
+    states.update(acc=("A", 0), rej=("A", 1))
+    trans = []
+    for i, d in enumerate(int(c) for c in path):
+        for x in ("a", "b"):
+            trans += [(f"s{i}", x, d, f"s{i + 1}"), (f"s{i}", x, 1 - d, "acc")]
+    for d in (0, 1):
+        trans += [(f"s{len(path)}", "a", d, "acc"), (f"s{len(path)}", "b", d, "rej")]
+        trans += [(q, x, d, q) for q in ("acc", "rej") for x in ("a", "b")]
+    return make_automaton(("a", "b"), states, "s0", trans, deterministic=True)
+
+
+def test_bounded_equiv_returns_first_sampled_mismatch():
+    """Past the battery, bounded_equiv returns the first sampled tree the
+    automata disagree on, as `sample_regular_tree` builds it, and a letter
+    outside the automata's alphabet raises on the first tree that has it."""
+    # both read the node at depth 3, which every battery tree labels with
+    # its base letter, so they agree on the battery
+    left, right = _label_at("000"), _label_at("111")
+    seen = set()
+    for seed in range(16):
+        for alphabet in (("a", "b"), ("a", "b", "c")):
+            p = SamplerParams(seed=seed, max_nodes=8, alphabet=alphabet, count=40)
+            expected = None
+            for t in sample_regular_tree(p):
+                if "c" in t.labels():
+                    expected = "raise"
+                    break
+                if det_accepts(left, t) != det_accepts(right, t):
+                    expected = t
+                    break
+            if expected == "raise":
+                with pytest.raises(ValidationError,
+                                   match=r"^tree labels outside alphabet: \['c'\]$"):
+                    bounded_equiv(left, right, p)
+            else:
+                assert bounded_equiv(left, right, p) == expected, p
+            seen.add((len(alphabet), "raise" if expected == "raise" else expected is not None))
+    assert {(2, True), (3, True), (3, "raise")} <= seen, seen

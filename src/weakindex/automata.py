@@ -194,7 +194,10 @@ class DetAutomaton(TreeAutomaton):
     """Deterministic automaton: all states universal, total binary table.
 
     May carry the designated all-rejecting sink `_bot` (odd rank, total
-    self-loops).  Transitions are often read through `step`.
+    self-loops).  Transitions are often read through `step`.  The table is
+    total, free of duplicates and sorted, so `transitions` is one block of
+    2|Sigma| moves per state, in sorted state order, each block in (letter,
+    direction) order; `trim` reuses these blocks.
     """
 
     def __post_init__(self):

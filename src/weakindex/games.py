@@ -4,22 +4,26 @@ Ownership: Eve ('E') wins a strong-parity play when the highest rank
 visited infinitely often is even, and a weak-parity play when the highest
 rank visited at least once is even.  A player who cannot move loses.
 
-Both solvers return full winning-region partitions with positional
-strategies.  Dead ends are handled by one totalization, `_totalize`,
-which both solvers and the membership kernel run on: a stuck position
-gets a single edge to a self-looping sink whose rank is a fresh value
-above every real rank, odd when the stuck owner is Eve and even when it
-is Adam.  That encodes the dead-end rule for both conditions at once.
+`solve_parity` and `solve_weak` return full winning-region partitions with
+positional strategies.  Dead ends are handled by one totalization,
+`_totalize`, which both solvers and the membership kernel run on: a stuck
+position gets a single edge to a self-looping sink whose rank is a fresh
+value above every real rank, odd when the stuck owner is Eve and even when
+it is Adam.  That encodes the dead-end rule for both conditions at once.
 `_arena` builds the predecessor lists of a game and totalizes it;
-membership products record theirs during their search.
+membership products record theirs during their search, and trim's
+emptiness arena has no dead ends.
 Zielonka's strong solver runs its subgames as generator frames on an
 explicit stack, so its depth is not bounded by the interpreter's
-recursion limit, which it leaves alone.
+recursion limit, which it leaves alone.  Callers that need only the
+winners (trim, membership, `eve_wins_arrays`) use `_strong_winners`,
+which decides self-loops first and builds no strategies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 from .errors import FormatError, GameTooLarge, ValidationError
 from .graphs import has_cycle_inside, reachable_from, tarjan_scc
@@ -196,6 +200,118 @@ def _zielonka_full(arena):
     return result
 
 
+def _remove_attractor(arena, player: int, targets, inside: bytearray) -> list[int]:
+    """Attractor of `targets` for `player` within the subgame marked 1 in
+    `inside`, winner only: no edge is chosen.  The attracted positions are
+    marked 0, removed from the subgame, and returned.
+
+    While it runs, attracted positions are marked 2; a position of the
+    opponent counts its successors still in the subgame, attracted ones
+    included, when it is first reached, and is attracted when every one of
+    them has been (a move listed twice counts twice).
+    """
+    owner, _, succ, pred = arena
+    queue = list(targets)
+    for v in queue:
+        inside[v] = 2
+    live: dict[int, int] = {}
+    for v in queue:  # the queue grows while it is read
+        for u in pred[v]:
+            if inside[u] != 1:
+                continue
+            if owner[u] != player:
+                left = live.get(u)
+                if left is None:
+                    left = sum(1 for w in succ[u] if inside[w])
+                live[u] = left = left - 1
+                if left:
+                    continue
+            inside[u] = 2
+            queue.append(u)
+    for v in queue:
+        inside[v] = 0
+    return queue
+
+
+def _winners_frame(arena, win: bytearray, inside: bytearray, positions: list[int]):
+    """Zielonka's algorithm on the subgame `positions`, winner only, as one
+    generator frame.
+
+    The subgame is exactly the positions marked 1 in `inside` when the
+    frame starts, and again when it ends; `positions` lists them by
+    descending rank, so the top-rank positions come first.  It yields
+    each smaller subgame, having marked it, and resumes once that
+    subgame's winners are in `win`; it writes the winner of each of its
+    own positions there.
+    """
+    rank = arena[1]
+    d = rank[positions[0]]
+    sigma = d % 2  # the player favoured by rank d
+    top = list(takewhile(lambda v: rank[v] == d, positions))
+    attr = _remove_attractor(arena, sigma, top, inside)
+    rest = [v for v in positions if inside[v]]
+    if rest:
+        yield rest
+    for v in attr:
+        inside[v] = 1
+        win[v] = sigma
+    lost = [v for v in rest if win[v] != sigma]
+    if not lost:
+        return
+    attr = _remove_attractor(arena, 1 - sigma, lost, inside)
+    rest = [v for v in positions if inside[v]]
+    if rest:
+        yield rest
+    for v in attr:
+        inside[v] = 1
+        win[v] = 1 - sigma
+
+
+def _strong_winners(arena) -> bytearray:
+    """Winner of every position of a strong-parity arena with no dead ends
+    (as `_totalize` leaves it), 0 being Eve; no strategies are built.
+
+    Self-loops are decided first, as Friedmann and Lange do: a position
+    whose self-loop has its owner's parity is won by its owner, who can
+    stay there forever, and one whose only move is a self-loop of the
+    other parity is lost by its owner.  Any other self-loop of its owner's
+    losing parity is dropped, since taking it gains its owner nothing.
+    The attractors of the decided positions are removed, and the rest is
+    solved by `_winners_frame`s run on an explicit stack.
+    """
+    owner, rank, succ, pred = arena
+    size = len(owner)
+    succ, pred = list(succ), list(pred)  # only the lists of dropped self-loops change
+    decided: tuple[list[int], list[int]] = ([], [])
+    for v in range(size):
+        if v not in succ[v]:
+            continue
+        parity = rank[v] % 2
+        moves = [w for w in succ[v] if w != v]
+        if owner[v] == parity or not moves:
+            decided[parity].append(v)
+        else:
+            succ[v] = moves
+            pred[v] = [u for u in pred[v] if u != v]
+    arena = (owner, rank, succ, pred)
+    win = bytearray(size)
+    inside = bytearray(b"\x01") * size
+    for player in (0, 1):
+        targets = [v for v in decided[player] if inside[v]]
+        for v in _remove_attractor(arena, player, targets, inside):
+            win[v] = player
+    rest = sorted((v for v in range(size) if inside[v]), key=rank.__getitem__, reverse=True)
+    stack = [_winners_frame(arena, win, inside, rest)] if rest else []
+    while stack:
+        try:
+            sub = next(stack[-1])
+        except StopIteration:
+            stack.pop()
+        else:
+            stack.append(_winners_frame(arena, win, inside, sub))
+    return win
+
+
 def _game_arrays(g: Game):
     """(owner, rank, succ, ids) of a game, positions indexed in sorted id order."""
     ids = sorted(g.positions)
@@ -331,8 +447,8 @@ def eve_wins_arrays(owner: list[int], rank: list[int], succ: list[list[int]],
     peeled by `_solve_weak_layers`.  A strong-parity game where Adam owns
     every position is a cycle check: Adam wins iff a cycle with odd top
     rank is reachable from `position`.  Other strong games go to
-    `_zielonka_full`, the solver `solve_parity` and trim's emptiness
-    arena use; both solvers run on the `_arena` totalization.
+    `_strong_winners`, the winner-only solver trim's emptiness arena uses;
+    both solvers run on the `_arena` totalization.
     """
     if not weak and 0 not in owner:
         graph = dict(enumerate(succ))
@@ -340,7 +456,7 @@ def eve_wins_arrays(owner: list[int], rank: list[int], succ: list[list[int]],
     arena = _arena(owner, rank, succ)
     if weak:
         return _solve_weak_layers(arena)[0][position] == 0
-    return position in _zielonka_full(arena)[0][0]
+    return _strong_winners(arena)[position] == 0
 
 
 def check_strategy(g: Game, sol: Solution) -> bool:

@@ -7,11 +7,12 @@ two productive states or sends both branches to `_bot`.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .automata import BOT, DetAutomaton, State, Transition, UNIVERSAL
 from .errors import EmptyLanguage, ValidationError
-from .games import ADAM, EVE, Game, _arena, _zielonka_full
+from .games import ADAM, EVE, Game, _strong_winners
 from .graphs import reachable_from
 from .patterns import _memo, _succ, loop_ranks
 
@@ -42,44 +43,69 @@ def emptiness_game(a: DetAutomaton) -> Game:
                 initial=f"s:{a.initial}", condition="parity")
 
 
-def nonempty_states(a: DetAutomaton) -> set[str]:
-    """States q with L(A,q) nonempty, by solving the emptiness game.
+def _emptiness(a: DetAutomaton):
+    """Solve `emptiness_game` on int positions, in one pass over the step
+    table: (ids, target, nonempty).
 
-    The arena is `emptiness_game`'s on int positions, built from the step
-    table: the i-th state in sorted order is Eve's position i, and the
-    pair (q_i, letter x) is Adam's position n + i*|Sigma| + x.
+    The i-th state in sorted order is Eve's position i, and the pair
+    (q_i, letter x) is Adam's position n + i*|Sigma| + x.  `target[j]` is
+    the index of the state that Adam's position n + j // 2 moves to in
+    direction j % 2.  Every position has a move, so the arena is its own
+    totalization.  `nonempty[i]` says whether L(A, q_i) is nonempty.
     """
     ids = sorted(a.states)
     index = {q: i for i, q in enumerate(ids)}
     n, k = len(ids), len(a.alphabet)
     delta = a._delta
-    owner = [0] * n + [1] * (n * k)
+    target = [index[delta[q, x, d]] for q in ids for x in a.alphabet for d in (0, 1)]
     rank = [a.states[q].rank for q in ids]
     rank += [r for r in rank for _ in range(k)]
-    succ = [list(range(n + i * k, n + i * k + k)) for i in range(n)]
-    succ += [[index[delta[q, x, 0]], index[delta[q, x, 1]]] for q in ids for x in a.alphabet]
-    eve = _zielonka_full(_arena(owner, rank, succ))[0][0]
-    return {q for i, q in enumerate(ids) if i in eve}
+    succ = [range(n + i * k, n + i * k + k) for i in range(n)]
+    succ += [target[j:j + 2] for j in range(0, len(target), 2)]
+    pred: list[list[int]] = [[] for _ in range(n)]
+    pred += [[i] for i in range(n) for _ in range(k)]
+    for j, w in enumerate(target):
+        pred[w].append(n + j // 2)
+    win = _strong_winners(([0] * n + [1] * (n * k), rank, succ, pred))
+    return ids, target, [not w for w in win[:n]]
+
+
+def nonempty_states(a: DetAutomaton) -> set[str]:
+    """States q with L(A,q) nonempty, by solving the emptiness game.
+
+    The arena is `emptiness_game`'s on int positions (see `_emptiness`),
+    solved for its winners only by `games._strong_winners`.
+    """
+    ids, _, nonempty = _emptiness(a)
+    return {q for q, ok in zip(ids, nonempty) if ok}
+
+
+def _productive(a: DetAutomaton, target: list[int], nonempty: list[bool], i0: int):
+    """Productive flags by state index: the fixpoint of `productive_states`,
+    run on the emptiness arena's target indices."""
+    width = 2 * len(a.alphabet)
+    productive = [False] * len(nonempty)
+    if nonempty[i0]:
+        productive[i0] = True
+        queue = [i0]
+        for i in queue:  # the queue grows while it is read
+            for j in range(i * width, i * width + width, 2):
+                q1, q2 = target[j], target[j + 1]
+                if nonempty[q1] and nonempty[q2]:
+                    for q in (q1, q2):
+                        if not productive[q]:
+                            productive[q] = True
+                            queue.append(q)
+    return productive
 
 
 def productive_states(a: DetAutomaton) -> ProductivityInfo:
     """Least fixpoint of: q0 productive when nonempty; both children of a
     productive state are productive when both are nonempty."""
-    nonempty = nonempty_states(a)
-    productive: set[str] = set()
-    if a.initial in nonempty:
-        productive.add(a.initial)
-        queue = [a.initial]
-        while queue:
-            p = queue.pop()
-            for letter in a.alphabet:
-                q1, q2 = a.pair(p, letter)
-                if q1 in nonempty and q2 in nonempty:
-                    for q in (q1, q2):
-                        if q not in productive:
-                            productive.add(q)
-                            queue.append(q)
-    return ProductivityInfo(nonempty=frozenset(nonempty), productive=frozenset(productive))
+    ids, target, nonempty = _emptiness(a)
+    productive = _productive(a, target, nonempty, ids.index(a.initial))
+    return ProductivityInfo(nonempty=frozenset(q for q, ok in zip(ids, nonempty) if ok),
+                            productive=frozenset(q for q, ok in zip(ids, productive) if ok))
 
 
 def trim(a: DetAutomaton) -> DetAutomaton:
@@ -87,35 +113,45 @@ def trim(a: DetAutomaton) -> DetAutomaton:
 
     Language is unchanged.  Raises EmptyLanguage when the initial state is
     empty, in which case the normal form is undefined.
+
+    One pass over ints: the emptiness arena is solved for its winners
+    only, and the productive states are found on its target indices.  A
+    productive state keeps its block of 2|Sigma| parent transitions (see
+    `DetAutomaton`), except that a pair with an empty target is
+    redirected, both branches, to `_bot`.
     """
-    info = productive_states(a)
-    if a.initial not in info.nonempty:
+    ids, target, nonempty = _emptiness(a)
+    i0 = ids.index(a.initial)
+    if not nonempty[i0]:
         raise EmptyLanguage("initial state recognizes the empty language")
-    productive = set(info.productive)
-    if BOT in productive:
+    productive = _productive(a, target, nonempty, i0)
+    kept = [i for i in range(len(ids)) if productive[i]]
+    if BOT in a.states and productive[ids.index(BOT)]:
         raise ValidationError(f"state name {BOT!r} is reserved for the sink but is productive")
 
-    need_bot = False
+    width = 2 * len(a.alphabet)
+    trans = a.transitions
     transitions: list[Transition] = []
-    for p in sorted(productive):
-        for letter in a.alphabet:
-            q1, q2 = a.pair(p, letter)
-            if q1 in productive and q2 in productive:
-                transitions.append(Transition(p, letter, 0, q1))
-                transitions.append(Transition(p, letter, 1, q2))
+    need_bot = False
+    for i in kept:
+        lo = i * width
+        if all(productive[q] for q in target[lo:lo + width]):
+            transitions += trans[lo:lo + width]
+            continue
+        for j in range(lo, lo + width, 2):
+            if productive[target[j]] and productive[target[j + 1]]:
+                transitions += trans[j:j + 2]
             else:
                 need_bot = True
-                transitions.append(Transition(p, letter, 0, BOT))
-                transitions.append(Transition(p, letter, 1, BOT))
-    states = {p: a.states[p] for p in productive}
+                p, letter = trans[j].source, trans[j].letter
+                transitions += (Transition(p, letter, 0, BOT), Transition(p, letter, 1, BOT))
+    names = [ids[i] for i in kept]
     if need_bot:
-        states[BOT] = State(UNIVERSAL, 1)
-        for letter in a.alphabet:
-            transitions.append(Transition(BOT, letter, 0, BOT))
-            transitions.append(Transition(BOT, letter, 1, BOT))
+        insort(names, BOT)
+        transitions += [Transition(BOT, letter, d, BOT) for letter in a.alphabet for d in (0, 1)]
     return DetAutomaton(
         alphabet=a.alphabet,
-        states=states,
+        states={q: State(UNIVERSAL, 1) if q == BOT else a.states[q] for q in names},
         initial=a.initial,
         transitions=tuple(transitions),
         acceptance="parity",

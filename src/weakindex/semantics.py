@@ -36,8 +36,8 @@ from .games import (
     Game,
     _cycle_top,
     _solve_weak_layers,
+    _strong_winners,
     _totalize,
-    _zielonka_full,
     eve_wins_arrays,
 )
 from .rng import SplitMix64
@@ -151,7 +151,7 @@ def _accepts(a: TreeAutomaton, view) -> bool:
     arena = _totalize(owner, rank, succ, pred)
     if weak:
         return _solve_weak_layers(arena)[0][0] == 0
-    return 0 in _zielonka_full(arena)[0][0]
+    return _strong_winners(arena)[0] == 0
 
 
 def alt_accepts(a: TreeAutomaton, t: RegularTree) -> bool:

@@ -1,12 +1,17 @@
 import sys
+import time
 
 import pytest
 
+from weakindex.automata import DetAutomaton, State, Transition
 from weakindex.errors import GameTooLarge
 from weakindex.games import (
     Game,
     Solution,
+    _arena,
     _game_arrays,
+    _strong_winners,
+    _zielonka_full,
     brute_force_solve,
     check_strategy,
     eve_wins_arrays,
@@ -15,6 +20,7 @@ from weakindex.games import (
     solve_parity,
     solve_weak,
 )
+from weakindex.productivity import nonempty_states
 from weakindex.rng import SplitMix64
 
 from conftest import random_game
@@ -72,6 +78,80 @@ def test_more_ranks_than_the_recursion_limit(monkeypatch):
     assert sol.strategy == {f"p{i}": f"p{i}" for i in range(0, n, 2)}
     for p in (1, n - 1):  # an Adam and an Eve position
         assert eve_wins_arrays(owner, rank, succ, weak=False, position=p)
+    # a chain of states with distinct ranks, descending to an even rank at
+    # its looping end: the emptiness arena has no self-loops, so the
+    # winner-only solver nests one frame per rank
+    names = [f"q{i}" for i in range(n)]
+    a = DetAutomaton(alphabet=("a",), states={q: State("A", n + 1 - i) for i, q in enumerate(names)},
+                     initial="q0", transitions=tuple(Transition(q, "a", d, t) for q, t in
+                                                     zip(names, names[1:] + names[-1:])
+                                                     for d in (0, 1)))
+    assert nonempty_states(a) == set(names)
+
+
+def _random_int_game(rng: SplitMix64, n: int, max_rank: int):
+    """Mixed owners, dead ends, self-loops and moves listed twice."""
+    owner = [rng.below(2) for _ in range(n)]
+    rank = [rng.below(max_rank + 1) for _ in range(n)]
+    succ = []
+    for v in range(n):
+        moves = [rng.below(n) for _ in range((0, 1, 1, 2, 2, 3)[rng.below(6)])]
+        if rng.below(3) == 0:
+            moves.append(v)
+        if moves and rng.below(4) == 0:
+            moves.append(moves[0])
+        succ.append(moves)
+    return owner, rank, succ
+
+
+def test_winner_only_solver_matches_references():
+    # `_strong_winners` against the strategy-building Zielonka everywhere,
+    # and against the brute-force oracle on games of at most 8 positions
+    rng = SplitMix64(4711)
+    for k in range(400):
+        small = k % 2 == 0
+        n = 1 + rng.below(8 if small else 200)
+        owner, rank, succ = _random_int_game(rng, n, 3 if small else 1 + rng.below(12))
+        arena = _arena(owner, rank, succ)
+        eve = _zielonka_full(arena)[0][0]
+        win = _strong_winners(arena)
+        assert len(win) == n + 2
+        assert [v for v in range(n + 2) if win[v] == 0] == sorted(eve), (owner, rank, succ)
+        if small:
+            g = game({f"p{v}": ("EA"[owner[v]], rank[v]) for v in range(n)},
+                     [(f"p{v}", f"p{w}") for v in range(n) for w in succ[v]])
+            oracle = brute_force_solve(g).winner
+            assert {f"p{v}": "EA"[win[v]] for v in range(n)} == oracle, g
+
+
+def _chain_winners(owner, rank):
+    """Closed form for a chain with self-loops: the owner of position i may
+    stay forever or move on, so it wins when its rank favours it or when it
+    wins from position i + 1."""
+    win = [0] * len(owner)
+    nxt = None
+    for i in range(len(owner) - 1, -1, -1):
+        favoured = rank[i] % 2
+        win[i] = owner[i] if owner[i] in (favoured, nxt) else favoured
+        nxt = win[i]
+    return win
+
+
+@pytest.mark.parametrize("top_parity", [0, 1])
+def test_winner_only_solver_on_the_chain(top_parity):
+    # alternating owners, a self-loop and a move on at each position, and
+    # distinct ranks descending along the chain; with its losing self-loops
+    # dropped this takes milliseconds, and with them kept about half a second
+    n = 2000
+    owner = [i % 2 for i in range(n)]
+    rank = [n + top_parity - i for i in range(n)]
+    succ = [[i, i + 1] for i in range(n - 1)] + [[n - 1]]
+    arena = _arena(owner, rank, succ)
+    start = time.perf_counter()
+    win = _strong_winners(arena)
+    elapsed = time.perf_counter() - start
+    assert list(win[:n]) == _chain_winners(owner, rank)
+    assert elapsed < 0.25, elapsed
 
 
 def test_brute_force_guard():

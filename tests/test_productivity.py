@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 
 from weakindex import catalog
-from weakindex.automata import BOT, make_automaton
-from weakindex.errors import EmptyLanguage
+from weakindex.automata import BOT, DetAutomaton, State, Transition, make_automaton
+from weakindex.errors import EmptyLanguage, ValidationError
+from weakindex.formats import serialize_automaton
 from weakindex.games import solve_parity
 from weakindex.productivity import (
     emptiness_game,
@@ -159,3 +162,65 @@ def test_nonempty_matches_emptiness_game():
                 ne = nonempty_states(a)
                 for q in a.states:
                     assert (sol.winner[f"s:{q}"] == "E") == (q in ne), (a, q)
+
+
+C9_RANKS = (0, 0, 0, 0, 1, 1, 2, 2, 2, 3)  # criterion 9's scale generator
+RANK_STYLES = ((0, 1, 2, 3), (1, 2), (0, 1), (0, 1, 2), (2, 3), (0,), (1, 2, 3))
+# sha256 of the serialized trims of `_trim_inputs`, recorded before trim
+# was rebuilt on the emptiness arena's int positions
+TRIMS_SHA256 = "d25494ea16c805b38914605a87384a87d8f999e31fcfc670bf5a3d789ef1f3b6"
+
+
+def _det(rng, n, ranks):
+    names = [f"q{i}" for i in range(n)]
+    states = {q: State("A", ranks[rng.below(len(ranks))]) for q in names}
+    trans = [Transition(q, x, d, names[rng.below(n)]) for q in names for x in "ab" for d in (0, 1)]
+    return DetAutomaton(alphabet=("a", "b"), states=states, initial="q0",
+                        transitions=tuple(trans))
+
+
+def _trim_inputs():
+    """(input, trimmed) pairs: the two cli_large input shapes, and the
+    criterion-5 stream of small automata over mixed rank bands."""
+    draws = [(SplitMix64(61), lambda rng: _det(rng, 1000, C9_RANKS), 2),
+             (SplitMix64(62), lambda rng: _det(rng, 2000, (1, 2)), 2),
+             (SplitMix64(9090), lambda rng: random_det(
+                 rng, 5, rank_weights=RANK_STYLES[rng.below(len(RANK_STYLES))]), 300)]
+    for rng, draw, count in draws:
+        while count:
+            a = draw(rng)
+            try:
+                t = trim(a)
+            except EmptyLanguage:
+                continue
+            count -= 1
+            yield a, t
+
+
+def test_trim_equals_the_validating_constructor():
+    digest = hashlib.sha256()
+    for a, t in _trim_inputs():
+        ref = DetAutomaton(alphabet=t.alphabet, states=dict(t.states), initial=t.initial,
+                           transitions=t.transitions, name=t.name)
+        assert t == ref
+        assert t.transitions == ref.transitions and t.states == ref.states
+        assert list(t.states) == sorted(t.states)
+        assert t._moves == ref._moves and t._delta == ref._delta
+        assert t._memo == {} and is_trimmed(t)
+        digest.update(serialize_automaton(t).encode())
+    assert digest.hexdigest() == TRIMS_SHA256
+
+
+def test_trim_refuses_a_productive_bot():
+    a = make_automaton(("a",), {BOT: ("A", 0)}, BOT,
+                       [(BOT, "a", 0, BOT), (BOT, "a", 1, BOT)], deterministic=True)
+    with pytest.raises(ValidationError, match="reserved"):
+        trim(a)
+
+
+def test_trim_of_a_trimmed_automaton_keeps_an_empty_bot():
+    # `_bot` is an input state here, merged into the new sink
+    t = trim(catalog.all_a())
+    assert BOT in t.states
+    t2 = trim(t)
+    assert serialize_automaton(t2) == serialize_automaton(t)

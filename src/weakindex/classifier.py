@@ -29,14 +29,13 @@ from .automata import (
 from .errors import EmptyLanguage, ValidationError
 from .patterns import (
     _chain_dp,
-    _condensation,
     _greedy_chain,
-    _scc_loops,
+    _tops,
+    _view,
     find_flower,
     find_replicated_flower,
     find_split,
     find_weak_flower,
-    loop_ranks,
 )
 from .productivity import is_trimmed, is_universal, trim
 
@@ -151,34 +150,36 @@ def _least_index(chain0: int, chain1: int) -> IndexPair:
     return IndexPair(0, k) if chain1 <= chain0 else IndexPair(1, k + 1)
 
 
-def _relabel_component(a: DetAutomaton, comp, target: IndexPair) -> dict[str, int]:
-    """New ranks inside `target` for one SCC that carries a loop.
+def _relabel_component(a: DetAutomaton, comp: list[int], target: IndexPair) -> dict[int, int]:
+    """New ranks inside `target` for one SCC (state indices) that carries a loop.
 
     A state whose own rank tops a loop through it gets as depth the longest
     alternating chain of its loop tops from that rank upward; the others
     take the component's largest depth.  Values count down from there and
     are shifted by an even amount to sit at the top of the band.
     """
-    tops = loop_ranks(a)
+    v = _view(a)
+    tops = _tops(a).loop
     depth = {}
-    for q in comp:
-        own = a.rank(q)
-        if own in tops[q]:
-            depth[q] = len(_greedy_chain(sorted(r for r in tops[q] if r >= own), own % 2))
+    for i in comp:
+        own = v.level[i]  # the bit of i's own rank; higher bits are higher ranks
+        if tops[i] >> own & 1:
+            depth[i] = len(_greedy_chain(v, tops[i] >> own << own, v.rank[i] % 2))
     m = max(depth.values())
-    pi = max(a.rank(q) for q in comp if tops[q]) % 2
+    pi = max(v.rank[i] for i in comp if tops[i]) % 2
     offset = 1 if m % 2 == pi else 0
-    values = {q: offset + m - depth.get(q, m) for q in comp}
+    values = {i: offset + m - depth.get(i, m) for i in comp}
     gap = target.kappa - max(values.values())
     if gap < 0:
-        raise ValidationError(f"target index {target} too small for component {comp}")
+        raise ValidationError(f"target index {target} too small for component "
+                              f"{[v.ids[i] for i in comp]}")
     shift = gap - (gap % 2)
     ranks = {}
-    for q in comp:
-        v = values[q] + shift
-        if not (target.iota <= v <= target.kappa):
-            raise ValidationError(f"relabeling fell outside {target} at {q}")
-        ranks[q] = v
+    for i in comp:
+        r = values[i] + shift
+        if not (target.iota <= r <= target.kappa):
+            raise ValidationError(f"relabeling fell outside {target} at {v.ids[i]}")
+        ranks[i] = r
     return ranks
 
 
@@ -191,12 +192,13 @@ def relabel_to(a: DetAutomaton, target: IndexPair) -> DetAutomaton:
     because the parities of top ranks of all closed walks are preserved.
     States outside every loop take the band's lowest rank.
     """
-    sccs, _, _ = _condensation(a)
-    new_rank = {q: target.iota for q in a.states}
-    for comp, loops in zip(sccs, _scc_loops(a)):
+    v = _view(a)
+    new_rank = dict.fromkeys(range(len(v.ids)), target.iota)
+    for comp, loops in zip(v.sccs, _tops(a).scc):
         if any(loops):
             new_rank.update(_relabel_component(a, comp, target))
-    return a.with_states({q: State(st.mode, new_rank[q]) for q, st in a.states.items()})
+    return a.with_states({q: State(st.mode, new_rank[v.index[q]])
+                          for q, st in a.states.items()})
 
 
 def det_index(a: DetAutomaton) -> tuple[IndexPair, DetAutomaton]:
@@ -207,9 +209,8 @@ def det_index(a: DetAutomaton) -> tuple[IndexPair, DetAutomaton]:
     follows from the longest such chains over all states."""
     if not is_trimmed(a):
         raise ValidationError("det_index expects a trimmed automaton")
-    tops = {q: sorted(t) for q, t in loop_ranks(a).items()}
-    index = _least_index(*(max(len(_greedy_chain(t, b)) for t in tops.values())
-                           for b in (0, 1)))
+    v, tops = _view(a), set(_tops(a).loop)
+    index = _least_index(*(max(len(_greedy_chain(v, m, b)) for m in tops) for b in (0, 1)))
     return index, relabel_to(a, index)
 
 
@@ -226,9 +227,10 @@ def weak_det_index(a: DetAutomaton) -> Optional[tuple[IndexPair, TreeAutomaton]]
     """
     if not is_trimmed(a):
         raise ValidationError("weak_det_index expects a trimmed automaton")
-    sccs, comp_of, edges = _condensation(a)
+    view = _view(a)
+    sccs, scc_of, edges = view.sccs, view.scc_of, view.edges
     caps: list[Optional[int]] = []  # loop parity per SCC, None = no loop
-    for loops in _scc_loops(a):
+    for loops in _tops(a).scc:
         parities = [b for b in (0, 1) if loops[b] is not None]
         if len(parities) == 2:
             return None
@@ -250,7 +252,7 @@ def weak_det_index(a: DetAutomaton) -> Optional[tuple[IndexPair, TreeAutomaton]]
             if v < iota:
                 raise ValidationError("weak relabeling fell below the band")
             value[ci] = v
-    states = {q: State(UNIVERSAL, value[comp_of[q]]) for q in a.states}
+    states = {q: State(UNIVERSAL, value[scc_of[view.index[q]]]) for q in a.states}
     out = TreeAutomaton(
         alphabet=a.alphabet, states=states, initial=a.initial,
         transitions=a.transitions, acceptance="weak", name=a.name,

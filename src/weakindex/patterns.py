@@ -4,8 +4,16 @@ All detectors expect a trimmed deterministic automaton and return explicit
 witnesses.  The workhorse is the rank-restricted SCC method: a loop
 through p with top rank exactly r exists iff, in the subgraph of states
 ranked <= r, p's strongly connected component supports a cycle and holds a
-state of rank r.  A brute-force enumerator over strongly connected state
-subsets serves as the independent oracle.
+state of rank r.
+
+Everything runs on one int view of the automaton (`_view`), kept in
+`a._memo` with what derives from it, once each: the rank-restricted SCCs
+of each rank, the loop tops of states and transitions as bitmasks with
+one bit per distinct rank and each SCC's smallest loops (`_tops`), the
+witness loops, the replicated set and the weak chain lengths.  Searches
+run on state and transition indices and map back to ids only to build a
+witness.  A brute-force enumerator over strongly connected state subsets
+serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -41,15 +49,7 @@ class Loop:
     def verify(self, a: DetAutomaton):
         if not self.transitions:
             raise ValidationError("empty loop")
-        for t, nxt in zip(self.transitions, self.transitions[1:]):
-            if t.target != nxt.source:
-                raise ValidationError("loop transitions do not chain")
-        if self.transitions[-1].target != self.transitions[0].source:
-            raise ValidationError("loop is not closed")
-        known = _trans_set(a)
-        for t in self.transitions:
-            if t not in known:
-                raise ValidationError(f"loop uses unknown transition {t}")
+        _verify_path(a, self.transitions + self.transitions[:1])  # closes up
         if max(a.rank(q) for q in self.states()) != self.top_rank:
             raise ValidationError("loop top rank mismatch")
 
@@ -69,12 +69,12 @@ def _trans_dict(t: Transition) -> dict:
 
 
 def _verify_path(a: DetAutomaton, path: tuple[Transition, ...]):
+    """Consecutive transitions chain, and each is one of `a`'s moves."""
     for t, nxt in zip(path, path[1:]):
         if t.target != nxt.source:
             raise ValidationError("path transitions do not chain")
-    known = _trans_set(a)
     for t in path:
-        if t not in known:
+        if a._delta.get(t[:3]) != t.target:
             raise ValidationError(f"path uses unknown transition {t}")
 
 
@@ -209,7 +209,7 @@ class ReplicatedFlowerWitness:
                 "replication": self.replication.to_dict()}
 
 
-# -- graph scaffolding -----------------------------------------------------
+# -- the int view ------------------------------------------------------------
 
 
 def _memo(a, key, build):
@@ -219,259 +219,261 @@ def _memo(a, key, build):
     return cache[key]
 
 
-def _succ(a: DetAutomaton) -> dict[str, list[str]]:
+class _View(NamedTuple):
+    """An automaton on ints, built once and kept in `a._memo`.
+
+    State i is the i-th id in sorted order, so sorting states, or taking
+    the least, agrees on both sides.  Transition j is `a.transitions[j]`:
+    a checked table is one block of `width` = 2|Sigma| moves per state (see
+    `DetAutomaton`), so j's source is j // width and its sibling, the same
+    letter in the other direction, is j ^ 1.
+    """
+
+    ids: list[str]
+    index: dict[str, int]
+    rank: list[int]
+    ranks: list[int]  # the distinct ranks, ascending: bit k of a mask is ranks[k]
+    level: list[int]  # per state, the position of its rank in `ranks`
+    parity: tuple[int, int]  # the masks of the even and of the odd ranks
+    width: int
+    target: list[int]  # per transition
+    succ: dict[int, list[int]]  # distinct successors, ascending
+    sccs: list[list[int]]  # the condensation: SCCs in topological order,
+    scc_of: dict[int, int]  # each state's SCC
+    edges: list[set[int]]  # and the SCC successor sets
+
+
+def _view(a: DetAutomaton) -> _View:
     def build():
-        out: dict[str, set[str]] = {q: set() for q in a.states}
-        for t in a.transitions:
-            out[t.source].add(t.target)
-        return {q: sorted(s) for q, s in out.items()}
-    return _memo(a, "succ", build)
+        ids = sorted(a.states)
+        index = {q: i for i, q in enumerate(ids)}
+        rank = [a.states[q].rank for q in ids]
+        ranks = sorted(set(rank))
+        bit = {r: k for k, r in enumerate(ranks)}
+        parity = tuple(sum(1 << k for k, r in enumerate(ranks) if r % 2 == b) for b in (0, 1))
+        width = 2 * len(a.alphabet)
+        target = [index[t.target] for t in a.transitions]
+        succ = {i: sorted(set(target[i * width:i * width + width])) for i in range(len(ids))}
+        return _View(ids, index, rank, ranks, [bit[r] for r in rank], parity, width, target,
+                     succ, *condensation(list(succ), succ))
+    return _memo(a, "view", build)
 
 
-def _pred(a: DetAutomaton) -> dict[str, list[str]]:
-    def build():
-        out: dict[str, set[str]] = {q: set() for q in a.states}
-        for t in a.transitions:
-            out[t.target].add(t.source)
-        return {q: sorted(s) for q, s in out.items()}
-    return _memo(a, "pred", build)
+def _ranks_of(a: DetAutomaton, mask: int) -> list[int]:
+    """The ranks whose bits are set in `mask`, ascending."""
+    return [r for k, r in enumerate(_view(a).ranks) if mask >> k & 1]
 
 
-def _out_trans(a: DetAutomaton) -> dict[str, list[Transition]]:
-    def build():
-        out: dict[str, list[Transition]] = {q: [] for q in a.states}
-        for t in a.transitions:
-            out[t.source].append(t)
-        return out
-    return _memo(a, "out_trans", build)
+def _rank_sccs(a: DetAutomaton, r: int) -> tuple[list[list[int]], list[int]]:
+    """SCCs of the subgraph of states ranked <= r, and each state's SCC
+    there (-1 above r).
 
-
-def _trans_set(a: DetAutomaton) -> frozenset[Transition]:
-    return _memo(a, "trans_set", lambda: frozenset(a.transitions))
-
-
-def _condensation(a: DetAutomaton):
-    """SCCs of the transition graph in topological order, state -> SCC index,
-    and the SCC successor sets."""
-    return _memo(a, "condensation", lambda: condensation(sorted(a.states), _succ(a)))
-
-
-def _restricted(succ: dict[str, list[str]], keep: set[str]) -> dict[str, list[str]]:
-    return {q: [w for w in succ[q] if w in keep] for q in keep}
-
-
-class _RankSCCs(NamedTuple):
-    comps: list[list[str]]  # Tarjan order
-    comp_of: dict[str, int]
-    top: list[bool]  # the component carries a loop whose top rank is exactly r
-
-
-def _rank_sccs(a: DetAutomaton, r: int) -> _RankSCCs:
-    """SCCs of the subgraph of states ranked <= r.
-
-    Each lies inside one SCC of the whole graph, so edges between different
-    whole SCCs are dropped before the search.  Tarjan then explores each
-    whole SCC on its own from its smallest state, and the components inside
-    it come out in the same order as from a search of that SCC alone.
+    Each lies inside one SCC of the whole graph, so a whole SCC ranked <= r
+    throughout is one of them, and only the states of the other SCCs are
+    searched, with edges between different whole SCCs dropped.  Tarjan then
+    explores each whole SCC on its own from its smallest state, and the
+    components inside it come out in the same order as from a search of
+    that SCC alone; their order across whole SCCs carries no meaning.
     """
     def build():
-        succ = _succ(a)
-        _, scc_of, _ = _condensation(a)
-        keep = sorted(q for q in a.states if a.rank(q) <= r)
-        adj = {q: [w for w in succ[q] if a.rank(w) <= r and scc_of[w] == scc_of[q]]
-               for q in keep}
-        comps = tarjan_scc(keep, adj)
-        comp_of = {q: i for i, comp in enumerate(comps) for q in comp}
-        top = [has_cycle_inside(comp, adj) and any(a.rank(q) == r for q in comp)
-               for comp in comps]
-        return _RankSCCs(comps, comp_of, top)
+        v = _view(a)
+        rank, scc_of, succ = v.rank, v.scc_of, v.succ
+        comps, split = [], []
+        for comp in v.sccs:
+            if max(rank[i] for i in comp) <= r:
+                comps.append(comp)
+            else:
+                split += [i for i in comp if rank[i] <= r]
+        if split:
+            split.sort()
+            adj = {i: [w for w in succ[i] if rank[w] <= r and scc_of[w] == scc_of[i]]
+                   for i in split}
+            comps += tarjan_scc(split, adj)
+        comp_of = [-1] * len(rank)
+        for c, comp in enumerate(comps):
+            for i in comp:
+                comp_of[i] = c
+        return comps, comp_of
     return _memo(a, ("rank_sccs", r), build)
 
 
-def productive_set(a: DetAutomaton) -> set[str]:
-    """On a trimmed automaton the productive states are everything but `_bot`."""
-    return set(a.states) - {BOT}
+class _Tops(NamedTuple):
+    """Exact top ranks of loops, as masks: bit k stands for the view's `ranks[k]`."""
+
+    loop: list[int]  # per state, of the loops through it
+    edge: list[int]  # per transition, of the loops starting with it
+    # per SCC of the whole graph and per top parity: the smallest such top r
+    # of a loop inside it, and the smallest rank-r state of the first
+    # component of its rank <= r part that carries one; None if there is none
+    scc: list[list[Optional[tuple[int, int]]]]
+
+
+def _tops(a: DetAutomaton) -> _Tops:
+    def build():
+        v = _view(a)
+        width, target, rank = v.width, v.target, v.rank
+        tops = _Tops([0] * len(v.ids), [0] * len(target), [[None, None] for _ in v.sccs])
+        for k, r in enumerate(v.ranks):
+            comps, comp_of = _rank_sccs(a, r)
+            for c, comp in enumerate(comps):
+                if not (has_cycle_inside(comp, v.succ) and any(rank[i] == r for i in comp)):
+                    continue
+                slot = tops.scc[v.scc_of[comp[0]]]
+                if slot[r % 2] is None:
+                    slot[r % 2] = (r, min(i for i in comp if rank[i] == r))
+                for i in comp:
+                    tops.loop[i] |= 1 << k
+                    for j in range(i * width, i * width + width):
+                        if comp_of[target[j]] == c:
+                            tops.edge[j] |= 1 << k
+        return tops
+    return _memo(a, "tops", build)
 
 
 def loop_ranks(a: DetAutomaton) -> dict[str, set[int]]:
     """Per state, the set of exact top ranks achievable on loops through it."""
-    def build():
-        result: dict[str, set[int]] = {q: set() for q in a.states}
-        for r in sorted(a.ranks()):
-            rs = _rank_sccs(a, r)
-            for comp, top in zip(rs.comps, rs.top):
-                if top:
-                    for q in comp:
-                        result[q].add(r)
-        return result
-    return _memo(a, "loop_ranks", build)
+    return {q: set(_ranks_of(a, m)) for q, m in zip(_view(a).ids, _tops(a).loop)}
 
 
 def edge_tops(a: DetAutomaton) -> dict[tuple[str, str, int], set[int]]:
     """Per transition (p, letter, d): exact top ranks of loops starting with it."""
-    def build():
-        result = {(t.source, t.letter, t.direction): set() for t in a.transitions}
-        for r in sorted(a.ranks()):
-            rs = _rank_sccs(a, r)
-            for t in a.transitions:
-                c = rs.comp_of.get(t.source)
-                if c is not None and rs.top[c] and rs.comp_of.get(t.target) == c:
-                    result[(t.source, t.letter, t.direction)].add(r)
-        return result
-    return _memo(a, "edge_tops", build)
-
-
-def _scc_loops(a: DetAutomaton) -> list[list[Optional[tuple[int, list[str]]]]]:
-    """Per SCC of the whole graph and per top parity: the smallest such top
-    r of a loop inside the SCC, with the first component of its rank <= r
-    part that carries one; None when the SCC has no loop of that parity."""
-    def build():
-        sccs, scc_of, _ = _condensation(a)
-        best: list[list] = [[None, None] for _ in sccs]
-        for r in sorted(a.ranks()):
-            rs = _rank_sccs(a, r)
-            for comp, top in zip(rs.comps, rs.top):
-                slot = best[scc_of[comp[0]]]
-                if top and slot[r % 2] is None:
-                    slot[r % 2] = (r, comp)
-        return best
-    return _memo(a, "scc_loops", build)
+    return {t[:3]: set(_ranks_of(a, m)) for t, m in zip(a.transitions, _tops(a).edge)}
 
 
 # -- witness materialization ------------------------------------------------
 
 
-def _bfs_trans(a: DetAutomaton, allowed: set[str], sources: list[str],
-               goals: set[str]) -> Optional[list[Transition]]:
-    """Shortest transition path inside `allowed`; deterministic tie-break."""
-    out = _out_trans(a)
-    parent: dict[str, Optional[Transition]] = {}
-    queue: list[str] = []
-    for s in sorted(set(sources)):
-        if s in allowed:
-            parent[s] = None
-            queue.append(s)
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        if v in goals:
-            path: list[Transition] = []
-            cur = v
-            while parent[cur] is not None:
-                t = parent[cur]
-                path.append(t)
-                cur = t.source
-            return list(reversed(path))
-        for t in out[v]:
-            if t.target in allowed and t.target not in parent:
-                parent[t.target] = t
-                queue.append(t.target)
+def _bfs(a: DetAutomaton, allowed, sources: list[int], goals) -> Optional[list[int]]:
+    """Shortest path inside `allowed`, as transition indices; ties go to the
+    smaller source and then to the earlier transition."""
+    v = _view(a)
+    target, width = v.target, v.width
+    parent = {s: -1 for s in sorted(set(sources)) if s in allowed}
+    queue = list(parent)
+    for x in queue:  # the queue grows while it is read
+        if x in goals:
+            path: list[int] = []
+            while parent[x] >= 0:
+                path.append(parent[x])
+                x = parent[x] // width
+            return path[::-1]
+        for j in range(x * width, x * width + width):
+            w = target[j]
+            if w not in parent and w in allowed:
+                parent[w] = j
+                queue.append(w)
     return None
 
 
-def _closed_walk(a: DetAutomaton, comp: set[str], pivot: str, via: str, top: int) -> Loop:
+def _closed_walk(a: DetAutomaton, comp: set[int], pivot: int, via: int, top: int) -> Loop:
     """Nonempty closed walk pivot ~> via ~> pivot inside comp; top rank = top."""
+    v = _view(a)
     if via == pivot:
-        out = _out_trans(a)
-        best: Optional[list[Transition]] = None
-        for t in out[pivot]:
-            if t.target not in comp:
+        best: Optional[list[int]] = None
+        for j in range(pivot * v.width, pivot * v.width + v.width):
+            w = v.target[j]
+            if w not in comp:
                 continue
-            if t.target == pivot:
-                best = [t]
+            if w == pivot:
+                best = [j]
                 break
-            rest = _bfs_trans(a, comp, [t.target], {pivot})
+            rest = _bfs(a, comp, [w], {pivot})
             if rest is not None and (best is None or len(rest) + 1 < len(best)):
-                best = [t] + rest
+                best = [j] + rest
         if best is None:
-            raise ValidationError(f"no cycle through {pivot} in its component")
-        return Loop(tuple(best), top)
-    p1 = _bfs_trans(a, comp, [pivot], {via})
-    p2 = _bfs_trans(a, comp, [via], {pivot})
-    if p1 is None or p2 is None:
-        raise ValidationError("component is not strongly connected")
-    return Loop(tuple(p1 + p2), top)
+            raise ValidationError(f"no cycle through {v.ids[pivot]} in its component")
+    else:
+        p1 = _bfs(a, comp, [pivot], {via})
+        p2 = _bfs(a, comp, [via], {pivot})
+        if p1 is None or p2 is None:
+            raise ValidationError("component is not strongly connected")
+        best = p1 + p2
+    return Loop(tuple(a.transitions[j] for j in best), top)
 
 
-def _pivot_loop(a: DetAutomaton, pivot: str, r: int) -> Loop:
-    """Loop through pivot with top rank exactly r (materialized witness)."""
-    rs = _rank_sccs(a, r)
-    comp = rs.comps[rs.comp_of[pivot]]
-    via = min(q for q in comp if a.rank(q) == r)
-    return _closed_walk(a, set(comp), pivot, via, r)
+def _pivot_loop(a: DetAutomaton, pivot: int, r: int) -> Loop:
+    """Loop through pivot with top rank exactly r, inside pivot's component
+    of the rank <= r part and through its smallest rank-r state.  Kept in
+    `a._memo`: the Borel bits ask for many of the same loops."""
+    def build():
+        comps, comp_of = _rank_sccs(a, r)
+        comp = comps[comp_of[pivot]]
+        rank = _view(a).rank
+        return _closed_walk(a, set(comp), pivot, min(i for i in comp if rank[i] == r), r)
+    return _memo(a, ("loop", pivot, r), build)
 
 
-def _edge_loop(a: DetAutomaton, first: Transition, r: int) -> Loop:
-    """Loop starting with `first` and top rank exactly r."""
-    sub = {q for q in a.states if a.rank(q) <= r}
-    p, q = first.source, first.target
-    reach_q = reachable_from([q], _restricted(_succ(a), sub))
-    reach_p = reachable_from([p], _restricted(_pred(a), sub))
-    candidates = [s for s in reach_q & reach_p if a.rank(s) == r]
-    if not candidates:
-        raise ValidationError("edge loop materialization failed")
-    via = min(candidates)
-    part1 = [] if via == q else _bfs_trans(a, sub, [q], {via})
-    part2 = [] if via == p else _bfs_trans(a, sub, [via], {p})
-    return Loop(tuple([first] + list(part1) + list(part2)), r)
+def _edge_loop(a: DetAutomaton, j: int, r: int) -> Loop:
+    """Loop starting with transition j, whose edge tops hold r, and top rank
+    exactly r.  Every path from j's target back to its source in the rank
+    <= r part stays inside their common component, so the search does too."""
+    v = _view(a)
+    comps, comp_of = _rank_sccs(a, r)
+    p, q = j // v.width, v.target[j]
+    comp = comps[comp_of[p]]
+    via = min(i for i in comp if v.rank[i] == r)
+    allowed = set(comp)
+    path = [j] + _bfs(a, allowed, [q], {via}) + _bfs(a, allowed, [via], {p})
+    return Loop(tuple(a.transitions[k] for k in path), r)
 
 
 def _scc_loop(a: DetAutomaton, ci: int, parity: int) -> Optional[Loop]:
     """Smallest-top loop of the given top parity inside SCC `ci`."""
-    found = _scc_loops(a)[ci][parity]
-    if found is None:
-        return None
-    r, comp = found
-    via = min(q for q in comp if a.rank(q) == r)
-    return _closed_walk(a, set(comp), via, via, r)
+    found = _tops(a).scc[ci][parity]
+    return None if found is None else _pivot_loop(a, found[1], found[0])
 
 
-def _loop_with_parity(a: DetAutomaton, node_set: set[str], parity: int) -> Optional[Loop]:
-    """Smallest-top loop of the given top parity inside the induced subgraph;
-    `_scc_loop` gives the same loop when `node_set` is a whole SCC."""
-    succ = _succ(a)
-    ranks = sorted({a.rank(q) for q in node_set if a.rank(q) % 2 == parity})
-    for r in ranks:
-        sub = {q for q in node_set if a.rank(q) <= r}
-        adj = _restricted(succ, sub)
-        for comp in tarjan_scc(sorted(sub), adj):
-            withr = [q for q in comp if a.rank(q) == r]
+def _loop_with_parity(a: DetAutomaton, nodes: list[int], parity: int) -> Optional[Loop]:
+    """Smallest-top loop of the given top parity inside the subgraph induced
+    by `nodes` (ascending); `_scc_loop` gives the same loop when `nodes` is
+    a whole SCC."""
+    v = _view(a)
+    rank = v.rank
+    for r in sorted({rank[i] for i in nodes if rank[i] % 2 == parity}):
+        sub = [i for i in nodes if rank[i] <= r]
+        keep = set(sub)
+        adj = {i: [w for w in v.succ[i] if w in keep] for i in sub}
+        for comp in tarjan_scc(sub, adj):
+            withr = [i for i in comp if rank[i] == r]
             if withr and has_cycle_inside(comp, adj):
-                via = min(withr)
-                return _closed_walk(a, set(comp), via, via, r)
+                return _closed_walk(a, set(comp), withr[0], withr[0], r)
     return None
 
 
 # -- flowers ----------------------------------------------------------------
 
 
-def _greedy_chain(sorted_ranks: list[int], start_parity: int) -> list[int]:
-    """Longest chain of `sorted_ranks` with alternating parities, starting at
-    `start_parity`; taking each rank as early as possible makes every prefix
-    the smallest chain of its length."""
+def _greedy_chain(v: _View, mask: int, start_parity: int) -> list[int]:
+    """Longest chain of the ranks in `mask` with alternating parities,
+    starting at `start_parity`; taking each rank as early as possible makes
+    every prefix the smallest chain of its length."""
     need = start_parity
     chain: list[int] = []
-    for r in sorted_ranks:
-        if r % 2 == need:
-            chain.append(r)
-            need ^= 1
+    while low := mask & v.parity[need]:
+        low &= -low  # the least rank of the needed parity
+        chain.append(v.ranks[low.bit_length() - 1])
+        mask &= -(low << 1)  # keep only the larger ranks
+        need ^= 1
     return chain
 
 
-def find_flower(a: DetAutomaton, i: IndexPair,
-                pivots: Optional[set[str]] = None) -> Optional[FlowerWitness]:
-    """Strong (iota,kappa)-flower: loops through one pivot, tops strictly
-    increasing with parities matching their positions."""
-    tops = loop_ranks(a)
+def _find_flower(a: DetAutomaton, i: IndexPair, pivots) -> Optional[FlowerWitness]:
+    """`find_flower` with the pivot taken from `pivots`, ascending state
+    indices."""
+    v, loop = _view(a), _tops(a).loop
     n = i.ranks_used()
-    scan = sorted(pivots) if pivots is not None else sorted(a.states)
-    for p in scan:
-        chain = _greedy_chain(sorted(tops[p]), i.iota % 2)
+    for p in pivots:
+        chain = _greedy_chain(v, loop[p], i.iota % 2)
         if len(chain) >= n:
             loops = tuple(_pivot_loop(a, p, r) for r in chain[:n])
-            return FlowerWitness(kind="strong", index=i, pivot=p, loops=loops)
+            return FlowerWitness(kind="strong", index=i, pivot=v.ids[p], loops=loops)
     return None
+
+
+def find_flower(a: DetAutomaton, i: IndexPair) -> Optional[FlowerWitness]:
+    """Strong (iota,kappa)-flower: loops through one pivot, tops strictly
+    increasing with parities matching their positions."""
+    return _find_flower(a, i, range(len(_view(a).ids)))
 
 
 def _chain_dp(a: DetAutomaton):
@@ -484,8 +486,8 @@ def _chain_dp(a: DetAutomaton):
     of g over ci and its descendants.
     """
     def build():
-        _, _, edges = _condensation(a)
-        scc_loops = _scc_loops(a)
+        edges = _view(a).edges
+        scc_loops = _tops(a).scc
         n = len(edges)
         g = [[-INF, -INF] for _ in range(n)]
         desc = [[-INF, -INF] for _ in range(n)]
@@ -512,10 +514,7 @@ def _find_host(ci, b, k, g, edges):
     """First scc (breadth-first from ci, itself included) whose g is >= k."""
     queue = [ci]
     seen = {ci}
-    head = 0
-    while head < len(queue):
-        cj = queue[head]
-        head += 1
+    for cj in queue:  # the queue grows while it is read
         if g[cj][b] >= k:
             return cj
         for ck in sorted(edges[cj]):
@@ -526,21 +525,21 @@ def _find_host(ci, b, k, g, edges):
 
 
 def _connect_loops(a: DetAutomaton, loops):
+    """Shortest paths between consecutive loops; empty where they touch."""
+    index = _view(a).index
     paths = []
     for l1, l2 in zip(loops, loops[1:]):
-        if l1.states() & l2.states():
-            paths.append(())
-            continue
-        path = _bfs_trans(a, set(a.states), sorted(l1.states()), l2.states())
+        path = _bfs(a, range(len(index)), [index[q] for q in l1.states()],
+                    {index[q] for q in l2.states()})
         if path is None:
             raise ValidationError("chain loops are not connected")
-        paths.append(tuple(path))
+        paths.append(tuple(a.transitions[j] for j in path))
     return tuple(paths)
 
 
 def _materialize_chain(a, host, parity, length):
     """Loops of an alternating chain of `length` starting in scc `host`."""
-    _, _, edges = _condensation(a)
+    edges = _view(a).edges
     g, _ = _chain_dp(a)
     loops = []
     cur, b, k = host, parity, length
@@ -575,39 +574,39 @@ def find_weak_flower(a: DetAutomaton, i: IndexPair) -> Optional[FlowerWitness]:
 # -- replication -------------------------------------------------------------
 
 
-def _replicating_edges(a: DetAutomaton, et=None) -> list[tuple[Transition, int]]:
-    """Transitions that close an accepting loop, with the smallest even top."""
-    if et is None:
-        et = edge_tops(a)
-    found = []
-    for t in a.transitions:
-        evens = [r for r in et[(t.source, t.letter, t.direction)] if r % 2 == 0]
-        if evens:
-            found.append((t, min(evens)))
-    return found
+def _replicated(a: DetAutomaton) -> set[int]:
+    """`replicated_set` as state indices."""
+    def build():
+        v = _view(a)
+        starts = sorted({v.target[j ^ 1] for j, m in enumerate(_tops(a).edge) if m & v.parity[0]})
+        return reachable_from(starts, v.succ) - {v.index.get(BOT)}
+    return _memo(a, "replicated", build)
 
 
 def replicated_set(a: DetAutomaton) -> set[str]:
     """Productive states reachable from the branch-off of an accepting loop."""
-    def build():
-        succ = _succ(a)
-        starts = set()
-        for t, _ in _replicating_edges(a):
-            starts.add(a.step(t.source, t.letter, 1 - t.direction))
-        return reachable_from(sorted(starts), succ) & productive_set(a)
-    return _memo(a, "replicated_set", build)
+    ids = _view(a).ids
+    return {ids[i] for i in _replicated(a)}
 
 
 def replication_witness_for(a: DetAutomaton, q: str) -> Optional[ReplicationWitness]:
     """Witness for one replicated state; None when `q` is not replicated."""
-    back = reachable_from([q], _pred(a))
-    for t, r in _replicating_edges(a):
-        sib = Transition(t.source, t.letter, 1 - t.direction,
-                         a.step(t.source, t.letter, 1 - t.direction))
-        if sib.target in back:
-            loop = _edge_loop(a, t, r)
-            rest = [] if sib.target == q else _bfs_trans(a, set(a.states), [sib.target], {q})
-            return ReplicationWitness(loop=loop, path=tuple([sib] + list(rest)), state=q)
+    v = _view(a)
+    goal = v.index[q]
+    pred: dict[int, list[int]] = {i: [] for i in v.succ}
+    for i, ws in v.succ.items():
+        for w in ws:
+            pred[w].append(i)
+    back = reachable_from([goal], pred)
+    # the first transition that closes an accepting loop and whose sibling reaches q
+    for j, m in enumerate(_tops(a).edge):
+        m &= v.parity[0]
+        start = v.target[j ^ 1]
+        if m and start in back:
+            loop = _edge_loop(a, j, v.ranks[(m & -m).bit_length() - 1])  # the smallest even top
+            path = [j ^ 1] + _bfs(a, range(len(v.ids)), [start], {goal})
+            return ReplicationWitness(loop=loop, path=tuple(a.transitions[k] for k in path),
+                                      state=q)
     return None
 
 
@@ -620,65 +619,60 @@ def find_replicated_flower(a: DetAutomaton, i: IndexPair,
     replicated, which makes the whole flower restartable in incomparable
     subtrees.  Later loops are unrestricted and may sit at the sink.
     """
-    rep = replicated_set(a)
+    rep = _replicated(a)
     if not rep:
         return None
     if weak:
         n = i.ranks_used()
         start_parity = i.iota % 2
-        sccs, _, edges = _condensation(a)
+        v = _view(a)
         g, desc = _chain_dp(a)
-        for ci, comp in enumerate(sccs):
+        for ci, comp in enumerate(v.sccs):
             if n > 1 and desc[ci][1 - start_parity] < n - 1:
                 continue
-            first_nodes = set(comp) & rep
+            first_nodes = [x for x in comp if x in rep]
             if len(first_nodes) == len(comp):
                 first = _scc_loop(a, ci, start_parity)
             else:
                 first = _loop_with_parity(a, first_nodes, start_parity)
             if first is None:
                 continue
-            if n == 1:
-                loops = (first,)
-            else:
-                nxt = _find_host(ci, 1 - start_parity, n - 1, g, edges)
-                rest = _materialize_chain(a, nxt, 1 - start_parity, n - 1)
-                loops = (first,) + rest
+            loops = (first,)
+            if n > 1:
+                nxt = _find_host(ci, 1 - start_parity, n - 1, g, v.edges)
+                loops += _materialize_chain(a, nxt, 1 - start_parity, n - 1)
             flower = FlowerWitness(kind="weak", index=i, loops=loops,
                                    paths=_connect_loops(a, loops))
             anchor = min(flower.loops[0].states())
             return ReplicatedFlowerWitness(flower=flower,
                                            replication=replication_witness_for(a, anchor))
         return None
-    flower = find_flower(a, i, pivots=rep)
+    flower = _find_flower(a, i, sorted(rep))
     if flower is None:
         return None
     return ReplicatedFlowerWitness(flower=flower,
                                    replication=replication_witness_for(a, flower.pivot))
 
 
+def _above(hi: int, lo: int) -> bool:
+    """Some rank in mask `hi` is larger than some rank in mask `lo`."""
+    return bool(hi and lo) and hi.bit_length() > (lo & -lo).bit_length()
+
+
 def find_split(a: DetAutomaton) -> Optional[SplitWitness]:
     """Two loops through one (state, letter) in opposite directions whose
     tops have different parity, the higher odd."""
-    et = edge_tops(a)
-    for p in sorted(a.states):
-        for letter in a.alphabet:
-            t0 = sorted(et.get((p, letter, 0), ()))
-            t1 = sorted(et.get((p, letter, 1), ()))
-            best = None
-            for r0 in t0:
-                for r1 in t1:
-                    if r0 % 2 != r1 % 2 and max(r0, r1) % 2 == 1:
-                        cand = (max(r0, r1), r0, r1)
-                        if best is None or cand < best:
-                            best = cand
-            if best is not None:
-                _, r0, r1 = best
-                e0 = Transition(p, letter, 0, a.step(p, letter, 0))
-                e1 = Transition(p, letter, 1, a.step(p, letter, 1))
-                return SplitWitness(state=p, letter=letter,
-                                    loop0=_edge_loop(a, e0, r0),
-                                    loop1=_edge_loop(a, e1, r1))
+    v, edge = _view(a), _tops(a).edge
+    even, odd = v.parity
+    for j in range(0, len(edge), 2):
+        m0, m1 = edge[j], edge[j + 1]
+        if _above(m0 & odd, m1 & even) or _above(m1 & odd, m0 & even):
+            _, r0, r1 = min((max(r0, r1), r0, r1) for r0 in _ranks_of(a, m0)
+                            for r1 in _ranks_of(a, m1)
+                            if r0 % 2 != r1 % 2 and max(r0, r1) % 2 == 1)
+            t = a.transitions[j]
+            return SplitWitness(state=t.source, letter=t.letter,
+                                loop0=_edge_loop(a, j, r0), loop1=_edge_loop(a, j + 1, r1))
     return None
 
 
@@ -693,7 +687,7 @@ class PatternInventory:
         self.automaton = a
         states = sorted(a.states)
         self.states = states
-        succ = _succ(a)
+        succ = {q: {a.step(q, c, d) for c in a.alphabet for d in (0, 1)} for q in states}
         self.reach = {q: reachable_from([q], succ) for q in states}
         self.subsets: list[tuple[frozenset[str], int]] = []  # cyclic s.c. subsets
         self._sc_cache: dict[frozenset, bool] = {}
@@ -738,7 +732,7 @@ class PatternInventory:
 
     def _compute_replicated(self) -> frozenset[str]:
         a = self.automaton
-        productive = productive_set(a)
+        productive = set(a.states) - {BOT}
         rep: set[str] = set()
         for t in a.transitions:
             tops = self.edge_tops[(t.source, t.letter, t.direction)]

@@ -14,7 +14,7 @@ from .automata import BOT, DetAutomaton, State, Transition, UNIVERSAL
 from .errors import EmptyLanguage, ValidationError
 from .games import ADAM, EVE, Game, _strong_winners
 from .graphs import reachable_from
-from .patterns import _memo, _succ, loop_ranks
+from .patterns import _memo, _tops, _view
 
 
 @dataclass(frozen=True)
@@ -191,5 +191,5 @@ def is_universal(a: DetAutomaton) -> bool:
     In the one-player game where Adam picks letters and directions, such a
     cycle is exactly a play violating the parity condition.
     """
-    tops = loop_ranks(a)
-    return not any(r % 2 for q in reachable_from([a.initial], _succ(a)) for r in tops[q])
+    v, tops = _view(a), _tops(a).loop
+    return not any(tops[i] & v.parity[1] for i in reachable_from([v.index[a.initial]], v.succ))

@@ -24,8 +24,9 @@ from .automata import (
     index_of,
     normalize_ranks,
 )
-from .classifier import BorelLevel, _relabel_component, classify, relabel_to
+from .classifier import BorelLevel, _relabel_component, borel_rank, relabel_to, weak_det_index
 from .errors import (
+    EmptyLanguage,
     IndexTooHigh,
     NonWeaklyRecognizable,
     PreconditionViolated,
@@ -33,7 +34,8 @@ from .errors import (
     ValidationError,
 )
 from .graphs import has_cycle_inside, reachable_from
-from .patterns import _condensation, _succ, find_replicated_flower, loop_ranks, replicated_set
+from .patterns import _replicated, _tops, _view, find_replicated_flower
+from .productivity import trim
 
 
 @dataclass(frozen=True)
@@ -146,11 +148,11 @@ def weaken_13(a: DetAutomaton) -> TreeAutomaton:
         raise PreconditionViolated(
             "input has a weak (1,2)-flower replicated by an accepting loop", witness)
     a = _shift_into_band(a, 0, 1)
-    tops = loop_ranks(a)
+    tops, v = _tops(a).loop, _view(a)
     productive = set(a.states) - {BOT}
     rank_in = {}
     for q, st in a.states.items():
-        relevant = st.rank in tops[q]
+        relevant = tops[v.index[q]] >> v.level[v.index[q]] & 1
         rank_in[q] = st.rank if (relevant or q not in productive) else 0
 
     states: dict[str, State] = {}
@@ -199,24 +201,23 @@ def weaken_14(a: DetAutomaton) -> tuple[TreeAutomaton, ConstructionTrace]:
         raise PreconditionViolated("input has a (0,1)-flower replicated by an "
                                    "accepting loop", witness)
 
-    rep = replicated_set(a)
-    adj = _succ(a)
-    loopy = sorted((comp for comp in _condensation(a)[0] if has_cycle_inside(comp, adj)),
+    rep, v = _replicated(a), _view(a)
+    loopy = sorted((comp for comp in v.sccs if has_cycle_inside(comp, v.succ)),
                    key=lambda c: c[0])
 
     n = len(a.states)
     parts: list[TreeAutomaton] = []
     notes: list[str] = []
     for comp in loopy:
-        x = set(comp)
-        if x & rep:
-            part = _bx_replicated(a, x, adj)
-            notes.append(f"B[{'+'.join(comp)}]: replicated, {len(part.states)} states "
-                         f"(bound |X|+n+1 = {len(x) + n + 1})")
+        names = [v.ids[i] for i in comp]
+        if not rep.isdisjoint(comp):
+            part = _bx_replicated(a, comp)
+            notes.append(f"B[{'+'.join(names)}]: replicated, {len(part.states)} states "
+                         f"(bound |X|+n+1 = {len(comp) + n + 1})")
         else:
-            part = _bx_guess(a, x)
-            bound = 2 * len(x) * (len(x) + 2) + 3 * n
-            notes.append(f"B[{'+'.join(comp)}]: guessed, {len(part.states)} states "
+            part = _bx_guess(a, set(names))
+            bound = 2 * len(comp) * (len(comp) + 2) + 3 * n
+            notes.append(f"B[{'+'.join(names)}]: guessed, {len(part.states)} states "
                          f"(bound 2|X|(|X|+2)+3n = {bound})")
         parts.append(part)
     out = conjunction(parts, alphabet=a.alphabet)
@@ -226,11 +227,14 @@ def weaken_14(a: DetAutomaton) -> tuple[TreeAutomaton, ConstructionTrace]:
     return out, trace
 
 
-def _bx_replicated(a: DetAutomaton, x: set[str], adj) -> TreeAutomaton:
-    """B_X for a component replicated by an accepting loop: outside states
-    rank 4 after X and 2 before it, X itself doubled over ranks 2..4."""
-    xrank = _relabel_component(a, x, IndexPair(1, 2))
-    after = reachable_from(sorted({w for q in x for w in adj[q] if w not in x}), adj) - x
+def _bx_replicated(a: DetAutomaton, comp: list[int]) -> TreeAutomaton:
+    """B_X for a component X (state indices) replicated by an accepting loop:
+    outside states rank 4 after X and 2 before it, X doubled over ranks 2..4."""
+    v = _view(a)
+    xrank = {v.ids[i]: r for i, r in _relabel_component(a, comp, IndexPair(1, 2)).items()}
+    x = set(xrank)
+    exits = sorted({w for i in comp for w in v.succ[i]} - set(comp))
+    after = {v.ids[i] for i in reachable_from(exits, v.succ)} - x
     states: dict[str, State] = {}
     transitions: list[Transition] = []
 
@@ -388,15 +392,13 @@ def conjunction(automata: list[TreeAutomaton], alphabet=None) -> TreeAutomaton:
 def weaken(a: DetAutomaton) -> tuple[TreeAutomaton, ConstructionTrace]:
     """Equivalent weak automaton of minimal index.
 
-    Dispatch: level zero gives one-state automata; the first level reuses
-    the weak-deterministic relabeling; Pi^0_2 and Sigma^0_2 relabel and
-    apply the (0,2)/(1,3) constructions; Delta^0_3 applies the (1,4)
-    construction.  Proper Pi^0_3 languages are weakly recognizable with
-    index (0,3) but that construction is out of scope; non-Borel languages
-    are not weakly recognizable at all.
+    Dispatch on the trimmed input's Borel level: level zero gives one-state
+    automata; the first level reuses the weak-deterministic relabeling;
+    Pi^0_2 and Sigma^0_2 relabel and apply the (0,2)/(1,3) constructions;
+    Delta^0_3 applies the (1,4) construction.  Proper Pi^0_3 languages are
+    weakly recognizable with index (0,3) but that construction is out of
+    scope; non-Borel languages are not weakly recognizable at all.
     """
-    report = classify(a)
-    level = report.borel.minimal
     n = len(a.states)
 
     def done(out: TreeAutomaton, how: str, components=()) -> tuple[TreeAutomaton, ConstructionTrace]:
@@ -404,18 +406,22 @@ def weaken(a: DetAutomaton) -> tuple[TreeAutomaton, ConstructionTrace]:
                                   output_states=len(out.states), components=tuple(components))
         return out, trace
 
-    if level is BorelLevel.SIGMA0:
-        return done(report.weak_det[1], "empty_language")
+    def one_state(q: str, rank: int, name: str) -> TreeAutomaton:
+        trans = tuple(Transition(q, letter, d, q) for letter in a.alphabet for d in (0, 1))
+        return TreeAutomaton(alphabet=a.alphabet, states={q: State(UNIVERSAL, rank)}, initial=q,
+                             transitions=trans, acceptance="weak", name=name)
+
+    try:
+        trimmed = trim(a)
+    except EmptyLanguage:
+        return done(one_state("r", 1, "reject_all"), "empty_language")
+    borel = borel_rank(trimmed)
+    level = borel.minimal
     if level is BorelLevel.PI0:
-        states = {"t": State(UNIVERSAL, 0)}
-        trans = tuple(Transition("t", letter, d, "t") for letter in a.alphabet for d in (0, 1))
-        out = TreeAutomaton(alphabet=a.alphabet, states=states, initial="t",
-                            transitions=trans, acceptance="weak", name="accept_all")
-        return done(out, "universal_language")
+        return done(one_state("t", 0, "accept_all"), "universal_language")
     if level in (BorelLevel.DELTA1, BorelLevel.SIGMA1, BorelLevel.PI1):
-        index, out = report.weak_det
+        index, out = weak_det_index(trimmed)
         return done(out, f"weak_det_relabel_{index.iota}_{index.kappa}")
-    trimmed = report.trimmed
     if level in (BorelLevel.DELTA2, BorelLevel.PI2):
         out = weaken_02(relabel_to(trimmed, IndexPair(1, 2)))
         return done(out, "relabel_12_then_weaken_02")
@@ -424,9 +430,7 @@ def weaken(a: DetAutomaton) -> tuple[TreeAutomaton, ConstructionTrace]:
         return done(out, "relabel_01_then_weaken_13")
     if level is BorelLevel.DELTA3:
         out, trace = weaken_14(trimmed)
-        return out, ConstructionTrace(construction="weaken_14", input_states=n,
-                                      output_states=trace.output_states,
-                                      components=trace.components)
+        return done(out, "weaken_14", trace.components)
     if level is BorelLevel.PI3:
         raise UnsupportedGapConstruction((0, 3))
-    raise NonWeaklyRecognizable(report.borel.witnesses.get("pi3"))
+    raise NonWeaklyRecognizable(borel.witnesses.get("pi3"))

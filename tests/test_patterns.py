@@ -4,7 +4,7 @@ import json
 import pytest
 
 from weakindex import catalog
-from weakindex.automata import DetAutomaton, IndexPair, State, Transition, make_automaton
+from weakindex.automata import BOT, DetAutomaton, IndexPair, State, Transition, make_automaton
 from weakindex.classifier import classify
 from weakindex.errors import EmptyLanguage, GameTooLarge
 from weakindex.patterns import (
@@ -325,12 +325,10 @@ def _replication_run_tree(a, w):
         kids = (nxt, other) if t.direction == 0 else (other, nxt)
         nodes[nid] = Node(t.letter, kids)
     # runs start at the initial state: reach the loop through productive states
-    from weakindex.patterns import _bfs_trans, productive_set
-
     pivot = loop[0].source
     root = "s0"
     if a.initial != pivot:
-        prefix = _bfs_trans(a, productive_set(a), [a.initial], {pivot})
+        prefix = _productive_path(a, a.initial, pivot)
         for j, t in enumerate(prefix):
             nid = f"r{j}"
             nxt = f"r{j + 1}" if j + 1 < len(prefix) else "s0"
@@ -339,6 +337,25 @@ def _replication_run_tree(a, w):
             nodes[nid] = Node(t.letter, kids)
         root = "r0"
     return RegularTree(2, nodes, root)
+
+
+def _productive_path(a, start, goal):
+    """A shortest transition path from start to goal through productive
+    states, by breadth-first search over the step table."""
+    parent = {start: None}
+    queue = [start]
+    for q in queue:  # the queue grows while it is read
+        for letter in a.alphabet:
+            for d in (0, 1):
+                w = a.step(q, letter, d)
+                if w != BOT and w not in parent:
+                    parent[w] = Transition(q, letter, d, w)
+                    queue.append(w)
+    path = []
+    while parent[goal] is not None:
+        path.append(parent[goal])
+        goal = parent[goal].source
+    return path[::-1]
 
 
 def test_replication_lemma_constructive():

@@ -1,8 +1,8 @@
 import pytest
 
 from weakindex import catalog
-from weakindex.automata import IndexPair, index_of, make_automaton
-from weakindex.classifier import relabel_to
+from weakindex.automata import IndexPair, Transition, index_of, make_automaton
+from weakindex.classifier import classify, relabel_to
 from weakindex.errors import (
     IndexTooHigh,
     NonWeaklyRecognizable,
@@ -200,6 +200,22 @@ def test_weaken_dispatch_catalog_routes():
     with pytest.raises(UnsupportedGapConstruction) as exc:
         weaken(catalog.spine_fin_b())
     assert tuple(exc.value.attainable_index) == (0, 3)
+
+
+@pytest.mark.parametrize("rank, name, how", [(1, "reject_all", "empty_language"),
+                                              (0, "accept_all", "universal_language")])
+def test_weaken_level_zero_gives_one_state_weak_automata(rank, name, how):
+    a = make_automaton(("a", "b"), {"q": ("A", rank)}, "q",
+                       [("q", x, d, "q") for x in ("a", "b") for d in (0, 1)],
+                       deterministic=True)
+    out, trace = weaken(a)
+    assert (trace.construction, trace.output_states, out.name) == (how, 1, name)
+    assert out.acceptance == "weak" and index_of(out) == IndexPair(rank, rank)
+    assert out.transitions == tuple(Transition(out.initial, x, d, out.initial)
+                                    for x in ("a", "b") for d in (0, 1))
+    if rank == 1:
+        assert out == classify(a).weak_det[1]
+    assert bounded_equiv(a, out, PARAMS) is None
 
 
 def test_weaken_dispatch_random_equivalence():

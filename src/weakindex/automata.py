@@ -197,7 +197,7 @@ class DetAutomaton(TreeAutomaton):
     self-loops).  Transitions are often read through `step`.  The table is
     total, free of duplicates and sorted, so `transitions` is one block of
     2|Sigma| moves per state, in sorted state order, each block in (letter,
-    direction) order; `trim` reuses these blocks.
+    direction) order; `_table` numbers them and `trim` reuses them.
     """
 
     def __post_init__(self):
@@ -253,6 +253,43 @@ class DetAutomaton(TreeAutomaton):
             acceptance="parity",
             name=self.name,
         )
+
+
+def _memo(a, key, build):
+    cache = a._memo
+    if key not in cache:
+        cache[key] = build()
+    return cache[key]
+
+
+class _Table(NamedTuple):
+    """An automaton's numbering, the one every int view reads.
+
+    State i is the i-th id in sorted order, so sorting states, or taking
+    the least, agrees on both sides.  `target[j]` is the index of
+    `a.transitions[j].target`; for a `DetAutomaton` that is one block of
+    2|Sigma| moves per state, so move (i, x, d) is target[2|Sigma|*i + 2x + d].
+    """
+
+    ids: list[str]
+    index: dict[str, int]
+    rank: list[int]
+    owner: list[int]  # 0 = Eve (existential), 1 = Adam (universal)
+    target: list[int]
+
+
+def _table(a: TreeAutomaton, keep: bool = True) -> _Table:
+    """`a`'s `_Table`, built once and kept in `a._memo`.  With `keep` false
+    a table not kept yet is built and left to the caller: trim numbers its
+    input only to build the trimmed automaton."""
+    def build():
+        ids = sorted(a.states)
+        index = {q: i for i, q in enumerate(ids)}
+        states = [a.states[q] for q in ids]
+        return _Table(ids, index, [st.rank for st in states],
+                      [0 if st.mode == EXISTENTIAL else 1 for st in states],
+                      [index[t.target] for t in a.transitions])
+    return _memo(a, "table", build) if keep else a._memo.get("table") or build()
 
 
 def index_of(a: TreeAutomaton) -> IndexPair:

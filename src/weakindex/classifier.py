@@ -201,16 +201,20 @@ def relabel_to(a: DetAutomaton, target: IndexPair) -> DetAutomaton:
                           for q, st in a.states.items()})
 
 
+def _det_index(a: DetAutomaton) -> IndexPair:
+    """`det_index`'s index alone.  A strong flower is a chain of loop tops
+    through one pivot, so it follows from the longest such chains over all
+    states."""
+    v, tops = _view(a), set(_tops(a).loop)
+    return _least_index(*(max(len(_greedy_chain(v, m, b)) for m in tops) for b in (0, 1)))
+
+
 def det_index(a: DetAutomaton) -> tuple[IndexPair, DetAutomaton]:
     """Minimal deterministic index: the least (iota,kappa) in the index
-    order admitting no dual flower; plus the relabeled witness automaton.
-
-    A strong flower is a chain of loop tops through one pivot, so the index
-    follows from the longest such chains over all states."""
+    order admitting no dual flower; plus the relabeled witness automaton."""
     if not is_trimmed(a):
         raise ValidationError("det_index expects a trimmed automaton")
-    v, tops = _view(a), set(_tops(a).loop)
-    index = _least_index(*(max(len(_greedy_chain(v, m, b)) for m in tops) for b in (0, 1)))
+    index = _det_index(a)
     return index, relabel_to(a, index)
 
 
@@ -297,8 +301,7 @@ class ClassificationReport:
     name: str
     state_count: int
     borel: BorelClass
-    det_index: IndexPair
-    det_automaton: DetAutomaton
+    det_index: IndexPair  # `det_index(trimmed)` also gives the relabeled automaton
     weak_det: Optional[tuple[IndexPair, TreeAutomaton]]
     weak_alt: Optional[frozenset[IndexPair]]
     trimmed: Optional[DetAutomaton]
@@ -355,13 +358,10 @@ def _empty_language_report(a: DetAutomaton, trim_seconds: float) -> Classificati
     borel = BorelClass(minimal=BorelLevel.SIGMA0, bits=bits)
     states = {"r": State(UNIVERSAL, 1)}
     trans = tuple(Transition("r", letter, d, "r") for letter in a.alphabet for d in (0, 1))
-    reject = DetAutomaton(alphabet=a.alphabet, states=states, initial="r",
-                          transitions=trans, acceptance="parity", name="reject_all")
     weak_reject = TreeAutomaton(alphabet=a.alphabet, states=states, initial="r",
                                 transitions=trans, acceptance="weak", name="reject_all")
     return ClassificationReport(
-        name=a.name, state_count=len(a.states), borel=borel,
-        det_index=IndexPair(1, 1), det_automaton=reject,
+        name=a.name, state_count=len(a.states), borel=borel, det_index=IndexPair(1, 1),
         weak_det=(IndexPair(1, 1), weak_reject),
         weak_alt=frozenset({IndexPair(1, 1)}),
         trimmed=None, trim_seconds=trim_seconds, classify_seconds=0.0,
@@ -383,13 +383,12 @@ def classify(a: DetAutomaton) -> ClassificationReport:
 
     t1 = time.perf_counter()
     borel = borel_rank(trimmed)
-    det = det_index(trimmed)
+    det = _det_index(trimmed)
     weak_det = weak_det_index(trimmed)
     weak_alt = weak_alt_level(borel.minimal)
     classify_seconds = time.perf_counter() - t1
     return ClassificationReport(
-        name=a.name, state_count=len(a.states), borel=borel,
-        det_index=det[0], det_automaton=det[1],
+        name=a.name, state_count=len(a.states), borel=borel, det_index=det,
         weak_det=weak_det, weak_alt=weak_alt,
         trimmed=trimmed, trim_seconds=trim_seconds, classify_seconds=classify_seconds,
     )

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import takewhile
 
 from .errors import FormatError, GameTooLarge, ValidationError
-from .graphs import has_cycle_inside, reachable_from, tarjan_scc
+from .graphs import _rank_cycles, reachable_from
 
 EVE = "E"
 ADAM = "A"
@@ -371,22 +371,6 @@ def _solve_weak_layers(arena):
     return winner, layer, order
 
 
-def _cycle_top(positions, succ, rank, parity: int) -> bool:
-    """Whether a cycle whose top rank has `parity` lies inside `positions`,
-    which must be closed under `succ`.
-
-    Rank-restricted cycle check: such a cycle with top r exists iff some
-    SCC of the positions ranked at most r supports a cycle and holds a
-    position of rank exactly r.
-    """
-    for r in sorted({rank[v] for v in positions if rank[v] % 2 == parity}):
-        low = {v: [w for w in succ[v] if rank[w] <= r] for v in positions if rank[v] <= r}
-        for comp in tarjan_scc(list(low), low):
-            if has_cycle_inside(comp, low) and any(rank[v] == r for v in comp):
-                return True
-    return False
-
-
 def solve_parity(g: Game) -> Solution:
     """Solve a strong-parity game by Zielonka's attractor decomposition."""
     if g.condition != "parity":
@@ -452,7 +436,7 @@ def eve_wins_arrays(owner: list[int], rank: list[int], succ: list[list[int]],
     """
     if not weak and 0 not in owner:
         graph = dict(enumerate(succ))
-        return not _cycle_top(reachable_from([position], graph), graph, rank, 1)
+        return not any(_rank_cycles(reachable_from([position], graph), graph, rank, 1))
     arena = _arena(owner, rank, succ)
     if weak:
         return _solve_weak_layers(arena)[0][position] == 0
@@ -494,8 +478,8 @@ def check_strategy(g: Game, sol: Solution) -> bool:
             graph[node] = [(w, max(seen, g.positions[w][1]) if weak else g.positions[w][1])
                            for w in moves]
             stack.extend(graph[node])
-        if _cycle_top(reachable_from(starts, graph), graph, {v: v[1] for v in graph},
-                      opp_parity):
+        if any(_rank_cycles(reachable_from(starts, graph), graph, {v: v[1] for v in graph},
+                           opp_parity)):
             return False
     return True
 

@@ -1,4 +1,5 @@
-"""Small graph helpers: iterative Tarjan SCC, condensation, reachability."""
+"""Small graph helpers: iterative Tarjan SCC, condensation, reachability,
+and the rank-restricted cycle search."""
 
 from __future__ import annotations
 
@@ -92,3 +93,21 @@ def has_cycle_inside(comp: list, succ: dict) -> bool:
         return True
     v = comp[0]
     return v in succ.get(v, ())
+
+
+def _rank_cycles(nodes, succ, rank, parity: int):
+    """Cycles whose top rank has `parity`, inside the subgraph induced by
+    `nodes`, smallest top first.
+
+    For each such rank r of a node, ascending, runs Tarjan on the nodes
+    ranked at most r and yields (r, comp) for each component, in
+    `tarjan_scc` order, that supports a cycle and holds a node of rank r:
+    a cycle with top r exists exactly then.
+    """
+    for r in sorted({rank[v] for v in nodes if rank[v] % 2 == parity}):
+        sub = [v for v in nodes if rank[v] <= r]
+        keep = set(sub)
+        adj = {v: [w for w in succ[v] if w in keep] for v in sub}
+        for comp in tarjan_scc(sub, adj):
+            if has_cycle_inside(comp, adj) and any(rank[v] == r for v in comp):
+                yield r, comp

@@ -6,14 +6,15 @@ through p with top rank exactly r exists iff, in the subgraph of states
 ranked <= r, p's strongly connected component supports a cycle and holds a
 state of rank r.
 
-Everything runs on one int view of the automaton (`_view`), kept in
-`a._memo` with what derives from it, once each: the rank-restricted SCCs
-of each rank, the loop tops of states and transitions as bitmasks with
-one bit per distinct rank and each SCC's smallest loops (`_tops`), the
-witness loops, the replicated set and the weak chain lengths.  Searches
-run on state and transition indices and map back to ids only to build a
-witness.  A brute-force enumerator over strongly connected state subsets
-serves as the independent oracle.
+Everything runs on one int view of the automaton (`_view`), which reads
+its numbering (ids, ranks and target indices) from `automata._table` and
+is kept in `a._memo` with what derives from it, once each: the
+rank-restricted SCCs of each rank, the loop tops of states and
+transitions as bitmasks with one bit per distinct rank and each SCC's
+smallest loops (`_tops`), the witness loops, the replicated set and the
+weak chain lengths.  Searches run on state and transition indices and map
+back to ids only to build a witness.  A brute-force enumerator over
+strongly connected state subsets serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .automata import BOT, DetAutomaton, IndexPair, Transition
+from .automata import BOT, DetAutomaton, IndexPair, Transition, _memo, _table
 from .errors import GameTooLarge, ValidationError
-from .graphs import condensation, has_cycle_inside, reachable_from, tarjan_scc
+from .graphs import _rank_cycles, condensation, has_cycle_inside, reachable_from, tarjan_scc
 
 INF = float("inf")
 
@@ -212,21 +213,14 @@ class ReplicatedFlowerWitness:
 # -- the int view ------------------------------------------------------------
 
 
-def _memo(a, key, build):
-    cache = a._memo
-    if key not in cache:
-        cache[key] = build()
-    return cache[key]
-
-
 class _View(NamedTuple):
     """An automaton on ints, built once and kept in `a._memo`.
 
-    State i is the i-th id in sorted order, so sorting states, or taking
-    the least, agrees on both sides.  Transition j is `a.transitions[j]`:
-    a checked table is one block of `width` = 2|Sigma| moves per state (see
-    `DetAutomaton`), so j's source is j // width and its sibling, the same
-    letter in the other direction, is j ^ 1.
+    `ids`, `index`, `rank` and `target` are `automata._table`'s numbering.
+    Transition j is `a.transitions[j]`: a checked table is one block of
+    `width` = 2|Sigma| moves per state (see `DetAutomaton`), so j's source
+    is j // width and its sibling, the same letter in the other direction,
+    is j ^ 1.
     """
 
     ids: list[str]
@@ -245,14 +239,11 @@ class _View(NamedTuple):
 
 def _view(a: DetAutomaton) -> _View:
     def build():
-        ids = sorted(a.states)
-        index = {q: i for i, q in enumerate(ids)}
-        rank = [a.states[q].rank for q in ids]
+        ids, index, rank, _, target = _table(a)
         ranks = sorted(set(rank))
         bit = {r: k for k, r in enumerate(ranks)}
         parity = tuple(sum(1 << k for k, r in enumerate(ranks) if r % 2 == b) for b in (0, 1))
         width = 2 * len(a.alphabet)
-        target = [index[t.target] for t in a.transitions]
         succ = {i: sorted(set(target[i * width:i * width + width])) for i in range(len(ids))}
         return _View(ids, index, rank, ranks, [bit[r] for r in rank], parity, width, target,
                      succ, *condensation(list(succ), succ))
@@ -428,15 +419,9 @@ def _loop_with_parity(a: DetAutomaton, nodes: list[int], parity: int) -> Optiona
     by `nodes` (ascending); `_scc_loop` gives the same loop when `nodes` is
     a whole SCC."""
     v = _view(a)
-    rank = v.rank
-    for r in sorted({rank[i] for i in nodes if rank[i] % 2 == parity}):
-        sub = [i for i in nodes if rank[i] <= r]
-        keep = set(sub)
-        adj = {i: [w for w in v.succ[i] if w in keep] for i in sub}
-        for comp in tarjan_scc(sub, adj):
-            withr = [i for i in comp if rank[i] == r]
-            if withr and has_cycle_inside(comp, adj):
-                return _closed_walk(a, set(comp), withr[0], withr[0], r)
+    for r, comp in _rank_cycles(nodes, v.succ, v.rank, parity):
+        pivot = next(i for i in comp if v.rank[i] == r)
+        return _closed_walk(a, set(comp), pivot, pivot, r)
     return None
 
 

@@ -3,14 +3,16 @@ language membership, Skurczynski fixtures, sampling, bounded equivalence.
 
 Membership of a regular tree in an automaton's language is decided on the
 finite product of automaton and tree graph, solved under the automaton's
-acceptance condition.  Trees enter it as int views (labels, children,
-root).  `bounded_equiv` indexes each tree once and runs both automata on
-that view; it samples its trees as views and builds a `RegularTree` only
-for the counterexample it returns.  The product search records each
-move's predecessor as it finds the move, so a weak product is its own
-totalized arena.  Every product position is reachable from the start, so
-a deterministic run is decided by a cycle check with no reachability
-pass.
+acceptance condition.  Automata enter it through their one numbering,
+`automata._table`, from which `_view` derives the moves per state and
+letter; trees enter it as int views (labels, children, root).
+`bounded_equiv` indexes each tree once and runs both automata on that
+view; it samples its trees as views and builds a `RegularTree` only for
+the counterexample it returns.  The product search records each move's
+predecessor as it finds the move, so a weak product is its own totalized
+arena.  Every product position is reachable from the start, so a
+deterministic run is decided by a cycle check with no reachability pass.
+The run reduction folds the same product search into its tree.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .automata import (
     Transition,
     TreeAutomaton,
     UNIVERSAL,
+    _table,
     index_of,
     normalize_ranks,
 )
@@ -34,12 +37,12 @@ from .games import (
     ADAM,
     EVE,
     Game,
-    _cycle_top,
     _solve_weak_layers,
     _strong_winners,
     _totalize,
     eve_wins_arrays,
 )
+from .graphs import _rank_cycles
 from .rng import SplitMix64
 from .trees import Node, RegularTree, parse_wlabel
 
@@ -60,21 +63,18 @@ def _check_labels(a: TreeAutomaton, t: RegularTree):
 
 
 def _view(a: TreeAutomaton):
-    """Int view of an automaton, built once and kept in `a._memo`.
-
-    States are indexed in sorted order.  Returns (state index, moves by
-    [state][letter] as (direction, target index) pairs in transition
-    order, owner per state with 0 = Eve, rank per state).
+    """Membership's view of an automaton, on its `_table` numbering: (state
+    index, moves by [state][letter] as (direction, target index) pairs in
+    transition order, owner per state with 0 = Eve, rank per state).  Built
+    once and kept in `a._memo`.
     """
     view = a._memo.get("membership_view")
     if view is None:
-        snames = sorted(a.states)
-        sidx = {s: i for i, s in enumerate(snames)}
-        moves = [{letter: [(d, sidx[q]) for d, q in a.moves(s, letter)] for letter in a.alphabet}
-                 for s in snames]
-        owner = [0 if a.states[s].mode == EXISTENTIAL else 1 for s in snames]
-        rank = [a.states[s].rank for s in snames]
-        view = a._memo["membership_view"] = (sidx, moves, owner, rank)
+        _, index, rank, owner, target = _table(a)
+        moves = [{x: [] for x in a.alphabet} for _ in index]
+        for t, q in zip(a.transitions, target):
+            moves[index[t.source]][t.letter].append((t.direction, q))
+        view = a._memo["membership_view"] = (index, moves, owner, rank)
     return view
 
 
@@ -147,7 +147,7 @@ def _accepts(a: TreeAutomaton, view) -> bool:
     owner, rank, succ, pred = _product_arrays(a, view)
     weak = a.acceptance == "weak"
     if not weak and 0 not in owner:
-        return not _cycle_top(range(len(succ)), succ, rank, 1)
+        return not any(_rank_cycles(range(len(succ)), succ, rank, 1))
     arena = _totalize(owner, rank, succ, pred)
     if weak:
         return _solve_weak_layers(arena)[0][0] == 0
@@ -210,7 +210,8 @@ def run_reduction(a: TreeAutomaton, t: RegularTree) -> WInstance:
     above the band top.  Such a pad dominates every rank a play can
     otherwise see, so taking it always loses for the owner: extra options
     are never attractive, and a dead end forces its owner into the pad,
-    which is exactly the stuck rule.  The band may widen by one.
+    which is exactly the stuck rule.  The band may widen by one.  The game
+    is `_product_arrays`' search, and its position i becomes node `n{i}`.
     """
     if a.acceptance != "weak":
         raise ValidationError("run_reduction expects weak acceptance")
@@ -218,58 +219,24 @@ def run_reduction(a: TreeAutomaton, t: RegularTree) -> WInstance:
     a = normalize_ranks(a)
     idx = index_of(a)
     iota, kappa = idx.iota, idx.kappa
+    owner, rank, succ, _ = _product_arrays(a, _tree_view(t))
+    arity = max(2, max(map(len, succ)))
 
-    seen: dict[tuple[str, str], list] = {}
-    order: list[tuple[str, str]] = []
-
-    def visit(q, v):
-        if (q, v) not in seen:
-            seen[(q, v)] = []
-            order.append((q, v))
-
-    visit(a.initial, t.root)
-    head = 0
-    while head < len(order):
-        q, v = order[head]
-        head += 1
-        for d, q2 in a.moves(q, t.label(v)):
-            v2 = v if d is None else t.child(v, d)
-            visit(q2, v2)
-            seen[(q, v)].append((q2, v2))
-
-    fanout = max((len(s) for s in seen.values()), default=0)
-    arity = max(2, fanout)
-
-    def pad_rank(owner_mode):
-        losing = 1 if owner_mode == EXISTENTIAL else 0
-        return kappa if kappa % 2 == losing else kappa + 1
-
-    pads: dict[tuple[str, int], str] = {}
+    pads: dict[int, str] = {}
     nodes: dict[str, Node] = {}
     top_rank = kappa
-
-    def pad_node(owner_mode, rank) -> str:
-        key = (owner_mode, rank)
-        if key not in pads:
-            pid = f"pad_{'E' if owner_mode == EXISTENTIAL else 'A'}_{rank}"
-            pads[key] = pid
-            nodes[pid] = Node(f"{'E' if owner_mode == EXISTENTIAL else 'A'}:{rank}",
-                              tuple(pid for _ in range(arity)))
-        return pads[key]
-
-    names = {qv: f"n{i}" for i, qv in enumerate(order)}
-    for q, v in order:
-        st = a.states[q]
-        kids = [names[c] for c in seen[(q, v)]]
+    for i, (o, r, kids) in enumerate(zip(owner, rank, succ)):
+        mode = "EA"[o]
+        kids = [f"n{j}" for j in kids]
         if len(kids) < arity:
-            r = pad_rank(st.mode)
-            top_rank = max(top_rank, r)
-            kids.extend([pad_node(st.mode, r)] * (arity - len(kids)))
-        label = f"{'E' if st.mode == EXISTENTIAL else 'A'}:{st.rank}"
-        nodes[names[(q, v)]] = Node(label, tuple(kids))
-
-    tree = RegularTree(arity, nodes, names[order[0]])
-    return WInstance(tree=tree, band=IndexPair(iota, top_rank))
+            pad = kappa if kappa % 2 == 1 - o else kappa + 1
+            top_rank = max(top_rank, pad)
+            if pad not in pads:
+                pid = pads[pad] = f"pad_{mode}_{pad}"
+                nodes[pid] = Node(f"{mode}:{pad}", (pid,) * arity)
+            kids += [pads[pad]] * (arity - len(kids))
+        nodes[f"n{i}"] = Node(f"{mode}:{r}", tuple(kids))
+    return WInstance(tree=RegularTree(arity, nodes, "n0"), band=IndexPair(iota, top_rank))
 
 
 def w_member(t: RegularTree, band: IndexPair) -> bool:

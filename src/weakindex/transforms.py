@@ -149,11 +149,8 @@ def weaken_13(a: DetAutomaton) -> TreeAutomaton:
             "input has a weak (1,2)-flower replicated by an accepting loop", witness)
     a = _shift_into_band(a, 0, 1)
     tops, v = _tops(a).loop, _view(a)
-    productive = set(a.states) - {BOT}
-    rank_in = {}
-    for q, st in a.states.items():
-        relevant = tops[v.index[q]] >> v.level[v.index[q]] & 1
-        rank_in[q] = st.rank if (relevant or q not in productive) else 0
+    rank_in = {q: v.rank[i] if tops[i] >> v.level[i] & 1 or q == BOT else 0
+               for i, q in enumerate(v.ids)}
 
     states: dict[str, State] = {}
     transitions: list[Transition] = []

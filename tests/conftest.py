@@ -6,7 +6,7 @@ import pytest
 
 from weakindex.automata import DetAutomaton, State, Transition, TreeAutomaton
 from weakindex.errors import EmptyLanguage
-from weakindex.games import Game
+from weakindex.games import ADAM, EVE, Game
 from weakindex.productivity import trim
 from weakindex.rng import SplitMix64
 
@@ -26,6 +26,27 @@ def random_game(rng: SplitMix64, max_positions: int = 7, max_rank: int = 3,
             edges.append((f"p{i}", f"p{rng.below(n)}"))
     return Game(positions=positions, edges=tuple(edges), initial="p0",
                 condition=condition)
+
+
+def emptiness_game(a: DetAutomaton) -> Game:
+    """Eve picks a letter, Adam picks a direction; ranks come from states.
+
+    Eve wins from position q exactly when L(A,q) is nonempty: she builds a
+    tree, Adam challenges one path of the unique run.  The string-keyed
+    reference for the int arena of `productivity._productivity`.
+    """
+    positions: dict[str, tuple[str, int]] = {}
+    edges = []
+    for q, st in a.states.items():
+        positions[f"s:{q}"] = (EVE, st.rank)
+        for letter in a.alphabet:
+            mid = f"m:{q}:{letter}"
+            positions[mid] = (ADAM, st.rank)
+            edges.append((f"s:{q}", mid))
+            for d in (0, 1):
+                edges.append((mid, f"s:{a.step(q, letter, d)}"))
+    return Game(positions=positions, edges=tuple(edges),
+                initial=f"s:{a.initial}", condition="parity")
 
 
 def random_det(rng: SplitMix64, max_states: int = 5, letters=LETTERS,

@@ -6,6 +6,7 @@ from weakindex.automata import (
     State,
     Transition,
     TreeAutomaton,
+    _table,
     dual_index,
     index_leq,
     index_of,
@@ -16,6 +17,7 @@ from weakindex.automata import (
 from weakindex.classifier import det_index, relabel_to
 from weakindex.errors import FormatError, ValidationError
 from weakindex.formats import parse_automaton, serialize_automaton
+from weakindex.productivity import trim
 from weakindex import catalog
 from weakindex.rng import SplitMix64
 
@@ -306,3 +308,50 @@ def test_with_states_validates_the_new_state_table(case):
     for a in automata:
         with pytest.raises(ValidationError, match=match):
             a.with_states(change(a.states, a.initial))
+
+
+# -- the one numbering ---------------------------------------------------------------
+
+
+def _numbering_inputs():
+    rng = SplitMix64(61)
+    for name in sorted(catalog.CATALOG):
+        yield catalog.get(name)
+        yield trim(catalog.get(name))
+    for letters in (("a",), ("a", "b"), ("a", "b", "c")):
+        for max_states in (3, 9):
+            for _ in range(30):
+                a = random_det(rng, max_states, letters)
+                yield a
+                yield a.with_states({q: State("A", st.rank + 1) for q, st in a.states.items()})
+    for _ in range(60):
+        yield random_weak(rng)
+    # epsilon moves and moves listed twice
+    yield make_automaton(
+        ("a", "b"), {"x": ("E", 0), "y": ("A", 1), "z": ("E", 2)}, "y",
+        [("y", "a", None, "x"), ("y", "a", None, "x"), ("x", "a", 0, "z"),
+         ("x", "b", None, "x"), ("z", "a", 1, "y"), ("z", "a", 1, "y"), ("z", "b", 0, "x")],
+        acceptance="weak")
+
+
+def test_table_is_the_sorted_numbering_of_states_and_transitions():
+    count = 0
+    for a in _numbering_inputs():
+        ids = sorted(a.states)
+        table = _table(a)
+        assert table is _table(a)
+        assert table.ids == ids
+        assert table.index == {q: ids.index(q) for q in a.states}
+        assert table.rank == [a.rank(q) for q in ids]
+        assert table.owner == [int(a.mode(q) == "A") for q in ids]
+        assert table.target == [ids.index(t.target) for t in a.transitions]
+        if isinstance(a, DetAutomaton):
+            # the 2|Sigma|-block layout that trim and pattern search read
+            k = len(a.alphabet)
+            for i, q in enumerate(ids):
+                for x, letter in enumerate(a.alphabet):
+                    for d in (0, 1):
+                        assert table.target[2 * k * i + 2 * x + d] == \
+                            table.index[a.step(q, letter, d)]
+        count += 1
+    assert count == 12 + 360 + 61

@@ -1,4 +1,7 @@
-from weakindex import catalog
+import hashlib
+import json
+
+from weakindex import catalog, classifier
 from weakindex.automata import (
     DetAutomaton,
     IndexPair,
@@ -308,3 +311,47 @@ def test_report_rendering_is_deterministic():
     assert first.render(witnesses=True) == second.render(witnesses=True)
     assert "seconds" not in first.render(witnesses=True)
     assert {"trim_seconds", "classify_seconds"} <= set(first.to_json_dict())
+
+
+# -- classify does not relabel ---------------------------------------------------------
+
+C9_RANKS = (0, 0, 0, 0, 1, 1, 2, 2, 2, 3)  # criterion 9's scale generator
+# sha256 of `_report_text` over `_report_inputs`, recorded when classify
+# still built a relabeled automaton for every report
+REPORTS_SHA256 = "a7eacec553c0d7ee24c4871a96cd706aa8384a4cbbb36c87b6d8857fba76d1dc"
+
+
+def _report_inputs():
+    """The catalog and the first 300-state automaton of criterion 9's shape
+    with a nonempty language."""
+    inputs = [catalog.get(name) for name in sorted(catalog.CATALOG)]
+    rng = SplitMix64(3003)
+    names = [f"q{i}" for i in range(300)]
+    while True:
+        states = {q: State("A", C9_RANKS[rng.below(len(C9_RANKS))]) for q in names}
+        trans = [Transition(q, x, d, names[rng.below(300)])
+                 for q in names for x in "ab" for d in (0, 1)]
+        a = DetAutomaton(alphabet=("a", "b"), states=states, initial="q0",
+                         transitions=tuple(trans), name="seeded300")
+        try:
+            trim(a)
+        except EmptyLanguage:
+            continue
+        return inputs + [a]
+
+
+def _report_text(report) -> str:
+    d = report.to_json_dict()
+    del d["trim_seconds"], d["classify_seconds"]
+    return json.dumps(d, sort_keys=True) + "\n" + report.render(witnesses=True)
+
+
+def test_classify_gives_the_same_reports_without_relabeling(monkeypatch):
+    def refuse(a, target):
+        raise AssertionError("classify relabeled its input")
+
+    monkeypatch.setattr(classifier, "relabel_to", refuse)
+    digest = hashlib.sha256()
+    for a in _report_inputs():
+        digest.update(_report_text(classify(a)).encode())
+    assert digest.hexdigest() == REPORTS_SHA256

@@ -21,7 +21,7 @@ from weakindex.patterns import (
 from weakindex.productivity import trim
 from weakindex.rng import SplitMix64
 
-from conftest import random_trimmed
+from conftest import emptiness_game, random_trimmed
 
 ALL_INDICES = [IndexPair(i, k) for i in (0, 1) for k in range(i, 4) if k >= i and (i, k) != (1, 0)]
 
@@ -274,7 +274,6 @@ def _strategy_filler(a):
     """A regular accepting tree per nonempty state, read off Eve's winning
     strategy in the emptiness game."""
     from weakindex.games import solve_parity
-    from weakindex.productivity import emptiness_game
 
     sol = solve_parity(emptiness_game(a))
     letters = {}

@@ -3,12 +3,11 @@ import hashlib
 import pytest
 
 from weakindex import catalog
-from weakindex.automata import BOT, DetAutomaton, State, Transition, make_automaton
+from weakindex.automata import BOT, DetAutomaton, State, Transition, _table, make_automaton
 from weakindex.errors import EmptyLanguage, ValidationError
 from weakindex.formats import serialize_automaton
 from weakindex.games import solve_parity
 from weakindex.productivity import (
-    emptiness_game,
     is_empty,
     is_trimmed,
     is_universal,
@@ -20,7 +19,7 @@ from weakindex.rng import SplitMix64
 from weakindex.semantics import SamplerParams, det_accepts, sample_regular_tree
 from weakindex.trees import constant_tree
 
-from conftest import random_det
+from conftest import emptiness_game, random_det
 
 
 def one_state(rank):
@@ -209,6 +208,23 @@ def test_trim_equals_the_validating_constructor():
         assert t._memo == {} and is_trimmed(t)
         digest.update(serialize_automaton(t).encode())
     assert digest.hexdigest() == TRIMS_SHA256
+
+
+def test_productivity_keeps_no_table_on_its_input():
+    # trim numbers its input only to build the trimmed automaton; a table
+    # kept already is read, not built again
+    rng = SplitMix64(5151)
+    for _ in range(40):
+        a = random_det(rng, 8)
+        before = nonempty_states(a), productive_states(a), is_empty(a)
+        try:
+            trim(a)
+        except EmptyLanguage:
+            pass
+        assert a._memo == {}
+        table = _table(a)
+        assert _table(a, keep=False) is table
+        assert (nonempty_states(a), productive_states(a), is_empty(a)) == before
 
 
 def test_trim_refuses_a_productive_bot():

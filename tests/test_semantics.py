@@ -171,15 +171,25 @@ def test_run_reduction_trivial_accept_and_reject():
     assert not w_member(inst.tree, inst.band)
 
 
+# sha256 of `run_reduction`'s trees, node order included, and bands over the
+# pairs below, recorded when the reduction ran its own string-keyed search
+REDUCTIONS_SHA256 = "5e3f1f7aeb61559800d949f3e952284b6e64e66887be149b91abc0a27eee1367"
+
+
 def test_run_reduction_property_on_random_pairs():
     rng = SplitMix64(555)
     trees = sample_regular_tree(SamplerParams(seed=55, max_nodes=6,
                                               alphabet=("a", "b"), count=10))
+    digest = hashlib.sha256()
     for _ in range(60):
         a = random_weak(rng)
         for t in trees:
             inst = run_reduction(a, t)
             assert alt_accepts(a, t) == w_member(inst.tree, inst.band), (a, t)
+            tree = inst.tree
+            digest.update(repr((tree.arity, tree.root, list(tree.nodes.items()),
+                                inst.band.iota, inst.band.kappa)).encode())
+    assert digest.hexdigest() == REDUCTIONS_SHA256
 
 
 def test_w_member_trivia():

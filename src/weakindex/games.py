@@ -328,7 +328,7 @@ def _game_arrays(g: Game):
     return owner, rank, succ, ids
 
 
-def _solve_weak_layers(arena):
+def _solve_weak_layers(arena, stop=None):
     """Descending-rank attractor layering for the weak condition, no strategies.
 
     The arena is totalized, as `_totalize` leaves it: `solve_weak` and
@@ -343,9 +343,17 @@ def _solve_weak_layers(arena):
     peeled in descending order and the subgame current at layer d is the
     positions with layer <= d; order[v] is v's place in that attractor's
     queue, whose head is the layer's rank-d positions in index order.
+
+    With a position `stop`, the layering returns as soon as `stop` gets
+    its layer: only stop's entries are final then, and they are the ones
+    the full layering gives.
     """
     owner, rank, succ, pred = arena
     size = len(owner)
+    if stop is None:
+        stop = stop_rank = -1  # no position or rank is negative
+    else:
+        stop_rank = rank[stop]
     buckets: dict[int, list[int]] = {}
     for v, r in enumerate(rank):
         buckets.setdefault(r, []).append(v)
@@ -358,6 +366,8 @@ def _solve_weak_layers(arena):
         sigma = d % 2
         for i, v in enumerate(queue):
             layer[v], order[v], winner[v] = d, i, sigma
+        if d == stop_rank:
+            return winner, layer, order
         for v in queue:  # the queue grows while it is read
             for u in pred[v]:
                 if layer[u] >= 0:
@@ -367,6 +377,8 @@ def _solve_weak_layers(arena):
                     if live[u]:
                         continue
                 layer[u], order[u], winner[u] = d, len(queue), sigma
+                if u == stop:
+                    return winner, layer, order
                 queue.append(u)
     return winner, layer, order
 
@@ -439,7 +451,7 @@ def eve_wins_arrays(owner: list[int], rank: list[int], succ: list[list[int]],
         return not any(_rank_cycles(reachable_from([position], graph), graph, rank, 1))
     arena = _arena(owner, rank, succ)
     if weak:
-        return _solve_weak_layers(arena)[0][position] == 0
+        return _solve_weak_layers(arena, position)[0][position] == 0
     return _strong_winners(arena)[position] == 0
 
 

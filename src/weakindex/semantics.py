@@ -4,19 +4,25 @@ language membership, Skurczynski fixtures, sampling, bounded equivalence.
 Membership of a regular tree in an automaton's language is decided on the
 finite product of automaton and tree graph, solved under the automaton's
 acceptance condition.  Automata enter it through their one numbering,
-`automata._table`, from which `_view` derives the moves per state and
-letter; trees enter it as int views (labels, children, root).
+`automata._table`, from which `_view` derives letter ids and one flat
+list of moves by (state, letter id); trees enter it as int views
+(labels, children, root), whose labels the product search maps to letter
+ids once.  The search indexes its positions in a flat list of
+|Q|*nn slots, or in a dict for products above `_LIST_INDEX_SLOTS`.
 `bounded_equiv` indexes each tree once and runs both automata on that
-view; it samples its trees as views and builds a `RegularTree` only for
-the counterexample it returns.  The product search records each move's
-predecessor as it finds the move, so a weak product is its own totalized
-arena.  Every product position is reachable from the start, so a
-deterministic run is decided by a cycle check with no reachability pass.
-The run reduction folds the same product search into its tree.
+view; it takes the fixed battery and the samples as views and builds a
+`RegularTree` only for the counterexample it returns.  The product search
+records each move's predecessor as it finds the move, so a weak product
+is its own totalized arena, and its layering stops once the start
+position has its layer.  Every product position is reachable from the
+start, so a deterministic run is decided by a cycle check with no
+reachability pass.  The run reduction folds the same product search into
+its tree.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -64,17 +70,20 @@ def _check_labels(a: TreeAutomaton, t: RegularTree):
 
 def _view(a: TreeAutomaton):
     """Membership's view of an automaton, on its `_table` numbering: (state
-    index, moves by [state][letter] as (direction, target index) pairs in
-    transition order, owner per state with 0 = Eve, rank per state).  Built
-    once and kept in `a._memo`.
+    index, letter id in alphabet order, moves, owner per state with 0 = Eve,
+    rank per state).  `moves[q * |Sigma| + x]` lists the (direction, target
+    index) pairs of state q on letter id x in transition order.  Built once
+    and kept in `a._memo`.
     """
     view = a._memo.get("membership_view")
     if view is None:
         _, index, rank, owner, target = _table(a)
-        moves = [{x: [] for x in a.alphabet} for _ in index]
+        letter = {x: i for i, x in enumerate(a.alphabet)}
+        width = len(letter)
+        moves: list[list] = [[] for _ in range(len(index) * width)]
         for t, q in zip(a.transitions, target):
-            moves[index[t.source]][t.letter].append((t.direction, q))
-        view = a._memo["membership_view"] = (index, moves, owner, rank)
+            moves[index[t.source] * width + letter[t.letter]].append((t.direction, q))
+        view = a._memo["membership_view"] = (index, letter, moves, owner, rank)
     return view
 
 
@@ -89,12 +98,21 @@ def _tree_view(t: RegularTree):
             nidx[t.root])
 
 
-def _tree_of(view) -> RegularTree:
-    """The binary tree of a view, node i named `n{i}`."""
+def _tree_of(view, names=None) -> RegularTree:
+    """The binary tree of a view, node i named `names[i]`, by default `n{i}`."""
     labels, children, root = view
-    return RegularTree(2, {f"n{i}": Node(label, (f"n{c0}", f"n{c1}"))
+    if names is None:
+        names = [f"n{i}" for i in range(len(labels))]
+    return RegularTree(2, {names[i]: Node(label, (names[c0], names[c1]))
                            for i, (label, (c0, c1)) in enumerate(zip(labels, children))},
-                       f"n{root}")
+                       names[root])
+
+
+# The product search indexes position (state q, node v) at slot q * nn + v
+# of a list of -1s while the product has at most this many slots, and in a
+# dict that reads -1 the same way past it: `weakindex member` takes trees of
+# any size.
+_LIST_INDEX_SLOTS = 1 << 12
 
 
 def _product_arrays(a: TreeAutomaton, view):
@@ -107,23 +125,28 @@ def _product_arrays(a: TreeAutomaton, view):
     in search order, so the game does not depend on how the view numbers
     its nodes.
     """
-    sidx, moves, sowner, srank = _view(a)
+    sidx, letter, moves, sowner, srank = _view(a)
     labels, children, root = view
     nn = len(labels)
+    width = len(letter)
+    row = [letter[x] for x in labels]
+    slots = len(sowner) * nn
+    index = [-1] * slots if slots <= _LIST_INDEX_SLOTS else defaultdict(lambda: -1)
     q0 = sidx[a.initial]
-    indexmap = {q0 * nn + root: 0}  # position (state q, node v) has key q * nn + v
+    index[q0 * nn + root] = 0
     states, nodes = [q0], [root]
     succ: list[list[int]] = []
     pred: list[list[int]] = [[]]
     for i, si in enumerate(states):  # breadth-first: `states` grows while it is read
         ni = nodes[i]
+        kids = children[ni]
         out = []
-        for d, qi in moves[si][labels[ni]]:
-            n2 = ni if d is None else children[ni][d]
+        for d, qi in moves[si * width + row[ni]]:
+            n2 = ni if d is None else kids[d]
             code = qi * nn + n2
-            j = indexmap.get(code)
-            if j is None:
-                j = indexmap[code] = len(states)
+            j = index[code]
+            if j < 0:
+                j = index[code] = len(states)
                 states.append(qi)
                 nodes.append(n2)
                 pred.append([i])
@@ -142,7 +165,8 @@ def _accepts(a: TreeAutomaton, view) -> bool:
     Every position is reachable from position 0, so a product where Adam
     moves alone (every deterministic run) is a cycle check with no
     reachability pass; other products are totalized with the predecessor
-    lists their search recorded.
+    lists their search recorded.  The weak layering stops once position 0
+    has its layer.
     """
     owner, rank, succ, pred = _product_arrays(a, view)
     weak = a.acceptance == "weak"
@@ -150,7 +174,7 @@ def _accepts(a: TreeAutomaton, view) -> bool:
         return not any(_rank_cycles(range(len(succ)), succ, rank, 1))
     arena = _totalize(owner, rank, succ, pred)
     if weak:
-        return _solve_weak_layers(arena)[0][0] == 0
+        return _solve_weak_layers(arena, 0)[0][0] == 0
     return _strong_winners(arena)[0] == 0
 
 
@@ -366,26 +390,23 @@ def _sample_views(p: SamplerParams):
     """The trees of `sample_regular_tree` as views; node i is the tree's `n{i}`.
 
     Node count is uniform in [1, max_nodes]; a random tree skeleton keeps
-    every node reachable, remaining child slots are wired uniformly.  The
-    free slots stay in (node, slot) order, so each skeleton step is a pop
-    and two appends.
+    every node reachable, remaining child slots are wired uniformly.  Child
+    s of node i is slot 2i + s, and the free slots stay in slot order, so
+    each skeleton step is a pop and two appends.
     """
-    rng = SplitMix64(p.seed)
+    below = SplitMix64(p.seed).below
     letters = tuple(p.alphabet)
+    width = len(letters)
     for _ in range(p.count):
-        k = 1 + rng.below(p.max_nodes)
-        labels = [letters[rng.below(len(letters))] for _ in range(k)]
-        children: list[list[int | None]] = [[None, None] for _ in range(k)]
-        free = [(0, 0), (0, 1)]
+        k = 1 + below(p.max_nodes)
+        labels = [letters[below(width)] for _ in range(k)]
+        slots = [-1] * (2 * k)
+        free = [0, 1]
         for j in range(1, k):
-            i, s = free.pop(rng.below(len(free)))
-            children[i][s] = j
-            free += ((j, 0), (j, 1))
-        for kids in children:
-            for s in (0, 1):
-                if kids[s] is None:
-                    kids[s] = rng.below(k)
-        yield labels, children, 0
+            slots[free.pop(below(len(free)))] = j
+            free += (2 * j, 2 * j + 1)
+        slots = [below(k) if c < 0 else c for c in slots]
+        yield labels, list(zip(slots[::2], slots[1::2])), 0
 
 
 def sample_regular_tree(p: SamplerParams) -> list[RegularTree]:
@@ -396,43 +417,51 @@ def sample_regular_tree(p: SamplerParams) -> list[RegularTree]:
 # -- bounded equivalence --------------------------------------------------------
 
 
-def deterministic_battery(alphabet) -> list[RegularTree]:
-    """All-constant trees plus single-letter perturbations near the root."""
+def _battery_views(alphabet):
+    """The trees of `deterministic_battery` as (node names, view), nodes in
+    sorted-name order, so each view is its tree's `_tree_view`.
+
+    A constant tree is the one node `n`.  A perturbation tree names each
+    node at depth at most two `p` plus its path, and everything below is
+    the one node `rest`; its nodes are perturbed in breadth-first order.
+    All perturbation views share one children table.
+    """
     letters = sorted(set(alphabet))
-    out = []
     for base in letters:
-        nodes = {"n": Node(base, ("n", "n"))}
-        out.append(RegularTree(2, nodes, "n"))
-    paths = ["", "0", "1", "00", "01", "10", "11"]
+        yield ("n",), ([base], [(0, 0)], 0)
+    spots = ("", "0", "1", "00", "01", "10", "11")
+    names = tuple(sorted("p" + path for path in spots)) + ("rest",)
+    at = {name: i for i, name in enumerate(names)}
+    rest = at["rest"]
+    children = [tuple(at.get(name + s, rest) for s in "01") for name in names]
     for base in letters:
         for other in letters:
             if other == base:
                 continue
-            for spot in paths:
-                nodes = {"rest": Node(base, ("rest", "rest"))}
-                for depth3 in ("", "0", "1", "00", "01", "10", "11"):
-                    label = other if depth3 == spot else base
-                    kids = []
-                    for s in ("0", "1"):
-                        ext = depth3 + s
-                        kids.append("p" + ext if len(ext) <= 2 else "rest")
-                    nodes["p" + depth3] = Node(label, tuple(kids))
-                out.append(RegularTree(2, nodes, "p"))
-    return out
+            for spot in spots:
+                labels = [base] * len(names)
+                labels[at["p" + spot]] = other
+                yield names, (labels, children, 0)
+
+
+def deterministic_battery(alphabet) -> list[RegularTree]:
+    """All-constant trees plus single-letter perturbations near the root."""
+    return [_tree_of(view, names) for names, view in _battery_views(alphabet)]
 
 
 def bounded_equiv(a: TreeAutomaton, b: TreeAutomaton, p: SamplerParams) -> Optional[RegularTree]:
     """Compare memberships on the fixed battery plus sampled trees.
 
-    Each tree is indexed once and both automata run on that view.  Returns
-    None on pass, or the first mismatching tree.
+    Each tree is indexed once and both automata run on that view; the
+    automata's alphabets are equal sorted tuples, so they give the letters
+    the same ids.  Returns None on pass, or the first mismatching tree,
+    the only one built as a `RegularTree`.
     """
     if set(a.alphabet) != set(b.alphabet):
         raise ValidationError("bounded_equiv needs a shared alphabet")
-    for t in deterministic_battery(a.alphabet):
-        view = _tree_view(t)
+    for names, view in _battery_views(a.alphabet):
         if _accepts(a, view) != _accepts(b, view):
-            return t
+            return _tree_of(view, names)
     for view in _sample_views(p):
         _check_letters(a, view[0])
         if _accepts(a, view) != _accepts(b, view):

@@ -3,17 +3,22 @@ import math
 
 import pytest
 
-from weakindex import catalog
+from weakindex import catalog, semantics
 from weakindex.automata import IndexPair, make_automaton
 from weakindex.errors import ValidationError
-from weakindex.formats import serialize_regular_tree
+from weakindex.cli import main
+from weakindex.formats import serialize_automaton, serialize_regular_tree
 from weakindex.games import brute_force_solve, solve
 from weakindex.rng import SplitMix64
 from weakindex.semantics import (
     SamplerParams,
+    _battery_views,
+    _product_arrays,
+    _tree_view,
     alt_accepts,
     bounded_equiv,
     det_accepts,
+    deterministic_battery,
     product_game,
     run_reduction,
     sample_regular_tree,
@@ -122,20 +127,30 @@ def _random_alternating(rng, acceptance):
     return make_automaton(("a", "b"), states, "q0", trans, acceptance=acceptance)
 
 
+def _membership_cases():
+    """240 random automata, deterministic and alternating under weak and
+    strong acceptance, each with its membership function, and the 12
+    trees they are checked on."""
+    rng = SplitMix64(4711)
+    trees = sample_regular_tree(SamplerParams(seed=47, max_nodes=4,
+                                              alphabet=("a", "b"), count=12))
+    cases = []
+    for k in range(240):
+        if k % 3 == 2:
+            cases.append((random_det(rng, max_states=4), det_accepts))
+        else:
+            cases.append((_random_alternating(rng, ("weak", "parity")[k % 3]), alt_accepts))
+    return cases, trees
+
+
 def test_membership_matches_independent_solvers():
     """The membership kernel against full solvers on the string-keyed
     product game, and against brute force where that game is small: at
     most 12 positions (the oracle's guard) and at most 256 positional
     strategy profiles, which keeps the oracle to a few seconds."""
-    rng = SplitMix64(4711)
-    trees = sample_regular_tree(SamplerParams(seed=47, max_nodes=4,
-                                              alphabet=("a", "b"), count=12))
+    cases, trees = _membership_cases()
     brute = 0
-    for k in range(240):
-        if k % 3 == 2:
-            a, accepts = random_det(rng, max_states=4), det_accepts
-        else:
-            a, accepts = _random_alternating(rng, ("weak", "parity")[k % 3]), alt_accepts
+    for a, accepts in cases:
         for t in trees:
             g = product_game(a, t)
             winner = solve(g).winner[g.initial]
@@ -145,6 +160,41 @@ def test_membership_matches_independent_solvers():
                 assert brute_force_solve(g).winner[g.initial] == winner, (a, t)
                 brute += 1
     assert brute >= 2000, brute
+
+
+def test_product_index_list_and_dict_agree(monkeypatch):
+    """The product search gives the same arena whether it indexes its
+    positions in the flat list (every product under a huge bound) or in
+    the dict (every product over a bound of 0)."""
+    cases, trees = _membership_cases()
+    views = [_tree_view(t) for t in trees]
+    arenas = {}
+    for bound in (0, 1 << 40):
+        monkeypatch.setattr(semantics, "_LIST_INDEX_SLOTS", bound)
+        arenas[bound] = [_product_arrays(a, v) for a, _ in cases for v in views]
+    assert len(arenas[0]) == 240 * 12
+    assert arenas[0] == arenas[1 << 40]
+
+
+def test_membership_above_the_list_index_bound():
+    """Products with more (state, node) slots than the list index takes,
+    on a sampled tree of over 3000 nodes: the dict-indexed search decides
+    membership as the full solvers do on the string-keyed game."""
+    t = sample_regular_tree(SamplerParams(seed=0, max_nodes=4000,
+                                          alphabet=("a", "b"), count=1))[0]
+    assert len(t.nodes) >= 3000
+    rng = SplitMix64(3000)
+    for kind in ("det", "weak", "parity"):
+        while True:
+            if kind == "det":
+                a, accepts = random_det(rng, max_states=5), det_accepts
+            else:
+                a, accepts = _random_alternating(rng, kind), alt_accepts
+            positions = len(_product_arrays(a, _tree_view(t))[0])
+            if len(a.states) * len(t.nodes) > semantics._LIST_INDEX_SLOTS and positions >= 3000:
+                break
+        g = product_game(a, t)
+        assert accepts(a, t) == (solve(g).winner[g.initial] == "E"), kind
 
 
 def test_product_game_shape():
@@ -284,6 +334,20 @@ def test_sampler_trees_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, p
 
 
+def test_splitmix64_stream_pinned():
+    """The generator's stream: the published splitmix64 outputs for seed 0,
+    and 10000 `below` draws over mixed bounds, pinned to a digest taken
+    when `below` called `next_u64`."""
+    rng = SplitMix64(0)
+    assert [rng.next_u64() for _ in range(3)] == [
+        0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f]
+    rng = SplitMix64(2024)
+    bounds = (1, 2, 3, 5, 8, 1000, 1 << 31, 1 << 64, (1 << 64) + 7)
+    draws = [rng.below(bounds[i % len(bounds)]) for i in range(10000)]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == \
+        "ac4ed88399cdfdbf4a782a291d02e7a03672d5905edaba3d026e4f05de7bb23e"
+
+
 def test_sampler_rejects_bad_params():
     with pytest.raises(ValidationError):
         SamplerParams(seed=1, max_nodes=0, alphabet=("a",), count=1)
@@ -353,3 +417,62 @@ def test_bounded_equiv_returns_first_sampled_mismatch():
                 assert bounded_equiv(left, right, p) == expected, p
             seen.add((len(alphabet), "raise" if expected == "raise" else expected is not None))
     assert {(2, True), (3, True), (3, "raise")} <= seen, seen
+
+
+# sha256 of the serialized battery trees, node names included, recorded
+# when the battery was built as `RegularTree`s directly
+BATTERY_SHA256 = {
+    ("a",): "4aa3fb7196e5d5e02a9ae65bebaf74439563c5afa39d53dacac3209b4e15560c",
+    ("a", "b"): "3f5c1426e450853326fb91da177ffaff7dc4ad4247c3a79c5bf561f4d4f2df87",
+    ("a", "b", "c"): "ca777d8e5ee53ed1c88943a1d0f0548038306ca6b8649d979601679bf9717fd7",
+}
+
+
+def test_battery_trees_pinned():
+    """The battery keeps its trees, and each battery view is its tree's view."""
+    for alphabet, digest in BATTERY_SHA256.items():
+        battery = deterministic_battery(alphabet)
+        assert len(battery) == len(alphabet) * (1 + 7 * (len(alphabet) - 1))
+        text = "".join(serialize_regular_tree(t) for t in battery)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, alphabet
+        views = [view for _, view in _battery_views(alphabet)]
+        assert views == [_tree_view(t) for t in battery]
+
+
+def test_bounded_equiv_returns_battery_counterexample():
+    """Automata that disagree first on a perturbation tree of the battery:
+    `bounded_equiv` returns that battery tree, node names included."""
+    left, right = _label_at("01"), _label_at("10")
+    battery = deterministic_battery(("a", "b"))
+    k = next(i for i, t in enumerate(battery) if det_accepts(left, t) != det_accepts(right, t))
+    assert k >= len("ab"), "a perturbation tree, past the constant ones"
+    ce = bounded_equiv(left, right, SamplerParams(seed=1, max_nodes=8,
+                                                  alphabet=("a", "b"), count=5))
+    assert ce == battery[k]
+    assert sorted(ce.nodes) == ["p", "p0", "p00", "p01", "p1", "p10", "p11", "rest"]
+
+
+# `weakindex compare` on the pair above, recorded when the battery was
+# built as `RegularTree`s directly
+COMPARE_STDOUT = """counterexample:
+arity 2
+root p
+node p a p0 p1
+node p0 a p00 p01
+node p00 a rest rest
+node p01 b rest rest
+node p1 a p10 p11
+node p10 a rest rest
+node p11 a rest rest
+node rest a rest rest
+"""
+
+
+def test_compare_prints_battery_counterexample(tmp_path, capsys):
+    paths = []
+    for path in ("01", "10"):
+        f = tmp_path / f"label_at_{path}.txt"
+        f.write_text(serialize_automaton(_label_at(path)))
+        paths.append(str(f))
+    assert main(["compare", *paths]) == 1
+    assert capsys.readouterr().out == COMPARE_STDOUT

@@ -8,7 +8,9 @@ immutable after construction and safe to share.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ValidationError
@@ -35,16 +37,9 @@ class State(NamedTuple):
     rank: int
 
 
-def _dir_key(d: Direction) -> int:
-    return 2 if d is None else d
-
-
 def transition_sort_key(t: Transition):
-    return (t.source, t.letter, _dir_key(t.direction), t.target)
-
-
-def _has_epsilon(transitions) -> bool:
-    return any(t.direction is None for t in transitions)
+    """Table order: epsilon moves (direction None) after directions 0 and 1."""
+    return (t.source, t.letter, 2 if t.direction is None else t.direction, t.target)
 
 
 @dataclass(frozen=True)
@@ -114,13 +109,10 @@ class TreeAutomaton:
         # then cheap to sort; plain tuple order is transition_sort_key's
         # order unless a move is epsilon
         ts = dict.fromkeys(self.transitions)
-        ts = sorted(ts, key=transition_sort_key) if _has_epsilon(ts) else sorted(ts)
+        epsilon = any(t.direction is None for t in ts)
+        ts = sorted(ts, key=transition_sort_key) if epsilon else sorted(ts)
         object.__setattr__(self, "transitions", tuple(ts))
         self._validate()
-        moves: dict[tuple[str, str], list[tuple[Direction, str]]] = {}
-        for t in self.transitions:
-            moves.setdefault((t.source, t.letter), []).append((t.direction, t.target))
-        object.__setattr__(self, "_moves", moves)
         # memo space for derived analyses; sound because values are immutable
         object.__setattr__(self, "_memo", {})
 
@@ -167,8 +159,19 @@ class TreeAutomaton:
     def mode(self, sid: str) -> str:
         return self.states[sid].mode
 
+    def _outgoing(self, sid: str, letter: str) -> tuple[Transition, ...]:
+        """The transitions of `sid` on `letter`: a slice of the sorted `transitions`."""
+        ts = self.transitions
+        try:
+            lo = hi = bisect_left(ts, (sid, letter))  # compares source and letter only
+        except TypeError:  # a key that is not a pair of strings
+            return ()
+        while hi < len(ts) and ts[hi].source == sid and ts[hi].letter == letter:
+            hi += 1
+        return ts[lo:hi]
+
     def moves(self, sid: str, letter: str) -> list[tuple[Direction, str]]:
-        return self._moves.get((sid, letter), [])
+        return [(t.direction, t.target) for t in self._outgoing(sid, letter)]
 
     def ranks(self) -> set[int]:
         return {st.rank for st in self.states.values()}
@@ -180,7 +183,7 @@ class TreeAutomaton:
     def with_states(self, states: dict[str, State], name: str = "") -> "TreeAutomaton":
         """Same automaton with a new state table over the same ids (used by
         relabelings).  Only the new state table is checked; the checked
-        transition tables are shared with `self` and the memo starts empty."""
+        `transitions` are shared with `self` and the memo starts empty."""
         new = object.__new__(type(self))
         new.__dict__.update(vars(self), states=states, name=name or self.name, _memo={})
         new._check_states()
@@ -194,39 +197,34 @@ class DetAutomaton(TreeAutomaton):
     """Deterministic automaton: all states universal, total binary table.
 
     May carry the designated all-rejecting sink `_bot` (odd rank, total
-    self-loops).  Transitions are often read through `step`.  The table is
-    total, free of duplicates and sorted, so `transitions` is one block of
-    2|Sigma| moves per state, in sorted state order, each block in (letter,
-    direction) order; `_table` numbers them and `trim` reuses them.
+    self-loops).  The constructor checks that `transitions` is one block
+    of 2|Sigma| moves per state, in sorted state order, each in (letter,
+    direction) order: a total table free of epsilon moves and duplicates.
+    `_table` numbers the blocks, `trim` reuses them, `step` bisects them.
     """
 
     def __post_init__(self):
         super().__post_init__()
         if self.acceptance != "parity":
             raise ValidationError("deterministic automata use strong parity acceptance")
-        delta = {(p, x, d): q for p, x, d, q in self.transitions}
-        if len(delta) < len(self.transitions) or _has_epsilon(self.transitions):
-            delta = {}
+        layout = product(sorted(self.states), self.alphabet, (0, 1))
+        if [t[:3] for t in self.transitions] != list(layout):
+            # name the first fault: an epsilon move or a duplicate key in
+            # table order, else the first missing key in declaration order,
+            # unless `_check_universal` finds an existential state before it
+            keys = set()
             for t in self.transitions:
                 if t.direction is None:
                     raise ValidationError(f"epsilon transition {t} in deterministic automaton")
-                key = (t.source, t.letter, t.direction)
-                if key in delta:
-                    raise ValidationError(f"duplicate transition for {key}")
-                delta[key] = t.target
-        # the keys are distinct and valid, so the count proves totality
-        if len(delta) == 2 * len(self.states) * len(self.alphabet):
-            self._check_universal()
-        else:
-            for sid, st in self.states.items():
-                if st.mode != UNIVERSAL:
-                    raise ValidationError(f"state {sid}: deterministic automata are all-universal")
-                for a in self.alphabet:
-                    for d in (0, 1):
-                        if (sid, a, d) not in delta:
-                            raise ValidationError(
-                                f"missing transition ({sid},{a},{d}): table not total")
-        object.__setattr__(self, "_delta", delta)
+                if t[:3] in keys:
+                    raise ValidationError(f"duplicate transition for {t[:3]}")
+                keys.add(t[:3])
+            for sid, x, d in product(self.states, self.alphabet, (0, 1)):
+                if self.states[sid].mode != UNIVERSAL:
+                    break
+                if (sid, x, d) not in keys:
+                    raise ValidationError(f"missing transition ({sid},{x},{d}): table not total")
+        self._check_universal()
 
     def _check_universal(self):
         for sid, st in self.states.items():
@@ -239,10 +237,13 @@ class DetAutomaton(TreeAutomaton):
         return new
 
     def step(self, sid: str, letter: str, direction: int) -> str:
-        return self._delta[(sid, letter, direction)]
+        out = self._outgoing(sid, letter)
+        if out and direction in (0, 1):
+            return out[direction].target
+        raise KeyError((sid, letter, direction))
 
     def pair(self, sid: str, letter: str) -> tuple[str, str]:
-        return (self._delta[(sid, letter, 0)], self._delta[(sid, letter, 1)])
+        return (self.step(sid, letter, 0), self.step(sid, letter, 1))
 
     def as_alternating(self) -> TreeAutomaton:
         return TreeAutomaton(

@@ -338,18 +338,17 @@ def _solve_weak_layers(arena, stop=None):
     counts its successors not yet removed (a move listed twice counts
     twice), so the opponent is attracted when that count drops to zero.
 
-    Returns (winner, layer, order) over the arena's positions: winner 0 is
-    Eve; layer[v] is the rank whose attractor removed v, so layers are
-    peeled in descending order and the subgame current at layer d is the
-    positions with layer <= d; order[v] is v's place in that attractor's
-    queue, whose head is the layer's rank-d positions in index order.
+    Returns (layer, order) over the arena's positions.  layer[v] is the
+    rank whose attractor removed v, and its parity is v's winner (0 is
+    Eve); layers are peeled in descending order, so the subgame current at
+    layer d is the positions with layer <= d.  order[v] is v's place in
+    that attractor's queue, whose head is its rank-d positions in index order.
 
     With a position `stop`, the layering returns as soon as `stop` gets
     its layer: only stop's entries are final then, and they are the ones
     the full layering gives.
     """
     owner, rank, succ, pred = arena
-    size = len(owner)
     if stop is None:
         stop = stop_rank = -1  # no position or rank is negative
     else:
@@ -358,16 +357,15 @@ def _solve_weak_layers(arena, stop=None):
     for v, r in enumerate(rank):
         buckets.setdefault(r, []).append(v)
     live = [len(s) for s in succ]
-    winner = [0] * size
-    layer = [-1] * size
-    order = [0] * size
+    layer = [-1] * len(owner)
+    order = [0] * len(owner)
     for d in sorted(buckets, reverse=True):
         queue = [v for v in buckets[d] if layer[v] < 0]
         sigma = d % 2
         for i, v in enumerate(queue):
-            layer[v], order[v], winner[v] = d, i, sigma
+            layer[v], order[v] = d, i
         if d == stop_rank:
-            return winner, layer, order
+            return layer, order
         for v in queue:  # the queue grows while it is read
             for u in pred[v]:
                 if layer[u] >= 0:
@@ -376,11 +374,11 @@ def _solve_weak_layers(arena, stop=None):
                     live[u] -= 1
                     if live[u]:
                         continue
-                layer[u], order[u], winner[u] = d, len(queue), sigma
+                layer[u], order[u] = d, len(queue)
                 if u == stop:
-                    return winner, layer, order
+                    return layer, order
                 queue.append(u)
-    return winner, layer, order
+    return layer, order
 
 
 def solve_parity(g: Game) -> Solution:
@@ -412,7 +410,7 @@ def solve_weak(g: Game) -> Solution:
     if g.condition != "weak":
         raise ValidationError("solve_weak expects condition weak")
     owner, rank, succ, ids = _game_arrays(g)
-    winner, layer, order = _solve_weak_layers(_arena(owner, rank, succ))
+    layer, order = _solve_weak_layers(_arena(owner, rank, succ))
     members: dict[int, list[int]] = {}
     for v in sorted(range(len(ids)), key=order.__getitem__):
         members.setdefault(layer[v], []).append(v)
@@ -430,7 +428,7 @@ def solve_weak(g: Game) -> Solution:
             inside = [w for w in succ[v] if layer[w] <= d]
             t = min((w for w in inside if layer[w] == d), default=min(inside))
             (strategy if owner[v] == sigma else safe_moves)[ids[v]] = ids[t]
-    return Solution(winner={pid: EVE if winner[i] == 0 else ADAM for i, pid in enumerate(ids)},
+    return Solution(winner={pid: EVE if layer[i] % 2 == 0 else ADAM for i, pid in enumerate(ids)},
                     strategy=strategy, safe_moves=safe_moves)
 
 
@@ -451,7 +449,7 @@ def eve_wins_arrays(owner: list[int], rank: list[int], succ: list[list[int]],
         return not any(_rank_cycles(reachable_from([position], graph), graph, rank, 1))
     arena = _arena(owner, rank, succ)
     if weak:
-        return _solve_weak_layers(arena, position)[0][position] == 0
+        return _solve_weak_layers(arena, position)[0][position] % 2 == 0
     return _strong_winners(arena)[position] == 0
 
 

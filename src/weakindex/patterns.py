@@ -75,7 +75,7 @@ def _verify_path(a: DetAutomaton, path: tuple[Transition, ...]):
         if t.target != nxt.source:
             raise ValidationError("path transitions do not chain")
     for t in path:
-        if a._delta.get(t[:3]) != t.target:
+        if t not in a._outgoing(t.source, t.letter):
             raise ValidationError(f"path uses unknown transition {t}")
 
 

@@ -174,7 +174,7 @@ def _accepts(a: TreeAutomaton, view) -> bool:
         return not any(_rank_cycles(range(len(succ)), succ, rank, 1))
     arena = _totalize(owner, rank, succ, pred)
     if weak:
-        return _solve_weak_layers(arena, 0)[0][0] == 0
+        return _solve_weak_layers(arena, 0)[0][0] % 2 == 0
     return _strong_winners(arena)[0] == 0
 
 

@@ -247,7 +247,7 @@ def test_non_total_table_names_first_missing_key():
     assert checked > 200
 
 
-# -- with_states: relabelings share the parent's tables ----------------------------
+# -- with_states: relabelings share the parent's transitions -----------------------
 
 
 def _relabelings():
@@ -264,7 +264,7 @@ def _relabelings():
 
 def test_with_states_shares_tables_and_equals_a_fresh_automaton():
     for parent, b in _relabelings():
-        assert b._moves is parent._moves and b._delta is parent._delta
+        assert b.transitions is parent.transitions
         assert b._memo == {} and b._memo is not parent._memo
         fresh = DetAutomaton(alphabet=b.alphabet, states=b.states, initial=b.initial,
                              transitions=b.transitions, acceptance=b.acceptance, name=b.name)
@@ -283,7 +283,7 @@ def test_with_states_of_an_alternating_automaton_shares_moves():
     for _ in range(40):
         a = random_weak(rng)
         b = a.with_states({q: State(st.mode, st.rank + 2) for q, st in a.states.items()})
-        assert type(b) is TreeAutomaton and b._moves is a._moves
+        assert type(b) is TreeAutomaton and b.transitions is a.transitions
         assert b == TreeAutomaton(alphabet=a.alphabet, states=b.states, initial=a.initial,
                                   transitions=a.transitions, acceptance=a.acceptance)
 
@@ -345,13 +345,22 @@ def test_table_is_the_sorted_numbering_of_states_and_transitions():
         assert table.rank == [a.rank(q) for q in ids]
         assert table.owner == [int(a.mode(q) == "A") for q in ids]
         assert table.target == [ids.index(t.target) for t in a.transitions]
+        # the sorted `transitions` are the only copy of the moves
+        assert set(vars(a)) == {"alphabet", "states", "initial", "transitions",
+                                "acceptance", "name", "_memo"}
+        for q in ids:
+            for letter in a.alphabet:
+                assert a.moves(q, letter) == [(t.direction, t.target) for t in a.transitions
+                                              if (t.source, t.letter) == (q, letter)]
         if isinstance(a, DetAutomaton):
-            # the 2|Sigma|-block layout that trim and pattern search read
+            # the 2|Sigma|-block layout that trim, pattern search and step read
+            delta = {(t.source, t.letter, t.direction): t.target for t in a.transitions}
             k = len(a.alphabet)
             for i, q in enumerate(ids):
                 for x, letter in enumerate(a.alphabet):
                     for d in (0, 1):
                         assert table.target[2 * k * i + 2 * x + d] == \
-                            table.index[a.step(q, letter, d)]
+                            table.index[delta[(q, letter, d)]]
+                        assert a.step(q, letter, d) == delta[(q, letter, d)]
         count += 1
     assert count == 12 + 360 + 61

@@ -6,8 +6,9 @@ import pytest
 from weakindex import catalog
 from weakindex.automata import BOT, DetAutomaton, IndexPair, State, Transition, make_automaton
 from weakindex.classifier import classify
-from weakindex.errors import EmptyLanguage, GameTooLarge
+from weakindex.errors import EmptyLanguage, GameTooLarge, ValidationError
 from weakindex.patterns import (
+    ReplicationWitness,
     brute_force_patterns,
     edge_tops,
     find_flower,
@@ -253,6 +254,37 @@ def test_witnesses_revalidate():
         s = find_split(a)
         if s is not None:
             s.verify(a)
+
+
+def test_forged_paths_fail_verify_and_bad_keys_fail_step():
+    rng = SplitMix64(717)
+    automata = [trimmed(name) for name in sorted(catalog.CATALOG)]
+    automata += [random_trimmed(rng) for _ in range(30)]
+    checked = 0
+    for a in automata:
+        for q in sorted(replicated_set(a))[:2]:
+            w = replication_witness_for(a, q)
+            w.verify(a)
+            for t in a.transitions[::3]:
+                wrong = sorted(a.states.keys() - {t.target})[:1]
+                forged = [t._replace(direction=2), t._replace(direction=None),
+                          t._replace(letter="~"), t._replace(letter=" "),
+                          t._replace(source="~"), t._replace(source=" ")]
+                forged += [t._replace(target=r) for r in wrong]
+                for f in forged:
+                    with pytest.raises(ValidationError, match="path uses unknown transition"):
+                        ReplicationWitness(w.loop, (f,), q).verify(a)
+                    if f.target == t.target:
+                        with pytest.raises(KeyError):
+                            a.step(f.source, f.letter, f.direction)
+                        if f.direction in (0, 1):
+                            with pytest.raises(KeyError):
+                                a.pair(f.source, f.letter)
+                    checked += 1
+    for key in ((None, "a", 0), ("p", None, 1)):
+        with pytest.raises(KeyError):
+            automata[0].step(*key)
+    assert checked > 500
 
 
 def test_flower_prefix_monotone():

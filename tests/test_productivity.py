@@ -1,9 +1,11 @@
 import hashlib
+import tracemalloc
 
 import pytest
 
 from weakindex import catalog
 from weakindex.automata import BOT, DetAutomaton, State, Transition, _table, make_automaton
+from weakindex.classifier import classify
 from weakindex.errors import EmptyLanguage, ValidationError
 from weakindex.formats import serialize_automaton
 from weakindex.games import solve_parity
@@ -204,7 +206,6 @@ def test_trim_equals_the_validating_constructor():
         assert t == ref
         assert t.transitions == ref.transitions and t.states == ref.states
         assert list(t.states) == sorted(t.states)
-        assert t._moves == ref._moves and t._delta == ref._delta
         assert t._memo == {} and is_trimmed(t)
         digest.update(serialize_automaton(t).encode())
     assert digest.hexdigest() == TRIMS_SHA256
@@ -225,6 +226,26 @@ def test_productivity_keeps_no_table_on_its_input():
         table = _table(a)
         assert _table(a, keep=False) is table
         assert (nonempty_states(a), productive_states(a), is_empty(a)) == before
+
+
+def test_classify_keeps_little_memory():
+    # the seed-1 criterion-9 input of the benchmark's cli_large workload
+    # (stream 1*64 + 1): 1000 states, 978 after trim.  An automaton holds
+    # its moves once, in `transitions`; a string-keyed copy of them per
+    # automaton made one classify keep about 1.3 MB here
+    rng = SplitMix64(65)
+    while True:
+        a = _det(rng, 1000, C9_RANKS)
+        if not is_empty(a):
+            break
+    tracemalloc.start()
+    try:
+        report = classify(a)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(report.trimmed.states) == 978
+    assert kept < 1_000_000
 
 
 def test_trim_refuses_a_productive_bot():

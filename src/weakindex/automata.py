@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import product
+from operator import eq, itemgetter, lt
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ValidationError
@@ -40,6 +41,20 @@ class State(NamedTuple):
 def transition_sort_key(t: Transition):
     """Table order: epsilon moves (direction None) after directions 0 and 1."""
     return (t.source, t.letter, 2 if t.direction is None else t.direction, t.target)
+
+
+def _in_order(ts: tuple) -> bool:
+    """Whether the transitions `ts` strictly increase in `transition_sort_key`'s
+    order, so are sorted and free of duplicates: one C-level pass over them,
+    or over their keys (built for epsilon moves only) if they do not compare."""
+    try:
+        return all(map(lt, ts, ts[1:]))
+    except TypeError:
+        keys = [t if t[2] is not None else (t[0], t[1], 2, t[3]) for t in ts]
+    try:
+        return all(map(lt, keys, keys[1:]))
+    except TypeError:  # a field of a bad type, which sorting reports
+        return False
 
 
 @dataclass(frozen=True)
@@ -105,18 +120,26 @@ class TreeAutomaton:
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", tuple(sorted(set(self.alphabet))))
-        # dedup keeping the given order, which is often sorted already and
-        # then cheap to sort; plain tuple order is transition_sort_key's
-        # order unless a move is epsilon
-        ts = dict.fromkeys(self.transitions)
-        epsilon = any(t.direction is None for t in ts)
-        ts = sorted(ts, key=transition_sort_key) if epsilon else sorted(ts)
-        object.__setattr__(self, "transitions", tuple(ts))
-        self._validate()
+        # a table of Transitions in its final order, as producers emit it, is
+        # kept after one pass (the block layout of a DetAutomaton, else
+        # _in_order); any other is deduplicated and sorted, in
+        # transition_sort_key's order, plain tuple order unless a move is epsilon
+        ts = tuple(self.transitions)
+        typed = {Transition}.issuperset(map(type, ts))
+        blocks = typed and self._in_blocks(ts)
+        if not (blocks or typed and _in_order(ts)):
+            ts = dict.fromkeys(ts)
+            epsilon = any(t.direction is None for t in ts)
+            ts = tuple(sorted(ts, key=transition_sort_key) if epsilon else sorted(ts))
+        object.__setattr__(self, "transitions", ts)
+        self._validate(blocks)
         # memo space for derived analyses; sound because values are immutable
         object.__setattr__(self, "_memo", {})
 
-    def _validate(self):
+    def _in_blocks(self, ts: tuple) -> bool:
+        return False  # the block layout is a `DetAutomaton`'s
+
+    def _validate(self, blocks: bool):
         if not self.alphabet:
             raise ValidationError("empty alphabet")
         if not self.states:
@@ -125,12 +148,19 @@ class TreeAutomaton:
             raise ValidationError(f"initial state {self.initial!r} not declared")
         if self.acceptance not in ("parity", "weak"):
             raise ValidationError(f"unknown acceptance {self.acceptance!r}")
+        if "#" in self.name or any(map(str.isspace, self.name)):
+            raise ValidationError(f"bad automaton name {self.name!r}: "
+                                  "whitespace or '#' would not survive the text format")
         self._check_states()
-        sources, letters, directions, targets = (
-            map(set, zip(*self.transitions)) if self.transitions else (set(),) * 4)
-        if (self.states.keys() >= sources and self.states.keys() >= targets
-                and set(self.alphabet) >= letters and {0, 1, None} >= directions):
-            return
+        if blocks:  # the layout holds every source, letter and direction
+            if self.states.keys() >= set(map(itemgetter(3), self.transitions)):
+                return
+        else:
+            sources, letters, directions, targets = (
+                map(set, zip(*self.transitions)) if self.transitions else (set(),) * 4)
+            if (self.states.keys() >= sources and self.states.keys() >= targets
+                    and set(self.alphabet) >= letters and {0, 1, None} >= directions):
+                return
         # some transition is bad: report the first one in table order
         for t in self.transitions:
             if t.source not in self.states:
@@ -143,7 +173,15 @@ class TreeAutomaton:
                 raise ValidationError(f"bad direction {t.direction!r}")
 
     def _check_states(self):
-        for sid, st in self.states.items():
+        states = self.states
+        try:  # a pass per field; the loop below names the first fault
+            if ("".join(states).replace("_", "a").isalnum() and "" not in states
+                    and {EXISTENTIAL, UNIVERSAL}.issuperset(map(itemgetter(0), states.values()))
+                    and min(map(itemgetter(1), states.values())) >= 0):
+                return
+        except TypeError:
+            pass
+        for sid, st in states.items():
             if not sid.replace("_", "a").isalnum():
                 raise ValidationError(f"bad state id {sid!r}")
             if st.mode not in (EXISTENTIAL, UNIVERSAL):
@@ -200,15 +238,24 @@ class DetAutomaton(TreeAutomaton):
     self-loops).  The constructor checks that `transitions` is one block
     of 2|Sigma| moves per state, in sorted state order, each in (letter,
     direction) order: a total table free of epsilon moves and duplicates.
+    A table given in that layout is kept as it is, since the layout also
+    proves it sorted and its sources, letters and directions declared.
     `_table` numbers the blocks, `trim` reuses them, `step` bisects them.
     """
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _in_blocks(self, ts: tuple) -> bool:
+        try:
+            layout = product(sorted(self.states), self.alphabet, (0, 1))
+            return (len(ts) == 2 * len(self.states) * len(self.alphabet)
+                    and all(map(eq, map(itemgetter(0, 1, 2), ts), layout)))
+        except TypeError:  # ids that do not sort
+            return False
+
+    def _validate(self, blocks: bool):
+        super()._validate(blocks)
         if self.acceptance != "parity":
             raise ValidationError("deterministic automata use strong parity acceptance")
-        layout = product(sorted(self.states), self.alphabet, (0, 1))
-        if [t[:3] for t in self.transitions] != list(layout):
+        if not (blocks or self._in_blocks(self.transitions)):
             # name the first fault: an epsilon move or a duplicate key in
             # table order, else the first missing key in declaration order,
             # unless `_check_universal` finds an existential state before it
@@ -291,6 +338,19 @@ def _table(a: TreeAutomaton, keep: bool = True) -> _Table:
                       [0 if st.mode == EXISTENTIAL else 1 for st in states],
                       [index[t.target] for t in a.transitions])
     return _memo(a, "table", build) if keep else a._memo.get("table") or build()
+
+
+def _sink_moves(q: str, alphabet: tuple[str, ...]) -> list[Transition]:
+    """The moves of a sink `q`, to itself on every letter and direction, in
+    table order for a sorted alphabet."""
+    return [Transition(q, letter, d, q) for letter in alphabet for d in (0, 1)]
+
+
+def _one_state(alphabet: tuple[str, ...], q: str, rank: int, name: str) -> TreeAutomaton:
+    """The weak automaton of the one universal sink `q` of `rank`."""
+    return TreeAutomaton(alphabet=alphabet, states={q: State(UNIVERSAL, rank)}, initial=q,
+                         transitions=tuple(_sink_moves(q, alphabet)), acceptance="weak",
+                         name=name)
 
 
 def index_of(a: TreeAutomaton) -> IndexPair:

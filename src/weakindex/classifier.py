@@ -16,26 +16,19 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
-from .automata import (
-    DetAutomaton,
-    IndexPair,
-    State,
-    Transition,
-    TreeAutomaton,
-    UNIVERSAL,
-)
+from .automata import DetAutomaton, IndexPair, State, TreeAutomaton, UNIVERSAL, _one_state
 from .errors import EmptyLanguage, ValidationError
 from .patterns import (
     _chain_dp,
+    _flower,
     _greedy_chain,
+    _replicated_flower,
+    _split,
     _tops,
     _view,
-    find_flower,
-    find_replicated_flower,
-    find_split,
-    find_weak_flower,
+    _weak_flower,
 )
 from .productivity import is_trimmed, is_universal, trim
 
@@ -73,66 +66,52 @@ class BorelClass:
         return str(self.minimal)
 
 
+_LEVELS = (  # level, the bits placing a language there, its weak indices (Fig. 4)
+    (BorelLevel.SIGMA0, ("sigma0",), ((1, 1),)),
+    (BorelLevel.PI0, ("pi0",), ((0, 0),)),
+    (BorelLevel.DELTA1, ("sigma1", "pi1"), ((0, 1), (1, 2))),
+    (BorelLevel.SIGMA1, ("sigma1",), ((1, 2),)),
+    (BorelLevel.PI1, ("pi1",), ((0, 1),)),
+    (BorelLevel.DELTA2, ("sigma2", "pi2"), ((0, 2), (1, 3))),
+    (BorelLevel.SIGMA2, ("sigma2",), ((1, 3),)),
+    (BorelLevel.PI2, ("pi2",), ((0, 2),)),
+    (BorelLevel.DELTA3, ("sigma3",), ((0, 3), (1, 4))),
+    (BorelLevel.PI3, ("pi3",), ((0, 3),)),
+)
+
+
 def _minimal_level(bits: dict[str, bool]) -> BorelLevel:
-    if bits["sigma0"]:
-        return BorelLevel.SIGMA0
-    if bits["pi0"]:
-        return BorelLevel.PI0
-    if bits["sigma1"] and bits["pi1"]:
-        return BorelLevel.DELTA1
-    if bits["sigma1"]:
-        return BorelLevel.SIGMA1
-    if bits["pi1"]:
-        return BorelLevel.PI1
-    if bits["sigma2"] and bits["pi2"]:
-        return BorelLevel.DELTA2
-    if bits["sigma2"]:
-        return BorelLevel.SIGMA2
-    if bits["pi2"]:
-        return BorelLevel.PI2
-    if bits["sigma3"]:
-        return BorelLevel.DELTA3
-    if bits["pi3"]:
-        return BorelLevel.PI3
-    return BorelLevel.NON_BOREL
+    """The first level of the ladder whose bits all hold."""
+    return next((level for level, need, _ in _LEVELS if all(bits[b] for b in need)),
+                BorelLevel.NON_BOREL)
+
+
+def _ladder(a: DetAutomaton) -> tuple[dict[str, bool], dict[str, Callable[[], object]]]:
+    """The decision ladder over the six pattern characterisations: the
+    bits, decided on loop-top masks and chain lengths, and for each pattern
+    bit that fails the call that builds its witness."""
+    if not is_trimmed(a):
+        raise ValidationError("borel_rank expects a trimmed automaton")
+    blocked = {
+        "pi1": _weak_flower(a, IndexPair(1, 2)),
+        "sigma1": _weak_flower(a, IndexPair(0, 1)),
+        "pi2": _flower(a, IndexPair(0, 1), range(len(a.states))),
+        "sigma2": (_flower(a, IndexPair(1, 2), range(len(a.states)))
+                   or _replicated_flower(a, IndexPair(1, 2), weak=True)),
+        "sigma3": _replicated_flower(a, IndexPair(0, 1), weak=False),
+        "pi3": _split(a),
+    }
+    # trimmed automata are nonempty by construction
+    bits = {"sigma0": False, "pi0": is_universal(a)}
+    bits.update((bit, build is None) for bit, build in blocked.items())
+    return bits, {bit: build for bit, build in blocked.items() if build is not None}
 
 
 def borel_rank(a: DetAutomaton) -> BorelClass:
-    """Decision ladder over the six pattern characterisations."""
-    if not is_trimmed(a):
-        raise ValidationError("borel_rank expects a trimmed automaton")
-    bits: dict[str, bool] = {}
-    witnesses: dict[str, object] = {}
-    bits["sigma0"] = False  # trimmed automata are nonempty by construction
-    bits["pi0"] = is_universal(a)
-
-    w = find_weak_flower(a, IndexPair(1, 2))
-    bits["pi1"] = w is None
-    if w is not None:
-        witnesses["pi1"] = w
-    w = find_weak_flower(a, IndexPair(0, 1))
-    bits["sigma1"] = w is None
-    if w is not None:
-        witnesses["sigma1"] = w
-    w = find_flower(a, IndexPair(0, 1))
-    bits["pi2"] = w is None
-    if w is not None:
-        witnesses["pi2"] = w
-    w = find_flower(a, IndexPair(1, 2))
-    if w is None:
-        w = find_replicated_flower(a, IndexPair(1, 2), weak=True)
-    bits["sigma2"] = w is None
-    if w is not None:
-        witnesses["sigma2"] = w
-    w = find_replicated_flower(a, IndexPair(0, 1), weak=False)
-    bits["sigma3"] = w is None
-    if w is not None:
-        witnesses["sigma3"] = w
-    w = find_split(a)
-    bits["pi3"] = w is None
-    if w is not None:
-        witnesses["pi3"] = w
-    return BorelClass(minimal=_minimal_level(bits), bits=bits, witnesses=witnesses)
+    """The decision ladder, and the witness backing each negative bit."""
+    bits, blocked = _ladder(a)
+    return BorelClass(minimal=_minimal_level(bits), bits=bits,
+                      witnesses={bit: build() for bit, build in blocked.items()})
 
 
 # -- deterministic index --------------------------------------------------------
@@ -267,30 +246,15 @@ def weak_det_index(a: DetAutomaton) -> Optional[tuple[IndexPair, TreeAutomaton]]
 # -- weak alternating index --------------------------------------------------------
 
 
-_FIG4 = {
-    BorelLevel.SIGMA0: ((1, 1),),
-    BorelLevel.PI0: ((0, 0),),
-    BorelLevel.DELTA1: ((0, 1), (1, 2)),
-    BorelLevel.SIGMA1: ((1, 2),),
-    BorelLevel.PI1: ((0, 1),),
-    BorelLevel.DELTA2: ((0, 2), (1, 3)),
-    BorelLevel.SIGMA2: ((1, 3),),
-    BorelLevel.PI2: ((0, 2),),
-    BorelLevel.DELTA3: ((0, 3), (1, 4)),
-    BorelLevel.PI3: ((0, 3),),
-}
-
-
 def weak_alt_level(level: BorelLevel) -> Optional[frozenset[IndexPair]]:
-    if level is BorelLevel.NON_BOREL:
-        return None
-    return frozenset(IndexPair(i, k) for i, k in _FIG4[level])
+    return next((frozenset(IndexPair(i, k) for i, k in indices)
+                 for lv, _, indices in _LEVELS if lv is level), None)
 
 
 def weak_alt_index(a: DetAutomaton) -> Optional[frozenset[IndexPair]]:
     """Weak alternating index via the hierarchy coincidence; None means the
     language is non-Borel and not weakly recognizable."""
-    return weak_alt_level(borel_rank(a).minimal)
+    return weak_alt_level(_minimal_level(_ladder(a)[0]))
 
 
 # -- aggregation ---------------------------------------------------------------------
@@ -322,19 +286,14 @@ class ClassificationReport:
             pretty = " ".join(str(i) for i in sorted(self.weak_alt, key=lambda x: (x.iota, x.kappa)))
             lines.append(f"weak_alt_index: {pretty}")
         if witnesses:
-            for bit in BIT_NAMES:
-                if bit in self.borel.witnesses:
-                    w = self.borel.witnesses[bit]
-                    lines.append(f"blocked {bit}: {w.render()}")
+            lines += [f"blocked {bit}: {self.borel.witnesses[bit].render()}"
+                      for bit in BIT_NAMES if bit in self.borel.witnesses]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         def pair(i: IndexPair):
             return [i.iota, i.kappa]
 
-        witnesses = {}
-        for bit, w in self.borel.witnesses.items():
-            witnesses[bit] = w.to_dict()
         return {
             "name": self.name,
             "states": self.state_count,
@@ -346,7 +305,7 @@ class ClassificationReport:
                 sorted(pair(i) for i in self.weak_alt) if self.weak_alt is not None
                 else "non-weakly-recognizable"
             ),
-            "witnesses": witnesses,
+            "witnesses": {bit: w.to_dict() for bit, w in self.borel.witnesses.items()},
             "trim_seconds": self.trim_seconds,
             "classify_seconds": self.classify_seconds,
         }
@@ -356,13 +315,9 @@ def _empty_language_report(a: DetAutomaton, trim_seconds: float) -> Classificati
     bits = {b: True for b in BIT_NAMES}
     bits["pi0"] = False
     borel = BorelClass(minimal=BorelLevel.SIGMA0, bits=bits)
-    states = {"r": State(UNIVERSAL, 1)}
-    trans = tuple(Transition("r", letter, d, "r") for letter in a.alphabet for d in (0, 1))
-    weak_reject = TreeAutomaton(alphabet=a.alphabet, states=states, initial="r",
-                                transitions=trans, acceptance="weak", name="reject_all")
     return ClassificationReport(
         name=a.name, state_count=len(a.states), borel=borel, det_index=IndexPair(1, 1),
-        weak_det=(IndexPair(1, 1), weak_reject),
+        weak_det=(IndexPair(1, 1), _one_state(a.alphabet, "r", 1, "reject_all")),
         weak_alt=frozenset({IndexPair(1, 1)}),
         trimmed=None, trim_seconds=trim_seconds, classify_seconds=0.0,
     )

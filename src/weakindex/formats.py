@@ -32,18 +32,12 @@ def _tokenized_lines(text: str):
             yield i, line.split()
 
 
-def _parse_direction(tok: str, line: int):
-    if tok == "0":
-        return 0
-    if tok == "1":
-        return 1
-    if tok == "e":
-        return None
-    raise FormatError(f"bad direction {tok!r} (expected 0, 1 or e)", line)
+_DIRECTIONS = {"0": 0, "1": 1, "e": None}
 
 
 def parse_automaton(text: str) -> TreeAutomaton:
-    """Parse the automaton format; returns a DetAutomaton when flagged."""
+    """Parse the automaton format; returns a DetAutomaton when flagged.
+    One loop over the lines, `trans` and `state` lines tested first."""
     alphabet: list[str] = []
     start: str | None = None
     states: dict[str, State] = {}
@@ -51,17 +45,23 @@ def parse_automaton(text: str) -> TreeAutomaton:
     acceptance: str | None = None
     deterministic = False
     name = ""
+    new = tuple.__new__
 
-    for ln, toks in _tokenized_lines(text):
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        if "#" in raw:
+            raw = raw[:raw.index("#")]
+        toks = raw.split()
+        if not toks:
+            continue
         kw = toks[0]
-        if kw == "alphabet":
-            if len(toks) < 2:
-                raise FormatError("alphabet needs at least one symbol", ln)
-            alphabet = toks[1:]
-        elif kw == "start":
-            if len(toks) != 2:
-                raise FormatError("start needs exactly one state id", ln)
-            start = toks[1]
+        if kw == "trans":
+            if len(toks) != 5:
+                raise FormatError("expected: trans <src> <letter> <0|1|e> <tgt>", ln)
+            try:
+                d = _DIRECTIONS[toks[3]]
+            except KeyError:
+                raise FormatError(f"bad direction {toks[3]!r} (expected 0, 1 or e)", ln) from None
+            transitions.append(new(Transition, (toks[1], toks[2], d, toks[4])))
         elif kw == "state":
             if len(toks) != 6 or toks[2] != "mode" or toks[4] != "rank":
                 raise FormatError("expected: state <id> mode <E|A> rank <n>", ln)
@@ -74,13 +74,15 @@ def parse_automaton(text: str) -> TreeAutomaton:
                 raise FormatError(f"rank missing or not a number: {rank_tok!r}", ln) from None
             if sid in states:
                 raise FormatError(f"state {sid!r} declared twice", ln)
-            states[sid] = State(mode, rank)
-        elif kw == "trans":
-            if len(toks) != 5:
-                raise FormatError("expected: trans <src> <letter> <0|1|e> <tgt>", ln)
-            transitions.append(
-                Transition(toks[1], toks[2], _parse_direction(toks[3], ln), toks[4])
-            )
+            states[sid] = new(State, (mode, rank))
+        elif kw == "alphabet":
+            if len(toks) < 2:
+                raise FormatError("alphabet needs at least one symbol", ln)
+            alphabet = toks[1:]
+        elif kw == "start":
+            if len(toks) != 2:
+                raise FormatError("start needs exactly one state id", ln)
+            start = toks[1]
         elif kw == "acceptance":
             if len(toks) != 2 or toks[1] not in ("parity", "weak"):
                 raise FormatError("expected: acceptance <parity|weak>", ln)
@@ -88,7 +90,9 @@ def parse_automaton(text: str) -> TreeAutomaton:
         elif kw == "deterministic":
             deterministic = True
         elif kw == "name":
-            name = toks[1] if len(toks) > 1 else ""
+            if len(toks) != 2:
+                raise FormatError("name takes exactly one token", ln)
+            name = toks[1]
         else:
             raise FormatError(f"unknown directive {kw!r}", ln)
 
@@ -122,12 +126,9 @@ def serialize_automaton(a: TreeAutomaton) -> str:
         lines.append(f"name {a.name}")
     lines.append("alphabet " + " ".join(a.alphabet))
     lines.append(f"start {a.initial}")
-    for sid in sorted(a.states):
-        st = a.states[sid]
-        lines.append(f"state {sid} mode {st.mode} rank {st.rank}")
-    for t in a.transitions:
-        d = "e" if t.direction is None else str(t.direction)
-        lines.append(f"trans {t.source} {t.letter} {d} {t.target}")
+    lines += [f"state {sid} mode {st.mode} rank {st.rank}"
+              for sid, st in sorted(a.states.items())]
+    lines += [f"trans {p} {x} {'e' if d is None else d} {q}" for p, x, d, q in a.transitions]
     lines.append(f"acceptance {a.acceptance}")
     if isinstance(a, DetAutomaton):
         lines.append("deterministic")

@@ -353,14 +353,15 @@ def _solve_weak_layers(arena, stop=None):
         stop = stop_rank = -1  # no position or rank is negative
     else:
         stop_rank = rank[stop]
-    buckets: dict[int, list[int]] = {}
+    # one bucket per rank, made before the positions are dealt out
+    buckets: dict[int, list[int]] = {r: [] for r in sorted(set(rank), reverse=True)}
     for v, r in enumerate(rank):
-        buckets.setdefault(r, []).append(v)
-    live = [len(s) for s in succ]
+        buckets[r].append(v)
+    live = list(map(len, succ))
     layer = [-1] * len(owner)
     order = [0] * len(owner)
-    for d in sorted(buckets, reverse=True):
-        queue = [v for v in buckets[d] if layer[v] < 0]
+    for d, bucket in buckets.items():  # descending ranks
+        queue = [v for v in bucket if layer[v] < 0]
         sigma = d % 2
         for i, v in enumerate(queue):
             layer[v], order[v] = d, i

@@ -21,13 +21,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .automata import BOT, DetAutomaton, IndexPair, Transition, _memo, _table
 from .errors import GameTooLarge, ValidationError
 from .graphs import _rank_cycles, condensation, has_cycle_inside, reachable_from, tarjan_scc
 
 INF = float("inf")
+_Build = Callable[[], object]  # builds a witness once a check has decided it exists
 
 
 # -- witnesses -------------------------------------------------------------
@@ -414,14 +415,14 @@ def _scc_loop(a: DetAutomaton, ci: int, parity: int) -> Optional[Loop]:
     return None if found is None else _pivot_loop(a, found[1], found[0])
 
 
-def _loop_with_parity(a: DetAutomaton, nodes: list[int], parity: int) -> Optional[Loop]:
+def _loop_with_parity(a: DetAutomaton, nodes: list[int], parity: int) -> Optional[_Build]:
     """Smallest-top loop of the given top parity inside the subgraph induced
-    by `nodes` (ascending); `_scc_loop` gives the same loop when `nodes` is
-    a whole SCC."""
+    by `nodes` (ascending), as the call that builds it; `_scc_loop` gives
+    the same loop when `nodes` is a whole SCC."""
     v = _view(a)
     for r, comp in _rank_cycles(nodes, v.succ, v.rank, parity):
         pivot = next(i for i in comp if v.rank[i] == r)
-        return _closed_walk(a, set(comp), pivot, pivot, r)
+        return lambda: _closed_walk(a, set(comp), pivot, pivot, r)
     return None
 
 
@@ -442,23 +443,24 @@ def _greedy_chain(v: _View, mask: int, start_parity: int) -> list[int]:
     return chain
 
 
-def _find_flower(a: DetAutomaton, i: IndexPair, pivots) -> Optional[FlowerWitness]:
+def _flower(a: DetAutomaton, i: IndexPair, pivots) -> Optional[_Build]:
     """`find_flower` with the pivot taken from `pivots`, ascending state
     indices."""
     v, loop = _view(a), _tops(a).loop
     n = i.ranks_used()
     for p in pivots:
-        chain = _greedy_chain(v, loop[p], i.iota % 2)
-        if len(chain) >= n:
-            loops = tuple(_pivot_loop(a, p, r) for r in chain[:n])
-            return FlowerWitness(kind="strong", index=i, pivot=v.ids[p], loops=loops)
+        chain = _greedy_chain(v, loop[p], i.iota % 2)[:n]
+        if len(chain) == n:
+            return lambda: FlowerWitness(kind="strong", index=i, pivot=v.ids[p],
+                                         loops=tuple(_pivot_loop(a, p, r) for r in chain))
     return None
 
 
 def find_flower(a: DetAutomaton, i: IndexPair) -> Optional[FlowerWitness]:
     """Strong (iota,kappa)-flower: loops through one pivot, tops strictly
     increasing with parities matching their positions."""
-    return _find_flower(a, i, range(len(_view(a).ids)))
+    build = _flower(a, i, range(len(_view(a).ids)))
+    return build and build()
 
 
 def _chain_dp(a: DetAutomaton):
@@ -509,8 +511,9 @@ def _find_host(ci, b, k, g, edges):
     return None
 
 
-def _connect_loops(a: DetAutomaton, loops):
-    """Shortest paths between consecutive loops; empty where they touch."""
+def _weak_flower_of(a: DetAutomaton, i: IndexPair, loops) -> FlowerWitness:
+    """The weak flower of `loops`, with shortest paths between consecutive
+    loops, empty where they touch."""
     index = _view(a).index
     paths = []
     for l1, l2 in zip(loops, loops[1:]):
@@ -519,7 +522,7 @@ def _connect_loops(a: DetAutomaton, loops):
         if path is None:
             raise ValidationError("chain loops are not connected")
         paths.append(tuple(a.transitions[j] for j in path))
-    return tuple(paths)
+    return FlowerWitness(kind="weak", index=i, loops=loops, paths=tuple(paths))
 
 
 def _materialize_chain(a, host, parity, length):
@@ -542,18 +545,22 @@ def _materialize_chain(a, host, parity, length):
     return tuple(loops)
 
 
-def find_weak_flower(a: DetAutomaton, i: IndexPair) -> Optional[FlowerWitness]:
-    """Weak (iota,kappa)-flower: loops each reachable from the previous,
-    accepting exactly at even positions."""
+def _weak_flower(a: DetAutomaton, i: IndexPair) -> Optional[_Build]:
+    """`find_weak_flower`, decided on the chain lengths."""
     n = i.ranks_used()
     start_parity = i.iota % 2
     g, _ = _chain_dp(a)
     for ci in range(len(g)):
         if g[ci][start_parity] >= n:
-            loops = _materialize_chain(a, ci, start_parity, n)
-            return FlowerWitness(kind="weak", index=i, loops=loops,
-                                 paths=_connect_loops(a, loops))
+            return lambda: _weak_flower_of(a, i, _materialize_chain(a, ci, start_parity, n))
     return None
+
+
+def find_weak_flower(a: DetAutomaton, i: IndexPair) -> Optional[FlowerWitness]:
+    """Weak (iota,kappa)-flower: loops each reachable from the previous,
+    accepting exactly at even positions."""
+    build = _weak_flower(a, i)
+    return build and build()
 
 
 # -- replication -------------------------------------------------------------
@@ -595,6 +602,42 @@ def replication_witness_for(a: DetAutomaton, q: str) -> Optional[ReplicationWitn
     return None
 
 
+def _replicate(a: DetAutomaton, flower: FlowerWitness) -> ReplicatedFlowerWitness:
+    """`flower` with the replication of its pivot, or of its first loop's least state."""
+    anchor = flower.pivot or min(flower.loops[0].states())
+    return ReplicatedFlowerWitness(flower=flower, replication=replication_witness_for(a, anchor))
+
+
+def _replicated_flower(a: DetAutomaton, i: IndexPair, weak: bool) -> Optional[_Build]:
+    """`find_replicated_flower`, decided on the masks, the chain lengths and
+    the replicated set, plus a search for a weak flower's first loop where
+    the replicated states are part of an SCC."""
+    rep = _replicated(a)
+    if not rep:
+        return None
+    if not weak:
+        build = _flower(a, i, sorted(rep))
+        return build and (lambda: _replicate(a, build()))
+    n, b = i.ranks_used(), i.iota % 2  # b: the first loop's top parity
+    v = _view(a)
+    g, desc = _chain_dp(a)
+    for ci, comp in enumerate(v.sccs):
+        if n > 1 and desc[ci][1 - b] < n - 1:
+            continue
+        first_nodes = [x for x in comp if x in rep]
+        if len(first_nodes) < len(comp):
+            first = _loop_with_parity(a, first_nodes, b)
+        else:
+            first = _tops(a).scc[ci][b] and (lambda: _scc_loop(a, ci, b))
+        if first:
+            def build():
+                host = _find_host(ci, 1 - b, n - 1, g, v.edges) if n > 1 else None
+                loops = (first(),) + _materialize_chain(a, host, 1 - b, n - 1)
+                return _replicate(a, _weak_flower_of(a, i, loops))
+            return build
+    return None
+
+
 def find_replicated_flower(a: DetAutomaton, i: IndexPair,
                            weak: bool) -> Optional[ReplicatedFlowerWitness]:
     """A flower replicated by an accepting loop.
@@ -604,39 +647,8 @@ def find_replicated_flower(a: DetAutomaton, i: IndexPair,
     replicated, which makes the whole flower restartable in incomparable
     subtrees.  Later loops are unrestricted and may sit at the sink.
     """
-    rep = _replicated(a)
-    if not rep:
-        return None
-    if weak:
-        n = i.ranks_used()
-        start_parity = i.iota % 2
-        v = _view(a)
-        g, desc = _chain_dp(a)
-        for ci, comp in enumerate(v.sccs):
-            if n > 1 and desc[ci][1 - start_parity] < n - 1:
-                continue
-            first_nodes = [x for x in comp if x in rep]
-            if len(first_nodes) == len(comp):
-                first = _scc_loop(a, ci, start_parity)
-            else:
-                first = _loop_with_parity(a, first_nodes, start_parity)
-            if first is None:
-                continue
-            loops = (first,)
-            if n > 1:
-                nxt = _find_host(ci, 1 - start_parity, n - 1, g, v.edges)
-                loops += _materialize_chain(a, nxt, 1 - start_parity, n - 1)
-            flower = FlowerWitness(kind="weak", index=i, loops=loops,
-                                   paths=_connect_loops(a, loops))
-            anchor = min(flower.loops[0].states())
-            return ReplicatedFlowerWitness(flower=flower,
-                                           replication=replication_witness_for(a, anchor))
-        return None
-    flower = _find_flower(a, i, sorted(rep))
-    if flower is None:
-        return None
-    return ReplicatedFlowerWitness(flower=flower,
-                                   replication=replication_witness_for(a, flower.pivot))
+    build = _replicated_flower(a, i, weak)
+    return build and build()
 
 
 def _above(hi: int, lo: int) -> bool:
@@ -644,21 +656,29 @@ def _above(hi: int, lo: int) -> bool:
     return bool(hi and lo) and hi.bit_length() > (lo & -lo).bit_length()
 
 
-def find_split(a: DetAutomaton) -> Optional[SplitWitness]:
-    """Two loops through one (state, letter) in opposite directions whose
-    tops have different parity, the higher odd."""
+def _split(a: DetAutomaton) -> Optional[_Build]:
+    """`find_split`, decided on the edge tops."""
     v, edge = _view(a), _tops(a).edge
     even, odd = v.parity
     for j in range(0, len(edge), 2):
         m0, m1 = edge[j], edge[j + 1]
         if _above(m0 & odd, m1 & even) or _above(m1 & odd, m0 & even):
-            _, r0, r1 = min((max(r0, r1), r0, r1) for r0 in _ranks_of(a, m0)
-                            for r1 in _ranks_of(a, m1)
-                            if r0 % 2 != r1 % 2 and max(r0, r1) % 2 == 1)
-            t = a.transitions[j]
-            return SplitWitness(state=t.source, letter=t.letter,
-                                loop0=_edge_loop(a, j, r0), loop1=_edge_loop(a, j + 1, r1))
+            def build():  # the split at moves j and j + 1, with the smallest tops
+                _, r0, r1 = min((max(r0, r1), r0, r1) for r0 in _ranks_of(a, m0)
+                                for r1 in _ranks_of(a, m1)
+                                if r0 % 2 != r1 % 2 and max(r0, r1) % 2 == 1)
+                t = a.transitions[j]
+                return SplitWitness(state=t.source, letter=t.letter,
+                                    loop0=_edge_loop(a, j, r0), loop1=_edge_loop(a, j + 1, r1))
+            return build
     return None
+
+
+def find_split(a: DetAutomaton) -> Optional[SplitWitness]:
+    """Two loops through one (state, letter) in opposite directions whose
+    tops have different parity, the higher odd."""
+    build = _split(a)
+    return build and build()
 
 
 # -- brute force oracle -------------------------------------------------------

@@ -13,10 +13,10 @@ arena built on it is transient.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .automata import BOT, DetAutomaton, State, Transition, UNIVERSAL, _memo, _table
+from .automata import BOT, DetAutomaton, State, Transition, UNIVERSAL, _memo, _sink_moves, _table
 from .errors import EmptyLanguage, ValidationError
 from .games import _strong_winners
 from .graphs import reachable_from
@@ -97,7 +97,8 @@ def trim(a: DetAutomaton) -> DetAutomaton:
     for its winners only, and the productive states are found on the
     table's target indices.  A productive state keeps its block of 2|Sigma|
     parent transitions (see `DetAutomaton`), except that a pair with an
-    empty target is redirected, both branches, to `_bot`.
+    empty target is redirected, both branches, to `_bot`, so the table
+    comes out in its final block layout.
     """
     (ids, index, _, _, target), nonempty, productive = _productivity(a)
     if not nonempty[index[a.initial]]:
@@ -123,9 +124,10 @@ def trim(a: DetAutomaton) -> DetAutomaton:
                 p, letter = trans[j].source, trans[j].letter
                 transitions += (Transition(p, letter, 0, BOT), Transition(p, letter, 1, BOT))
     names = [ids[i] for i in kept]
-    if need_bot:
-        insort(names, BOT)
-        transitions += [Transition(BOT, letter, d, BOT) for letter in a.alphabet for d in (0, 1)]
+    if need_bot:  # `_bot`'s block goes in its place in sorted order
+        at = bisect_left(names, BOT)
+        names.insert(at, BOT)
+        transitions[at * width:at * width] = _sink_moves(BOT, a.alphabet)
     return DetAutomaton(
         alphabet=a.alphabet,
         states={q: State(UNIVERSAL, 1) if q == BOT else a.states[q] for q in names},

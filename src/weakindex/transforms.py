@@ -21,10 +21,19 @@ from .automata import (
     Transition,
     TreeAutomaton,
     UNIVERSAL,
+    _one_state,
+    _sink_moves,
     index_of,
     normalize_ranks,
 )
-from .classifier import BorelLevel, _relabel_component, borel_rank, relabel_to, weak_det_index
+from .classifier import (
+    BorelLevel,
+    _ladder,
+    _minimal_level,
+    _relabel_component,
+    relabel_to,
+    weak_det_index,
+)
 from .errors import (
     EmptyLanguage,
     IndexTooHigh,
@@ -58,23 +67,23 @@ class ConstructionTrace:
 
 def restrict(a: TreeAutomaton) -> TreeAutomaton:
     """One copy of the automaton per band rank; the copy number tracks the
-    highest rank seen, so ranks never decrease along transitions."""
+    highest rank seen, so ranks never decrease along transitions.
+
+    Copies are emitted in the order of their names, each in `a`'s table
+    order, which is the final order unless a move group's targets change
+    order under their new names; the constructor sorts only then."""
     if a.acceptance != "weak":
         raise ValidationError("restrict expects weak acceptance")
     a = normalize_ranks(a)
-    idx = index_of(a)
-    states: dict[str, State] = {}
-    for i in idx.band():
-        for q, st in a.states.items():
-            states[f"r{i}_{q}"] = State(st.mode, i)
-    transitions = []
-    for i in idx.band():
-        for t in a.transitions:
-            j = max(i, a.rank(t.target))
-            transitions.append(Transition(f"r{i}_{t.source}", t.letter, t.direction,
-                                          f"r{j}_{t.target}"))
-    init = f"r{a.rank(a.initial)}_{a.initial}"
-    return TreeAutomaton(alphabet=a.alphabet, states=states, initial=init,
+    band = sorted(index_of(a).band(), key=lambda i: f"r{i}_")
+    name = {(i, q): f"r{i}_{q}" for i in band for q in a.states}
+    states = {name[i, q]: State(st.mode, i) for i in sorted(band) for q, st in a.states.items()}
+    rank = {q: st.rank for q, st in a.states.items()}
+    transitions = [Transition(name[i, t.source], t.letter, t.direction,
+                              name[max(i, rank[t.target]), t.target])
+                   for i in band for t in a.transitions]
+    return TreeAutomaton(alphabet=a.alphabet, states=states,
+                         initial=name[rank[a.initial], a.initial],
                          transitions=tuple(transitions), acceptance="parity",
                          name=f"{a.name}_restricted" if a.name else "restricted")
 
@@ -87,13 +96,9 @@ def _shift_into_band(a: DetAutomaton, low: int, high: int) -> DetAutomaton:
     ranks = sorted(a.ranks())
     for base in range(low - 1, high + 1):
         shift = base - ranks[0]
-        if shift % 2 != 0:
-            continue
-        if all(low <= r + shift <= high for r in ranks):
-            if shift == 0:
-                return a
-            states = {q: State(st.mode, st.rank + shift) for q, st in a.states.items()}
-            return a.with_states(states)
+        if shift % 2 == 0 and all(low <= r + shift <= high for r in ranks):
+            return a if shift == 0 else a.with_states(
+                {q: State(st.mode, st.rank + shift) for q, st in a.states.items()})
     raise IndexTooHigh(
         f"ranks {ranks} do not fit band [{low},{high}] under an even shift")
 
@@ -103,32 +108,33 @@ def weaken_02(a: DetAutomaton) -> TreeAutomaton:
 
     Copy one (rank 0) simulates the input; at any node Adam may demand,
     via the epsilon move into copy two (rank 1), that every path from here
-    reaches a rank-2 state, which jumps to the accepting sink.
+    reaches a rank-2 state, which jumps to the accepting sink.  The table
+    is emitted in its final order: the sink, then each copy in `a`'s order.
     """
     a = _shift_into_band(a, 1, 2)
+    c1 = {q: f"c1_{q}" for q in a.states}
+    c2 = {q: f"c2_{q}" for q in a.states}
     states: dict[str, State] = {}
-    transitions: list[Transition] = []
     for q in a.states:
-        states[f"c1_{q}"] = State(UNIVERSAL, 0)
-        states[f"c2_{q}"] = State(UNIVERSAL, 1)
-        for letter in a.alphabet:
-            transitions.append(Transition(f"c1_{q}", letter, None, f"c2_{q}"))
+        states[c1[q]], states[c2[q]] = State(UNIVERSAL, 0), State(UNIVERSAL, 1)
     states[TOP] = State(UNIVERSAL, 2)
-    for t in a.transitions:
-        transitions.append(Transition(f"c1_{t.source}", t.letter, t.direction,
-                                      f"c1_{t.target}"))
-        if a.rank(t.source) == 1:
-            transitions.append(Transition(f"c2_{t.source}", t.letter, t.direction,
-                                          f"c2_{t.target}"))
-    for q, st in a.states.items():
-        if st.rank == 2:
-            for letter in a.alphabet:
-                transitions.append(Transition(f"c2_{q}", letter, None, TOP))
-    for letter in a.alphabet:
-        for d in (0, 1):
-            transitions.append(Transition(TOP, letter, d, TOP))
-    return TreeAutomaton(alphabet=a.alphabet, states=states, initial=f"c1_{a.initial}",
-                         transitions=tuple(transitions), acceptance="weak",
+    rank = {q: st.rank for q, st in a.states.items()}
+    new = tuple.__new__  # a Transition from its fields, without namedtuple's __new__
+    copy1: list[Transition] = []
+    copy2: list[Transition] = []
+    ts = a.transitions
+    for (p, letter, _, q0), (_, _, _, q1) in zip(ts[::2], ts[1::2]):  # p's moves on letter
+        copy1 += (new(Transition, (c1[p], letter, 0, c1[q0])),
+                  new(Transition, (c1[p], letter, 1, c1[q1])),
+                  new(Transition, (c1[p], letter, None, c2[p])))
+        if rank[p] == 1:
+            copy2 += (new(Transition, (c2[p], letter, 0, c2[q0])),
+                      new(Transition, (c2[p], letter, 1, c2[q1])))
+        else:
+            copy2.append(new(Transition, (c2[p], letter, None, TOP)))
+    return TreeAutomaton(alphabet=a.alphabet, states=states, initial=c1[a.initial],
+                         transitions=tuple(_sink_moves(TOP, a.alphabet) + copy1 + copy2),
+                         acceptance="weak",
                          name=f"{a.name}_weak02" if a.name else "weak02")
 
 
@@ -152,30 +158,23 @@ def weaken_13(a: DetAutomaton) -> TreeAutomaton:
     rank_in = {q: v.rank[i] if tops[i] >> v.level[i] & 1 or q == BOT else 0
                for i, q in enumerate(v.ids)}
 
+    # the table in its final order: the sink, then each copy in `a`'s order
+    c1, c2, c3 = ({q: f"{c}_{q}" for q in a.states} for c in ("c1", "c2", "c3"))
     states: dict[str, State] = {}
-    transitions: list[Transition] = []
     for q in a.states:
-        states[f"c1_{q}"] = State(UNIVERSAL, 1)
-        states[f"c2_{q}"] = State(EXISTENTIAL, 1)
-        states[f"c3_{q}"] = State(UNIVERSAL, 2)
-        for letter in a.alphabet:
-            transitions.append(Transition(f"c2_{q}", letter, None, f"c1_{q}"))
-            transitions.append(Transition(f"c2_{q}", letter, None, f"c3_{q}"))
+        states[c1[q]], states[c2[q]], states[c3[q]] = (
+            State(UNIVERSAL, 1), State(EXISTENTIAL, 1), State(UNIVERSAL, 2))
     states[BOT] = State(UNIVERSAL, 3)
-    for t in a.transitions:
-        transitions.append(Transition(f"c1_{t.source}", t.letter, t.direction,
-                                      f"c2_{t.target}"))
-        if rank_in[t.source] == 0:
-            transitions.append(Transition(f"c3_{t.source}", t.letter, t.direction,
-                                          f"c3_{t.target}"))
-    for q in a.states:
-        if rank_in[q] == 1:
-            for letter in a.alphabet:
-                transitions.append(Transition(f"c3_{q}", letter, None, BOT))
-    for letter in a.alphabet:
-        for d in (0, 1):
-            transitions.append(Transition(BOT, letter, d, BOT))
-    return TreeAutomaton(alphabet=a.alphabet, states=states, initial=f"c2_{a.initial}",
+    transitions = _sink_moves(BOT, a.alphabet)
+    transitions += [Transition(c1[p], letter, d, c2[q]) for p, letter, d, q in a.transitions]
+    transitions += [Transition(c2[q], letter, None, c[q]) for q in sorted(a.states)
+                    for letter in a.alphabet for c in (c1, c3)]
+    for p, letter, d, q in a.transitions:  # (letter, 0) then (letter, 1) per state
+        if rank_in[p] == 0:
+            transitions.append(Transition(c3[p], letter, d, c3[q]))
+        elif d:
+            transitions.append(Transition(c3[p], letter, None, BOT))
+    return TreeAutomaton(alphabet=a.alphabet, states=states, initial=c2[a.initial],
                          transitions=tuple(transitions), acceptance="weak",
                          name=f"{a.name}_weak13" if a.name else "weak13")
 
@@ -232,41 +231,26 @@ def _bx_replicated(a: DetAutomaton, comp: list[int]) -> TreeAutomaton:
     x = set(xrank)
     exits = sorted({w for i in comp for w in v.succ[i]} - set(comp))
     after = {v.ids[i] for i in reachable_from(exits, v.succ)} - x
-    states: dict[str, State] = {}
-    transitions: list[Transition] = []
-
-    def outside_rank(q):
-        return 4 if q in after else 2
 
     def entry(q):
         return f"c1_{q}" if q in x else f"o_{q}"
 
+    states: dict[str, State] = {}
     for q in a.states:
         if q in x:
-            states[f"c1_{q}"] = State(UNIVERSAL, 2)
-            states[f"c2_{q}"] = State(UNIVERSAL, 3)
-            for letter in a.alphabet:
-                transitions.append(Transition(f"c1_{q}", letter, None, f"c2_{q}"))
+            states[f"c1_{q}"], states[f"c2_{q}"] = State(UNIVERSAL, 2), State(UNIVERSAL, 3)
         else:
-            states[f"o_{q}"] = State(UNIVERSAL, outside_rank(q))
+            states[f"o_{q}"] = State(UNIVERSAL, 4 if q in after else 2)
     states[TOP] = State(UNIVERSAL, 4)
-    for letter in a.alphabet:
-        for d in (0, 1):
-            transitions.append(Transition(TOP, letter, d, TOP))
-    for t in a.transitions:
-        if t.source in x:
-            transitions.append(Transition(f"c1_{t.source}", t.letter, t.direction,
-                                          entry(t.target)))
-            if xrank[t.source] == 1 and t.target in x:
-                transitions.append(Transition(f"c2_{t.source}", t.letter, t.direction,
-                                              f"c2_{t.target}"))
-        else:
-            transitions.append(Transition(f"o_{t.source}", t.letter, t.direction,
-                                          entry(t.target)))
-    for q in x:
-        if xrank[q] == 2:
-            for letter in a.alphabet:
-                transitions.append(Transition(f"c2_{q}", letter, None, TOP))
+    transitions = _sink_moves(TOP, a.alphabet)
+    transitions += [Transition(f"c1_{q}", letter, None, f"c2_{q}")
+                    for q in x for letter in a.alphabet]
+    transitions += [Transition(f"c2_{q}", letter, None, TOP)
+                    for q in x if xrank[q] == 2 for letter in a.alphabet]
+    for p, letter, d, q in a.transitions:
+        transitions.append(Transition(entry(p), letter, d, entry(q)))
+        if p in x and xrank[p] == 1 and q in x:
+            transitions.append(Transition(f"c2_{p}", letter, d, f"c2_{q}"))
     return TreeAutomaton(alphabet=a.alphabet, states=states, initial=entry(a.initial),
                          transitions=tuple(transitions), acceptance="weak")
 
@@ -277,31 +261,22 @@ def _bx_guess(a: DetAutomaton, x: set[str]) -> TreeAutomaton:
     following the unique X-branch with a (3,4) searcher for recurrence."""
     even_ranks = sorted({a.rank(q) for q in x if a.rank(q) % 2 == 0})
     states: dict[str, State] = {}
-    transitions: list[Transition] = []
-
     for q in a.states:
-        states[f"g_{q}"] = State(UNIVERSAL, 1)
-        states[f"gp_{q}"] = State(EXISTENTIAL, 1)
-        for letter in a.alphabet:
-            transitions.append(Transition(f"gp_{q}", letter, None, f"g_{q}"))
-    for t in a.transitions:
-        transitions.append(Transition(f"g_{t.source}", t.letter, t.direction,
-                                      f"gp_{t.target}"))
+        states[f"g_{q}"], states[f"gp_{q}"] = State(UNIVERSAL, 1), State(EXISTENTIAL, 1)
+    transitions = [Transition(f"gp_{q}", letter, None, f"g_{q}")
+                   for q in a.states for letter in a.alphabet]
+    transitions += [Transition(f"g_{p}", letter, d, f"gp_{q}") for p, letter, d, q in a.transitions]
 
     # C_{A\X}: stay outside X forever
-    for q in a.states:
-        if q not in x:
-            states[f"na_{q}"] = State(UNIVERSAL, 2)
-            for letter in a.alphabet:
-                transitions.append(Transition(f"gp_{q}", letter, None, f"na_{q}"))
+    outside = [q for q in a.states if q not in x]
+    for q in outside:
+        states[f"na_{q}"] = State(UNIVERSAL, 2)
     states["na" + BOT] = State(UNIVERSAL, 3)
-    for letter in a.alphabet:
-        for d in (0, 1):
-            transitions.append(Transition("na" + BOT, letter, d, "na" + BOT))
-    for t in a.transitions:
-        if t.source not in x:
-            tgt = f"na_{t.target}" if t.target not in x else "na" + BOT
-            transitions.append(Transition(f"na_{t.source}", t.letter, t.direction, tgt))
+    transitions += [Transition(f"gp_{q}", letter, None, f"na_{q}")
+                    for q in outside for letter in a.alphabet]
+    transitions += _sink_moves("na" + BOT, a.alphabet)
+    transitions += [Transition(f"na_{p}", letter, d, f"na_{q}" if q not in x else "na" + BOT)
+                    for p, letter, d, q in a.transitions if p not in x]
 
     # C_{X,r} for each even rank r used in X
     for r in even_ranks:
@@ -309,10 +284,7 @@ def _bx_guess(a: DetAutomaton, x: set[str]) -> TreeAutomaton:
         top_r = f"top{r}_"
         states[bot_r] = State(UNIVERSAL, 3)
         states[top_r] = State(UNIVERSAL, 4)
-        for letter in a.alphabet:
-            for d in (0, 1):
-                transitions.append(Transition(bot_r, letter, d, bot_r))
-                transitions.append(Transition(top_r, letter, d, top_r))
+        transitions += _sink_moves(bot_r, a.alphabet) + _sink_moves(top_r, a.alphabet)
         for q in x:
             states[f"m{r}_{q}"] = State(UNIVERSAL, 2)
             states[f"s{r}_{q}"] = State(EXISTENTIAL, 3)
@@ -325,25 +297,17 @@ def _bx_guess(a: DetAutomaton, x: set[str]) -> TreeAutomaton:
             for letter in a.alphabet:
                 q0, q1 = a.pair(q, letter)
                 inside = [d for d, tgt in ((0, q0), (1, q1)) if tgt in x]
-                if len(inside) != 1:
-                    # zero or two X-branches: the one-branch shape is violated
-                    for d in (0, 1):
-                        transitions.append(Transition(f"m{r}_{q}", letter, d, bot_r))
+                tgt = (q0, q1)[inside[0]] if len(inside) == 1 else None
+                if tgt is None or a.rank(tgt) > r:
+                    # zero or two X-branches, or a rank above r: the shape is violated
+                    transitions += (Transition(f"m{r}_{q}", letter, d, bot_r) for d in (0, 1))
                 else:
-                    d = inside[0]
-                    tgt = (q0, q1)[d]
-                    if a.rank(tgt) > r:
-                        for dd in (0, 1):
-                            transitions.append(Transition(f"m{r}_{q}", letter, dd, bot_r))
-                    else:
-                        transitions.append(Transition(f"m{r}_{q}", letter, d, f"m{r}_{tgt}"))
-                        transitions.append(Transition(f"m{r}_{q}", letter, d, f"s{r}_{tgt}"))
+                    transitions.append(Transition(f"m{r}_{q}", letter, inside[0], f"m{r}_{tgt}"))
+                    transitions.append(Transition(f"m{r}_{q}", letter, inside[0], f"s{r}_{tgt}"))
                 if a.rank(q) != r:
                     # searcher keeps walking inside X looking for rank r
-                    for d, tgt in ((0, q0), (1, q1)):
-                        if tgt in x:
-                            transitions.append(Transition(f"s{r}_{q}", letter, d,
-                                                          f"s{r}_{tgt}"))
+                    transitions += (Transition(f"s{r}_{q}", letter, d, f"s{r}_{t}")
+                                    for d, t in ((0, q0), (1, q1)) if t in x)
     return TreeAutomaton(alphabet=a.alphabet, states=states, initial=f"gp_{a.initial}",
                          transitions=tuple(transitions), acceptance="weak")
 
@@ -357,28 +321,28 @@ def conjunction(automata: list[TreeAutomaton], alphabet=None) -> TreeAutomaton:
         if alphabet is None:
             raise ValidationError("empty conjunction needs an explicit alphabet")
         states = {"_conj": State(UNIVERSAL, 0)}
-        trans = tuple(Transition("_conj", letter, d, "_conj")
-                      for letter in sorted(set(alphabet)) for d in (0, 1))
         return TreeAutomaton(alphabet=tuple(alphabet), states=states, initial="_conj",
-                             transitions=trans, acceptance="weak")
+                             transitions=_sink_moves("_conj", sorted(set(alphabet))),
+                             acceptance="weak")
     base = set(automata[0].alphabet)
-    for b in automata[1:]:
-        if set(b.alphabet) != base:
-            raise ValidationError("conjunction inputs must share the alphabet")
-    if alphabet is not None and set(alphabet) != base:
+    if (any(set(b.alphabet) != base for b in automata[1:])
+            or alphabet is not None and set(alphabet) != base):
         raise ValidationError("conjunction inputs must share the alphabet")
+    # the table in its final order: `_conj`'s moves, then each conjunct's
+    # table, conjuncts in the order of their names
+    order = sorted(range(len(automata)), key=lambda i: f"j{i}_")
+    names = [{q: f"j{i}_{q}" for q in b.states} for i, b in enumerate(automata)]
     states: dict[str, State] = {}
-    transitions: list[Transition] = []
     min_rank = min(st.rank for b in automata for st in b.states.values())
     states["_conj"] = State(UNIVERSAL, min_rank)
-    for i, b in enumerate(automata):
-        for q, st in b.states.items():
-            states[f"j{i}_{q}"] = st
-        for t in b.transitions:
-            transitions.append(Transition(f"j{i}_{t.source}", t.letter, t.direction,
-                                          f"j{i}_{t.target}"))
-        for letter in sorted(base):
-            transitions.append(Transition("_conj", letter, None, f"j{i}_{b.initial}"))
+    for name, b in zip(names, automata):
+        states.update((name[q], st) for q, st in b.states.items())
+    transitions = [Transition("_conj", letter, None, names[i][automata[i].initial])
+                   for letter in sorted(base) for i in order]
+    for i in order:
+        name = names[i]
+        transitions += [Transition(name[p], letter, d, name[q])
+                        for p, letter, d, q in automata[i].transitions]
     return TreeAutomaton(alphabet=tuple(sorted(base)), states=states, initial="_conj",
                          transitions=tuple(transitions), acceptance="weak")
 
@@ -403,19 +367,14 @@ def weaken(a: DetAutomaton) -> tuple[TreeAutomaton, ConstructionTrace]:
                                   output_states=len(out.states), components=tuple(components))
         return out, trace
 
-    def one_state(q: str, rank: int, name: str) -> TreeAutomaton:
-        trans = tuple(Transition(q, letter, d, q) for letter in a.alphabet for d in (0, 1))
-        return TreeAutomaton(alphabet=a.alphabet, states={q: State(UNIVERSAL, rank)}, initial=q,
-                             transitions=trans, acceptance="weak", name=name)
-
     try:
         trimmed = trim(a)
     except EmptyLanguage:
-        return done(one_state("r", 1, "reject_all"), "empty_language")
-    borel = borel_rank(trimmed)
-    level = borel.minimal
+        return done(_one_state(a.alphabet, "r", 1, "reject_all"), "empty_language")
+    bits, blocked = _ladder(trimmed)
+    level = _minimal_level(bits)
     if level is BorelLevel.PI0:
-        return done(one_state("t", 0, "accept_all"), "universal_language")
+        return done(_one_state(a.alphabet, "t", 0, "accept_all"), "universal_language")
     if level in (BorelLevel.DELTA1, BorelLevel.SIGMA1, BorelLevel.PI1):
         index, out = weak_det_index(trimmed)
         return done(out, f"weak_det_relabel_{index.iota}_{index.kappa}")
@@ -430,4 +389,4 @@ def weaken(a: DetAutomaton) -> tuple[TreeAutomaton, ConstructionTrace]:
         return done(out, "weaken_14", trace.components)
     if level is BorelLevel.PI3:
         raise UnsupportedGapConstruction((0, 3))
-    raise NonWeaklyRecognizable(borel.witnesses.get("pi3"))
+    raise NonWeaklyRecognizable(blocked["pi3"]())  # the only witness weaken builds

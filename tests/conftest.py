@@ -64,6 +64,45 @@ def random_det(rng: SplitMix64, max_states: int = 5, letters=LETTERS,
                         transitions=tuple(trans), acceptance="parity")
 
 
+RANK_STYLES = ((0, 1, 2, 3), (1, 2), (0, 1), (0, 1, 2), (2, 3), (0,), (1, 2, 3))
+C9_RANKS = (0, 0, 0, 0, 1, 1, 2, 2, 2, 3)  # criterion 9's scale generator
+
+
+def criterion_5_stream(count: int):
+    """The first `count` automata of criterion 5's stream: small, trimmed,
+    over mixed rank bands."""
+    rng, out = SplitMix64(9090), []
+    while len(out) < count:
+        ranks = RANK_STYLES[rng.below(len(RANK_STYLES))]
+        try:
+            out.append(trim(random_det(rng, 5, rank_weights=ranks)))
+        except EmptyLanguage:
+            continue
+    return out
+
+
+def large_inputs():
+    """Two 1000-state automata of criterion 9's shape and two 2000-state ones
+    over ranks {1, 2}, with nonempty languages: the two input shapes of the
+    benchmark's cli_large workload, untrimmed."""
+    out = []
+    for seed, n, ranks in ((61, 1000, C9_RANKS), (62, 2000, (1, 2))):
+        rng, names, found = SplitMix64(seed), [f"q{i}" for i in range(n)], 0
+        while found < 2:
+            states = {q: State("A", ranks[rng.below(len(ranks))]) for q in names}
+            trans = [Transition(q, x, d, names[rng.below(n)])
+                     for q in names for x in LETTERS for d in (0, 1)]
+            a = DetAutomaton(alphabet=LETTERS, states=states, initial="q0",
+                             transitions=tuple(trans))
+            try:
+                trim(a)
+            except EmptyLanguage:
+                continue
+            found += 1
+            out.append(a)
+    return out
+
+
 def random_trimmed(rng: SplitMix64, max_states: int = 5, letters=LETTERS,
                    max_rank: int = 3) -> DetAutomaton:
     """Next random deterministic automaton with a nonempty language, trimmed."""

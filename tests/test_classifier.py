@@ -27,7 +27,7 @@ from weakindex.productivity import trim
 from weakindex.rng import SplitMix64
 from weakindex.semantics import SamplerParams, alt_accepts, det_accepts, sample_regular_tree
 
-from conftest import random_trimmed
+from conftest import criterion_5_stream, large_inputs, random_trimmed
 
 # the ladder from nontrivial to trivial: each later bit is implied
 LADDER = ("pi1", "pi2"), ("sigma1", "sigma2"), ("pi2", "pi3"), ("sigma2", "sigma3"), \
@@ -355,3 +355,15 @@ def test_classify_gives_the_same_reports_without_relabeling(monkeypatch):
     for a in _report_inputs():
         digest.update(_report_text(classify(a)).encode())
     assert digest.hexdigest() == REPORTS_SHA256
+
+
+def test_borel_bits_fail_exactly_where_a_verified_witness_blocks_them():
+    # sigma0 and pi0 are decided without patterns; every other bit is
+    # false exactly when borel_rank built a witness for it
+    inputs = [trim(catalog.get(name)) for name in sorted(catalog.CATALOG)]
+    for a in inputs + criterion_5_stream(500) + [trim(a) for a in large_inputs()]:
+        borel = borel_rank(a)
+        blocked = {b for b in BIT_NAMES if not borel.bits[b]} - {"sigma0", "pi0"}
+        assert set(borel.witnesses) == blocked
+        for w in borel.witnesses.values():
+            w.verify(a)

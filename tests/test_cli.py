@@ -99,6 +99,17 @@ def test_weaken_non_borel_exits_5(tmp_path, capsys):
     assert main(["weaken", path]) == 5
 
 
+def test_a_name_of_two_words_exits_3(all_a_file, capsys):
+    # the format's names are one token, so this file's name could not round-trip
+    with open(all_a_file) as f:
+        text = f.read().replace("name all_a", "name all a", 1)
+    with open(all_a_file, "w") as f:
+        f.write(text)
+    for command in ("classify", "weaken", "patterns", "dot"):
+        assert main([command, all_a_file]) == 3
+        assert capsys.readouterr().err == "invalid input: line 1: name takes exactly one token\n"
+
+
 def test_member_exit_codes(all_a_file, tmp_path):
     ta = tmp_path / "t_a.rt"
     ta.write_text(serialize_regular_tree(constant_tree("a")))

@@ -84,3 +84,93 @@ def test_dot_output_is_deterministic():
 def test_to_dot_rejects_other_types():
     with pytest.raises(TypeError):
         to_dot(42)
+
+
+# -- automaton parse errors ---------------------------------------------------------
+
+# a valid file with a comment, blank lines and a trailing comment; each row
+# below replaces one line of it (or appends one) and pins the error
+HEADER = ["# a one-state automaton", "", "name one", "alphabet a  # letters",
+          "start q", "   ", "state q mode A rank 0"]
+BODY = ["trans q a 0 q", "trans q a 1 q#no space before the comment", "acceptance parity",
+        "deterministic"]
+
+
+def _text(lines, newline="\n"):
+    return newline.join(lines) + newline
+
+
+@pytest.mark.parametrize("change, message, line", [
+    ({3: "alphabet"}, "alphabet needs at least one symbol", 4),
+    ({3: "alphabet # a"}, "alphabet needs at least one symbol", 4),
+    ({4: "start"}, "start needs exactly one state id", 5),
+    ({4: "start q r"}, "start needs exactly one state id", 5),
+    ({6: "state q mode A"}, "expected: state <id> mode <E|A> rank <n>", 7),
+    ({6: "state q mode A rank 0 x"}, "expected: state <id> mode <E|A> rank <n>", 7),
+    ({6: "state q kind A rank 0"}, "expected: state <id> mode <E|A> rank <n>", 7),
+    ({6: "state q mode A level 0"}, "expected: state <id> mode <E|A> rank <n>", 7),
+    ({6: "state q mode X rank 0"}, "bad mode 'X'", 7),
+    ({6: "state q mode A rank x"}, "rank missing or not a number: 'x'", 7),
+    ({7: "state q mode E rank 1"}, "state 'q' declared twice", 8),
+    ({7: "trans q a 0"}, "expected: trans <src> <letter> <0|1|e> <tgt>", 8),
+    ({7: "trans q a 0 q q"}, "expected: trans <src> <letter> <0|1|e> <tgt>", 8),
+    ({7: "trans q a 2 q"}, "bad direction '2' (expected 0, 1 or e)", 8),
+    ({7: "trans q a E q"}, "bad direction 'E' (expected 0, 1 or e)", 8),
+    ({9: "acceptance"}, "expected: acceptance <parity|weak>", 10),
+    ({9: "acceptance buchi"}, "expected: acceptance <parity|weak>", 10),
+    ({9: "acceptance weak parity"}, "expected: acceptance <parity|weak>", 10),
+    ({10: "Deterministic"}, "unknown directive 'Deterministic'", 11),
+    ({2: "name"}, "name takes exactly one token", 3),
+    ({2: "name two words"}, "name takes exactly one token", 3),
+    ({3: "# alphabet a"}, "missing section: alphabet", None),
+    ({4: ""}, "missing section: start", None),
+    ({6: "#"}, "missing section: state declarations", None),
+    ({9: " "}, "missing section: acceptance", None),
+    # the constructor's errors carry no line
+    ({4: "start r"}, "initial state 'r' not declared", None),
+    ({7: "trans q b 0 q"}, "transition on unknown letter 'b'", None),
+    ({8: "trans q a 1 r"}, "transition to unknown state 'r'", None),
+    ({7: "trans q a e q"}, "epsilon transition Transition(source='q', letter='a', "
+                           "direction=None, target='q') in deterministic automaton", None),
+    ({1: "state r mode A rank 0", 8: "trans q a 0 r"},
+     "duplicate transition for ('q', 'a', 0)", None),
+    ({8: "trans q a 0 q"}, "missing transition (q,a,1): table not total", None),  # deduplicated
+    ({8: "# trans q a 1 q"}, "missing transition (q,a,1): table not total", None),
+])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_parse_automaton_errors(change, message, line, newline):
+    lines = HEADER + BODY
+    for k, text in change.items():
+        lines[k] = text
+    with pytest.raises(FormatError) as exc:
+        parse_automaton(_text(lines, newline))
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_parse_automaton_skips_comments_and_blank_lines(newline):
+    a = parse_automaton(_text(HEADER + BODY, newline))
+    assert a.name == "one" and a.alphabet == ("a",) and a.initial == "q"
+    assert [t[:] for t in a.transitions] == [("q", "a", 0, "q"), ("q", "a", 1, "q")]
+    # the first error in file order wins, after comments and blank lines
+    lines = HEADER + ["trans q a x q", "bogus"] + BODY
+    with pytest.raises(FormatError, match="^line 8: bad direction 'x'"):
+        parse_automaton(_text(lines, newline))
+
+
+@pytest.mark.parametrize("name", ["", "one", "all_a_weak02", "a-b.c", "ünï"])
+def test_automaton_names_round_trip(name):
+    a = catalog.all_a()
+    a = type(a)(alphabet=a.alphabet, states=a.states, initial=a.initial,
+                transitions=a.transitions, name=name)
+    assert parse_automaton(serialize_automaton(a)).name == name
+
+
+@pytest.mark.parametrize("name", ["two words", "x#y", " lead", "tab\there", "line\nbreak",
+                                  "#"])
+def test_automaton_names_with_whitespace_or_hash_are_refused(name):
+    a = catalog.all_a()
+    with pytest.raises(ValidationError, match="^bad automaton name"):
+        type(a)(alphabet=a.alphabet, states=a.states, initial=a.initial,
+                transitions=a.transitions, name=name)

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import time
 
@@ -334,3 +335,21 @@ condition weak
 """)
     assert g.condition == "weak"
     assert solve_weak(g).winner["a"] == "E"
+
+
+# sha256 of the weak layering's outputs, recorded before its rank buckets
+# were built by one sort: `solve_weak` reprs on random weak games, and
+# `eve_wins_arrays` from every position, which stops the layering early
+WEAK_LAYERS_SHA256 = "4ef1e92374c6be670f510c78c4e055acfaa7f1beef988f8d699ea0f11ecad35c"
+
+
+def test_weak_layering_outputs_are_pinned():
+    rng = SplitMix64(4321)
+    digest = hashlib.sha256()
+    for _ in range(400):
+        g = random_game(rng, max_positions=9, max_rank=5, condition="weak")
+        digest.update(repr(solve_weak(g)).encode())
+        owner, rank, succ, _ = _game_arrays(g)
+        wins = [eve_wins_arrays(owner, rank, succ, True, v) for v in range(len(owner))]
+        digest.update(bytes(wins))
+    assert digest.hexdigest() == WEAK_LAYERS_SHA256

@@ -26,6 +26,7 @@ from weakindex.semantics import (
     skurczynski_member_oracle,
     w_member,
 )
+from weakindex.transforms import restrict
 from weakindex.trees import Node, RegularTree, constant_tree, parse_wlabel
 
 from conftest import random_det, random_weak
@@ -476,3 +477,18 @@ def test_compare_prints_battery_counterexample(tmp_path, capsys):
         paths.append(str(f))
     assert main(["compare", *paths]) == 1
     assert capsys.readouterr().out == COMPARE_STDOUT
+
+
+# sha256 of weak membership verdicts, recorded before the weak layering's
+# rank buckets were built by one sort
+WEAK_MEMBERSHIP_SHA256 = "a23f33c60ee5cc6fa8730e4feb64dd777fe44d79e08c3b590f358f7e4c00190e"
+
+
+def test_weak_membership_verdicts_are_pinned():
+    rng = SplitMix64(2468)
+    automata = [random_weak(rng, max_states=5) for _ in range(60)]
+    automata += [restrict(a) for a in automata]
+    trees = sample_regular_tree(SamplerParams(seed=5, max_nodes=8, alphabet=("a", "b"),
+                                              count=40))
+    verdicts = bytes(alt_accepts(a, t) for a in automata for t in trees)
+    assert hashlib.sha256(verdicts).hexdigest() == WEAK_MEMBERSHIP_SHA256

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from weakindex import catalog
@@ -10,6 +13,7 @@ from weakindex.errors import (
     UnsupportedGapConstruction,
     ValidationError,
 )
+from weakindex.formats import serialize_automaton
 from weakindex.graphs import condensation
 from weakindex.productivity import trim
 from weakindex.rng import SplitMix64
@@ -28,7 +32,7 @@ from weakindex.transforms import (
     weaken_14,
 )
 
-from conftest import random_trimmed, random_weak
+from conftest import criterion_5_stream, large_inputs, random_trimmed, random_weak
 
 PARAMS = SamplerParams(seed=42, max_nodes=8, alphabet=("a", "b"), count=200)
 
@@ -253,3 +257,46 @@ def test_state_budget_exactness_random():
                 seen13 += 1
             except (IndexTooHigh, PreconditionViolated):
                 pass
+
+
+# -- weaken's outputs, pinned -------------------------------------------------------
+
+# sha256 of `_construction_text` over the catalog, criterion 5's stream and
+# the four large inputs (weaken), and over the head of that stream (each
+# construction, and restrict of its output), recorded before the
+# constructions emitted their tables in final order and before weaken
+# stopped building the witnesses it does not raise
+WEAKEN_SHA256 = "6ff3ad7aadd7854d822593b172ec63133d4ff1e47b180910d31969eadfc0361d"
+CONSTRUCTIONS_SHA256 = "c53605cf4db32018a5b549a7320a4b665393566cb6c193a16ab36261359a6124"
+
+
+def _construction_text(build, a) -> str:
+    try:
+        out = build(a)
+    except (IndexTooHigh, NonWeaklyRecognizable, PreconditionViolated,
+            UnsupportedGapConstruction) as e:
+        witness = getattr(e, "witness", None)
+        return json.dumps([type(e).__name__, str(e), witness and witness.to_dict()]) + "\n"
+    out, trace = out if isinstance(out, tuple) else (out, None)
+    text = serialize_automaton(out)
+    if trace is not None:
+        text = trace.render() + text
+    if build is not weaken:
+        text += serialize_automaton(restrict(out))
+    return text
+
+
+def test_weaken_outputs_are_pinned():
+    inputs = [catalog.get(name) for name in sorted(catalog.CATALOG)]
+    digest = hashlib.sha256()
+    for a in inputs + criterion_5_stream(2000) + large_inputs():
+        digest.update(_construction_text(weaken, a).encode())
+    assert digest.hexdigest() == WEAKEN_SHA256
+
+
+def test_construction_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for a in criterion_5_stream(300):
+        for build in (weaken_02, weaken_13, weaken_14):
+            digest.update(_construction_text(build, a).encode())
+    assert digest.hexdigest() == CONSTRUCTIONS_SHA256

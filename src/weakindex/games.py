@@ -13,11 +13,13 @@ it is Adam.  That encodes the dead-end rule for both conditions at once.
 `_arena` builds the predecessor lists of a game and totalizes it;
 membership products record theirs during their search, and trim's
 emptiness arena has no dead ends.
-Zielonka's strong solver runs its subgames as generator frames on an
-explicit stack, so its depth is not bounded by the interpreter's
-recursion limit, which it leaves alone.  Callers that need only the
-winners (trim, membership, `eve_wins_arrays`) use `_strong_winners`,
-which decides self-loops first and builds no strategies.
+Zielonka's strong solver is one generator frame, `_winners_frame`, with
+one attractor, `_remove_attractor`, run on an explicit stack so its depth
+is not bounded by the interpreter's recursion limit, which it leaves
+alone.  The frame records strategies only for `solve_parity`, which
+passes it a list for them.  Callers that need only the winners (trim,
+membership, `eve_wins_arrays`) use `_strong_winners`, which decides
+self-loops first and then runs the same frames.
 """
 
 from __future__ import annotations
@@ -116,99 +118,17 @@ def _totalize(owner: list[int], rank: list[int], succ: list, pred: list[list[int
     return owner, rank, succ, pred
 
 
-def _attractor(arena, player: int, targets, active: set[int]):
-    """Attractor of `targets` for `player` within `active`.
-
-    Returns (attracted set, strategy edges for player positions pulled
-    in).  Deterministic: candidates are processed in index order and the
-    chosen edge is the smallest-index successor already attracted.
-    """
-    owner, _, succ, pred = arena
-    attr = set(targets)
-    strat: dict[int, int] = {}
-    cnt = {}
-    queue = sorted(attr)
-    head = 0
-    while head < len(queue):
-        v = queue[head]
-        head += 1
-        for u in pred[v]:
-            if u not in active or u in attr:
-                continue
-            if owner[u] == player:
-                # choose the edge before adding u, so a self-loop cannot
-                # pose as progress toward the target
-                strat[u] = min(w for w in succ[u] if w in attr)
-                attr.add(u)
-                queue.append(u)
-            else:
-                if u not in cnt:
-                    cnt[u] = sum(1 for w in succ[u] if w in active)
-                cnt[u] -= 1
-                if cnt[u] == 0:
-                    attr.add(u)
-                    queue.append(u)
-    return attr, strat
-
-
-def _zielonka(arena, active: set[int]):
-    """Zielonka's algorithm on the subgame `active`, as one generator frame.
-
-    Instead of recursing, it yields each subgame and is sent back that
-    subgame's result; `_zielonka_full` drives the frames.  Returns
-    (regions, strategies), each a list indexed by player, 0 being Eve.
-    """
-    owner, rank, succ, _ = arena
-    if not active:
-        return [set(), set()], [{}, {}]
-    d = max(rank[v] for v in active)
-    sigma, opp = d % 2, 1 - d % 2  # sigma is the player favoured by rank d
-    top = {v for v in active if rank[v] == d}
-    attr, strat_attr = _attractor(arena, sigma, top, active)
-    wins, strats = yield active - attr
-    if not wins[opp]:
-        strat = strats[sigma]
-        strat.update(strat_attr)
-        for v in top:
-            if owner[v] == sigma and v not in strat:
-                strat[v] = min(w for w in succ[v] if w in active)
-        wins, strats = [set(), set()], [{}, {}]
-        wins[sigma], strats[sigma] = set(active), strat
-        return wins, strats
-    attr_b, strat_b = _attractor(arena, opp, wins[opp], active)
-    wins_b, strats_b = yield active - attr_b
-    strat = strats_b[opp]
-    strat.update(strat_b)
-    for v, t in strats[opp].items():
-        if v in wins[opp]:
-            strat.setdefault(v, t)
-    wins_b[opp] |= attr_b
-    return wins_b, strats_b
-
-
-def _zielonka_full(arena):
-    """Solve the whole arena, running `_zielonka` frames on an explicit stack."""
-    stack = [_zielonka(arena, set(range(len(arena[0]))))]
-    result = None
-    while stack:
-        try:
-            stack.append(_zielonka(arena, stack[-1].send(result)))
-            result = None
-        except StopIteration as done:
-            stack.pop()
-            result = done.value
-    return result
-
-
-def _remove_attractor(arena, player: int, targets, inside: bytearray) -> list[int]:
+def _remove_attractor(arena, player: int, targets, inside: bytearray, strat=None) -> list[int]:
     """Attractor of `targets` for `player` within the subgame marked 1 in
-    `inside`, winner only: no edge is chosen.  The attracted positions are
-    marked 0, removed from the subgame, and returned.
+    `inside`.  The attracted positions are marked 0, removed from the
+    subgame, and returned.
 
     While it runs, attracted positions are marked 2; a position of the
     opponent counts its successors still in the subgame, attracted ones
     included, when it is first reached, and is attracted when every one of
-    them has been (a move listed twice counts twice).
+    them has been (a move listed twice counts twice).  Given a list
+    `strat`, each position of `player` pulled in gets its smallest
+    successor already attracted there.
     """
     owner, _, succ, pred = arena
     queue = list(targets)
@@ -226,6 +146,10 @@ def _remove_attractor(arena, player: int, targets, inside: bytearray) -> list[in
                 live[u] = left = left - 1
                 if left:
                     continue
+            elif strat is not None:
+                # choose the edge before marking u, so a self-loop cannot
+                # pose as progress toward the target
+                strat[u] = min(w for w in succ[u] if inside[w] == 2)
             inside[u] = 2
             queue.append(u)
     for v in queue:
@@ -233,38 +157,59 @@ def _remove_attractor(arena, player: int, targets, inside: bytearray) -> list[in
     return queue
 
 
-def _winners_frame(arena, win: bytearray, inside: bytearray, positions: list[int]):
-    """Zielonka's algorithm on the subgame `positions`, winner only, as one
-    generator frame.
+def _winners_frame(arena, win: bytearray, inside: bytearray, positions: list[int], strat=None):
+    """Zielonka's algorithm on the subgame `positions`, as one generator frame.
 
     The subgame is exactly the positions marked 1 in `inside` when the
     frame starts, and again when it ends; `positions` lists them by
-    descending rank, so the top-rank positions come first.  It yields
-    each smaller subgame, having marked it, and resumes once that
-    subgame's winners are in `win`; it writes the winner of each of its
-    own positions there.
+    descending rank, so the top-rank positions come first, in index order.
+    It yields each smaller subgame, having marked it, and resumes once
+    that subgame's winners are in `win`; it writes the winner of each of
+    its own positions there.  Given a list `strat`, it also writes a move
+    there for every position its owner wins, possibly over the move of a
+    subgame it has since given up.
     """
-    rank = arena[1]
+    owner, rank, succ, _ = arena
     d = rank[positions[0]]
     sigma = d % 2  # the player favoured by rank d
     top = list(takewhile(lambda v: rank[v] == d, positions))
-    attr = _remove_attractor(arena, sigma, top, inside)
+    attr = _remove_attractor(arena, sigma, top, inside, strat)
     rest = [v for v in positions if inside[v]]
     if rest:
         yield rest
     for v in attr:
         inside[v] = 1
         win[v] = sigma
-    lost = [v for v in rest if win[v] != sigma]
+    lost = sorted(v for v in rest if win[v] != sigma)  # index order fixes the recorded moves
     if not lost:
+        if strat is not None:
+            for v in top:
+                if owner[v] == sigma:
+                    strat[v] = min(w for w in succ[v] if inside[w])
         return
-    attr = _remove_attractor(arena, 1 - sigma, lost, inside)
+    attr = _remove_attractor(arena, 1 - sigma, lost, inside, strat)
     rest = [v for v in positions if inside[v]]
     if rest:
         yield rest
     for v in attr:
         inside[v] = 1
         win[v] = 1 - sigma
+
+
+def _solve_frames(arena, win: bytearray, inside: bytearray, strat=None) -> None:
+    """Solve the subgame marked 1 in `inside` by `_winners_frame`s run on
+    an explicit stack, writing its winners into `win` (and its moves into
+    `strat`, if given)."""
+    rank = arena[1]
+    rest = sorted((v for v in range(len(rank)) if inside[v]), key=rank.__getitem__, reverse=True)
+    stack = [_winners_frame(arena, win, inside, rest, strat)] if rest else []
+    while stack:
+        try:
+            sub = next(stack[-1])
+        except StopIteration:
+            stack.pop()
+        else:
+            stack.append(_winners_frame(arena, win, inside, sub, strat))
 
 
 def _strong_winners(arena) -> bytearray:
@@ -276,8 +221,8 @@ def _strong_winners(arena) -> bytearray:
     stay there forever, and one whose only move is a self-loop of the
     other parity is lost by its owner.  Any other self-loop of its owner's
     losing parity is dropped, since taking it gains its owner nothing.
-    The attractors of the decided positions are removed, and the rest is
-    solved by `_winners_frame`s run on an explicit stack.
+    The attractors of the decided positions are removed, and
+    `_solve_frames` solves the rest.
     """
     owner, rank, succ, pred = arena
     size = len(owner)
@@ -300,15 +245,7 @@ def _strong_winners(arena) -> bytearray:
         targets = [v for v in decided[player] if inside[v]]
         for v in _remove_attractor(arena, player, targets, inside):
             win[v] = player
-    rest = sorted((v for v in range(size) if inside[v]), key=rank.__getitem__, reverse=True)
-    stack = [_winners_frame(arena, win, inside, rest)] if rest else []
-    while stack:
-        try:
-            sub = next(stack[-1])
-        except StopIteration:
-            stack.pop()
-        else:
-            stack.append(_winners_frame(arena, win, inside, sub))
+    _solve_frames(arena, win, inside)
     return win
 
 
@@ -387,15 +324,13 @@ def solve_parity(g: Game) -> Solution:
     if g.condition != "parity":
         raise ValidationError("solve_parity expects condition parity")
     owner, rank, succ, ids = _game_arrays(g)
-    wins, strats = _zielonka_full(_arena(owner, rank, succ))
-    strategy = {}
-    for player in (0, 1):
-        for v, t in strats[player].items():
-            # a move into a sink is a dead end's or a sink's own
-            if t < len(ids) and v in wins[player] and owner[v] == player:
-                strategy[ids[v]] = ids[t]
-    return Solution(winner={pid: EVE if i in wins[0] else ADAM for i, pid in enumerate(ids)},
-                    strategy=strategy)
+    n = len(ids)
+    win, strat = bytearray(n + 2), [0] * (n + 2)
+    _solve_frames(_arena(owner, rank, succ), win, bytearray(b"\x01") * (n + 2), strat)
+    # a move into a sink is a dead end's
+    return Solution(winner={pid: EVE if win[v] == 0 else ADAM for v, pid in enumerate(ids)},
+                    strategy={ids[v]: ids[strat[v]] for v in range(n)
+                              if win[v] == owner[v] and strat[v] < n})
 
 
 def solve_weak(g: Game) -> Solution:
@@ -442,8 +377,8 @@ def eve_wins_arrays(owner: list[int], rank: list[int], succ: list[list[int]],
     peeled by `_solve_weak_layers`.  A strong-parity game where Adam owns
     every position is a cycle check: Adam wins iff a cycle with odd top
     rank is reachable from `position`.  Other strong games go to
-    `_strong_winners`, the winner-only solver trim's emptiness arena uses;
-    both solvers run on the `_arena` totalization.
+    `_strong_winners`, as trim's emptiness arena does; weak and strong
+    games alike are solved on the `_arena` totalization.
     """
     if not weak and 0 not in owner:
         graph = dict(enumerate(succ))
@@ -601,7 +536,13 @@ def parse_game(text: str) -> Game:
             continue
         toks = line.split()
         if toks[0] == "pos" and len(toks) == 4 and toks[2] in (EVE, ADAM):
-            positions[toks[1]] = (toks[2], int(toks[3]))
+            try:
+                rank = int(toks[3])
+            except ValueError:
+                raise FormatError(f"rank not a number: {toks[3]!r}", ln) from None
+            if toks[1] in positions:
+                raise FormatError(f"position {toks[1]!r} declared twice", ln)
+            positions[toks[1]] = (toks[2], rank)
         elif toks[0] == "edge" and len(toks) == 3:
             edges.append((toks[1], toks[2]))
         elif toks[0] == "init" and len(toks) == 2:

@@ -5,14 +5,13 @@ import time
 import pytest
 
 from weakindex.automata import DetAutomaton, State, Transition
-from weakindex.errors import GameTooLarge
+from weakindex.errors import FormatError, GameTooLarge
 from weakindex.games import (
     Game,
     Solution,
     _arena,
     _game_arrays,
     _strong_winners,
-    _zielonka_full,
     brute_force_solve,
     check_strategy,
     eve_wins_arrays,
@@ -106,23 +105,23 @@ def _random_int_game(rng: SplitMix64, n: int, max_rank: int):
 
 
 def test_winner_only_solver_matches_references():
-    # `_strong_winners` against the strategy-building Zielonka everywhere,
-    # and against the brute-force oracle on games of at most 8 positions
+    # `_strong_winners` against `solve_parity`, whose regions `check_strategy`
+    # certifies by cycle search, and against the brute-force oracle on games
+    # of at most 8 positions
     rng = SplitMix64(4711)
     for k in range(400):
         small = k % 2 == 0
         n = 1 + rng.below(8 if small else 200)
         owner, rank, succ = _random_int_game(rng, n, 3 if small else 1 + rng.below(12))
-        arena = _arena(owner, rank, succ)
-        eve = _zielonka_full(arena)[0][0]
-        win = _strong_winners(arena)
-        assert len(win) == n + 2
-        assert [v for v in range(n + 2) if win[v] == 0] == sorted(eve), (owner, rank, succ)
+        g = game({f"p{v}": ("EA"[owner[v]], rank[v]) for v in range(n)},
+                 [(f"p{v}", f"p{w}") for v in range(n) for w in succ[v]])
+        sol = solve_parity(g)
+        assert check_strategy(g, sol), g
+        win = _strong_winners(_arena(owner, rank, succ))
+        assert win[n:] == b"\x00\x01"  # the sinks
+        assert {f"p{v}": "EA"[win[v]] for v in range(n)} == sol.winner, (owner, rank, succ)
         if small:
-            g = game({f"p{v}": ("EA"[owner[v]], rank[v]) for v in range(n)},
-                     [(f"p{v}", f"p{w}") for v in range(n) for w in succ[v]])
-            oracle = brute_force_solve(g).winner
-            assert {f"p{v}": "EA"[win[v]] for v in range(n)} == oracle, g
+            assert brute_force_solve(g).winner == sol.winner, g
 
 
 def _chain_winners(owner, rank):
@@ -337,6 +336,18 @@ condition weak
     assert solve_weak(g).winner["a"] == "E"
 
 
+def test_parse_game_rejects_a_rank_that_is_not_a_number():
+    with pytest.raises(FormatError, match="rank not a number: 'x'") as err:
+        parse_game("pos a E 0\npos p E x\ninit a\n")
+    assert err.value.line == 2
+
+
+def test_parse_game_rejects_a_position_declared_twice():
+    with pytest.raises(FormatError, match="position 'p' declared twice") as err:
+        parse_game("pos p E 0\nedge p p\npos p A 1\ninit p\n")
+    assert err.value.line == 3
+
+
 # sha256 of the weak layering's outputs, recorded before its rank buckets
 # were built by one sort: `solve_weak` reprs on random weak games, and
 # `eve_wins_arrays` from every position, which stops the layering early
@@ -353,3 +364,17 @@ def test_weak_layering_outputs_are_pinned():
         wins = [eve_wins_arrays(owner, rank, succ, True, v) for v in range(len(owner))]
         digest.update(bytes(wins))
     assert digest.hexdigest() == WEAK_LAYERS_SHA256
+
+
+# sha256 of `solve_parity`'s winners and strategies, recorded while it ran
+# on its own set-based Zielonka, before it shared the winner-only frame
+PARITY_SOLUTIONS_SHA256 = "dde8c1c554fee238541f80407954b6994a4fa79ca87207ee93c43bc8da7ff59c"
+
+
+def test_solve_parity_solutions_pinned():
+    rng = SplitMix64(2718)
+    digest = hashlib.sha256()
+    for _ in range(600):
+        sol = solve_parity(random_game(rng, max_positions=12, max_rank=7))
+        digest.update(repr((sorted(sol.winner.items()), sorted(sol.strategy.items()))).encode())
+    assert digest.hexdigest() == PARITY_SOLUTIONS_SHA256

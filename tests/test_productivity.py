@@ -8,7 +8,7 @@ from weakindex.automata import BOT, DetAutomaton, State, Transition, _table, mak
 from weakindex.classifier import classify
 from weakindex.errors import EmptyLanguage, ValidationError
 from weakindex.formats import serialize_automaton
-from weakindex.games import solve_parity
+from weakindex.games import check_strategy, solve_parity
 from weakindex.productivity import (
     is_empty,
     is_trimmed,
@@ -153,13 +153,17 @@ def test_is_empty_is_universal_trivia():
 
 def test_nonempty_matches_emptiness_game():
     # the int arena's position layout depends on |Sigma|, so vary it; the
-    # string-keyed `emptiness_game` under `solve_parity` is the reference
+    # string-keyed `emptiness_game` under `solve_parity` is the reference,
+    # and since `solve_parity` runs the frames trim does, `check_strategy`
+    # certifies its regions apart from them
     rng = SplitMix64(5150)
     for letters in (("a",), ("a", "b"), ("a", "b", "c")):
         for max_states in (5, 12):
             for _ in range(40):
                 a = random_det(rng, max_states, letters)
-                sol = solve_parity(emptiness_game(a))
+                g = emptiness_game(a)
+                sol = solve_parity(g)
+                assert check_strategy(g, sol), a
                 ne = nonempty_states(a)
                 for q in a.states:
                     assert (sol.winner[f"s:{q}"] == "E") == (q in ne), (a, q)

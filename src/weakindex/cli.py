@@ -36,7 +36,7 @@ from .patterns import (
     replicated_set,
 )
 from .productivity import trim
-from .semantics import SamplerParams, alt_accepts, bounded_equiv, det_accepts, skurczynski
+from .semantics import SamplerParams, alt_accepts, bounded_equiv, skurczynski
 from .formats import serialize_regular_tree
 from .transforms import weaken
 
@@ -99,10 +99,7 @@ def cmd_weaken(args) -> int:
 def cmd_member(args) -> int:
     a = _load_automaton(args.automaton)
     t = parse_regular_tree(_read(args.tree))
-    if isinstance(a, DetAutomaton):
-        ok = det_accepts(a, t)
-    else:
-        ok = alt_accepts(a, t)
+    ok = alt_accepts(a, t)
     print("member" if ok else "non-member")
     return EXIT_OK if ok else EXIT_FALSE
 

@@ -16,6 +16,9 @@ Regular-tree format:
     node n0 a n0 n1
 
 W-instance trees use labels of the form E:2 / A:1.
+
+Every line but `state`, `trans` and `node` may appear once; a repeated
+one is a `FormatError` at its second occurrence.
 """
 
 from __future__ import annotations
@@ -78,20 +81,30 @@ def parse_automaton(text: str) -> TreeAutomaton:
         elif kw == "alphabet":
             if len(toks) < 2:
                 raise FormatError("alphabet needs at least one symbol", ln)
+            if alphabet:
+                raise FormatError(f"directive {kw!r} given twice", ln)
             alphabet = toks[1:]
         elif kw == "start":
             if len(toks) != 2:
                 raise FormatError("start needs exactly one state id", ln)
+            if start is not None:
+                raise FormatError(f"directive {kw!r} given twice", ln)
             start = toks[1]
         elif kw == "acceptance":
             if len(toks) != 2 or toks[1] not in ("parity", "weak"):
                 raise FormatError("expected: acceptance <parity|weak>", ln)
+            if acceptance is not None:
+                raise FormatError(f"directive {kw!r} given twice", ln)
             acceptance = toks[1]
         elif kw == "deterministic":
+            if deterministic:
+                raise FormatError(f"directive {kw!r} given twice", ln)
             deterministic = True
         elif kw == "name":
             if len(toks) != 2:
                 raise FormatError("name takes exactly one token", ln)
+            if name:
+                raise FormatError(f"directive {kw!r} given twice", ln)
             name = toks[1]
         else:
             raise FormatError(f"unknown directive {kw!r}", ln)
@@ -146,12 +159,17 @@ def parse_regular_tree(text: str) -> RegularTree:
             if len(toks) != 2:
                 raise FormatError("expected: arity <N>", ln)
             try:
-                arity = int(toks[1])
+                value = int(toks[1])
             except ValueError:
                 raise FormatError(f"bad arity {toks[1]!r}", ln) from None
+            if arity is not None:
+                raise FormatError(f"directive {kw!r} given twice", ln)
+            arity = value
         elif kw == "root":
             if len(toks) != 2:
                 raise FormatError("expected: root <id>", ln)
+            if root is not None:
+                raise FormatError(f"directive {kw!r} given twice", ln)
             root = toks[1]
         elif kw == "node":
             if arity is None:

@@ -6,20 +6,20 @@ rank visited at least once is even.  A player who cannot move loses.
 
 `solve_parity` and `solve_weak` return full winning-region partitions with
 positional strategies.  Dead ends are handled by one totalization,
-`_totalize`, which both solvers and the membership kernel run on: a stuck
-position gets a single edge to a self-looping sink whose rank is a fresh
-value above every real rank, odd when the stuck owner is Eve and even when
-it is Adam.  That encodes the dead-end rule for both conditions at once.
-`_arena` builds the predecessor lists of a game and totalizes it;
-membership products record theirs during their search, and trim's
-emptiness arena has no dead ends.
+`_arena`, which both solvers and the membership kernel `eve_wins_arrays`
+run on: a stuck position gets a single edge to a self-looping sink whose
+rank is a fresh value above every real rank, odd when the stuck owner is
+Eve and even when it is Adam.  That encodes the dead-end rule for both
+conditions at once.  `_arena` also builds the predecessor lists, and it
+leaves the caller's lists as they are; trim's emptiness arena has no dead
+ends and builds its own.
 Zielonka's strong solver is one generator frame, `_winners_frame`, with
 one attractor, `_remove_attractor`, run on an explicit stack so its depth
 is not bounded by the interpreter's recursion limit, which it leaves
 alone.  The frame records strategies only for `solve_parity`, which
-passes it a list for them.  Callers that need only the winners (trim,
-membership, `eve_wins_arrays`) use `_strong_winners`, which decides
-self-loops first and then runs the same frames.
+passes it a list for them.  Callers that need only the winners (trim and
+`eve_wins_arrays`) use `_strong_winners`, which decides self-loops first
+and then runs the same frames.
 """
 
 from __future__ import annotations
@@ -81,41 +81,25 @@ class Solution:
 
 
 def _arena(owner: list[int], rank: list[int], succ: list[list[int]]):
-    """Totalized int arena (owner, rank, succ, pred) of a game, by `_totalize`.
-
-    `pred[w]` lists the sources of w's moves in index order, a move listed
-    twice twice.  The caller's lists are not changed.
-    """
-    pred: list[list[int]] = [[] for _ in owner]
-    for v, s in enumerate(succ):
-        for w in s:
-            pred[w].append(v)
-    return _totalize(list(owner), list(rank), list(succ), pred)
-
-
-def _totalize(owner: list[int], rank: list[int], succ: list, pred: list[list[int]]):
-    """The dead-end rule, in place: (owner, rank, succ, pred) of n positions
-    becomes the totalized arena both solvers and the membership kernel run on.
+    """The totalized int arena (owner, rank, succ, pred) of a game, the one
+    both solvers and the membership kernel run on.
 
     Positions n and n+1 are the self-looping sinks Eve and Adam win, ranked
     a fresh even and odd value above every real rank, and a dead end moves
-    to the sink its owner loses.  A move listed twice stays listed twice,
-    in `succ` and in `pred`.
+    to the sink its owner loses.  `pred[w]` lists the sources of w's moves
+    in index order, a move listed twice twice.  The outer lists are new, so
+    the caller's lists are not changed.
     """
     n = len(owner)
     top = max(rank, default=0)
-    owner += [0, 0]
-    rank += [top + 2 - (top % 2), top + 1 + (top % 2)]
-    pred += [[], []]
-    for v in range(n):
-        if not succ[v]:
-            w = n if owner[v] == 1 else n + 1
-            succ[v] = [w]
+    succ = succ + [[n], [n + 1]]
+    pred: list[list[int]] = [[] for _ in succ]
+    for v, s in enumerate(succ):
+        if not s:
+            s = succ[v] = [n if owner[v] else n + 1]
+        for w in s:
             pred[w].append(v)
-    succ += [[n], [n + 1]]
-    pred[n].append(n)
-    pred[n + 1].append(n + 1)
-    return owner, rank, succ, pred
+    return owner + [0, 0], rank + [top + 2 - (top % 2), top + 1 + (top % 2)], succ, pred
 
 
 def _remove_attractor(arena, player: int, targets, inside: bytearray, strat=None) -> list[int]:
@@ -214,7 +198,7 @@ def _solve_frames(arena, win: bytearray, inside: bytearray, strat=None) -> None:
 
 def _strong_winners(arena) -> bytearray:
     """Winner of every position of a strong-parity arena with no dead ends
-    (as `_totalize` leaves it), 0 being Eve; no strategies are built.
+    (as `_arena` builds it), 0 being Eve; no strategies are built.
 
     Self-loops are decided first, as Friedmann and Lange do: a position
     whose self-loop has its owner's parity is won by its owner, who can
@@ -268,8 +252,8 @@ def _game_arrays(g: Game):
 def _solve_weak_layers(arena, stop=None):
     """Descending-rank attractor layering for the weak condition, no strategies.
 
-    The arena is totalized, as `_totalize` leaves it: `solve_weak` and
-    `eve_wins_arrays` pass `_arena`'s, membership products their own.
+    The arena is `_arena`'s: `solve_weak` and `eve_wins_arrays`, which
+    every weak membership product goes through, build it.
     Positions wait in one bucket per rank; the highest rank with positions
     left is attracted for the player of its parity, and each position
     counts its successors not yet removed (a move listed twice counts
@@ -373,16 +357,11 @@ def eve_wins_arrays(owner: list[int], rank: list[int], succ: list[list[int]],
     """Membership kernel: does Eve win from `position`?  Winner only.
 
     owner: 0 = Eve, 1 = Adam per position; succ holds successor indices.
-    Dead ends follow the usual rule (stuck owner loses).  Weak games are
-    peeled by `_solve_weak_layers`.  A strong-parity game where Adam owns
-    every position is a cycle check: Adam wins iff a cycle with odd top
-    rank is reachable from `position`.  Other strong games go to
-    `_strong_winners`, as trim's emptiness arena does; weak and strong
-    games alike are solved on the `_arena` totalization.
+    Dead ends follow the usual rule (stuck owner loses).  The game is
+    totalized by `_arena`; weak games are peeled by `_solve_weak_layers`,
+    which stops once `position` has its layer, and strong games go to
+    `_strong_winners`, as trim's emptiness arena does.
     """
-    if not weak and 0 not in owner:
-        graph = dict(enumerate(succ))
-        return not any(_rank_cycles(reachable_from([position], graph), graph, rank, 1))
     arena = _arena(owner, rank, succ)
     if weak:
         return _solve_weak_layers(arena, position)[0][position] % 2 == 0
@@ -528,8 +507,7 @@ def brute_force_solve(g: Game) -> Solution:
 def parse_game(text: str) -> Game:
     positions: dict[str, tuple[str, int]] = {}
     edges: list[tuple[str, str]] = []
-    initial = None
-    condition = "parity"
+    header: dict[str, str] = {}  # the init and condition lines
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -545,12 +523,13 @@ def parse_game(text: str) -> Game:
             positions[toks[1]] = (toks[2], rank)
         elif toks[0] == "edge" and len(toks) == 3:
             edges.append((toks[1], toks[2]))
-        elif toks[0] == "init" and len(toks) == 2:
-            initial = toks[1]
-        elif toks[0] == "condition" and len(toks) == 2:
-            condition = toks[1]
+        elif toks[0] in ("init", "condition") and len(toks) == 2:
+            if toks[0] in header:
+                raise FormatError(f"directive {toks[0]!r} given twice", ln)
+            header[toks[0]] = toks[1]
         else:
             raise FormatError(f"bad game line {line!r}", ln)
-    if initial is None:
+    if "init" not in header:
         raise FormatError("missing section: init")
-    return Game(positions=positions, edges=tuple(edges), initial=initial, condition=condition)
+    return Game(positions=positions, edges=tuple(edges), initial=header["init"],
+                condition=header.get("condition", "parity"))

@@ -11,13 +11,12 @@ ids once.  The search indexes its positions in a flat list of
 |Q|*nn slots, or in a dict for products above `_LIST_INDEX_SLOTS`.
 `bounded_equiv` indexes each tree once and runs both automata on that
 view; it takes the fixed battery and the samples as views and builds a
-`RegularTree` only for the counterexample it returns.  The product search
-records each move's predecessor as it finds the move, so a weak product
-is its own totalized arena, and its layering stops once the start
-position has its layer.  Every product position is reachable from the
-start, so a deterministic run is decided by a cycle check with no
-reachability pass.  The run reduction folds the same product search into
-its tree.
+`RegularTree` only for the counterexample it returns.  Every product
+position is reachable from the start, so a deterministic run is decided
+by a cycle check with no reachability pass; every other product goes to
+the membership kernel `games.eve_wins_arrays`, whose weak layering stops
+once the start position has its layer.  The run reduction folds the same
+product search into its tree.
 """
 
 from __future__ import annotations
@@ -39,15 +38,7 @@ from .automata import (
     normalize_ranks,
 )
 from .errors import ValidationError
-from .games import (
-    ADAM,
-    EVE,
-    Game,
-    _solve_weak_layers,
-    _strong_winners,
-    _totalize,
-    eve_wins_arrays,
-)
+from .games import ADAM, EVE, Game, eve_wins_arrays
 from .graphs import _rank_cycles
 from .rng import SplitMix64
 from .trees import Node, RegularTree, parse_wlabel
@@ -117,13 +108,12 @@ _LIST_INDEX_SLOTS = 1 << 12
 
 def _product_arrays(a: TreeAutomaton, view):
     """Product positions (state, node) reachable from (initial, root), as an
-    int game (owner, rank, succ, pred) in breadth-first order.
+    int game (owner, rank, succ) in breadth-first order.
 
-    `pred` is recorded as each move is found, so `pred[w]` lists the
-    sources of w's moves in index order, a move listed twice twice.
-    Every position is reachable from position 0.  Positions are numbered
-    in search order, so the game does not depend on how the view numbers
-    its nodes.
+    A move listed twice in the automaton is listed twice in `succ`, and a
+    position with no move is a dead end.  Every position is reachable from
+    position 0.  Positions are numbered in search order, so the game does
+    not depend on how the view numbers its nodes.
     """
     sidx, letter, moves, sowner, srank = _view(a)
     labels, children, root = view
@@ -136,7 +126,6 @@ def _product_arrays(a: TreeAutomaton, view):
     index[q0 * nn + root] = 0
     states, nodes = [q0], [root]
     succ: list[list[int]] = []
-    pred: list[list[int]] = [[]]
     for i, si in enumerate(states):  # breadth-first: `states` grows while it is read
         ni = nodes[i]
         kids = children[ni]
@@ -149,33 +138,24 @@ def _product_arrays(a: TreeAutomaton, view):
                 j = index[code] = len(states)
                 states.append(qi)
                 nodes.append(n2)
-                pred.append([i])
-            else:
-                pred[j].append(i)
             out.append(j)
         succ.append(out)
-    return [sowner[q] for q in states], [srank[q] for q in states], succ, pred
+    return [sowner[q] for q in states], [srank[q] for q in states], succ
 
 
 def _accepts(a: TreeAutomaton, view) -> bool:
     """Membership of the tree `view` in the language of `a`: one product
-    search and a winner-only solve at position 0, as `eve_wins_arrays`
-    decides it.
+    search and a winner-only solve at position 0.
 
-    Every position is reachable from position 0, so a product where Adam
-    moves alone (every deterministic run) is a cycle check with no
-    reachability pass; other products are totalized with the predecessor
-    lists their search recorded.  The weak layering stops once position 0
-    has its layer.
+    Every position is reachable from position 0, so a strong product where
+    Adam moves alone (every deterministic run) is a cycle check with no
+    reachability pass.  Every other product goes to `eve_wins_arrays`.
     """
-    owner, rank, succ, pred = _product_arrays(a, view)
+    owner, rank, succ = _product_arrays(a, view)
     weak = a.acceptance == "weak"
     if not weak and 0 not in owner:
         return not any(_rank_cycles(range(len(succ)), succ, rank, 1))
-    arena = _totalize(owner, rank, succ, pred)
-    if weak:
-        return _solve_weak_layers(arena, 0)[0][0] % 2 == 0
-    return _strong_winners(arena)[0] == 0
+    return eve_wins_arrays(owner, rank, succ, weak)
 
 
 def alt_accepts(a: TreeAutomaton, t: RegularTree) -> bool:
@@ -243,7 +223,7 @@ def run_reduction(a: TreeAutomaton, t: RegularTree) -> WInstance:
     a = normalize_ranks(a)
     idx = index_of(a)
     iota, kappa = idx.iota, idx.kappa
-    owner, rank, succ, _ = _product_arrays(a, _tree_view(t))
+    owner, rank, succ = _product_arrays(a, _tree_view(t))
     arity = max(2, max(map(len, succ)))
 
     pads: dict[int, str] = {}

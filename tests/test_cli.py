@@ -110,6 +110,23 @@ def test_a_name_of_two_words_exits_3(all_a_file, capsys):
         assert capsys.readouterr().err == "invalid input: line 1: name takes exactly one token\n"
 
 
+def test_a_header_given_twice_exits_3(all_a_file, tmp_path, capsys):
+    tree = tmp_path / "t.rt"
+    tree.write_text("arity 2\nroot n\nroot n\nnode n a n n\n")
+    for argv in (["member", all_a_file, str(tree)], ["dot", str(tree)]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "invalid input: line 3: directive 'root' given twice\n"
+    with open(all_a_file) as f:
+        text = f.read()
+    with open(all_a_file, "w") as f:
+        f.write(text + "alphabet b\n")
+    line = text.count("\n") + 1
+    message = f"invalid input: line {line}: directive 'alphabet' given twice\n"
+    for command in ("classify", "member", "dot"):
+        assert main([command, all_a_file] + [str(tree)] * (command == "member")) == 3
+        assert capsys.readouterr().err == message
+
+
 def test_member_exit_codes(all_a_file, tmp_path):
     ta = tmp_path / "t_a.rt"
     ta.write_text(serialize_regular_tree(constant_tree("a")))

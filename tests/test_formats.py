@@ -38,6 +38,19 @@ def test_regular_tree_unreachable_nodes_rejected():
         parse_regular_tree("arity 2\nroot n\nnode n a n n\nnode m b m m\n")
 
 
+@pytest.mark.parametrize("text, message, line", [
+    ("arity 2\nroot n0\nroot n1\nnode n0 a n0 n0\nnode n1 a n1 n1\n",
+     "directive 'root' given twice", 3),
+    ("arity 2\nroot n\nnode n a n n\narity 2\n", "directive 'arity' given twice", 4),
+    ("arity 2\nroot n\nnode n a n n\narity x\n", "bad arity 'x'", 4),  # a malformed repeat
+])
+def test_regular_tree_header_given_twice(text, message, line):
+    with pytest.raises(FormatError) as exc:
+        parse_regular_tree(text)
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
+
+
 def test_three_ary_w_tree_parses():
     t = parse_regular_tree("""
 arity 3
@@ -136,6 +149,15 @@ def _text(lines, newline="\n"):
      "duplicate transition for ('q', 'a', 0)", None),
     ({8: "trans q a 0 q"}, "missing transition (q,a,1): table not total", None),  # deduplicated
     ({8: "# trans q a 1 q"}, "missing transition (q,a,1): table not total", None),
+    # a header line given twice is refused at its second occurrence
+    ({5: "alphabet b"}, "directive 'alphabet' given twice", 6),
+    ({5: "alphabet a"}, "directive 'alphabet' given twice", 6),
+    ({5: "start q"}, "directive 'start' given twice", 6),
+    ({10: "acceptance weak"}, "directive 'acceptance' given twice", 11),
+    ({9: "deterministic"}, "directive 'deterministic' given twice", 11),
+    ({1: "name two"}, "directive 'name' given twice", 3),
+    ({10: "name one"}, "directive 'name' given twice", 11),
+    ({5: "alphabet"}, "alphabet needs at least one symbol", 6),  # a malformed repeat
 ])
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 def test_parse_automaton_errors(change, message, line, newline):

@@ -1,9 +1,11 @@
+import copy
 import hashlib
 import sys
 import time
 
 import pytest
 
+from weakindex import games
 from weakindex.automata import DetAutomaton, State, Transition
 from weakindex.errors import FormatError, GameTooLarge
 from weakindex.games import (
@@ -122,6 +124,52 @@ def test_winner_only_solver_matches_references():
         assert {f"p{v}": "EA"[win[v]] for v in range(n)} == sol.winner, (owner, rank, succ)
         if small:
             assert brute_force_solve(g).winner == sol.winner, g
+
+
+def test_arena_contract(monkeypatch):
+    # `_arena` sends each dead end to the sink its owner loses, lists every
+    # move's source in index order, and changes none of its inputs, so the
+    # solvers that read the caller's lists after it still see the game
+    built = []
+
+    def recorded(g):
+        arrays = _game_arrays(g)
+        built.append((arrays, copy.deepcopy(arrays)))
+        return arrays
+
+    monkeypatch.setattr(games, "_game_arrays", recorded)
+    rng = SplitMix64(1618)
+    stuck = set()
+    for _ in range(300):
+        n = 1 + rng.below(10)
+        owner, rank, succ = _random_int_game(rng, n, rng.below(6))
+        before = copy.deepcopy((owner, rank, succ))
+        a_owner, a_rank, a_succ, a_pred = _arena(owner, rank, succ)
+        assert (owner, rank, succ) == before
+        top = max(rank)
+        assert a_owner[:n] == owner and a_rank[:n] == rank and a_owner[n:] == [0, 0]
+        assert a_rank[n] % 2 == 0 and a_rank[n + 1] % 2 == 1 and min(a_rank[n:]) > top
+        assert a_succ[n:] == [[n], [n + 1]]
+        for v in range(n):
+            if succ[v]:
+                assert a_succ[v] == succ[v]
+            else:  # Adam's dead ends move to the sink Eve wins, Eve's to Adam's
+                stuck.add(owner[v])
+                assert a_succ[v] == [n + 1 - owner[v]]
+        assert a_pred == [[v for v, s in enumerate(a_succ) for x in s if x == w]
+                          for w in range(n + 2)]
+        for weak in (False, True):
+            for p in range(n):
+                eve_wins_arrays(owner, rank, succ, weak, p)
+        assert (owner, rank, succ) == before
+        g = game({f"p{v}": ("EA"[owner[v]], rank[v]) for v in range(n)},
+                 [(f"p{v}", f"p{w}") for v in range(n) for w in succ[v]])
+        solve_parity(g)
+        solve_weak(Game(g.positions, g.edges, g.initial, "weak"))
+    assert stuck == {0, 1}
+    assert len(built) == 600
+    for arrays, copied in built:
+        assert arrays == copied
 
 
 def _chain_winners(owner, rank):
@@ -276,7 +324,10 @@ def test_weak_monotone_in_eve_ranks():
 
 @pytest.mark.parametrize("condition", ["parity", "weak"])
 def test_membership_kernel_matches_full_solvers(condition):
-    # the all-Adam variants take the kernel's cycle check under strong parity
+    # the kernel on each game and on its all-Adam variant, which goes to
+    # `_strong_winners` like every other strong game; `_accepts`' cycle
+    # check is covered by the deterministic cases of
+    # test_membership_matches_independent_solvers
     rng = SplitMix64(55 if condition == "parity" else 56)
     weak = condition == "weak"
     for _ in range(300):
@@ -346,6 +397,18 @@ def test_parse_game_rejects_a_position_declared_twice():
     with pytest.raises(FormatError, match="position 'p' declared twice") as err:
         parse_game("pos p E 0\nedge p p\npos p A 1\ninit p\n")
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("pos a E 0\npos b A 1\nedge a a\ninit a\ninit b\n", "directive 'init' given twice", 5),
+    ("pos a E 0\ninit a\ncondition weak\nedge a a\ncondition weak\n",
+     "directive 'condition' given twice", 5),
+])
+def test_parse_game_rejects_a_header_given_twice(text, message, line):
+    with pytest.raises(FormatError) as err:
+        parse_game(text)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
 
 
 # sha256 of the weak layering's outputs, recorded before its rank buckets

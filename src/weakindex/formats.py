@@ -97,6 +97,8 @@ def parse_automaton(text: str) -> TreeAutomaton:
                 raise FormatError(f"directive {kw!r} given twice", ln)
             acceptance = toks[1]
         elif kw == "deterministic":
+            if len(toks) != 1:
+                raise FormatError("deterministic takes no tokens", ln)
             if deterministic:
                 raise FormatError(f"directive {kw!r} given twice", ln)
             deterministic = True

@@ -531,5 +531,8 @@ def parse_game(text: str) -> Game:
             raise FormatError(f"bad game line {line!r}", ln)
     if "init" not in header:
         raise FormatError("missing section: init")
-    return Game(positions=positions, edges=tuple(edges), initial=header["init"],
-                condition=header.get("condition", "parity"))
+    try:
+        return Game(positions=positions, edges=tuple(edges), initial=header["init"],
+                    condition=header.get("condition", "parity"))
+    except ValidationError as e:
+        raise FormatError(str(e)) from e

@@ -335,30 +335,41 @@ def edge_tops(a: DetAutomaton) -> dict[tuple[str, str, int], set[int]]:
 # -- witness materialization ------------------------------------------------
 
 
-def _bfs(a: DetAutomaton, allowed, sources: list[int], goals) -> Optional[list[int]]:
-    """Shortest path inside `allowed`, as transition indices; ties go to the
-    smaller source and then to the earlier transition."""
+def _bfs(a: DetAutomaton, allowed, sources: list[int], goals, cap=INF) -> Optional[list[int]]:
+    """Shortest path inside `allowed`, as transition indices, of at most
+    `cap` transitions; ties go to the smaller source and then to the earlier
+    transition.  Sources that are goals are checked first; then levels are
+    searched in FIFO order, so the first goal discovered, with its parent, is
+    the one a full search would dequeue, and the search returns there."""
     v = _view(a)
     target, width = v.target, v.width
     parent = {s: -1 for s in sorted(set(sources)) if s in allowed}
-    queue = list(parent)
-    for x in queue:  # the queue grows while it is read
-        if x in goals:
-            path: list[int] = []
-            while parent[x] >= 0:
-                path.append(parent[x])
-                x = parent[x] // width
-            return path[::-1]
-        for j in range(x * width, x * width + width):
-            w = target[j]
-            if w not in parent and w in allowed:
-                parent[w] = j
-                queue.append(w)
+    if any(s in goals for s in parent):
+        return []
+    level, depth = list(parent), 0
+    while level and depth < cap:
+        depth += 1
+        nxt = []
+        for x in level:
+            for j in range(x * width, x * width + width):
+                w = target[j]
+                if w not in parent and w in allowed:
+                    parent[w] = j
+                    if w in goals:
+                        path: list[int] = []
+                        while parent[w] >= 0:
+                            path.append(parent[w])
+                            w = parent[w] // width
+                        return path[::-1]
+                    nxt.append(w)
+        level = nxt
     return None
 
 
 def _closed_walk(a: DetAutomaton, comp: set[int], pivot: int, via: int, top: int) -> Loop:
-    """Nonempty closed walk pivot ~> via ~> pivot inside comp; top rank = top."""
+    """Nonempty closed walk pivot ~> via ~> pivot inside comp; top rank = top.
+    For via == pivot, the shortest one: each search back from a successor
+    after the first is capped to find only a strictly shorter walk."""
     v = _view(a)
     if via == pivot:
         best: Optional[list[int]] = None
@@ -369,8 +380,8 @@ def _closed_walk(a: DetAutomaton, comp: set[int], pivot: int, via: int, top: int
             if w == pivot:
                 best = [j]
                 break
-            rest = _bfs(a, comp, [w], {pivot})
-            if rest is not None and (best is None or len(rest) + 1 < len(best)):
+            rest = _bfs(a, comp, [w], {pivot}, INF if best is None else len(best) - 2)
+            if rest is not None:
                 best = [j] + rest
         if best is None:
             raise ValidationError(f"no cycle through {v.ids[pivot]} in its component")
@@ -447,8 +458,11 @@ def _flower(a: DetAutomaton, i: IndexPair, pivots) -> Optional[_Build]:
     """`find_flower` with the pivot taken from `pivots`, ascending state
     indices."""
     v, loop = _view(a), _tops(a).loop
-    n = i.ranks_used()
+    n, tried = i.ranks_used(), set()  # the chain depends on the mask only
     for p in pivots:
+        if loop[p] in tried:
+            continue
+        tried.add(loop[p])
         chain = _greedy_chain(v, loop[p], i.iota % 2)[:n]
         if len(chain) == n:
             return lambda: FlowerWitness(kind="strong", index=i, pivot=v.ids[p],
@@ -566,12 +580,27 @@ def find_weak_flower(a: DetAutomaton, i: IndexPair) -> Optional[FlowerWitness]:
 # -- replication -------------------------------------------------------------
 
 
+def _reached(v: _View, starts) -> list[bool]:
+    """Per SCC of `v`, whether it is reachable from a state in `starts`:
+    one pass over the condensation, whose edges all go forward."""
+    mark = [False] * len(v.sccs)
+    for i in starts:
+        mark[v.scc_of[i]] = True
+    for c, ok in enumerate(mark):
+        if ok:
+            for d in v.edges[c]:
+                mark[d] = True
+    return mark
+
+
 def _replicated(a: DetAutomaton) -> set[int]:
-    """`replicated_set` as state indices."""
+    """`replicated_set` as state indices: the states of the SCCs reachable
+    from the sibling of a move that starts an accepting loop."""
     def build():
         v = _view(a)
-        starts = sorted({v.target[j ^ 1] for j, m in enumerate(_tops(a).edge) if m & v.parity[0]})
-        return reachable_from(starts, v.succ) - {v.index.get(BOT)}
+        starts = {v.target[j ^ 1] for j, m in enumerate(_tops(a).edge) if m & v.parity[0]}
+        rep = {i for c, ok in enumerate(_reached(v, starts)) if ok for i in v.sccs[c]}
+        return rep - {v.index.get(BOT)}
     return _memo(a, "replicated", build)
 
 
@@ -582,19 +611,20 @@ def replicated_set(a: DetAutomaton) -> set[str]:
 
 
 def replication_witness_for(a: DetAutomaton, q: str) -> Optional[ReplicationWitness]:
-    """Witness for one replicated state; None when `q` is not replicated."""
+    """Witness for one replicated state; None when `q` is not replicated.
+    The SCCs that reach q's are marked in one backward pass over the
+    condensation, and the first move closing an accepting loop whose
+    sibling lies in one of them is taken."""
     v = _view(a)
     goal = v.index[q]
-    pred: dict[int, list[int]] = {i: [] for i in v.succ}
-    for i, ws in v.succ.items():
-        for w in ws:
-            pred[w].append(i)
-    back = reachable_from([goal], pred)
-    # the first transition that closes an accepting loop and whose sibling reaches q
+    back, g = [False] * len(v.sccs), v.scc_of[goal]
+    back[g] = True
+    for c in range(g - 1, -1, -1):  # no SCC after q's reaches it
+        back[c] = any(back[d] for d in v.edges[c])
     for j, m in enumerate(_tops(a).edge):
         m &= v.parity[0]
         start = v.target[j ^ 1]
-        if m and start in back:
+        if m and back[v.scc_of[start]]:
             loop = _edge_loop(a, j, v.ranks[(m & -m).bit_length() - 1])  # the smallest even top
             path = [j ^ 1] + _bfs(a, range(len(v.ids)), [start], {goal})
             return ReplicationWitness(loop=loop, path=tuple(a.transitions[k] for k in path),

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from .automata import BOT, DetAutomaton, State, Transition, UNIVERSAL, _memo, _sink_moves, _table
 from .errors import EmptyLanguage, ValidationError
 from .games import _strong_winners
-from .graphs import reachable_from
-from .patterns import _tops, _view
+from .patterns import _reached, _tops, _view
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,9 @@ def is_trimmed(a: DetAutomaton) -> bool:
     def build():
         _, index, rank, _, target = _table(a)
         bot, width = index.get(BOT), 2 * len(a.alphabet)
-        if bot is not None and rank[bot] % 2 == 0:
+        if bot is None:  # no pair can go to it
+            return True
+        if rank[bot] % 2 == 0:
             return False
         for j in range(0, len(target), 2):
             to_bot = target[j] == bot
@@ -162,7 +163,9 @@ def is_universal(a: DetAutomaton) -> bool:
     """True when no reachable cycle of the transition graph has odd top rank.
 
     In the one-player game where Adam picks letters and directions, such a
-    cycle is exactly a play violating the parity condition.
+    cycle is exactly a play violating the parity condition.  It is decided
+    on the condensation, by the SCCs reachable from the initial state.
     """
-    v, tops = _view(a), _tops(a).loop
-    return not any(tops[i] & v.parity[1] for i in reachable_from([v.index[a.initial]], v.succ))
+    v, scc = _view(a), _tops(a).scc
+    reached = _reached(v, [v.index[a.initial]])
+    return not any(ok and scc[c][1] for c, ok in enumerate(reached))

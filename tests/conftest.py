@@ -1,4 +1,4 @@
-"""Shared deterministic random generators for the test suite."""
+"""Shared deterministic random generators and reference searches for the test suite."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pytest
 from weakindex.automata import DetAutomaton, State, Transition, TreeAutomaton
 from weakindex.errors import EmptyLanguage
 from weakindex.games import ADAM, EVE, Game
+from weakindex.patterns import _view
 from weakindex.productivity import trim
 from weakindex.rng import SplitMix64
 
@@ -130,6 +131,28 @@ def random_weak(rng: SplitMix64, max_states: int = 4, letters=LETTERS,
                 trans.append(Transition(q, a, d, names[rng.below(n)]))
     return TreeAutomaton(alphabet=tuple(letters), states=states, initial="q0",
                          transitions=tuple(trans), acceptance="weak")
+
+
+def ref_bfs(a: DetAutomaton, allowed, sources, goals):
+    """The reference for `patterns._bfs`: a full breadth-first search that
+    tests each node for a goal when it is dequeued."""
+    v = _view(a)
+    target, width = v.target, v.width
+    parent = {s: -1 for s in sorted(set(sources)) if s in allowed}
+    queue = list(parent)
+    for x in queue:  # the queue grows while it is read
+        if x in goals:
+            path: list[int] = []
+            while parent[x] >= 0:
+                path.append(parent[x])
+                x = parent[x] // width
+            return path[::-1]
+        for j in range(x * width, x * width + width):
+            w = target[j]
+            if w not in parent and w in allowed:
+                parent[w] = j
+                queue.append(w)
+    return None
 
 
 @pytest.fixture

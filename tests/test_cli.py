@@ -110,6 +110,20 @@ def test_a_name_of_two_words_exits_3(all_a_file, capsys):
         assert capsys.readouterr().err == "invalid input: line 1: name takes exactly one token\n"
 
 
+def test_deterministic_with_tokens_exits_3(all_a_file, capsys):
+    # such a file used to parse as deterministic and exit 0
+    with open(all_a_file) as f:
+        text = f.read()
+    assert "\ndeterministic\n" in text
+    with open(all_a_file, "w") as f:
+        f.write(text.replace("\ndeterministic\n", "\ndeterministic yes please\n"))
+    line = text[:text.index("\ndeterministic\n")].count("\n") + 2
+    for command in ("classify", "weaken", "patterns", "dot"):
+        assert main([command, all_a_file]) == 3
+        assert capsys.readouterr().err == (
+            f"invalid input: line {line}: deterministic takes no tokens\n")
+
+
 def test_a_header_given_twice_exits_3(all_a_file, tmp_path, capsys):
     tree = tmp_path / "t.rt"
     tree.write_text("arity 2\nroot n\nroot n\nnode n a n n\n")

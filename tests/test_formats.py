@@ -158,6 +158,7 @@ def _text(lines, newline="\n"):
     ({1: "name two"}, "directive 'name' given twice", 3),
     ({10: "name one"}, "directive 'name' given twice", 11),
     ({5: "alphabet"}, "alphabet needs at least one symbol", 6),  # a malformed repeat
+    ({10: "deterministic yes please"}, "deterministic takes no tokens", 11),
 ])
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 def test_parse_automaton_errors(change, message, line, newline):

@@ -411,6 +411,16 @@ def test_parse_game_rejects_a_header_given_twice(text, message, line):
     assert str(err.value) == f"line {line}: {message}"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("pos a E 0\ninit a\ncondition buchi\n", "unknown condition 'buchi'"),
+    ("pos a E 0\nedge a b\ninit a\n", "edge (a,b) leaves declared positions"),
+])
+def test_parse_game_reports_the_constructors_errors_as_format_errors(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_game(text)
+    assert err.value.line is None and str(err.value) == message
+
+
 # sha256 of the weak layering's outputs, recorded before its rank buckets
 # were built by one sort: `solve_weak` reprs on random weak games, and
 # `eve_wins_arrays` from every position, which stops the layering early

@@ -130,7 +130,10 @@ class TreeAutomaton:
         if not (blocks or typed and _in_order(ts)):
             ts = dict.fromkeys(ts)
             epsilon = any(t.direction is None for t in ts)
-            ts = tuple(sorted(ts, key=transition_sort_key) if epsilon else sorted(ts))
+            try:
+                ts = tuple(sorted(ts, key=transition_sort_key) if epsilon else sorted(ts))
+            except TypeError:  # a field of a bad type: kept unsorted for _validate to name
+                ts = tuple(ts)
         object.__setattr__(self, "transitions", ts)
         self._validate(blocks)
         # memo space for derived analyses; sound because values are immutable
@@ -182,10 +185,12 @@ class TreeAutomaton:
         except TypeError:
             pass
         for sid, st in states.items():
-            if not sid.replace("_", "a").isalnum():
+            if not (isinstance(sid, str) and sid.replace("_", "a").isalnum()):
                 raise ValidationError(f"bad state id {sid!r}")
             if st.mode not in (EXISTENTIAL, UNIVERSAL):
                 raise ValidationError(f"state {sid}: bad mode {st.mode!r}")
+            if not isinstance(st.rank, int):
+                raise ValidationError(f"state {sid}: rank {st.rank!r} is not an integer")
             if st.rank < 0:
                 raise ValidationError(f"state {sid}: negative rank")
 

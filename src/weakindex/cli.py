@@ -147,15 +147,12 @@ def cmd_fixture(args) -> int:
             print("fixture skurczynski needs an index like 0,2", file=sys.stderr)
             return EXIT_USAGE
         a = skurczynski(IndexPair(iota, kappa))
-    elif args.kind == "catalog":
+    else:  # argparse admits only the two kinds
         try:
             a = catalog.get(args.name)
         except KeyError as e:
             print(str(e), file=sys.stderr)
             return EXIT_USAGE
-    else:
-        print(f"unknown fixture kind {args.kind!r}", file=sys.stderr)
-        return EXIT_USAGE
     _write_out(serialize_automaton(a), args.out)
     return EXIT_OK
 

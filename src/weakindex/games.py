@@ -20,6 +20,9 @@ alone.  The frame records strategies only for `solve_parity`, which
 passes it a list for them.  Callers that need only the winners (trim and
 `eve_wins_arrays`) use `_strong_winners`, which decides self-loops first
 and then runs the same frames.
+The weak layering, `_solve_weak_layers`, returns each rank's attractor
+queue, which `solve_weak` reads its strategies off.  `check_strategy`
+asks `graphs._has_top_cycle` for a play its strategies cannot win.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import takewhile
 
 from .errors import FormatError, GameTooLarge, ValidationError
-from .graphs import _rank_cycles, reachable_from
+from .graphs import _has_top_cycle
 
 EVE = "E"
 ADAM = "A"
@@ -259,11 +262,13 @@ def _solve_weak_layers(arena, stop=None):
     counts its successors not yet removed (a move listed twice counts
     twice), so the opponent is attracted when that count drops to zero.
 
-    Returns (layer, order) over the arena's positions.  layer[v] is the
+    Returns (layer, queues) over the arena's positions.  layer[v] is the
     rank whose attractor removed v, and its parity is v's winner (0 is
     Eve); layers are peeled in descending order, so the subgame current at
-    layer d is the positions with layer <= d.  order[v] is v's place in
-    that attractor's queue, whose head is its rank-d positions in index order.
+    layer d is the positions with layer <= d.  queues[d] is rank d's
+    attractor queue, the ranks in descending order: its head is the rank-d
+    positions not yet removed, in index order, and the positions it pulls
+    in follow in the order they joined.
 
     With a position `stop`, the layering returns as soon as `stop` gets
     its layer: only stop's entries are final then, and they are the ones
@@ -280,14 +285,14 @@ def _solve_weak_layers(arena, stop=None):
         buckets[r].append(v)
     live = list(map(len, succ))
     layer = [-1] * len(owner)
-    order = [0] * len(owner)
+    queues: dict[int, list[int]] = {}
     for d, bucket in buckets.items():  # descending ranks
-        queue = [v for v in bucket if layer[v] < 0]
+        queues[d] = queue = [v for v in bucket if layer[v] < 0]
         sigma = d % 2
-        for i, v in enumerate(queue):
-            layer[v], order[v] = d, i
+        for v in queue:
+            layer[v] = d
         if d == stop_rank:
-            return layer, order
+            return layer, queues
         for v in queue:  # the queue grows while it is read
             for u in pred[v]:
                 if layer[u] >= 0:
@@ -296,11 +301,11 @@ def _solve_weak_layers(arena, stop=None):
                     live[u] -= 1
                     if live[u]:
                         continue
-                layer[u], order[u] = d, len(queue)
+                layer[u] = d
                 if u == stop:
-                    return layer, order
+                    return layer, queues
                 queue.append(u)
-    return layer, order
+    return layer, queues
 
 
 def solve_parity(g: Game) -> Solution:
@@ -320,9 +325,10 @@ def solve_parity(g: Game) -> Solution:
 def solve_weak(g: Game) -> Solution:
     """Solve a weak-parity game by descending-rank attractor layering.
 
-    Strategies are read off the layering.  A position of the layer's
-    player pulled in by the attractor moves to its smallest successor
-    that joined the layer before it.  Every other position moves to its
+    Strategies are read off the layering's attractor queues, the two
+    sinks dropped.  A position of the layer's player pulled in by the
+    attractor moves to its smallest successor that joined the queue
+    before it.  Every other position moves to its
     smallest successor in its own layer, or else to its smallest
     successor in the subgame current at that layer; for a position whose
     owner loses it, that move is the safe move.
@@ -330,19 +336,21 @@ def solve_weak(g: Game) -> Solution:
     if g.condition != "weak":
         raise ValidationError("solve_weak expects condition weak")
     owner, rank, succ, ids = _game_arrays(g)
-    layer, order = _solve_weak_layers(_arena(owner, rank, succ))
-    members: dict[int, list[int]] = {}
-    for v in sorted(range(len(ids)), key=order.__getitem__):
-        members.setdefault(layer[v], []).append(v)
+    n = len(ids)
+    layer, queues = _solve_weak_layers(_arena(owner, rank, succ))
     strategy: dict[str, str] = {}
     safe_moves: dict[str, str] = {}
-    for d in sorted(members, reverse=True):
+    for d, queue in queues.items():
         sigma = d % 2
-        pulled = [v for v in members[d] if owner[v] == sigma and rank[v] < d]
-        for v in pulled:
-            t = min(w for w in succ[v] if layer[w] == d and order[w] < order[v])
-            strategy[ids[v]] = ids[t]
-        for v in sorted(set(members[d]).difference(pulled)):
+        members = [v for v in queue if v < n]  # the two sinks dropped
+        joined: set[int] = set()
+        pulled = []
+        for v in members:
+            if owner[v] == sigma and rank[v] < d:
+                pulled.append(v)
+                strategy[ids[v]] = ids[min(w for w in succ[v] if w in joined)]
+            joined.add(v)
+        for v in sorted(set(members).difference(pulled)):
             if not succ[v]:
                 continue
             inside = [w for w in succ[v] if layer[w] <= d]
@@ -403,8 +411,7 @@ def check_strategy(g: Game, sol: Solution) -> bool:
             graph[node] = [(w, max(seen, g.positions[w][1]) if weak else g.positions[w][1])
                            for w in moves]
             stack.extend(graph[node])
-        if any(_rank_cycles(reachable_from(starts, graph), graph, {v: v[1] for v in graph},
-                           opp_parity)):
+        if _has_top_cycle(graph, graph, {v: v[1] for v in graph}, opp_parity):
             return False
     return True
 

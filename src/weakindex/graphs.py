@@ -1,5 +1,5 @@
 """Small graph helpers: iterative Tarjan SCC, condensation, reachability,
-and the rank-restricted cycle search."""
+and the rank-restricted check for a cycle with a top rank of given parity."""
 
 from __future__ import annotations
 
@@ -95,14 +95,14 @@ def has_cycle_inside(comp: list, succ: dict) -> bool:
     return v in succ.get(v, ())
 
 
-def _rank_cycles(nodes, succ, rank, parity: int):
-    """Cycles whose top rank has `parity`, inside the subgraph induced by
-    `nodes`, smallest top first.
+def _has_top_cycle(nodes, succ, rank, parity: int) -> bool:
+    """Whether the subgraph induced by `nodes` has a cycle whose top rank
+    has `parity`.
 
     For each such rank r of a node, ascending, runs Tarjan on the nodes
-    ranked at most r and yields (r, comp) for each component, in
-    `tarjan_scc` order, that supports a cycle and holds a node of rank r:
-    a cycle with top r exists exactly then.
+    ranked at most r: a cycle with top r exists exactly when one of their
+    components supports a cycle and holds a node of rank r.  Returns at
+    the first such component.
     """
     for r in sorted({rank[v] for v in nodes if rank[v] % 2 == parity}):
         sub = [v for v in nodes if rank[v] <= r]
@@ -110,4 +110,5 @@ def _rank_cycles(nodes, succ, rank, parity: int):
         adj = {v: [w for w in succ[v] if w in keep] for v in sub}
         for comp in tarjan_scc(sub, adj):
             if has_cycle_inside(comp, adj) and any(rank[v] == r for v in comp):
-                yield r, comp
+                return True
+    return False

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .automata import BOT, DetAutomaton, IndexPair, Transition, _memo, _table
 from .errors import GameTooLarge, ValidationError
-from .graphs import _rank_cycles, condensation, has_cycle_inside, reachable_from, tarjan_scc
+from .graphs import condensation, has_cycle_inside, reachable_from, tarjan_scc
 
 INF = float("inf")
 _Build = Callable[[], object]  # builds a witness once a check has decided it exists
@@ -426,17 +426,6 @@ def _scc_loop(a: DetAutomaton, ci: int, parity: int) -> Optional[Loop]:
     return None if found is None else _pivot_loop(a, found[1], found[0])
 
 
-def _loop_with_parity(a: DetAutomaton, nodes: list[int], parity: int) -> Optional[_Build]:
-    """Smallest-top loop of the given top parity inside the subgraph induced
-    by `nodes` (ascending), as the call that builds it; `_scc_loop` gives
-    the same loop when `nodes` is a whole SCC."""
-    v = _view(a)
-    for r, comp in _rank_cycles(nodes, v.succ, v.rank, parity):
-        pivot = next(i for i in comp if v.rank[i] == r)
-        return lambda: _closed_walk(a, set(comp), pivot, pivot, r)
-    return None
-
-
 # -- flowers ----------------------------------------------------------------
 
 
@@ -640,8 +629,9 @@ def _replicate(a: DetAutomaton, flower: FlowerWitness) -> ReplicatedFlowerWitnes
 
 def _replicated_flower(a: DetAutomaton, i: IndexPair, weak: bool) -> Optional[_Build]:
     """`find_replicated_flower`, decided on the masks, the chain lengths and
-    the replicated set, plus a search for a weak flower's first loop where
-    the replicated states are part of an SCC."""
+    the replicated set.  The replicated set is a union of whole SCCs, `_bot`
+    aside, which trim leaves a sink SCC of its own, so a weak flower's first
+    loop is the smallest one of its parity in an SCC of that set."""
     rep = _replicated(a)
     if not rep:
         return None
@@ -654,15 +644,10 @@ def _replicated_flower(a: DetAutomaton, i: IndexPair, weak: bool) -> Optional[_B
     for ci, comp in enumerate(v.sccs):
         if n > 1 and desc[ci][1 - b] < n - 1:
             continue
-        first_nodes = [x for x in comp if x in rep]
-        if len(first_nodes) < len(comp):
-            first = _loop_with_parity(a, first_nodes, b)
-        else:
-            first = _tops(a).scc[ci][b] and (lambda: _scc_loop(a, ci, b))
-        if first:
+        if comp[0] in rep and _tops(a).scc[ci][b]:
             def build():
                 host = _find_host(ci, 1 - b, n - 1, g, v.edges) if n > 1 else None
-                loops = (first(),) + _materialize_chain(a, host, 1 - b, n - 1)
+                loops = (_scc_loop(a, ci, b),) + _materialize_chain(a, host, 1 - b, n - 1)
                 return _replicate(a, _weak_flower_of(a, i, loops))
             return build
     return None
@@ -725,7 +710,6 @@ class PatternInventory:
         succ = {q: {a.step(q, c, d) for c in a.alphabet for d in (0, 1)} for q in states}
         self.reach = {q: reachable_from([q], succ) for q in states}
         self.subsets: list[tuple[frozenset[str], int]] = []  # cyclic s.c. subsets
-        self._sc_cache: dict[frozenset, bool] = {}
         for size in range(1, len(states) + 1):
             for combo in itertools.combinations(states, size):
                 s = frozenset(combo)
@@ -743,8 +727,6 @@ class PatternInventory:
         self.replicated = self._compute_replicated()
 
     def _strongly_connected(self, s: frozenset, succ) -> bool:
-        if s in self._sc_cache:
-            return self._sc_cache[s]
         first = next(iter(s))
         fwd = reachable_from([first], {q: [w for w in succ[q] if w in s] for q in s})
         ok = fwd >= s
@@ -756,7 +738,6 @@ class PatternInventory:
                         pred[w].append(q)
             bwd = reachable_from([first], pred)
             ok = bwd >= s
-        self._sc_cache[s] = ok
         return ok
 
     def _has_cycle(self, s: frozenset, succ) -> bool:

@@ -39,7 +39,7 @@ from .automata import (
 )
 from .errors import ValidationError
 from .games import ADAM, EVE, Game, eve_wins_arrays
-from .graphs import _rank_cycles
+from .graphs import _has_top_cycle
 from .rng import SplitMix64
 from .trees import Node, RegularTree, parse_wlabel
 
@@ -147,14 +147,16 @@ def _accepts(a: TreeAutomaton, view) -> bool:
     """Membership of the tree `view` in the language of `a`: one product
     search and a winner-only solve at position 0.
 
-    Every position is reachable from position 0, so a strong product where
-    Adam moves alone (every deterministic run) is a cycle check with no
-    reachability pass.  Every other product goes to `eve_wins_arrays`.
+    A strong product where Adam moves alone (every deterministic run) is
+    rejected iff it has a cycle with an odd top: `graphs._has_top_cycle`,
+    which returns at its first hit.  Every position is reachable from
+    position 0, so no reachability pass comes first.  Every other product
+    goes to `eve_wins_arrays`.
     """
     owner, rank, succ = _product_arrays(a, view)
     weak = a.acceptance == "weak"
     if not weak and 0 not in owner:
-        return not any(_rank_cycles(range(len(succ)), succ, rank, 1))
+        return not _has_top_cycle(range(len(succ)), succ, rank, 1)
     return eve_wins_arrays(owner, rank, succ, weak)
 
 

@@ -160,6 +160,8 @@ def test_index_leq_examples():
 def test_index_pair_one_zero_not_constructible():
     with pytest.raises(ValidationError):
         IndexPair(1, 0)
+    with pytest.raises(ValidationError, match="^index iota must be 0 or 1, got 2$"):
+        IndexPair(2, 3)
 
 
 def test_validation_unknown_initial():
@@ -224,6 +226,36 @@ def test_state_id_rejected(sid):
     with pytest.raises(ValidationError, match="bad state id"):
         TreeAutomaton(alphabet=("a",), states={"q": State("A", 0), sid: State("A", 0)},
                       initial="q", transitions=())
+
+
+P = Transition("p", "a", 0, "p"), Transition("p", "a", 1, "p")
+
+
+@pytest.mark.parametrize("kind, fields, message", [
+    (TreeAutomaton, {"alphabet": ()}, "empty alphabet"),
+    (TreeAutomaton, {"states": {}}, "automaton has no states"),
+    (TreeAutomaton, {"acceptance": "buchi"}, "unknown acceptance 'buchi'"),
+    (TreeAutomaton, {"transitions": (Transition("p", "a", 2, "p"),)}, "bad direction 2"),
+    # a field of a type that does not sort or compare is named, not a TypeError
+    (TreeAutomaton, {"transitions": (Transition("p", 1, 0, "p"), Transition("p", "a", 0, "p"))},
+     "transition on unknown letter 1"),
+    (TreeAutomaton, {"transitions": (Transition("p", "a", 0, 3), Transition("p", "a", 0, "p"))},
+     "transition to unknown state 3"),
+    (TreeAutomaton, {"transitions": (Transition("p", "a", "0", "p"), Transition("p", "a", 1, "p"))},
+     "bad direction '0'"),
+    (DetAutomaton, {"states": {"p": State("A", 0), 3: State("A", 0)},
+                    "transitions": P + (Transition(3, "a", 0, "p"), Transition(3, "a", 1, "p"))},
+     "bad state id 3"),
+    (TreeAutomaton, {"states": {"p": State("A", 0), 3: State("A", 0)}}, "bad state id 3"),
+    (TreeAutomaton, {"states": {"p": State("A", "0")}}, "state p: rank '0' is not an integer"),
+    (DetAutomaton, {"states": {"p": State("A", "0")}}, "state p: rank '0' is not an integer"),
+])
+def test_constructor_names_the_bad_field(kind, fields, message):
+    args = {"alphabet": ("a",), "states": {"p": State("A", 0)}, "initial": "p",
+            "transitions": P, **fields}
+    with pytest.raises(ValidationError) as err:
+        kind(**args)
+    assert str(err.value) == message
 
 
 def test_non_total_table_names_first_missing_key():

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from weakindex import catalog, classifier
 from weakindex.automata import (
     DetAutomaton,
@@ -20,7 +22,7 @@ from weakindex.classifier import (
     weak_alt_level,
     weak_det_index,
 )
-from weakindex.errors import EmptyLanguage
+from weakindex.errors import EmptyLanguage, ValidationError
 from weakindex.graphs import tarjan_scc
 from weakindex.patterns import brute_force_patterns, find_flower, find_weak_flower
 from weakindex.productivity import trim
@@ -83,6 +85,16 @@ def test_empty_and_universal_reports():
     assert r.borel.minimal is BorelLevel.PI0
     assert r.det_index == IndexPair(0, 0)
     assert {(i.iota, i.kappa) for i in r.weak_alt} == {(0, 0)}
+
+
+@pytest.mark.parametrize("analysis", [borel_rank, det_index, weak_det_index])
+def test_analyses_refuse_an_untrimmed_automaton(analysis):
+    # an accepting `_bot` is not the trimmed normal form's rejecting sink
+    a = make_automaton(("a",), {"_bot": ("A", 0)}, "_bot",
+                       [("_bot", "a", 0, "_bot"), ("_bot", "a", 1, "_bot")], deterministic=True)
+    with pytest.raises(ValidationError) as err:
+        analysis(a)
+    assert str(err.value) == f"{analysis.__name__} expects a trimmed automaton"
 
 
 def test_ladder_bits_antitone():

@@ -148,6 +148,9 @@ def test_member_exit_codes(all_a_file, tmp_path):
     tb.write_text(serialize_regular_tree(constant_tree("b")))
     assert main(["member", all_a_file, str(ta)]) == 0
     assert main(["member", all_a_file, str(tb)]) == 1
+    broken = tmp_path / "broken.rt"
+    broken.write_text("arity 2\nroot n\n")  # no node lines
+    assert main(["member", all_a_file, str(broken)]) == 3
 
 
 def test_compare_self_passes(all_a_file, capsys):
@@ -183,6 +186,7 @@ def test_fixture_catalog_and_skurczynski(tmp_path, capsys):
     assert main(["fixture", "catalog", "nope"]) == 2
     capsys.readouterr()
     assert main(["fixture", "skurczynski", "zz"]) == 2
+    assert main(["fixture", "bogus", "x"]) == 2  # argparse refuses the kind
 
 
 def test_dot_export(all_a_file, tmp_path, capsys):

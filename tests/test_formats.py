@@ -11,7 +11,7 @@ from weakindex.formats import (
     to_dot,
     tree_to_dot,
 )
-from weakindex.trees import parse_wlabel
+from weakindex.trees import Node, RegularTree, parse_wlabel
 
 
 def test_regular_tree_round_trip():
@@ -31,6 +31,8 @@ def test_regular_tree_dangling_id():
 def test_regular_tree_arity_mismatch():
     with pytest.raises(FormatError, match="child ids"):
         parse_regular_tree("arity 3\nroot n\nnode n a n n\n")
+    with pytest.raises(ValidationError, match="^node 'n' has 2 children, expected 3$"):
+        RegularTree(3, {"n": Node("a", ("n", "n"))}, "n")
 
 
 def test_regular_tree_unreachable_nodes_rejected():
@@ -43,12 +45,20 @@ def test_regular_tree_unreachable_nodes_rejected():
      "directive 'root' given twice", 3),
     ("arity 2\nroot n\nnode n a n n\narity 2\n", "directive 'arity' given twice", 4),
     ("arity 2\nroot n\nnode n a n n\narity x\n", "bad arity 'x'", 4),  # a malformed repeat
+    # other malformed files; the constructor's errors carry no line
+    ("arity 2\nroot\nnode n a n n\n", "expected: root <id>", 2),
+    ("root n\nnode n a n n\narity 2\n", "arity must be declared before nodes", 2),
+    ("arity 2\nroot n\nnode n a n n\nnode n b n n\n", "node 'n' declared twice", 4),
+    ("arity 2\nnode n a n n\n", "missing section: root", None),
+    ("arity 2\nroot n\n", "missing section: node declarations", None),
+    ("arity 1\nroot n\nnode n a n\n", "arity must be >= 2, got 1", None),
+    ("arity 2\nroot m\nnode n a n n\n", "root 'm' not declared", None),
 ])
 def test_regular_tree_header_given_twice(text, message, line):
     with pytest.raises(FormatError) as exc:
         parse_regular_tree(text)
     assert exc.value.line == line
-    assert str(exc.value) == f"line {line}: {message}"
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
 
 
 def test_three_ary_w_tree_parses():
@@ -67,6 +77,10 @@ def test_wlabel_validation():
         parse_wlabel("plain")
     with pytest.raises(ValidationError):
         parse_wlabel("X:1")
+    with pytest.raises(ValidationError, match="^not an owner:rank label: 'E:x'$"):
+        parse_wlabel("E:x")
+    with pytest.raises(ValidationError, match="^negative rank in label 'A:-1'$"):
+        parse_wlabel("A:-1")
 
 
 def test_dot_two_node_digraph():
@@ -159,6 +173,8 @@ def _text(lines, newline="\n"):
     ({10: "name one"}, "directive 'name' given twice", 11),
     ({5: "alphabet"}, "alphabet needs at least one symbol", 6),  # a malformed repeat
     ({10: "deterministic yes please"}, "deterministic takes no tokens", 11),
+    ({8: "trans r a 1 q"}, "transition from unknown state 'r'", None),
+    ({9: "acceptance weak"}, "deterministic automata use strong parity acceptance", None),
 ])
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
 def test_parse_automaton_errors(change, message, line, newline):

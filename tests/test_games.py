@@ -7,7 +7,7 @@ import pytest
 
 from weakindex import games
 from weakindex.automata import DetAutomaton, State, Transition
-from weakindex.errors import FormatError, GameTooLarge
+from weakindex.errors import FormatError, GameTooLarge, ValidationError
 from weakindex.games import (
     Game,
     Solution,
@@ -414,11 +414,30 @@ def test_parse_game_rejects_a_header_given_twice(text, message, line):
 @pytest.mark.parametrize("text, message", [
     ("pos a E 0\ninit a\ncondition buchi\n", "unknown condition 'buchi'"),
     ("pos a E 0\nedge a b\ninit a\n", "edge (a,b) leaves declared positions"),
+    ("pos a E 0\ninit b\n", "initial position 'b' not declared"),
+    ("pos a E -1\ninit a\n", "position a: negative rank"),
 ])
 def test_parse_game_reports_the_constructors_errors_as_format_errors(text, message):
     with pytest.raises(FormatError) as err:
         parse_game(text)
     assert err.value.line is None and str(err.value) == message
+
+
+WEAK = game({"a": ("E", 0)}, [("a", "a")], condition="weak")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: parse_game("pos a E 0\nbogus\ninit a\n"), FormatError, "line 2: bad game line 'bogus'"),
+    (lambda: parse_game("pos a E 0\nedge a a\n"), FormatError, "missing section: init"),
+    (lambda: game({"a": ("X", 0)}, []), ValidationError, "position a: bad owner 'X'"),
+    (lambda: solve_parity(WEAK), ValidationError, "solve_parity expects condition parity"),
+    (lambda: solve_weak(game(WEAK.positions, WEAK.edges)), ValidationError,
+     "solve_weak expects condition weak"),
+])
+def test_game_input_errors(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert type(err.value) is error and str(err.value) == message
 
 
 # sha256 of the weak layering's outputs, recorded before its rank buckets

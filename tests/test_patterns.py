@@ -1,5 +1,7 @@
 import hashlib
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -8,6 +10,7 @@ from weakindex.automata import BOT, DetAutomaton, IndexPair, State, Transition, 
 from weakindex.classifier import classify
 from weakindex.errors import EmptyLanguage, GameTooLarge, ValidationError
 from weakindex.patterns import (
+    Loop,
     ReplicationWitness,
     brute_force_patterns,
     edge_tops,
@@ -285,6 +288,64 @@ def test_forged_paths_fail_verify_and_bad_keys_fail_step():
         with pytest.raises(KeyError):
             automata[0].step(*key)
     assert checked > 500
+
+
+@pytest.fixture(scope="module")
+def real():
+    """Catalog witnesses that verify, for the forgeries below to break."""
+    x = SimpleNamespace(inf=trimmed("inf_b_left"), all_a=trimmed("all_a"),
+                        split_min=trimmed("split_min"))
+    x.flower = find_flower(x.inf, IndexPair(1, 2))  # at q1: q1 (top 1), q1 q2 (top 2)
+    x.weak = find_weak_flower(x.all_a, IndexPair(0, 1))  # p (top 0), p-b->_bot, _bot (top 1)
+    x.split = find_split(x.split_min)  # at (p, a): via e (top 2), via o (top 3)
+    x.rep = replication_witness_for(x.all_a, "p")  # p-a,0->p, branching p-a,1->p
+    for a, w in ((x.inf, x.flower), (x.all_a, x.weak), (x.split_min, x.split),
+                 (x.all_a, x.rep)):
+        w.verify(a)
+    return x
+
+
+@pytest.mark.parametrize("message, forge", [
+    ("empty loop", lambda x: (x.inf, Loop((), 1))),
+    ("loop top rank mismatch", lambda x: (x.inf, replace(x.flower.loops[0], top_rank=2))),
+    ("path transitions do not chain",
+     lambda x: (x.inf, Loop(x.flower.loops[1].transitions[:1], 2))),
+    ("flower has wrong number of loops",
+     lambda x: (x.inf, replace(x.flower, loops=x.flower.loops[:1]))),
+    ("loop 0 has top of wrong parity", lambda x: (x.inf, replace(x.flower, index=IndexPair(0, 1)))),
+    ("loop misses the pivot", lambda x: (x.inf, replace(x.flower, pivot="T"))),
+    ("flower tops do not strictly increase",
+     lambda x: (x.inf, replace(x.flower, index=IndexPair(1, 3),
+                               loops=x.flower.loops + x.flower.loops[:1]))),
+    ("weak flower loop 1 has wrong acceptance",
+     lambda x: (x.all_a, replace(x.weak, index=IndexPair(1, 2)))),
+    ("weak flower needs a path between consecutive loops",
+     lambda x: (x.all_a, replace(x.weak, paths=()))),
+    ("connecting path endpoints are off-loop",
+     lambda x: (x.all_a, replace(x.weak, paths=(x.rep.path,)))),  # p-a,1->p ends on p
+    ("consecutive loops neither touch nor connect",
+     lambda x: (x.all_a, replace(x.weak, paths=((),)))),
+    ("unknown flower kind 'odd'", lambda x: (x.all_a, replace(x.weak, kind="odd"))),
+    ("split loop does not start with the split edge",
+     lambda x: (x.split_min, replace(x.split, loop0=x.split.loop1, loop1=x.split.loop0))),
+    ("split tops must differ in parity with the highest odd",  # two loops of top 3
+     lambda x: (x.split_min, replace(x.split, loop0=Loop(
+         x.split.loop0.transitions + x.split.loop1.transitions, 3)))),
+    ("replicating loop must be accepting",
+     lambda x: (x.all_a, replace(x.rep, loop=x.weak.loops[1]))),
+    ("replication path must start with a branching edge",
+     lambda x: (x.all_a, replace(x.rep, path=()))),
+    ("replication path must branch at the loop edge",
+     lambda x: (x.all_a, replace(x.rep, path=x.weak.paths[0], state=BOT))),
+    ("replication path must take the other direction",
+     lambda x: (x.all_a, replace(x.rep, path=x.rep.loop.transitions))),
+    ("replication path does not reach the state", lambda x: (x.all_a, replace(x.rep, state=BOT))),
+])
+def test_forged_witnesses_fail_verify(real, message, forge):
+    a, w = forge(real)
+    with pytest.raises(ValidationError) as err:
+        w.verify(a)
+    assert str(err.value) == message
 
 
 def test_flower_prefix_monotone():

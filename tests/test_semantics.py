@@ -354,6 +354,30 @@ def test_sampler_rejects_bad_params():
         SamplerParams(seed=1, max_nodes=0, alphabet=("a",), count=1)
     with pytest.raises(ValidationError):
         SamplerParams(seed=1, max_nodes=3, alphabet=("a",), count=0)
+    with pytest.raises(ValidationError, match="^alphabet must be nonempty$"):
+        SamplerParams(seed=1, max_nodes=3, alphabet=(), count=1)
+
+
+TERNARY = constant_tree("a", arity=3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: alt_accepts(catalog.all_a(), TERNARY), "automaton inputs are binary trees"),
+    (lambda: run_reduction(catalog.all_a(), constant_tree("a")),
+     "run_reduction expects weak acceptance"),
+    (lambda: skurczynski(IndexPair(0, 0)), "skurczynski indices start at (0,1)"),
+    (lambda: skurczynski(IndexPair(1, 1)),
+     "skurczynski indices of the sigma side start at (1,2)"),
+    (lambda: skurczynski_member_oracle(IndexPair(0, 1), TERNARY), "oracle expects binary trees"),
+    (lambda: bounded_equiv(catalog.all_a(), make_automaton(
+        ("a",), {"q": ("A", 0)}, "q", [("q", "a", 0, "q"), ("q", "a", 1, "q")]),
+        SamplerParams(seed=1, max_nodes=3, alphabet=("a",), count=1)),
+     "bounded_equiv needs a shared alphabet"),
+])
+def test_semantics_input_errors(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
 
 
 # -- bounded equivalence ------------------------------------------------------------------

@@ -51,6 +51,8 @@ def test_restrict_single_rank_is_isomorphic_copy():
     r = restrict(a)
     assert len(r.states) == 1
     assert r.acceptance == "parity"
+    with pytest.raises(ValidationError, match="^restrict expects weak acceptance$"):
+        restrict(r)
 
 
 def test_restrict_two_rank_structure():
@@ -171,6 +173,8 @@ def test_conjunction_empty_list_is_universal():
     c = conjunction([], alphabet=("a", "b"))
     for t in spot_trees(10):
         assert alt_accepts(c, t)
+    with pytest.raises(ValidationError, match="^empty conjunction needs an explicit alphabet$"):
+        conjunction([])
 
 
 def test_conjunction_intersects():

@@ -119,7 +119,13 @@ class TreeAutomaton:
     name: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "alphabet", tuple(sorted(set(self.alphabet))))
+        letters = tuple(self.alphabet)
+        try:
+            letters = tuple(sorted(set(letters)))
+        except TypeError:  # letters that do not sort together, so not all strings
+            bad = next(x for x in letters if not isinstance(x, str))
+            raise ValidationError(f"alphabet letter {bad!r} is not a string") from None
+        object.__setattr__(self, "alphabet", letters)
         # a table of Transitions in its final order, as producers emit it, is
         # kept after one pass (the block layout of a DetAutomaton, else
         # _in_order); any other is deduplicated and sorted, in
@@ -180,6 +186,7 @@ class TreeAutomaton:
         try:  # a pass per field; the loop below names the first fault
             if ("".join(states).replace("_", "a").isalnum() and "" not in states
                     and {EXISTENTIAL, UNIVERSAL}.issuperset(map(itemgetter(0), states.values()))
+                    and {int}.issuperset(map(type, map(itemgetter(1), states.values())))
                     and min(map(itemgetter(1), states.values())) >= 0):
                 return
         except TypeError:

@@ -255,8 +255,10 @@ def _game_arrays(g: Game):
 def _solve_weak_layers(arena, stop=None):
     """Descending-rank attractor layering for the weak condition, no strategies.
 
-    The arena is `_arena`'s: `solve_weak` and `eve_wins_arrays`, which
-    every weak membership product goes through, build it.
+    The arena is `_arena`'s: `solve_weak` and `eve_wins_arrays` build it.
+    Weak membership products with an Eve position come here through
+    `eve_wins_arrays`; those where Adam moves alone never do, since
+    `semantics` decides them in its product search.
     Positions wait in one bucket per rank; the highest rank with positions
     left is attracted for the player of its parity, and each position
     counts its successors not yet removed (a move listed twice counts

@@ -11,12 +11,16 @@ ids once.  The search indexes its positions in a flat list of
 |Q|*nn slots, or in a dict for products above `_LIST_INDEX_SLOTS`.
 `bounded_equiv` indexes each tree once and runs both automata on that
 view; it takes the fixed battery and the samples as views and builds a
-`RegularTree` only for the counterexample it returns.  Every product
-position is reachable from the start, so a deterministic run is decided
-by a cycle check with no reachability pass; every other product goes to
-the membership kernel `games.eve_wins_arrays`, whose weak layering stops
-once the start position has its layer.  The run reduction folds the same
-product search into its tree.
+`RegularTree` only for the counterexample it returns.  A query takes one
+of three routes.  A weak automaton with no existential state is decided
+by a one-player depth-first search over (state, node, highest rank so
+far), which builds no product arrays.  Otherwise the product search
+builds the arrays, whose every position is reachable from the start: a
+strong product where Adam moves alone (every deterministic run) is
+decided by a cycle check with no reachability pass, and every other
+product goes to the membership kernel `games.eve_wins_arrays`, whose weak
+layering stops once the start position has its layer.  The run reduction
+folds the same product search into its tree.
 """
 
 from __future__ import annotations
@@ -143,18 +147,68 @@ def _product_arrays(a: TreeAutomaton, view):
     return [sowner[q] for q in states], [srank[q] for q in states], succ
 
 
-def _accepts(a: TreeAutomaton, view) -> bool:
-    """Membership of the tree `view` in the language of `a`: one product
-    search and a winner-only solve at position 0.
+def _universal_weak_accepts(a: TreeAutomaton, view) -> bool:
+    """Membership of the tree `view` in a weak automaton with no
+    existential state, decided during the product search itself.
 
-    A strong product where Adam moves alone (every deterministic run) is
-    rejected iff it has a cycle with an odd top: `graphs._has_top_cycle`,
-    which returns at its first hit.  Every position is reachable from
-    position 0, so no reachability pass comes first.  Every other product
-    goes to `eve_wins_arrays`.
+    Adam moves alone, so Adam wins iff some play from the start breaks the
+    weak condition.  The search is a depth-first search over triples
+    (state, node, m), m the highest rank seen so far, and steps moves as
+    `_product_arrays` does.  m never decreases along a move, so all the
+    triples of a strongly connected component share one m, the highest
+    rank of every infinite play that ends in it.  Every reachable
+    component with a cycle holds a move into a triple on the search path,
+    and each such move closes a cycle, so Adam wins iff one of them enters
+    a triple with odd m.  A dead end is a leaf: Adam, stuck there, loses.
     """
-    owner, rank, succ = _product_arrays(a, view)
+    sidx, letter, moves, _, srank = _view(a)
+    labels, children, root = view
+    nn = len(labels)
+    width = len(letter)
+    row = [letter[x] for x in labels]
+    span = max(srank) + 1
+    q0 = sidx[a.initial]
+    m0 = srank[q0]
+    key = (q0 * nn + root) * span + m0
+    color = {key: 1}  # 1 while on the search path, 2 once finished
+    path = [(key, root, m0, iter(moves[q0 * width + row[root]]))]
+    while path:
+        key, v, m, out = path[-1]
+        for d, q in out:
+            w = v if d is None else children[v][d]
+            r = srank[q]
+            m2 = r if r > m else m
+            k = (q * nn + w) * span + m2
+            c = color.get(k)
+            if c is None:
+                color[k] = 1
+                path.append((k, w, m2, iter(moves[q * width + row[w]])))
+                break
+            if c == 1 and m2 & 1:
+                return False
+        else:
+            color[key] = 2
+            path.pop()
+    return True
+
+
+def _accepts(a: TreeAutomaton, view) -> bool:
+    """Membership of the tree `view` in the language of `a`, by one of
+    three routes.
+
+    A weak automaton with no existential state is decided by the
+    one-player search `_universal_weak_accepts`, which builds no product
+    arrays.  A strong product where Adam moves alone (every deterministic
+    run) is rejected iff it has a cycle with an odd top:
+    `graphs._has_top_cycle`, which returns at its first hit.  Every
+    position is reachable from position 0, so no reachability pass comes
+    first.  Every other product goes to `eve_wins_arrays`, a winner-only
+    solve at position 0.
+    """
     weak = a.acceptance == "weak"
+    if weak and 0 not in _view(a)[3]:
+        return _universal_weak_accepts(a, view)
+    owner, rank, succ = _product_arrays(a, view)
     if not weak and 0 not in owner:
         return not _has_top_cycle(range(len(succ)), succ, rank, 1)
     return eve_wins_arrays(owner, rank, succ, weak)

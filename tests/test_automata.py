@@ -249,6 +249,10 @@ P = Transition("p", "a", 0, "p"), Transition("p", "a", 1, "p")
     (TreeAutomaton, {"states": {"p": State("A", 0), 3: State("A", 0)}}, "bad state id 3"),
     (TreeAutomaton, {"states": {"p": State("A", "0")}}, "state p: rank '0' is not an integer"),
     (DetAutomaton, {"states": {"p": State("A", "0")}}, "state p: rank '0' is not an integer"),
+    # letters that do not sort together, and a rank the fast pass would order
+    (TreeAutomaton, {"alphabet": ("a", 1)}, "alphabet letter 1 is not a string"),
+    (TreeAutomaton, {"states": {"p": State("A", 1.5)}}, "state p: rank 1.5 is not an integer"),
+    (DetAutomaton, {"states": {"p": State("A", 1.5)}}, "state p: rank 1.5 is not an integer"),
 ])
 def test_constructor_names_the_bad_field(kind, fields, message):
     args = {"alphabet": ("a",), "states": {"p": State("A", 0)}, "initial": "p",

@@ -1,20 +1,23 @@
+import contextlib
 import hashlib
 import math
 
 import pytest
 
 from weakindex import catalog, semantics
-from weakindex.automata import IndexPair, make_automaton
-from weakindex.errors import ValidationError
+from weakindex.automata import IndexPair, State, make_automaton
+from weakindex.classifier import weak_det_index
+from weakindex.errors import IndexTooHigh, PreconditionViolated, ValidationError
 from weakindex.cli import main
 from weakindex.formats import serialize_automaton, serialize_regular_tree
-from weakindex.games import brute_force_solve, solve
+from weakindex.games import brute_force_solve, eve_wins_arrays, solve
 from weakindex.rng import SplitMix64
 from weakindex.semantics import (
     SamplerParams,
     _battery_views,
     _product_arrays,
     _tree_view,
+    _universal_weak_accepts,
     alt_accepts,
     bounded_equiv,
     det_accepts,
@@ -26,10 +29,10 @@ from weakindex.semantics import (
     skurczynski_member_oracle,
     w_member,
 )
-from weakindex.transforms import restrict
+from weakindex.transforms import restrict, weaken_02, weaken_14
 from weakindex.trees import Node, RegularTree, constant_tree, parse_wlabel
 
-from conftest import random_det, random_weak
+from conftest import criterion_5_stream, random_det, random_weak
 
 
 def tree_with_b_at_root():
@@ -196,6 +199,119 @@ def test_membership_above_the_list_index_bound():
                 break
         g = product_game(a, t)
         assert accepts(a, t) == (solve(g).winner[g.initial] == "E"), kind
+
+
+def _kernel_accepts(a, view):
+    """Weak membership by the kernel: `eve_wins_arrays` on the product arrays."""
+    return eve_wins_arrays(*_product_arrays(a, view), weak=True)
+
+
+def _universal(a):
+    return a.with_states({q: State("A", st.rank) for q, st in a.states.items()})
+
+
+def test_one_player_search_matches_the_kernel_on_random_automata():
+    """Weak automata with every state universal, shaped as
+    `_random_alternating` draws them: the corpus has dead ends, epsilon
+    self-loops and moves that land twice on one position."""
+    rng = SplitMix64(1919)
+    views = [_tree_view(t) for t in sample_regular_tree(
+        SamplerParams(seed=19, max_nodes=6, alphabet=("a", "b"), count=25))]
+    seen = {"dead end": 0, "epsilon self-loop": 0, "move listed twice": 0, "reject": 0}
+    for _ in range(300):
+        a = _universal(_random_alternating(rng, "weak"))
+        seen["epsilon self-loop"] += any(t.direction is None and t.source == t.target
+                                         for t in a.transitions)
+        for v in views:
+            _, _, succ = _product_arrays(a, v)
+            seen["dead end"] += any(not s for s in succ)
+            seen["move listed twice"] += any(len(set(s)) < len(s) for s in succ)
+            expected = _kernel_accepts(a, v)
+            seen["reject"] += not expected
+            assert _universal_weak_accepts(a, v) == expected, (a, v)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_one_player_search_matches_the_kernel_on_constructions():
+    """The universal outputs of weaken_02, weaken_14 and the weak
+    deterministic relabeling over the first 200 automata of criterion 5's
+    stream, on the battery and sampled trees."""
+    views = [v for _, v in _battery_views(("a", "b"))]
+    views += [_tree_view(t) for t in sample_regular_tree(
+        SamplerParams(seed=55, max_nodes=8, alphabet=("a", "b"), count=12))]
+    checked = {"weaken_02": 0, "weaken_14": 0, "weak_det_relabel": 0}
+    for a in criterion_5_stream(200):
+        outputs = []
+        with contextlib.suppress(IndexTooHigh):
+            outputs.append(("weaken_02", weaken_02(a)))
+        with contextlib.suppress(PreconditionViolated):
+            outputs.append(("weaken_14", weaken_14(a)[0]))
+        relabeled = weak_det_index(a)
+        if relabeled is not None:
+            outputs.append(("weak_det_relabel", relabeled[1]))
+        for kind, out in outputs:
+            if any(st.mode == "E" for st in out.states.values()):
+                continue
+            checked[kind] += 1
+            for v in views:
+                assert _universal_weak_accepts(out, v) == _kernel_accepts(out, v), (kind, a, v)
+    assert min(checked.values()) >= 150, checked
+
+
+def test_one_player_search_above_the_list_index_bound():
+    """A tree of over 3000 nodes, where the kernel's product search indexes
+    its positions in a dict."""
+    t = sample_regular_tree(SamplerParams(seed=0, max_nodes=4000,
+                                          alphabet=("a", "b"), count=1))[0]
+    view = _tree_view(t)
+    assert len(t.nodes) >= 3000
+    rng = SplitMix64(3001)
+    verdicts = set()
+    while len(verdicts) < 2:
+        a = _universal(_random_alternating(rng, "weak"))
+        if len(_product_arrays(a, view)[0]) < 3000:
+            continue
+        assert len(a.states) * len(t.nodes) > semantics._LIST_INDEX_SLOTS
+        expected = _kernel_accepts(a, view)
+        assert _universal_weak_accepts(a, view) == expected, a
+        verdicts.add(expected)
+
+
+@pytest.mark.parametrize("states, moves, member", [
+    # an odd-rank cycle reached only through a higher even rank
+    ({"i": 0, "h": 2, "p": 1}, [("i", 0, "h"), ("h", 0, "p"), ("p", 0, "p")], True),
+    # a dead end on an odd rank: Adam is stuck there and loses
+    ({"i": 0, "p": 1}, [("i", 0, "p")], True),
+    # an epsilon self-loop on an odd rank
+    ({"i": 0, "p": 1}, [("i", 1, "p"), ("p", None, "p")], False),
+    # one position reached with two highest ranks so far: first through the
+    # even rank 2, whose cycle Eve wins, then directly, where the cycle is odd
+    ({"i": 0, "h": 2, "p": 1}, [("i", 0, "h"), ("i", 1, "p"), ("h", 0, "p"), ("p", 0, "p")],
+     False),
+])
+def test_one_player_search_hand_made(states, moves, member):
+    a = make_automaton(("a",), {q: ("A", r) for q, r in states.items()}, "i",
+                       [(q, "a", d, q2) for q, d, q2 in moves], acceptance="weak")
+    view = _tree_view(constant_tree("a"))
+    assert _universal_weak_accepts(a, view) == member
+    assert _kernel_accepts(a, view) == member
+
+
+def test_accepts_routes_universal_weak_automata_to_the_one_player_search(monkeypatch):
+    """A weak automaton with no existential state builds no product arrays;
+    one existential state sends it back to the kernel."""
+    a = make_automaton(("a",), {"i": ("A", 0), "p": ("A", 1)}, "i",
+                       [("i", "a", 0, "p"), ("p", "a", None, "p")], acceptance="weak")
+    view = _tree_view(constant_tree("a"))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("product arrays built")
+
+    monkeypatch.setattr(semantics, "_product_arrays", refuse)
+    assert semantics._accepts(a, view) is False
+    mixed = a.with_states({"i": State("E", 0), "p": State("A", 1)})
+    with pytest.raises(AssertionError, match="product arrays built"):
+        semantics._accepts(mixed, view)
 
 
 def test_product_game_shape():

@@ -12,15 +12,20 @@ ids once.  The search indexes its positions in a flat list of
 `bounded_equiv` indexes each tree once and runs both automata on that
 view; it takes the fixed battery and the samples as views and builds a
 `RegularTree` only for the counterexample it returns.  A query takes one
-of three routes.  A weak automaton with no existential state is decided
-by a one-player depth-first search over (state, node, highest rank so
-far), which builds no product arrays.  Otherwise the product search
-builds the arrays, whose every position is reachable from the start: a
-strong product where Adam moves alone (every deterministic run) is
-decided by a cycle check with no reachability pass, and every other
-product goes to the membership kernel `games.eve_wins_arrays`, whose weak
-layering stops once the start position has its layer.  The run reduction
-folds the same product search into its tree.
+of four routes, chosen once per automaton.  With no existential state, a
+weak automaton is decided by a one-player depth-first search over (state,
+node, highest rank so far) on its own ranks, and a strong one on its
+cycle ranks: the components of its move graph are numbered 0, 1, ... in
+topological order, and a state of component i gets rank 2i plus the
+parity of that component's loop tops.  Neither search builds product
+arrays.  A strong automaton with a component whose loops have tops of
+both parities has no cycle ranks: its product search builds the arrays,
+whose every position is reachable from the start, and a strong product
+where Adam moves alone is decided by a cycle check with no reachability
+pass.  Every other product goes to the membership kernel
+`games.eve_wins_arrays`, whose weak layering stops once the start
+position has its layer.  The run reduction folds the same product
+search into its tree.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .automata import (
 )
 from .errors import ValidationError
 from .games import ADAM, EVE, Game, eve_wins_arrays
-from .graphs import _has_top_cycle
+from .graphs import _has_top_cycle, has_cycle_inside, tarjan_scc
 from .rng import SplitMix64
 from .trees import Node, RegularTree, parse_wlabel
 
@@ -147,9 +152,59 @@ def _product_arrays(a: TreeAutomaton, view):
     return [sowner[q] for q in states], [srank[q] for q in states], succ
 
 
-def _universal_weak_accepts(a: TreeAutomaton, view) -> bool:
-    """Membership of the tree `view` in a weak automaton with no
-    existential state, decided during the product search itself.
+def _cycle_ranks(a: TreeAutomaton):
+    """The automaton's cycle ranks, or None if one of its strongly connected
+    components has loops of both parities.
+
+    The move graph takes every letter, both directions and epsilon moves.
+    Its components are numbered in topological order, and a state in
+    component number i gets 2i plus the parity of that component's loop
+    tops (0 if it has no loop), asked of `graphs._has_top_cycle` on the
+    component.  Cycle ranks never decrease along a move, and every closed
+    walk inside a component has a top of the component's parity, so read
+    as a weak automaton on its cycle ranks the automaton keeps its language
+    (Emerson & Lei, "Modalities for model checking", SCP 1987).
+    """
+    _, letter, moves, _, rank = _view(a)
+    width = len(letter)
+    succ = {q: list(dict.fromkeys(p for x in range(q * width, (q + 1) * width)
+                                  for _, p in moves[x]))
+            for q in range(len(rank))}
+    ranks = [0] * len(rank)
+    for level, comp in enumerate(reversed(tarjan_scc(range(len(rank)), succ))):
+        odd = False
+        if has_cycle_inside(comp, succ):
+            odd = _has_top_cycle(comp, succ, rank, 1)
+            if odd and _has_top_cycle(comp, succ, rank, 0):
+                return None
+        for q in comp:
+            ranks[q] = 2 * level + odd
+    return ranks
+
+
+def _route(a: TreeAutomaton):
+    """(ranks, span) of the one-player search that decides `a`'s
+    memberships, or (None, None) if the product arrays decide them.  Chosen
+    once and kept in `a._memo`.
+
+    With no existential state, a weak automaton is searched on its own
+    ranks and a strong one on its cycle ranks, if it has them.
+    """
+    route = a._memo.get("membership_route")
+    if route is None:
+        _, _, _, owner, rank = _view(a)
+        ranks = None
+        if 0 not in owner:
+            ranks = rank if a.acceptance == "weak" else _cycle_ranks(a)
+        span = None if ranks is None else max(ranks) + 1
+        route = a._memo["membership_route"] = (ranks, span)
+    return route
+
+
+def _universal_weak_accepts(a: TreeAutomaton, view, ranks=None, span=None) -> bool:
+    """Membership of the tree `view` in `a` read as a weak automaton with
+    no existential state on `ranks` (by default its own), decided during
+    the product search itself; `span` is max(ranks) + 1.
 
     Adam moves alone, so Adam wins iff some play from the start breaks the
     weak condition.  The search is a depth-first search over triples
@@ -160,27 +215,32 @@ def _universal_weak_accepts(a: TreeAutomaton, view) -> bool:
     component with a cycle holds a move into a triple on the search path,
     and each such move closes a cycle, so Adam wins iff one of them enters
     a triple with odd m.  A dead end is a leaf: Adam, stuck there, loses.
+    Triple (q, v, m) has slot (q * nn + v) * span + m in a bytearray while
+    there are at most `_LIST_INDEX_SLOTS` slots, else in a dict.
     """
     sidx, letter, moves, _, srank = _view(a)
+    if ranks is None:
+        ranks, span = srank, max(srank) + 1
     labels, children, root = view
     nn = len(labels)
     width = len(letter)
     row = [letter[x] for x in labels]
-    span = max(srank) + 1
+    slots = len(ranks) * nn * span
+    color = bytearray(slots) if slots <= _LIST_INDEX_SLOTS else defaultdict(int)
     q0 = sidx[a.initial]
-    m0 = srank[q0]
+    m0 = ranks[q0]
     key = (q0 * nn + root) * span + m0
-    color = {key: 1}  # 1 while on the search path, 2 once finished
+    color[key] = 1  # 1 while on the search path, 2 once finished
     path = [(key, root, m0, iter(moves[q0 * width + row[root]]))]
     while path:
         key, v, m, out = path[-1]
         for d, q in out:
             w = v if d is None else children[v][d]
-            r = srank[q]
+            r = ranks[q]
             m2 = r if r > m else m
             k = (q * nn + w) * span + m2
-            c = color.get(k)
-            if c is None:
+            c = color[k]
+            if not c:
                 color[k] = 1
                 path.append((k, w, m2, iter(moves[q * width + row[w]])))
                 break
@@ -194,20 +254,25 @@ def _universal_weak_accepts(a: TreeAutomaton, view) -> bool:
 
 def _accepts(a: TreeAutomaton, view) -> bool:
     """Membership of the tree `view` in the language of `a`, by one of
-    three routes.
+    four routes, chosen once per automaton by `_route`.
 
-    A weak automaton with no existential state is decided by the
-    one-player search `_universal_weak_accepts`, which builds no product
-    arrays.  A strong product where Adam moves alone (every deterministic
-    run) is rejected iff it has a cycle with an odd top:
-    `graphs._has_top_cycle`, which returns at its first hit.  Every
-    position is reachable from position 0, so no reachability pass comes
-    first.  Every other product goes to `eve_wins_arrays`, a winner-only
-    solve at position 0.
+    - A weak automaton with no existential state is decided by the
+      one-player search `_universal_weak_accepts` on its own ranks.
+    - A strong automaton with no existential state (every deterministic
+      one) whose components each have loops of one parity is decided by
+      the same search on its cycle ranks.  Neither search builds product
+      arrays.
+    - Any other strong product where Adam moves alone is rejected iff it
+      has a cycle with an odd top: `graphs._has_top_cycle`, which returns
+      at its first hit.  Every position is reachable from position 0, so
+      no reachability pass comes first.
+    - Every other product goes to `eve_wins_arrays`, a winner-only solve
+      at position 0.
     """
+    ranks, span = _route(a)
+    if ranks is not None:
+        return _universal_weak_accepts(a, view, ranks, span)
     weak = a.acceptance == "weak"
-    if weak and 0 not in _view(a)[3]:
-        return _universal_weak_accepts(a, view)
     owner, rank, succ = _product_arrays(a, view)
     if not weak and 0 not in owner:
         return not _has_top_cycle(range(len(succ)), succ, rank, 1)
@@ -222,7 +287,10 @@ def alt_accepts(a: TreeAutomaton, t: RegularTree) -> bool:
 
 def det_accepts(a: DetAutomaton, t: RegularTree) -> bool:
     """Deterministic membership: the unique run must have no reachable cycle
-    with odd top rank; the product game is all-Adam."""
+    with odd top rank; the product game is all-Adam.  `_accepts` decides it
+    by the one-player search on the automaton's cycle ranks, or by the
+    cycle check on the product if a component of the automaton has loops
+    of both parities."""
     _check_labels(a, t)
     return _accepts(a, _tree_view(t))
 
@@ -491,15 +559,19 @@ def bounded_equiv(a: TreeAutomaton, b: TreeAutomaton, p: SamplerParams) -> Optio
     Each tree is indexed once and both automata run on that view; the
     automata's alphabets are equal sorted tuples, so they give the letters
     the same ids.  Returns None on pass, or the first mismatching tree,
-    the only one built as a `RegularTree`.
+    the only one built as a `RegularTree`.  Sampled labels are drawn from
+    `p.alphabet`, so they are checked against the automata's alphabet per
+    tree only if `p.alphabet` has a letter outside it.
     """
     if set(a.alphabet) != set(b.alphabet):
         raise ValidationError("bounded_equiv needs a shared alphabet")
     for names, view in _battery_views(a.alphabet):
         if _accepts(a, view) != _accepts(b, view):
             return _tree_of(view, names)
+    per_tree = not set(p.alphabet) <= set(a.alphabet)
     for view in _sample_views(p):
-        _check_letters(a, view[0])
+        if per_tree:
+            _check_letters(a, view[0])
         if _accepts(a, view) != _accepts(b, view):
             return _tree_of(view)
     return None

@@ -1,6 +1,8 @@
 import contextlib
 import hashlib
 import math
+import time
+from collections import Counter
 
 import pytest
 
@@ -11,6 +13,7 @@ from weakindex.errors import IndexTooHigh, PreconditionViolated, ValidationError
 from weakindex.cli import main
 from weakindex.formats import serialize_automaton, serialize_regular_tree
 from weakindex.games import brute_force_solve, eve_wins_arrays, solve
+from weakindex.graphs import _has_top_cycle
 from weakindex.rng import SplitMix64
 from weakindex.semantics import (
     SamplerParams,
@@ -297,21 +300,194 @@ def test_one_player_search_hand_made(states, moves, member):
     assert _kernel_accepts(a, view) == member
 
 
+def _refuse(*args, **kwargs):
+    raise AssertionError("product arrays built")
+
+
 def test_accepts_routes_universal_weak_automata_to_the_one_player_search(monkeypatch):
-    """A weak automaton with no existential state builds no product arrays;
-    one existential state sends it back to the kernel."""
+    """An automaton with no existential state builds no product arrays if
+    it is weak, or strong with loops of one parity per component; one
+    existential state or one component with loops of both parities sends
+    it back to the product arrays."""
     a = make_automaton(("a",), {"i": ("A", 0), "p": ("A", 1)}, "i",
                        [("i", "a", 0, "p"), ("p", "a", None, "p")], acceptance="weak")
     view = _tree_view(constant_tree("a"))
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("product arrays built")
-
-    monkeypatch.setattr(semantics, "_product_arrays", refuse)
+    monkeypatch.setattr(semantics, "_product_arrays", _refuse)
     assert semantics._accepts(a, view) is False
     mixed = a.with_states({"i": State("E", 0), "p": State("A", 1)})
     with pytest.raises(AssertionError, match="product arrays built"):
         semantics._accepts(mixed, view)
+
+    # components {i} (no loop), {e} (loop top 2) and {p, q} (loop tops 3)
+    strong = make_automaton(("a",), {"i": ("A", 1), "e": ("A", 2), "p": ("A", 3), "q": ("A", 0)},
+                            "i", [("i", "a", 0, "e"), ("i", "a", 1, "p"), ("e", "a", None, "e"),
+                                  ("p", "a", 0, "q"), ("p", "a", 1, "p"), ("q", "a", 1, "p")])
+    assert semantics._accepts(strong, view) is False
+    both = strong.with_states({**strong.states, "q": State("A", 4)})  # loop tops 3 and 4
+    with pytest.raises(AssertionError, match="product arrays built"):
+        semantics._accepts(both, view)
+
+    for name in ("all_a", "ex_b_left"):
+        assert semantics._accepts(catalog.get(name), view) is (name == "all_a"), name
+    for name in ("fin_b_left", "inf_b_left", "spine_fin_b", "split_min"):
+        with pytest.raises(AssertionError, match="product arrays built"):
+            semantics._accepts(catalog.get(name), view)
+
+
+def _cycle_check_accepts(a, view):
+    """Strong membership where Adam moves alone by the cycle check on the
+    product arrays."""
+    _, rank, succ = _product_arrays(a, view)
+    return not _has_top_cycle(range(len(succ)), succ, rank, 1)
+
+
+def _route_of(a):
+    return "cycle check" if semantics._route(a)[0] is None else "search"
+
+
+def test_cycle_rank_route_matches_the_cycle_check_on_random_automata():
+    """Strong automata with every state universal, shaped as
+    `_random_alternating` draws them, on both routes and with both
+    verdicts on each."""
+    rng = SplitMix64(2020)
+    views = [_tree_view(t) for t in sample_regular_tree(
+        SamplerParams(seed=20, max_nodes=6, alphabet=("a", "b"), count=25))]
+    seen = Counter()
+    for _ in range(500):
+        a = _universal(_random_alternating(rng, "parity"))
+        route = _route_of(a)
+        for v in views:
+            expected = _cycle_check_accepts(a, v)
+            assert semantics._accepts(a, v) == expected, (a, v)
+            seen[route, expected] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 1000, seen
+
+
+def test_cycle_rank_route_matches_the_cycle_check_on_constructions():
+    """The trimmed deterministic automata of criterion 5's stream, and
+    `restrict` of the universal outputs of weaken_02, weaken_14 and the
+    weak deterministic relabeling over them, on the battery and sampled
+    trees."""
+    views = [v for _, v in _battery_views(("a", "b"))]
+    views += [_tree_view(t) for t in sample_regular_tree(
+        SamplerParams(seed=56, max_nodes=8, alphabet=("a", "b"), count=12))]
+    seen = Counter()
+    for a in criterion_5_stream(200):
+        automata = [a]
+        with contextlib.suppress(IndexTooHigh):
+            automata.append(weaken_02(a))
+        with contextlib.suppress(PreconditionViolated):
+            automata.append(weaken_14(a)[0])
+        relabeled = weak_det_index(a)
+        if relabeled is not None:
+            automata.append(relabeled[1])
+        automata[1:] = [restrict(out) for out in automata[1:]
+                        if all(st.mode == "A" for st in out.states.values())]
+        for out in automata:
+            route = _route_of(out)
+            for v in views:
+                expected = _cycle_check_accepts(out, v)
+                assert semantics._accepts(out, v) == expected, (a, out, v)
+                seen[route, expected] += 1
+    assert len(seen) == 4, seen
+
+
+def test_cycle_rank_route_above_the_list_index_bound():
+    """A tree of over 3000 nodes, where both the search and the product
+    arrays index their slots in a dict."""
+    t = sample_regular_tree(SamplerParams(seed=0, max_nodes=4000,
+                                          alphabet=("a", "b"), count=1))[0]
+    view = _tree_view(t)
+    assert len(t.nodes) >= 3000
+    rng = SplitMix64(3004)
+    seen = set()
+    while len(seen) < 4:
+        a = _universal(_random_alternating(rng, "parity"))
+        if len(_product_arrays(a, view)[0]) < 3000:
+            continue
+        expected = _cycle_check_accepts(a, view)
+        assert semantics._accepts(a, view) == expected, a
+        seen.add((_route_of(a), expected))
+
+
+@pytest.mark.parametrize("states, moves, member, route", [
+    # an odd rank on no loop before an even loop
+    ({"i": 0, "p": 1, "e": 2}, [("i", 0, "p"), ("p", 1, "e"), ("e", 0, "e")], True, "search"),
+    # an odd state inside a component whose loop tops are 2 and 4
+    ({"i": 0, "x": 2, "o": 1, "y": 4},
+     [("i", 0, "x"), ("x", 0, "o"), ("o", 0, "x"), ("o", 1, "y"), ("y", 1, "o")],
+     True, "search"),
+    # loops with tops 2 and 3
+    ({"i": 0, "s": 2, "t": 3}, [("i", 0, "s"), ("s", 0, "s"), ("s", 1, "t"), ("t", 0, "s")],
+     False, "cycle check"),
+    # a dead end after an odd state: Adam is stuck there and loses
+    ({"i": 0, "p": 1, "d": 0}, [("i", 0, "p"), ("p", 1, "d")], True, "search"),
+    # an epsilon self-loop on an odd rank
+    ({"i": 0, "p": 1}, [("i", 1, "p"), ("p", None, "p")], False, "search"),
+])
+def test_cycle_rank_route_hand_made(states, moves, member, route):
+    a = make_automaton(("a",), {q: ("A", r) for q, r in states.items()}, "i",
+                       [(q, "a", d, q2) for q, d, q2 in moves])
+    view = _tree_view(constant_tree("a"))
+    assert _route_of(a) == route
+    assert semantics._accepts(a, view) == member
+    assert _cycle_check_accepts(a, view) == member
+
+
+def test_one_player_search_with_ranks_near_10_12():
+    """Weak and strong universal automata whose ranks are mapped, keeping
+    order and parity, onto ranks about 10**12 apart decide as the small
+    originals do."""
+    rng = SplitMix64(1212)
+    views = [_tree_view(t) for t in sample_regular_tree(
+        SamplerParams(seed=12, max_nodes=6, alphabet=("a", "b"), count=12))]
+    routes = Counter()
+    for k in range(200):
+        small = _universal(_random_alternating(rng, ("weak", "parity")[k % 2]))
+        big = small.with_states({q: State("A", st.rank * 10**12 + st.rank % 2)
+                                 for q, st in small.states.items()})
+        assert _route_of(big) == _route_of(small)
+        routes[small.acceptance, _route_of(small)] += 1
+        for v in views:
+            assert semantics._accepts(big, v) == semantics._accepts(small, v), (small, v)
+    assert len(routes) == 3, routes
+
+
+def test_one_player_search_index_list_and_dict_agree(monkeypatch):
+    """The one-player search gives the same verdicts whether it indexes its
+    triples in the bytearray (every query under a huge bound) or in the
+    dict (every query over a bound of 0)."""
+    rng = SplitMix64(4712)
+    views = [_tree_view(t) for t in sample_regular_tree(
+        SamplerParams(seed=48, max_nodes=5, alphabet=("a", "b"), count=12))]
+    automata = [_universal(_random_alternating(rng, ("weak", "parity")[k % 2]))
+                for k in range(240)]
+    automata = [a for a in automata if _route_of(a) == "search"]
+    verdicts = {}
+    for bound in (0, 1 << 40):
+        monkeypatch.setattr(semantics, "_LIST_INDEX_SLOTS", bound)
+        verdicts[bound] = [semantics._accepts(a, v) for a in automata for v in views]
+    assert len(automata) >= 150 and len(set(verdicts[0])) == 2
+    assert verdicts[0] == verdicts[1 << 40]
+
+
+def _one_way_ring(n):
+    """State q_i moves to q_{i+1 mod n} in both directions, with rank i + 1."""
+    names = [f"q{i:03d}" for i in range(n)]
+    return make_automaton(("a",), {q: ("A", i + 1) for i, q in enumerate(names)}, names[0],
+                          [(q, "a", d, names[(i + 1) % n]) for i, q in enumerate(names)
+                           for d in (0, 1)], deterministic=True)
+
+
+def test_det_accepts_on_the_one_way_ring_is_fast():
+    """Every product cycle goes round the ring, so its top is n; the
+    250-state ring used to take over a minute on this tree."""
+    t = sample_regular_tree(SamplerParams(seed=3, max_nodes=3000, alphabet=("a",), count=1))[0]
+    for n in (25, 50, 250):
+        a = _one_way_ring(n)
+        start = time.perf_counter()
+        assert det_accepts(a, t) == (n % 2 == 0), n
+        assert n < 250 or time.perf_counter() - start < 3.0
 
 
 def test_product_game_shape():
@@ -533,14 +709,15 @@ def _label_at(path):
 
 def test_bounded_equiv_returns_first_sampled_mismatch():
     """Past the battery, bounded_equiv returns the first sampled tree the
-    automata disagree on, as `sample_regular_tree` builds it, and a letter
+    automata disagree on, as `sample_regular_tree` builds it, whether the
+    sampler's alphabet is the automata's or a part of it, and a letter
     outside the automata's alphabet raises on the first tree that has it."""
     # both read the node at depth 3, which every battery tree labels with
     # its base letter, so they agree on the battery
     left, right = _label_at("000"), _label_at("111")
     seen = set()
     for seed in range(16):
-        for alphabet in (("a", "b"), ("a", "b", "c")):
+        for alphabet in (("a",), ("a", "b"), ("a", "b", "c")):
             p = SamplerParams(seed=seed, max_nodes=8, alphabet=alphabet, count=40)
             expected = None
             for t in sample_regular_tree(p):
@@ -557,7 +734,7 @@ def test_bounded_equiv_returns_first_sampled_mismatch():
             else:
                 assert bounded_equiv(left, right, p) == expected, p
             seen.add((len(alphabet), "raise" if expected == "raise" else expected is not None))
-    assert {(2, True), (3, True), (3, "raise")} <= seen, seen
+    assert {(1, False), (2, True), (3, True), (3, "raise")} <= seen, seen
 
 
 # sha256 of the serialized battery trees, node names included, recorded

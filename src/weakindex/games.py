@@ -19,16 +19,19 @@ is not bounded by the interpreter's recursion limit, which it leaves
 alone.  The frame records strategies only for `solve_parity`, which
 passes it a list for them.  Callers that need only the winners (trim and
 `eve_wins_arrays`) use `_strong_winners`, which decides self-loops first
-and then runs the same frames.
+and then runs the same frames.  `_solve_frames` orders the first frame's
+positions by rank buckets.
 The weak layering, `_solve_weak_layers`, returns each rank's attractor
 queue, which `solve_weak` reads its strategies off.  `check_strategy`
-asks `graphs._has_top_cycle` for a play its strategies cannot win.
+numbers the (position, rank) nodes of the plays a solution's strategies
+allow and asks `graphs._has_top_cycle`, on ints, for a play they cannot
+win.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import takewhile
+from itertools import compress, takewhile
 
 from .errors import FormatError, GameTooLarge, ValidationError
 from .graphs import _has_top_cycle
@@ -186,9 +189,20 @@ def _winners_frame(arena, win: bytearray, inside: bytearray, positions: list[int
 def _solve_frames(arena, win: bytearray, inside: bytearray, strat=None) -> None:
     """Solve the subgame marked 1 in `inside` by `_winners_frame`s run on
     an explicit stack, writing its winners into `win` (and its moves into
-    `strat`, if given)."""
+    `strat`, if given).
+
+    The first frame's positions are dealt into one bucket per rank in
+    index order, and the buckets are read in descending rank: the order
+    of a stable sort by descending rank, without a keyed sort."""
     rank = arena[1]
-    rest = sorted((v for v in range(len(rank)) if inside[v]), key=rank.__getitem__, reverse=True)
+    buckets: dict[int, list[int]] = {}
+    for v in compress(range(len(rank)), inside):
+        bucket = buckets.get(rank[v])
+        if bucket is None:
+            buckets[rank[v]] = [v]
+        else:
+            bucket.append(v)
+    rest = [v for r in sorted(buckets, reverse=True) for v in buckets[r]]
     stack = [_winners_frame(arena, win, inside, rest, strat)] if rest else []
     while stack:
         try:
@@ -208,16 +222,17 @@ def _strong_winners(arena) -> bytearray:
     stay there forever, and one whose only move is a self-loop of the
     other parity is lost by its owner.  Any other self-loop of its owner's
     losing parity is dropped, since taking it gains its owner nothing.
-    The attractors of the decided positions are removed, and
-    `_solve_frames` solves the rest.
+    The self-loops are found by one comprehension, and the arena's lists
+    are copied only if there is one.  The attractors of the decided
+    positions are removed, and `_solve_frames` solves the rest.
     """
     owner, rank, succ, pred = arena
     size = len(owner)
-    succ, pred = list(succ), list(pred)  # only the lists of dropped self-loops change
+    loops = [v for v, s in enumerate(succ) if v in s]
+    if loops:
+        succ, pred = list(succ), list(pred)  # only the lists of dropped self-loops change
     decided: tuple[list[int], list[int]] = ([], [])
-    for v in range(size):
-        if v not in succ[v]:
-            continue
+    for v in loops:
         parity = rank[v] % 2
         moves = [w for w in succ[v] if w != v]
         if owner[v] == parity or not moves:
@@ -413,7 +428,9 @@ def check_strategy(g: Game, sol: Solution) -> bool:
             graph[node] = [(w, max(seen, g.positions[w][1]) if weak else g.positions[w][1])
                            for w in moves]
             stack.extend(graph[node])
-        if _has_top_cycle(graph, graph, {v: v[1] for v in graph}, opp_parity):
+        num = {node: i for i, node in enumerate(graph)}
+        if _has_top_cycle(range(len(num)), [[num[w] for w in ws] for ws in graph.values()],
+                          [node[1] for node in graph], opp_parity):
             return False
     return True
 

@@ -1,62 +1,115 @@
-"""Small graph helpers: iterative Tarjan SCC, condensation, reachability,
-and the rank-restricted check for a cycle with a top rank of given parity."""
+"""Graph helpers on one SCC kernel: Tarjan's strongly connected components,
+the condensation, reachability and the rank-restricted check for a cycle
+with a top rank of given parity.
+
+`_sccs` is the one SCC pass (Tarjan, SIAM J. Comput. 1972), iterative so
+large graphs do not hit the recursion limit.  It runs on int nodes
+0..n-1 and a successor list per node, keeps `index` and `low` in lists,
+marks the nodes on its stack in a bytearray, and cuts each component off
+the stack with one slice, sorted.  Every internal pass calls it on ints:
+the pattern view's condensation (`_condensation`), the rank-restricted
+components of `patterns`, the cycle ranks of `semantics` and
+`_has_top_cycle`.  `tarjan_scc` and `condensation` keep their contract,
+any hashable nodes and a successor dict that may lack keys, by numbering
+the nodes and calling the kernel.
+"""
 
 from __future__ import annotations
 
 
-def tarjan_scc(nodes: list, succ: dict) -> list[list]:
-    """Strongly connected components in reverse topological order.
+def _sccs(succ, roots=None) -> list[list[int]]:
+    """Strongly connected components of the graph on nodes 0..len(succ)-1,
+    in reverse topological order, each sorted.
 
-    Iterative so large automata do not hit the recursion limit.  Output is
-    deterministic given deterministic `nodes` and adjacency ordering.
+    `succ[v]` lists v's successors.  The search starts from each node of
+    `roots` in order (all nodes by default) not yet reached, and takes
+    successors in list order, so only the nodes reachable from `roots`
+    appear, and the output is fixed by `roots` and the lists' order.
     """
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    sccs: list[list] = []
-    counter = [0]
-
-    for root in nodes:
-        if root in index:
+    n = len(succ)
+    index = [0] * n  # 0 until reached; then the order of reaching, from 1
+    low = [0] * n
+    on_stack = bytearray(n)
+    stack: list[int] = []
+    out: list[list[int]] = []
+    count = 0
+    for root in range(n) if roots is None else roots:
+        if index[root]:
             continue
-        work = [(root, iter(succ.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
+        count += 1
+        index[root] = low[root] = count
+        on_stack[root] = 1
+        stack.append(root)  # the stack is empty between roots
+        work = [(root, iter(succ[root]), 0)]  # a node, its moves left, its place on the stack
         while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+            v, moves, at = work[-1]
+            for w in moves:
+                iw = index[w]
+                if not iw:
+                    count += 1
+                    index[w] = low[w] = count
+                    on_stack[w] = 1
+                    work.append((w, iter(succ[w]), len(stack)))
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
                     break
-                if w in on_stack:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-    return sccs
+                if iw < low[v] and on_stack[w]:
+                    low[v] = iw
+            else:  # v's moves are done
+                work.pop()
+                lv = low[v]
+                if lv == index[v]:  # v is its component's root
+                    comp = stack[at:]
+                    del stack[at:]
+                    for w in comp:
+                        on_stack[w] = 0
+                    comp.sort()
+                    out.append(comp)
+                elif lv < low[work[-1][0]]:  # v is not a root, so it has a parent
+                    low[work[-1][0]] = lv
+    return out
+
+
+def _condensation(succ):
+    """(SCCs in topological order, each node's SCC, the SCC successor sets)
+    of the graph on nodes 0..len(succ)-1, as `_sccs` finds it."""
+    sccs = _sccs(succ)[::-1]  # sources first
+    comp_of = [0] * len(succ)
+    for c, comp in enumerate(sccs):
+        for v in comp:
+            comp_of[v] = c
+    edges: list[set[int]] = [set() for _ in sccs]
+    for v, ws in enumerate(succ):
+        c = comp_of[v]
+        for w in ws:
+            d = comp_of[w]
+            if c != d:
+                edges[c].add(d)
+    return sccs, comp_of, edges
+
+
+def tarjan_scc(nodes: list, succ: dict) -> list[list]:
+    """Strongly connected components in reverse topological order, each sorted.
+
+    The search starts from each of `nodes` in order and follows `succ`, so a
+    node missing from `succ` has no successor and one reached only through
+    `succ` is searched too.  The nodes are numbered in that order and the
+    search is `_sccs`'s; the output is deterministic given deterministic
+    `nodes` and adjacency ordering.
+    """
+    ids = list(dict.fromkeys(nodes))
+    roots = range(len(ids))  # `nodes`; the loop below adds those reached only through `succ`
+    num = {v: i for i, v in enumerate(ids)}
+    isucc: list[list[int]] = []
+    for v in ids:  # the list grows while it is read
+        out = []
+        for w in succ.get(v, ()):
+            i = num.get(w)
+            if i is None:
+                i = num[w] = len(ids)
+                ids.append(w)
+            out.append(i)
+        isucc.append(out)
+    return [sorted(ids[i] for i in comp) for comp in _sccs(isucc, roots)]
 
 
 def condensation(nodes: list, succ: dict):
@@ -87,28 +140,31 @@ def reachable_from(starts, succ: dict) -> set:
     return seen
 
 
-def has_cycle_inside(comp: list, succ: dict) -> bool:
-    """A set of nodes supports a loop iff it has >= 2 nodes or a self-loop."""
+def has_cycle_inside(comp: list, succ) -> bool:
+    """A set of nodes supports a loop iff it has >= 2 nodes or a self-loop.
+    `succ[v]` lists v's successors: a list on int nodes, or a dict holding v."""
     if len(comp) > 1:
         return True
     v = comp[0]
-    return v in succ.get(v, ())
+    return v in succ[v]
 
 
 def _has_top_cycle(nodes, succ, rank, parity: int) -> bool:
-    """Whether the subgraph induced by `nodes` has a cycle whose top rank
-    has `parity`.
+    """Whether the subgraph induced by the int nodes `nodes` has a cycle
+    whose top rank has `parity`; `succ[v]` and `rank[v]` are v's successors
+    and rank.
 
-    For each such rank r of a node, ascending, runs Tarjan on the nodes
-    ranked at most r: a cycle with top r exists exactly when one of their
-    components supports a cycle and holds a node of rank r.  Returns at
-    the first such component.
+    For each such rank r of a node, ascending, numbers the nodes ranked
+    at most r in their order in `nodes` and runs `_sccs` on them: a cycle
+    with top r exists exactly when one of their components supports a
+    cycle and holds a node of rank r.  Returns at the first such component.
     """
+    nodes = list(nodes)
     for r in sorted({rank[v] for v in nodes if rank[v] % 2 == parity}):
         sub = [v for v in nodes if rank[v] <= r]
-        keep = set(sub)
-        adj = {v: [w for w in succ[v] if w in keep] for v in sub}
-        for comp in tarjan_scc(sub, adj):
-            if has_cycle_inside(comp, adj) and any(rank[v] == r for v in comp):
+        num = {v: i for i, v in enumerate(sub)}
+        adj = [[num[w] for w in succ[v] if w in num] for v in sub]
+        for comp in _sccs(adj):
+            if has_cycle_inside(comp, adj) and any(rank[sub[i]] == r for i in comp):
                 return True
     return False

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .automata import BOT, DetAutomaton, IndexPair, Transition, _memo, _table
 from .errors import GameTooLarge, ValidationError
-from .graphs import condensation, has_cycle_inside, reachable_from, tarjan_scc
+from .graphs import _condensation, _sccs, has_cycle_inside, reachable_from
 
 INF = float("inf")
 _Build = Callable[[], object]  # builds a witness once a check has decided it exists
@@ -232,9 +232,9 @@ class _View(NamedTuple):
     parity: tuple[int, int]  # the masks of the even and of the odd ranks
     width: int
     target: list[int]  # per transition
-    succ: dict[int, list[int]]  # distinct successors, ascending
+    succ: list[list[int]]  # per state, its distinct successors, ascending
     sccs: list[list[int]]  # the condensation: SCCs in topological order,
-    scc_of: dict[int, int]  # each state's SCC
+    scc_of: list[int]  # each state's SCC
     edges: list[set[int]]  # and the SCC successor sets
 
 
@@ -245,9 +245,9 @@ def _view(a: DetAutomaton) -> _View:
         bit = {r: k for k, r in enumerate(ranks)}
         parity = tuple(sum(1 << k for k, r in enumerate(ranks) if r % 2 == b) for b in (0, 1))
         width = 2 * len(a.alphabet)
-        succ = {i: sorted(set(target[i * width:i * width + width])) for i in range(len(ids))}
+        succ = [sorted(set(target[lo:lo + width])) for lo in range(0, len(target), width)]
         return _View(ids, index, rank, ranks, [bit[r] for r in rank], parity, width, target,
-                     succ, *condensation(list(succ), succ))
+                     succ, *_condensation(succ))
     return _memo(a, "view", build)
 
 
@@ -262,7 +262,7 @@ def _rank_sccs(a: DetAutomaton, r: int) -> tuple[list[list[int]], list[int]]:
 
     Each lies inside one SCC of the whole graph, so a whole SCC ranked <= r
     throughout is one of them, and only the states of the other SCCs are
-    searched, with edges between different whole SCCs dropped.  Tarjan then
+    searched, with edges between different whole SCCs dropped.  `_sccs` then
     explores each whole SCC on its own from its smallest state, and the
     components inside it come out in the same order as from a search of
     that SCC alone; their order across whole SCCs carries no meaning.
@@ -278,9 +278,11 @@ def _rank_sccs(a: DetAutomaton, r: int) -> tuple[list[list[int]], list[int]]:
                 split += [i for i in comp if rank[i] <= r]
         if split:
             split.sort()
-            adj = {i: [w for w in succ[i] if rank[w] <= r and scc_of[w] == scc_of[i]]
-                   for i in split}
-            comps += tarjan_scc(split, adj)
+            adj: list = [()] * len(rank)
+            for i in split:
+                c = scc_of[i]
+                adj[i] = [w for w in succ[i] if rank[w] <= r and scc_of[w] == c]
+            comps += _sccs(adj, split)
         comp_of = [-1] * len(rank)
         for c, comp in enumerate(comps):
             for i in comp:
@@ -305,19 +307,25 @@ def _tops(a: DetAutomaton) -> _Tops:
         v = _view(a)
         width, target, rank = v.width, v.target, v.rank
         tops = _Tops([0] * len(v.ids), [0] * len(target), [[None, None] for _ in v.sccs])
+        loop, edge = tops.loop, tops.edge
         for k, r in enumerate(v.ranks):
+            bit = 1 << k
             comps, comp_of = _rank_sccs(a, r)
             for c, comp in enumerate(comps):
-                if not (has_cycle_inside(comp, v.succ) and any(rank[i] == r for i in comp)):
+                if not has_cycle_inside(comp, v.succ):
+                    continue
+                first = next((i for i in comp if rank[i] == r), None)  # comp is sorted
+                if first is None:
                     continue
                 slot = tops.scc[v.scc_of[comp[0]]]
                 if slot[r % 2] is None:
-                    slot[r % 2] = (r, min(i for i in comp if rank[i] == r))
+                    slot[r % 2] = (r, first)
                 for i in comp:
-                    tops.loop[i] |= 1 << k
-                    for j in range(i * width, i * width + width):
-                        if comp_of[target[j]] == c:
-                            tops.edge[j] |= 1 << k
+                    loop[i] |= bit
+                    lo = i * width
+                    for j, w in enumerate(target[lo:lo + width], lo):
+                        if comp_of[w] == c:
+                            edge[j] |= bit
         return tops
     return _memo(a, "tops", build)
 

@@ -6,9 +6,10 @@ two productive states or sends both branches to `_bot`.
 
 Emptiness, productivity and trim read the automaton's one numbering,
 `automata._table`: its state indices and its target index per transition,
-in the 2|Sigma| blocks of a deterministic table.  They leave no memory on
-the automaton: the table is kept only if it was already, and the emptiness
-arena built on it is transient.
+in the 2|Sigma| blocks of a deterministic table.  The emptiness arena is
+built from that table in bulk, by slices and zips over the targets, with
+no per-move index arithmetic.  They leave no memory on the automaton: the
+table is kept only if it was already, and the arena is transient.
 """
 
 from __future__ import annotations
@@ -39,20 +40,25 @@ def _productivity(a: DetAutomaton):
     from q accepts.  The i-th state is Eve's position i, and the pair (q_i,
     letter x) is Adam's position n + j for j = i*|Sigma| + x, which moves to
     the states `target[2j]` and `target[2j + 1]` of the table's 2|Sigma|
-    blocks.  Every position has a move, so the arena is its own
-    totalization.  The productive flags are the fixpoint of
-    `productive_states`, run on the same target indices.
+    blocks.  The arena is built in bulk: Adam's moves are the pairs
+    `zip(target[::2], target[1::2])`, and one zip of those pairs with
+    Adam's ids fills the predecessor lists.  Every position has a move and
+    none has a self-loop, so the arena is its own totalization and the
+    solver copies none of its lists.  The productive flags are the fixpoint
+    of `productive_states`, run on the same target indices.
     """
     table = _table(a, keep=False)
     _, index, srank, _, target = table
     n, k = len(srank), len(a.alphabet)
     rank = srank + [r for r in srank for _ in range(k)]
-    succ = [range(n + i * k, n + i * k + k) for i in range(n)]
-    succ += [target[j:j + 2] for j in range(0, len(target), 2)]
+    left, right = target[::2], target[1::2]  # the moves of Adam's positions, in order
+    succ: list = [range(n + i * k, n + i * k + k) for i in range(n)]
+    succ += zip(left, right)
     pred: list[list[int]] = [[] for _ in range(n)]
     pred += [[i] for i in range(n) for _ in range(k)]
-    for j, w in enumerate(target):
-        pred[w].append(n + j // 2)
+    for u, w0, w1 in zip(range(n, n + n * k), left, right):
+        pred[w0].append(u)
+        pred[w1].append(u)
     win = _strong_winners(([0] * n + [1] * (n * k), rank, succ, pred))
     nonempty = [not w for w in win[:n]]
     productive = [False] * n
@@ -61,8 +67,7 @@ def _productivity(a: DetAutomaton):
         productive[i0] = True
         queue = [i0]
         for i in queue:  # the queue grows while it is read
-            for j in range(2 * k * i, 2 * k * (i + 1), 2):
-                q1, q2 = target[j], target[j + 1]
+            for q1, q2 in succ[n + i * k:n + i * k + k]:
                 if nonempty[q1] and nonempty[q2]:
                     for q in (q1, q2):
                         if not productive[q]:
@@ -97,7 +102,8 @@ def trim(a: DetAutomaton) -> DetAutomaton:
     table's target indices.  A productive state keeps its block of 2|Sigma|
     parent transitions (see `DetAutomaton`), except that a pair with an
     empty target is redirected, both branches, to `_bot`, so the table
-    comes out in its final block layout.
+    comes out in its final block layout.  Whether a whole block is kept is
+    read off one byte mask of productive targets, a slice per state.
     """
     (ids, index, _, _, target), nonempty, productive = _productivity(a)
     if not nonempty[index[a.initial]]:
@@ -110,9 +116,10 @@ def trim(a: DetAutomaton) -> DetAutomaton:
     trans = a.transitions
     transitions: list[Transition] = []
     need_bot = False
+    mask, whole = bytes(map(productive.__getitem__, target)), b"\x01" * width
     for i in kept:
         lo = i * width
-        if all(productive[q] for q in target[lo:lo + width]):
+        if mask[lo:lo + width] == whole:  # every target productive
             transitions += trans[lo:lo + width]
             continue
         for j in range(lo, lo + width, 2):

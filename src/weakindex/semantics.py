@@ -48,7 +48,7 @@ from .automata import (
 )
 from .errors import ValidationError
 from .games import ADAM, EVE, Game, eve_wins_arrays
-from .graphs import _has_top_cycle, has_cycle_inside, tarjan_scc
+from .graphs import _has_top_cycle, _sccs, has_cycle_inside
 from .rng import SplitMix64
 from .trees import Node, RegularTree, parse_wlabel
 
@@ -157,21 +157,22 @@ def _cycle_ranks(a: TreeAutomaton):
     components has loops of both parities.
 
     The move graph takes every letter, both directions and epsilon moves.
-    Its components are numbered in topological order, and a state in
-    component number i gets 2i plus the parity of that component's loop
-    tops (0 if it has no loop), asked of `graphs._has_top_cycle` on the
-    component.  Cycle ranks never decrease along a move, and every closed
-    walk inside a component has a top of the component's parity, so read
-    as a weak automaton on its cycle ranks the automaton keeps its language
-    (Emerson & Lei, "Modalities for model checking", SCP 1987).
+    Its components, found by `graphs._sccs`, are numbered in topological
+    order, and a state in component number i gets 2i plus the parity of
+    that component's loop tops (0 if it has no loop), asked of
+    `graphs._has_top_cycle` on the component.  Cycle ranks never decrease
+    along a move, and every closed walk inside a component has a top of
+    the component's parity, so read as a weak automaton on its cycle ranks
+    the automaton keeps its language (Emerson & Lei, "Modalities for model
+    checking", SCP 1987).
     """
     _, letter, moves, _, rank = _view(a)
     width = len(letter)
-    succ = {q: list(dict.fromkeys(p for x in range(q * width, (q + 1) * width)
-                                  for _, p in moves[x]))
-            for q in range(len(rank))}
+    succ = [list(dict.fromkeys(p for x in range(q * width, (q + 1) * width)
+                               for _, p in moves[x]))
+            for q in range(len(rank))]
     ranks = [0] * len(rank)
-    for level, comp in enumerate(reversed(tarjan_scc(range(len(rank)), succ))):
+    for level, comp in enumerate(reversed(_sccs(succ))):
         odd = False
         if has_cycle_inside(comp, succ):
             odd = _has_top_cycle(comp, succ, rank, 1)

@@ -42,8 +42,8 @@ from .errors import (
     UnsupportedGapConstruction,
     ValidationError,
 )
-from .graphs import has_cycle_inside, reachable_from
-from .patterns import _replicated, _tops, _view, find_replicated_flower
+from .graphs import has_cycle_inside
+from .patterns import _reached, _replicated, _tops, _view, find_replicated_flower
 from .productivity import trim
 
 
@@ -114,9 +114,10 @@ def weaken_02(a: DetAutomaton) -> TreeAutomaton:
     a = _shift_into_band(a, 1, 2)
     c1 = {q: f"c1_{q}" for q in a.states}
     c2 = {q: f"c2_{q}" for q in a.states}
+    s0, s1 = State(UNIVERSAL, 0), State(UNIVERSAL, 1)  # State records are shared
     states: dict[str, State] = {}
     for q in a.states:
-        states[c1[q]], states[c2[q]] = State(UNIVERSAL, 0), State(UNIVERSAL, 1)
+        states[c1[q]], states[c2[q]] = s0, s1
     states[TOP] = State(UNIVERSAL, 2)
     rank = {q: st.rank for q, st in a.states.items()}
     new = tuple.__new__  # a Transition from its fields, without namedtuple's __new__
@@ -211,7 +212,7 @@ def weaken_14(a: DetAutomaton) -> tuple[TreeAutomaton, ConstructionTrace]:
             notes.append(f"B[{'+'.join(names)}]: replicated, {len(part.states)} states "
                          f"(bound |X|+n+1 = {len(comp) + n + 1})")
         else:
-            part = _bx_guess(a, set(names))
+            part = _bx_guess(a, comp)
             bound = 2 * len(comp) * (len(comp) + 2) + 3 * n
             notes.append(f"B[{'+'.join(names)}]: guessed, {len(part.states)} states "
                          f"(bound 2|X|(|X|+2)+3n = {bound})")
@@ -223,91 +224,135 @@ def weaken_14(a: DetAutomaton) -> tuple[TreeAutomaton, ConstructionTrace]:
     return out, trace
 
 
+def _blocks(a: DetAutomaton, i: int):
+    """(letter, left target, right target) per letter of state index i,
+    in table order, read off the view's targets."""
+    v = _view(a)
+    lo, hi = i * v.width, (i + 1) * v.width
+    return zip(a.alphabet, v.target[lo:hi:2], v.target[lo + 1:hi:2])
+
+
 def _bx_replicated(a: DetAutomaton, comp: list[int]) -> TreeAutomaton:
     """B_X for a component X (state indices) replicated by an accepting loop:
-    outside states rank 4 after X and 2 before it, X doubled over ranks 2..4."""
+    outside states rank 4 after X and 2 before it, X doubled over ranks 2..4.
+
+    The table is emitted in its final order: the sink `_top`, then the
+    copies `c1_`, `c2_` and `o_`, each in state order."""
     v = _view(a)
-    xrank = {v.ids[i]: r for i, r in _relabel_component(a, comp, IndexPair(1, 2)).items()}
-    x = set(xrank)
-    exits = sorted({w for i in comp for w in v.succ[i]} - set(comp))
-    after = {v.ids[i] for i in reachable_from(exits, v.succ)} - x
+    ids, x = v.ids, set(comp)
+    xrank = _relabel_component(a, comp, IndexPair(1, 2))
+    exits = sorted({w for i in comp for w in v.succ[i]} - x)
+    after = {i for c, ok in enumerate(_reached(v, exits)) if ok for i in v.sccs[c]} - x
+    entry = [f"c1_{q}" if i in x else f"o_{q}" for i, q in enumerate(ids)]
 
-    def entry(q):
-        return f"c1_{q}" if q in x else f"o_{q}"
-
+    c1, c2, o2, o4 = (State(UNIVERSAL, r) for r in (2, 3, 2, 4))
     states: dict[str, State] = {}
-    for q in a.states:
-        if q in x:
-            states[f"c1_{q}"], states[f"c2_{q}"] = State(UNIVERSAL, 2), State(UNIVERSAL, 3)
+    for i, q in enumerate(ids):
+        if i in x:
+            states[f"c1_{q}"], states[f"c2_{q}"] = c1, c2
         else:
-            states[f"o_{q}"] = State(UNIVERSAL, 4 if q in after else 2)
+            states[f"o_{q}"] = o4 if i in after else o2
     states[TOP] = State(UNIVERSAL, 4)
     transitions = _sink_moves(TOP, a.alphabet)
-    transitions += [Transition(f"c1_{q}", letter, None, f"c2_{q}")
-                    for q in x for letter in a.alphabet]
-    transitions += [Transition(f"c2_{q}", letter, None, TOP)
-                    for q in x if xrank[q] == 2 for letter in a.alphabet]
-    for p, letter, d, q in a.transitions:
-        transitions.append(Transition(entry(p), letter, d, entry(q)))
-        if p in x and xrank[p] == 1 and q in x:
-            transitions.append(Transition(f"c2_{p}", letter, d, f"c2_{q}"))
-    return TreeAutomaton(alphabet=a.alphabet, states=states, initial=entry(a.initial),
+    for i in comp:
+        p, stay = entry[i], f"c2_{ids[i]}"
+        for letter, q0, q1 in _blocks(a, i):
+            transitions += (Transition(p, letter, 0, entry[q0]),
+                            Transition(p, letter, 1, entry[q1]),
+                            Transition(p, letter, None, stay))
+    for i in comp:
+        p = f"c2_{ids[i]}"
+        if xrank[i] == 2:
+            transitions += (Transition(p, letter, None, TOP) for letter in a.alphabet)
+            continue
+        for letter, q0, q1 in _blocks(a, i):
+            transitions += (Transition(p, letter, d, f"c2_{ids[q]}")
+                            for d, q in ((0, q0), (1, q1)) if q in x)
+    for i in range(len(ids)):
+        if i not in x:
+            for letter, q0, q1 in _blocks(a, i):
+                transitions += (Transition(entry[i], letter, 0, entry[q0]),
+                                Transition(entry[i], letter, 1, entry[q1]))
+    return TreeAutomaton(alphabet=a.alphabet, states=states, initial=entry[v.index[a.initial]],
                          transitions=tuple(transitions), acceptance="weak")
 
 
-def _bx_guess(a: DetAutomaton, x: set[str]) -> TreeAutomaton:
-    """B_X for a non-replicated component: guessing copy (rank 1), the
-    X-avoidance checker (rank 2 / sink 3), and per even rank r a checker
-    following the unique X-branch with a (3,4) searcher for recurrence."""
-    even_ranks = sorted({a.rank(q) for q in x if a.rank(q) % 2 == 0})
+def _bx_guess(a: DetAutomaton, comp: list[int]) -> TreeAutomaton:
+    """B_X for a non-replicated component X (state indices): guessing copy
+    (rank 1), the X-avoidance checker (rank 2 / sink 3), and per even rank
+    r a checker following the unique X-branch with a (3,4) searcher for
+    recurrence.
+
+    The table is emitted in its final order, its sources in name order:
+    the sinks `bot{r}_`, the copies `g_` and `gp_`, the checkers `m{r}_`,
+    the avoidance checker `na_` with its sink, the searchers `s{r}_` and
+    the sinks `top{r}_`, the ranks r in the order of their names."""
+    v = _view(a)
+    ids, rank, x = v.ids, v.rank, set(comp)
+    evens = sorted({rank[i] for i in comp if rank[i] % 2 == 0}, key=lambda r: f"{r}_")
+    na_bot = "na" + BOT
     states: dict[str, State] = {}
-    for q in a.states:
+    for q in ids:
         states[f"g_{q}"], states[f"gp_{q}"] = State(UNIVERSAL, 1), State(EXISTENTIAL, 1)
-    transitions = [Transition(f"gp_{q}", letter, None, f"g_{q}")
-                   for q in a.states for letter in a.alphabet]
-    transitions += [Transition(f"g_{p}", letter, d, f"gp_{q}") for p, letter, d, q in a.transitions]
+    for i, q in enumerate(ids):
+        if i not in x:
+            states[f"na_{q}"] = State(UNIVERSAL, 2)
+    states[na_bot] = State(UNIVERSAL, 3)
+    for r in evens:
+        states[f"bot{r}_"], states[f"top{r}_"] = State(UNIVERSAL, 3), State(UNIVERSAL, 4)
+        for i in comp:
+            states[f"m{r}_{ids[i]}"], states[f"s{r}_{ids[i]}"] = (State(UNIVERSAL, 2),
+                                                                  State(EXISTENTIAL, 3))
 
-    # C_{A\X}: stay outside X forever
-    outside = [q for q in a.states if q not in x]
-    for q in outside:
-        states[f"na_{q}"] = State(UNIVERSAL, 2)
-    states["na" + BOT] = State(UNIVERSAL, 3)
-    transitions += [Transition(f"gp_{q}", letter, None, f"na_{q}")
-                    for q in outside for letter in a.alphabet]
-    transitions += _sink_moves("na" + BOT, a.alphabet)
-    transitions += [Transition(f"na_{p}", letter, d, f"na_{q}" if q not in x else "na" + BOT)
-                    for p, letter, d, q in a.transitions if p not in x]
-
+    transitions: list[Transition] = []
+    for r in evens:
+        transitions += _sink_moves(f"bot{r}_", a.alphabet)
+    # the guessing copy: g_ follows the automaton, gp_ may start the checkers
+    for i, q in enumerate(ids):
+        for letter, q0, q1 in _blocks(a, i):
+            transitions += (Transition(f"g_{q}", letter, 0, f"gp_{ids[q0]}"),
+                            Transition(f"g_{q}", letter, 1, f"gp_{ids[q1]}"))
+    for i, q in enumerate(ids):
+        starts = [f"g_{q}"]
+        starts += [f"m{r}_{q}" for r in evens if rank[i] <= r] if i in x else [f"na_{q}"]
+        transitions += (Transition(f"gp_{q}", letter, None, t)
+                        for letter in a.alphabet for t in starts)
     # C_{X,r} for each even rank r used in X
-    for r in even_ranks:
+    for r in evens:
         bot_r = f"bot{r}_"
-        top_r = f"top{r}_"
-        states[bot_r] = State(UNIVERSAL, 3)
-        states[top_r] = State(UNIVERSAL, 4)
-        transitions += _sink_moves(bot_r, a.alphabet) + _sink_moves(top_r, a.alphabet)
-        for q in x:
-            states[f"m{r}_{q}"] = State(UNIVERSAL, 2)
-            states[f"s{r}_{q}"] = State(EXISTENTIAL, 3)
-            for letter in a.alphabet:
-                if a.rank(q) <= r:
-                    transitions.append(Transition(f"gp_{q}", letter, None, f"m{r}_{q}"))
-                if a.rank(q) == r:
-                    transitions.append(Transition(f"s{r}_{q}", letter, None, top_r))
-        for q in x:
-            for letter in a.alphabet:
-                q0, q1 = a.pair(q, letter)
-                inside = [d for d, tgt in ((0, q0), (1, q1)) if tgt in x]
-                tgt = (q0, q1)[inside[0]] if len(inside) == 1 else None
-                if tgt is None or a.rank(tgt) > r:
+        for i in comp:
+            p = f"m{r}_{ids[i]}"
+            for letter, q0, q1 in _blocks(a, i):
+                inside = [d for d, t in ((0, q0), (1, q1)) if t in x]
+                t = (q0, q1)[inside[0]] if len(inside) == 1 else None
+                if t is None or rank[t] > r:
                     # zero or two X-branches, or a rank above r: the shape is violated
-                    transitions += (Transition(f"m{r}_{q}", letter, d, bot_r) for d in (0, 1))
+                    transitions += (Transition(p, letter, d, bot_r) for d in (0, 1))
                 else:
-                    transitions.append(Transition(f"m{r}_{q}", letter, inside[0], f"m{r}_{tgt}"))
-                    transitions.append(Transition(f"m{r}_{q}", letter, inside[0], f"s{r}_{tgt}"))
-                if a.rank(q) != r:
-                    # searcher keeps walking inside X looking for rank r
-                    transitions += (Transition(f"s{r}_{q}", letter, d, f"s{r}_{t}")
-                                    for d, t in ((0, q0), (1, q1)) if t in x)
+                    transitions += (Transition(p, letter, inside[0], f"m{r}_{ids[t]}"),
+                                    Transition(p, letter, inside[0], f"s{r}_{ids[t]}"))
+    # C_{A\X}: stay outside X forever; its sink sorts among the states' names
+    outside = {f"na_{q}": i for i, q in enumerate(ids) if i not in x}
+    for p in sorted(outside.keys() | {na_bot}):
+        if p == na_bot:
+            transitions += _sink_moves(na_bot, a.alphabet)
+        if p not in outside:
+            continue
+        for letter, q0, q1 in _blocks(a, outside[p]):
+            transitions += (Transition(p, letter, d, na_bot if q in x else f"na_{ids[q]}")
+                            for d, q in ((0, q0), (1, q1)))
+    # the searchers keep walking inside X looking for rank r
+    for r in evens:
+        for i in comp:
+            p = f"s{r}_{ids[i]}"
+            if rank[i] == r:
+                transitions += (Transition(p, letter, None, f"top{r}_") for letter in a.alphabet)
+                continue
+            for letter, q0, q1 in _blocks(a, i):
+                transitions += (Transition(p, letter, d, f"s{r}_{ids[q]}")
+                                for d, q in ((0, q0), (1, q1)) if q in x)
+    for r in evens:
+        transitions += _sink_moves(f"top{r}_", a.alphabet)
     return TreeAutomaton(alphabet=a.alphabet, states=states, initial=f"gp_{a.initial}",
                          transitions=tuple(transitions), acceptance="weak")
 

@@ -82,26 +82,40 @@ def criterion_5_stream(count: int):
     return out
 
 
+def _nonempty_det(rng: SplitMix64, n: int, ranks) -> DetAutomaton:
+    """The next n-state automaton over `ranks` with a nonempty language,
+    untrimmed, drawn as the benchmark's cli_large workload draws them."""
+    names = [f"q{i}" for i in range(n)]
+    while True:
+        states = {q: State("A", ranks[rng.below(len(ranks))]) for q in names}
+        trans = [Transition(q, x, d, names[rng.below(n)])
+                 for q in names for x in LETTERS for d in (0, 1)]
+        a = DetAutomaton(alphabet=LETTERS, states=states, initial="q0",
+                         transitions=tuple(trans))
+        try:
+            trim(a)
+        except EmptyLanguage:
+            continue
+        return a
+
+
 def large_inputs():
     """Two 1000-state automata of criterion 9's shape and two 2000-state ones
     over ranks {1, 2}, with nonempty languages: the two input shapes of the
     benchmark's cli_large workload, untrimmed."""
     out = []
     for seed, n, ranks in ((61, 1000, C9_RANKS), (62, 2000, (1, 2))):
-        rng, names, found = SplitMix64(seed), [f"q{i}" for i in range(n)], 0
-        while found < 2:
-            states = {q: State("A", ranks[rng.below(len(ranks))]) for q in names}
-            trans = [Transition(q, x, d, names[rng.below(n)])
-                     for q in names for x in LETTERS for d in (0, 1)]
-            a = DetAutomaton(alphabet=LETTERS, states=states, initial="q0",
-                             transitions=tuple(trans))
-            try:
-                trim(a)
-            except EmptyLanguage:
-                continue
-            found += 1
-            out.append(a)
+        rng = SplitMix64(seed)
+        out += [_nonempty_det(rng, n, ranks) for _ in range(2)]
     return out
+
+
+def cli_large_input(seed: int, stream: int) -> DetAutomaton:
+    """The first input of one stream of the benchmark's cli_large workload at
+    `seed`, untrimmed: stream 1 draws 1000 states over criterion 9's ranks,
+    stream 2 draws 2000 states over ranks {1, 2}."""
+    n, ranks = {1: (1000, C9_RANKS), 2: (2000, (1, 2))}[stream]
+    return _nonempty_det(SplitMix64(seed * 64 + stream), n, ranks)
 
 
 def random_trimmed(rng: SplitMix64, max_states: int = 5, letters=LETTERS,
@@ -153,6 +167,59 @@ def ref_bfs(a: DetAutomaton, allowed, sources, goals):
                 parent[w] = j
                 queue.append(w)
     return None
+
+
+def ref_tarjan(nodes: list, succ: dict) -> list[list]:
+    """The reference for `graphs._sccs` and `tarjan_scc`: Tarjan's algorithm
+    on dict-keyed `index` and `low` and an `on_stack` set, iterative.
+    Components in reverse topological order, each sorted."""
+    index: dict = {}
+    low: dict = {}
+    on_stack: set = set()
+    stack: list = []
+    sccs: list[list] = []
+    counter = [0]
+
+    for root in nodes:
+        if root in index:
+            continue
+        work = [(root, iter(succ.get(root, ())))]
+        index[root] = low[root] = counter[0]
+        counter[0] += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter[0]
+                    counter[0] += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ.get(w, ()))))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    if index[w] < low[v]:
+                        low[v] = index[w]
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(sorted(comp))
+    return sccs
 
 
 @pytest.fixture

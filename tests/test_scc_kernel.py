@@ -1,0 +1,270 @@
+"""The one SCC kernel, `graphs._sccs`, against the dict-keyed Tarjan it
+replaced (`conftest.ref_tarjan`), and the passes that call it against the
+same passes built on that reference: the public `tarjan_scc` and
+`condensation`, the pattern view's condensation and loop tops, cycle
+ranks and the rank-restricted cycle check.
+"""
+
+import contextlib
+import sys
+
+from hypothesis import given, settings, strategies as st
+
+from weakindex import catalog
+from weakindex.automata import _table
+from weakindex.errors import (
+    IndexTooHigh,
+    NonWeaklyRecognizable,
+    PreconditionViolated,
+    UnsupportedGapConstruction,
+)
+from weakindex.graphs import _condensation, _has_top_cycle, _sccs, condensation, tarjan_scc
+from weakindex.patterns import _tops, _view
+from weakindex.productivity import trim
+from weakindex.rng import SplitMix64
+from weakindex.semantics import (
+    SamplerParams,
+    _cycle_ranks,
+    _product_arrays,
+    _tree_view,
+    _view as membership_view,
+    sample_regular_tree,
+)
+from weakindex.transforms import restrict, weaken, weaken_02, weaken_13, weaken_14
+
+from conftest import cli_large_input, criterion_5_stream, random_weak, ref_tarjan
+from test_acceptance import _admissible_pool
+
+
+# -- references built on the dict-keyed Tarjan ---------------------------------------
+
+
+def ref_condensation(nodes, succ):
+    """`condensation` as it was: SCCs in topological order, a dict from
+    node to SCC, and the SCC successor sets, in the same insertion order."""
+    sccs = ref_tarjan(nodes, succ)[::-1]
+    comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
+    edges = [set() for _ in sccs]
+    for v in nodes:
+        for w in succ.get(v, ()):
+            if comp_of[v] != comp_of[w]:
+                edges[comp_of[v]].add(comp_of[w])
+    return sccs, comp_of, edges
+
+
+def ref_has_cycle_inside(comp, succ):
+    return len(comp) > 1 or comp[0] in succ.get(comp[0], ())
+
+
+def ref_has_top_cycle(nodes, succ, rank, parity):
+    """`graphs._has_top_cycle` as it was, on a successor dict."""
+    for r in sorted({rank[v] for v in nodes if rank[v] % 2 == parity}):
+        sub = [v for v in nodes if rank[v] <= r]
+        keep = set(sub)
+        adj = {v: [w for w in succ[v] if w in keep] for v in sub}
+        for comp in ref_tarjan(sub, adj):
+            if ref_has_cycle_inside(comp, adj) and any(rank[v] == r for v in comp):
+                return True
+    return False
+
+
+def ref_cycle_ranks(a):
+    """`semantics._cycle_ranks` as it was, on successor dicts."""
+    _, letter, moves, _, rank = membership_view(a)
+    width = len(letter)
+    succ = {q: list(dict.fromkeys(p for x in range(q * width, (q + 1) * width)
+                                  for _, p in moves[x]))
+            for q in range(len(rank))}
+    ranks = [0] * len(rank)
+    for level, comp in enumerate(reversed(ref_tarjan(range(len(rank)), succ))):
+        odd = False
+        if ref_has_cycle_inside(comp, succ):
+            odd = ref_has_top_cycle(comp, succ, rank, 1)
+            if odd and ref_has_top_cycle(comp, succ, rank, 0):
+                return None
+        for q in comp:
+            ranks[q] = 2 * level + odd
+    return ranks
+
+
+def ref_view(a):
+    """The view's successors and condensation as they were built: a
+    successor dict and the dict-keyed condensation."""
+    ids, _, _, _, target = _table(a)
+    width = 2 * len(a.alphabet)
+    succ = {i: sorted(set(target[i * width:i * width + width])) for i in range(len(ids))}
+    return (succ, *ref_condensation(list(succ), succ))
+
+
+def ref_tops(a):
+    """`patterns._tops` as it was: one dict-keyed Tarjan per rank on the
+    states of the whole SCCs it splits, then loop and edge masks and the
+    per-SCC slots."""
+    v = _view(a)
+    rank, width, target = v.rank, v.width, v.target
+    succ, sccs, scc_of, _ = ref_view(a)
+    loop, edge, slots = [0] * len(v.ids), [0] * len(target), [[None, None] for _ in sccs]
+    for k, r in enumerate(v.ranks):
+        comps, split = [], []
+        for comp in sccs:
+            if max(rank[i] for i in comp) <= r:
+                comps.append(comp)
+            else:
+                split += [i for i in comp if rank[i] <= r]
+        if split:
+            split.sort()
+            adj = {i: [w for w in succ[i] if rank[w] <= r and scc_of[w] == scc_of[i]]
+                   for i in split}
+            comps += ref_tarjan(split, adj)
+        comp_of = [-1] * len(rank)
+        for c, comp in enumerate(comps):
+            for i in comp:
+                comp_of[i] = c
+        for c, comp in enumerate(comps):
+            if not (ref_has_cycle_inside(comp, succ) and any(rank[i] == r for i in comp)):
+                continue
+            slot = slots[scc_of[comp[0]]]
+            if slot[r % 2] is None:
+                slot[r % 2] = (r, min(i for i in comp if rank[i] == r))
+            for i in comp:
+                loop[i] |= 1 << k
+                for j in range(i * width, i * width + width):
+                    if comp_of[target[j]] == c:
+                        edge[j] |= 1 << k
+    return loop, edge, slots
+
+
+# -- the kernel and the public wrappers ---------------------------------------------
+
+
+def check_graph(n, edges, roots, names):
+    """`_sccs`, `_condensation`, `tarjan_scc` and `condensation` against the
+    references on one graph: int nodes 0..n-1 with successor lists in edge
+    order, and the same graph under `names`, with no dict entry for a node
+    without successors."""
+    succ = [[] for _ in range(n)]
+    for u, w in edges:
+        succ[u].append(w)
+    as_dict = dict(enumerate(succ))
+    assert _sccs(succ) == ref_tarjan(range(n), as_dict)
+    assert _sccs(succ, roots) == ref_tarjan(roots, as_dict)
+    sccs, comp_of, cedges = _condensation(succ)
+    want = ref_condensation(range(n), as_dict)
+    assert (sccs, dict(enumerate(comp_of)), cedges) == want
+
+    named = {names[u]: [names[w] for w in ws] for u, ws in enumerate(succ) if ws}
+    nodes = [names[u] for u in roots]
+    assert tarjan_scc(nodes, named) == ref_tarjan(nodes, named)
+    assert condensation(nodes, named) == ref_condensation(nodes, named)
+
+
+@st.composite
+def digraphs(draw):
+    """Up to 14 nodes; self-loops and duplicate edges allowed; roots a
+    subset of the nodes in any order, so some nodes are reached only
+    through edges and some not at all; string or int names."""
+    n = draw(st.integers(1, 14))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=40))
+    roots = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    names = draw(st.sampled_from([[f"v{u}" for u in range(n)], list(range(n)),
+                                  [f"{chr(122 - u)}{u}" for u in range(n)]]))
+    return n, edges, roots, names
+
+
+@settings(max_examples=400, deadline=None)
+@given(digraphs())
+def test_kernel_and_wrappers_match_the_dict_keyed_tarjan(graph):
+    check_graph(*graph)
+
+
+def test_kernel_matches_the_dict_keyed_tarjan_on_seeded_graphs():
+    """Larger graphs: dense and sparse, with many small and a few large
+    components."""
+    rng = SplitMix64(2121)
+    for _ in range(300):
+        n = 1 + rng.below(80)
+        m = rng.below(3 * n + 1)
+        edges = [(rng.below(n), rng.below(n)) for _ in range(m)]
+        edges += [(u, u) for u in range(n) if rng.below(8) == 0]  # self-loops
+        edges += edges[:rng.below(len(edges) + 1)]  # duplicate edges
+        roots = [u for u in range(n) if rng.below(3)]
+        roots.reverse()
+        check_graph(n, edges, roots, [f"s{u:03d}" for u in range(n)])
+
+
+def test_a_100000_node_chain_runs_without_recursion():
+    n = 100_000
+    limit = sys.getrecursionlimit()
+    chain = [[i + 1] for i in range(n - 1)] + [[]]
+    assert _sccs(chain) == [[i] for i in reversed(range(n))]
+    ring = [[(i + 1) % n] for i in range(n)]
+    assert _sccs(ring) == [list(range(n))]
+    named = {f"v{i}": [f"v{i + 1}"] for i in range(n - 1)}
+    assert tarjan_scc(["v0"], named) == [[f"v{i}"] for i in reversed(range(n))]
+    assert sys.getrecursionlimit() == limit
+
+
+# -- the passes that call the kernel -------------------------------------------------
+
+
+def assert_view_and_tops_match(a):
+    succ, sccs, scc_of, edges = ref_view(a)
+    v = _view(a)
+    n = len(v.ids)
+    assert v.succ == [succ[i] for i in range(n)]
+    assert v.sccs == sccs
+    assert v.scc_of == [scc_of[i] for i in range(n)]
+    assert v.edges == edges
+    assert tuple(_tops(a)) == ref_tops(a)
+
+
+def test_view_and_tops_match_the_reference_on_the_catalog_and_criterion_5_stream():
+    for name in sorted(catalog.CATALOG):
+        assert_view_and_tops_match(trim(catalog.get(name)))
+    for a in criterion_5_stream(1000):
+        assert_view_and_tops_match(a)
+
+
+def test_view_and_tops_match_the_reference_on_cli_large_inputs():
+    """The first input of each cli_large stream at seeds 1 to 3."""
+    for seed in (1, 2, 3):
+        for stream in (1, 2):
+            assert_view_and_tops_match(trim(cli_large_input(seed, stream)))
+
+
+def criterion_4_automata():
+    """Criterion 4's pool, its constructions and `restrict` of its weak
+    automata."""
+    pool = [trim(catalog.get(name)) for name in catalog.CATALOG]
+    pool += _admissible_pool(50, seed=4242)
+    out, weak = list(pool), []
+    for a in pool:
+        with contextlib.suppress(IndexTooHigh):
+            weak.append(weaken_02(a))
+        with contextlib.suppress(IndexTooHigh, PreconditionViolated):
+            weak.append(weaken_13(a))
+        with contextlib.suppress(PreconditionViolated):
+            weak.append(weaken_14(a)[0])
+        with contextlib.suppress(UnsupportedGapConstruction, NonWeaklyRecognizable):
+            weak.append(weaken(a)[0])
+    rng = SplitMix64(737)
+    weak += [random_weak(rng, max_states=5) for _ in range(50)]
+    return out + weak + [restrict(w) for w in weak]
+
+
+def test_cycle_ranks_and_cycle_check_match_the_reference_on_criterion_4_products():
+    views = [_tree_view(t) for t in sample_regular_tree(
+        SamplerParams(seed=42, max_nodes=8, alphabet=("a", "b"), count=12))]
+    some_ranks = products = 0
+    for a in criterion_4_automata():
+        ranks = _cycle_ranks(a)
+        assert ranks == ref_cycle_ranks(a), a
+        some_ranks += ranks is not None
+        for view in views:
+            _, rank, succ = _product_arrays(a, view)
+            as_dict = dict(enumerate(succ))
+            for parity in (0, 1):
+                assert (_has_top_cycle(range(len(succ)), succ, rank, parity)
+                        == ref_has_top_cycle(range(len(succ)), as_dict, rank, parity)), a
+            products += 1
+    assert some_ranks > 50 and products > 3000

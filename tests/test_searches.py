@@ -6,7 +6,8 @@ would still improve its best walk; the replicated set, universality and
 the replication witness run on the condensation.  The references below
 are the searches as they were: a breadth-first search that tests goals
 when it dequeues them (`conftest.ref_bfs`), closed walks made of uncapped
-searches, and `reachable_from` over successor and predecessor dicts.
+searches, and `reachable_from` over successor and predecessor dicts
+made from the view's lists.
 """
 
 import pytest
@@ -82,12 +83,13 @@ def ref_closed_walk(a, comp, pivot, via, top):
 def ref_replicated(a):
     v = _view(a)
     starts = sorted({v.target[j ^ 1] for j, m in enumerate(_tops(a).edge) if m & v.parity[0]})
-    return reachable_from(starts, v.succ) - {v.index.get(BOT)}
+    return reachable_from(starts, dict(enumerate(v.succ))) - {v.index.get(BOT)}
 
 
 def ref_is_universal(a):
     v, loop = _view(a), _tops(a).loop
-    return not any(loop[i] & v.parity[1] for i in reachable_from([v.index[a.initial]], v.succ))
+    succ = dict(enumerate(v.succ))
+    return not any(loop[i] & v.parity[1] for i in reachable_from([v.index[a.initial]], succ))
 
 
 def ref_replication_witness(a, q):
@@ -95,8 +97,8 @@ def ref_replication_witness(a, q):
     search of the whole predecessor dict."""
     v = _view(a)
     goal = v.index[q]
-    pred = {i: [] for i in v.succ}
-    for i, ws in v.succ.items():
+    pred = {i: [] for i in range(len(v.succ))}
+    for i, ws in enumerate(v.succ):
         for w in ws:
             pred[w].append(i)
     back = reachable_from([goal], pred)

@@ -3,8 +3,15 @@ import json
 
 import pytest
 
-from weakindex import catalog
-from weakindex.automata import IndexPair, Transition, index_of, make_automaton
+from weakindex import catalog, transforms
+from weakindex.automata import (
+    IndexPair,
+    Transition,
+    TreeAutomaton,
+    _in_order,
+    index_of,
+    make_automaton,
+)
 from weakindex.classifier import classify, relabel_to
 from weakindex.errors import (
     IndexTooHigh,
@@ -159,6 +166,27 @@ def test_weaken_14_precondition():
 
 
 # -- conjunction ----------------------------------------------------------------
+
+
+def test_weaken_14_parts_are_emitted_in_table_order(monkeypatch):
+    """Every table `weaken_14` builds, each B_X part and the conjunction,
+    reaches the constructor already in order, so the constructor keeps it
+    after one pass instead of sorting it."""
+    emitted = []
+
+    def recording(**fields):
+        emitted.append(_in_order(tuple(fields["transitions"])))
+        return TreeAutomaton(**fields)
+
+    monkeypatch.setattr(transforms, "TreeAutomaton", recording)
+    built = 0
+    for a in criterion_5_stream(300):
+        try:
+            weaken_14(a)
+        except PreconditionViolated:
+            continue
+        built += 1
+    assert all(emitted) and len(emitted) - built > 300, (emitted.count(False), len(emitted))
 
 
 def test_conjunction_single_automaton():

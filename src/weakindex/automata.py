@@ -65,8 +65,10 @@ class IndexPair:
     kappa: int
 
     def __post_init__(self):
-        if self.iota not in (0, 1):
-            raise ValidationError(f"index iota must be 0 or 1, got {self.iota}")
+        if not (isinstance(self.iota, int) and self.iota in (0, 1)):
+            raise ValidationError(f"index iota must be 0 or 1, got {self.iota!r}")
+        if not isinstance(self.kappa, int):
+            raise ValidationError(f"index kappa must be an integer, got {self.kappa!r}")
         if self.kappa < self.iota:
             raise ValidationError(f"index ({self.iota},{self.kappa}) is not constructible")
 

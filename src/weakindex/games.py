@@ -48,19 +48,32 @@ class Game:
     condition: str = "parity"  # 'parity' | 'weak'
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(sorted(set(self.edges))))
         if self.initial not in self.positions:
             raise ValidationError(f"initial position {self.initial!r} not declared")
         if self.condition not in ("parity", "weak"):
             raise ValidationError(f"unknown condition {self.condition!r}")
-        for pid, (owner, rank) in self.positions.items():
+        for pid, pos in self.positions.items():
+            if not isinstance(pid, str):
+                raise ValidationError(f"position id {pid!r} is not a string")
+            try:
+                owner, rank = pos
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"position {pid}: {pos!r} is not an (owner, rank) pair") from None
             if owner not in (EVE, ADAM):
                 raise ValidationError(f"position {pid}: bad owner {owner!r}")
+            if not isinstance(rank, int):
+                raise ValidationError(f"position {pid}: rank {rank!r} is not an integer")
             if rank < 0:
                 raise ValidationError(f"position {pid}: negative rank")
-        for a, b in self.edges:
+        for edge in self.edges:  # the first fault in the order given
+            try:
+                a, b = edge
+            except (TypeError, ValueError):
+                raise ValidationError(f"edge {edge!r} is not a pair of positions") from None
             if a not in self.positions or b not in self.positions:
                 raise ValidationError(f"edge ({a},{b}) leaves declared positions")
+        object.__setattr__(self, "edges", tuple(sorted(set(self.edges))))  # string ids: they sort
 
     def successors(self, pid: str) -> list[str]:
         return sorted(b for a, b in self.edges if a == pid)

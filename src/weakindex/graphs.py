@@ -1,17 +1,17 @@
 """Graph helpers on one SCC kernel: Tarjan's strongly connected components,
-the condensation, reachability and the rank-restricted check for a cycle
-with a top rank of given parity.
+the condensation, reachability and the rank-restricted components.
 
 `_sccs` is the one SCC pass (Tarjan, SIAM J. Comput. 1972), iterative so
 large graphs do not hit the recursion limit.  It runs on int nodes
 0..n-1 and a successor list per node, keeps `index` and `low` in lists,
-marks the nodes on its stack in a bytearray, and cuts each component off
-the stack with one slice, sorted.  Every internal pass calls it on ints:
-the pattern view's condensation (`_condensation`), the rank-restricted
-components of `patterns`, the cycle ranks of `semantics` and
-`_has_top_cycle`.  `tarjan_scc` and `condensation` keep their contract,
-any hashable nodes and a successor dict that may lack keys, by numbering
-the nodes and calling the kernel.
+marks its stack in a bytearray and cuts each component off it in one
+slice, sorted.  Every internal pass calls it on ints.
+`_rank_sccs` is the one code that builds the subgraph ranked at most r,
+and `_loop_top` the one test for a loop with top r on its components; the
+pattern view's loop tops, the cycle ranks of `semantics` and
+`_has_top_cycle` run on them.  `tarjan_scc` and `condensation` keep their
+contract, any hashable nodes and a successor dict that may lack keys, by
+numbering the nodes and calling the kernel.
 """
 
 from __future__ import annotations
@@ -114,18 +114,13 @@ def tarjan_scc(nodes: list, succ: dict) -> list[list]:
 
 def condensation(nodes: list, succ: dict):
     """Returns (sccs in topological order, node->scc index, scc successor sets)."""
-    sccs = tarjan_scc(nodes, succ)
-    sccs = list(reversed(sccs))  # topological order (sources first)
-    comp_of = {}
-    for i, comp in enumerate(sccs):
-        for v in comp:
-            comp_of[v] = i
+    sccs = tarjan_scc(nodes, succ)[::-1]  # topological order (sources first)
+    comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
     edges: list[set[int]] = [set() for _ in sccs]
     for v in nodes:
         for w in succ.get(v, ()):
-            a, b = comp_of[v], comp_of[w]
-            if a != b:
-                edges[a].add(b)
+            if comp_of[v] != comp_of[w]:
+                edges[comp_of[v]].add(comp_of[w])
     return sccs, comp_of, edges
 
 
@@ -149,22 +144,40 @@ def has_cycle_inside(comp: list, succ) -> bool:
     return v in succ[v]
 
 
-def _has_top_cycle(nodes, succ, rank, parity: int) -> bool:
-    """Whether the subgraph induced by the int nodes `nodes` has a cycle
-    whose top rank has `parity`; `succ[v]` and `rank[v]` are v's successors
-    and rank.
+def _rank_sccs(nodes, succ, rank, r, group=None):
+    """(sub, adj, comps): `sub` the int nodes of `nodes` ranked at most r,
+    in `nodes` order; `adj[i]` the moves `succ[sub[i]]` into `sub` (inside
+    one `group[v]`, if given) and `comps` the components `_sccs(adj)`, both
+    by place in `sub`.  It builds nothing larger than `sub` and its moves."""
+    sub = [v for v in nodes if rank[v] <= r]
+    num = {v: i for i, v in enumerate(sub)}
+    if group is None:
+        adj = [[num[w] for w in succ[v] if w in num] for v in sub]
+    else:
+        adj = [[num[w] for w in succ[v] if w in num and group[w] == g]
+               for v, g in zip(sub, map(group.__getitem__, sub))]
+    return sub, adj, _sccs(adj)
 
-    For each such rank r of a node, ascending, numbers the nodes ranked
-    at most r in their order in `nodes` and runs `_sccs` on them: a cycle
-    with top r exists exactly when one of their components supports a
-    cycle and holds a node of rank r.  Returns at the first such component.
-    """
+
+def _loop_top(comp, adj, sub, rank, r):
+    """The first node of rank r in `comp`, a component `_rank_sccs` found
+    at r (places in `sub`), if `comp` supports a cycle, else None: a loop
+    with top rank r runs through comp's nodes iff it is not None."""
+    if len(comp) > 1 or comp[0] in adj[comp[0]]:  # `has_cycle_inside`, inlined
+        for i in comp:
+            if rank[sub[i]] == r:
+                return sub[i]
+    return None
+
+
+def _has_top_cycle(nodes, succ, rank, parity: int) -> bool:
+    """Whether the subgraph induced by the int nodes `nodes` (moves
+    `succ[v]`, ranks `rank[v]`) has a cycle whose top rank has `parity`:
+    `_loop_top` on `_rank_sccs` at each such rank, ascending, to a hit."""
     nodes = list(nodes)
     for r in sorted({rank[v] for v in nodes if rank[v] % 2 == parity}):
-        sub = [v for v in nodes if rank[v] <= r]
-        num = {v: i for i, v in enumerate(sub)}
-        adj = [[num[w] for w in succ[v] if w in num] for v in sub]
-        for comp in _sccs(adj):
-            if has_cycle_inside(comp, adj) and any(rank[sub[i]] == r for i in comp):
+        sub, adj, comps = _rank_sccs(nodes, succ, rank, r)
+        for comp in comps:
+            if _loop_top(comp, adj, sub, rank, r) is not None:
                 return True
     return False

@@ -1,10 +1,11 @@
 """Detection of loops, flowers, weak flowers, splits and replication.
 
 All detectors expect a trimmed deterministic automaton and return explicit
-witnesses.  The workhorse is the rank-restricted SCC method: a loop
-through p with top rank exactly r exists iff, in the subgraph of states
-ranked <= r, p's strongly connected component supports a cycle and holds a
-state of rank r.
+witnesses.  The workhorse is the rank-restricted SCC method of
+`graphs._rank_sccs` and its test `graphs._loop_top`: a loop through p
+with top rank exactly r exists iff, in the subgraph of states ranked <= r,
+p's strongly connected component supports a cycle and holds a state of
+rank r.
 
 Everything runs on one int view of the automaton (`_view`), which reads
 its numbering (ids, ranks and target indices) from `automata._table` and
@@ -25,7 +26,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .automata import BOT, DetAutomaton, IndexPair, Transition, _memo, _table
 from .errors import GameTooLarge, ValidationError
-from .graphs import _condensation, _sccs, has_cycle_inside, reachable_from
+from .graphs import _condensation, _loop_top, _rank_sccs as _graph_rank_sccs, reachable_from
 
 INF = float("inf")
 _Build = Callable[[], object]  # builds a witness once a check has decided it exists
@@ -236,6 +237,7 @@ class _View(NamedTuple):
     sccs: list[list[int]]  # the condensation: SCCs in topological order,
     scc_of: list[int]  # each state's SCC
     edges: list[set[int]]  # and the SCC successor sets
+    scc_top: list[int]  # each SCC's highest rank
 
 
 def _view(a: DetAutomaton) -> _View:
@@ -246,8 +248,9 @@ def _view(a: DetAutomaton) -> _View:
         parity = tuple(sum(1 << k for k, r in enumerate(ranks) if r % 2 == b) for b in (0, 1))
         width = 2 * len(a.alphabet)
         succ = [sorted(set(target[lo:lo + width])) for lo in range(0, len(target), width)]
+        sccs, scc_of, edges = _condensation(succ)
         return _View(ids, index, rank, ranks, [bit[r] for r in rank], parity, width, target,
-                     succ, *_condensation(succ))
+                     succ, sccs, scc_of, edges, [max(map(rank.__getitem__, c)) for c in sccs])
     return _memo(a, "view", build)
 
 
@@ -261,29 +264,25 @@ def _rank_sccs(a: DetAutomaton, r: int) -> tuple[list[list[int]], list[int]]:
     there (-1 above r).
 
     Each lies inside one SCC of the whole graph, so a whole SCC ranked <= r
-    throughout is one of them, and only the states of the other SCCs are
-    searched, with edges between different whole SCCs dropped.  `_sccs` then
-    explores each whole SCC on its own from its smallest state, and the
-    components inside it come out in the same order as from a search of
-    that SCC alone; their order across whole SCCs carries no meaning.
+    throughout is one of them.  `graphs._rank_sccs` searches the states of
+    the other SCCs, ascending and grouped by whole SCC: it explores each one
+    alone from its smallest state ranked <= r, so its components come out
+    as from a search of that SCC alone; their order across SCCs means nothing.
     """
     def build():
         v = _view(a)
-        rank, scc_of, succ = v.rank, v.scc_of, v.succ
         comps, split = [], []
-        for comp in v.sccs:
-            if max(rank[i] for i in comp) <= r:
+        for comp, top in zip(v.sccs, v.scc_top):
+            if top <= r:
                 comps.append(comp)
             else:
-                split += [i for i in comp if rank[i] <= r]
-        if split:
-            split.sort()
-            adj: list = [()] * len(rank)
-            for i in split:
-                c = scc_of[i]
-                adj[i] = [w for w in succ[i] if rank[w] <= r and scc_of[w] == c]
-            comps += _sccs(adj, split)
-        comp_of = [-1] * len(rank)
+                split += comp
+        split.sort()
+        sub, _, found = _graph_rank_sccs(split, v.succ, v.rank, r, v.scc_of)
+        for comp in found:  # from places in `sub` to state indices, in place
+            comp[:] = map(sub.__getitem__, comp)
+        comps += found
+        comp_of = [-1] * len(v.rank)
         for c, comp in enumerate(comps):
             for i in comp:
                 comp_of[i] = c
@@ -305,16 +304,14 @@ class _Tops(NamedTuple):
 def _tops(a: DetAutomaton) -> _Tops:
     def build():
         v = _view(a)
-        width, target, rank = v.width, v.target, v.rank
+        width, target, rank, states = v.width, v.target, v.rank, range(len(v.rank))
         tops = _Tops([0] * len(v.ids), [0] * len(target), [[None, None] for _ in v.sccs])
         loop, edge = tops.loop, tops.edge
         for k, r in enumerate(v.ranks):
             bit = 1 << k
             comps, comp_of = _rank_sccs(a, r)
             for c, comp in enumerate(comps):
-                if not has_cycle_inside(comp, v.succ):
-                    continue
-                first = next((i for i in comp if rank[i] == r), None)  # comp is sorted
+                first = _loop_top(comp, v.succ, states, rank, r)  # comps hold state indices
                 if first is None:
                     continue
                 slot = tops.scc[v.scc_of[comp[0]]]

@@ -12,20 +12,9 @@ ids once.  The search indexes its positions in a flat list of
 `bounded_equiv` indexes each tree once and runs both automata on that
 view; it takes the fixed battery and the samples as views and builds a
 `RegularTree` only for the counterexample it returns.  A query takes one
-of four routes, chosen once per automaton.  With no existential state, a
-weak automaton is decided by a one-player depth-first search over (state,
-node, highest rank so far) on its own ranks, and a strong one on its
-cycle ranks: the components of its move graph are numbered 0, 1, ... in
-topological order, and a state of component i gets rank 2i plus the
-parity of that component's loop tops.  Neither search builds product
-arrays.  A strong automaton with a component whose loops have tops of
-both parities has no cycle ranks: its product search builds the arrays,
-whose every position is reachable from the start, and a strong product
-where Adam moves alone is decided by a cycle check with no reachability
-pass.  Every other product goes to the membership kernel
-`games.eve_wins_arrays`, whose weak layering stops once the start
-position has its layer.  The run reduction folds the same product
-search into its tree.
+of the four routes `_accepts` lists; cycle ranks and the cycle check run
+on the rank-restricted components of `graphs._rank_sccs`.  The run
+reduction folds the same product search into its tree.
 """
 
 from __future__ import annotations
@@ -59,7 +48,11 @@ from .trees import Node, RegularTree, parse_wlabel
 def _check_letters(a: TreeAutomaton, labels):
     bad = set(labels).difference(a.alphabet)
     if bad:
-        raise ValidationError(f"tree labels outside alphabet: {sorted(bad)}")
+        try:
+            bad = sorted(bad)
+        except TypeError:  # labels of several types
+            bad = sorted(bad, key=repr)
+        raise ValidationError(f"tree labels outside alphabet: {bad}")
 
 
 def _check_labels(a: TreeAutomaton, t: RegularTree):
@@ -159,12 +152,12 @@ def _cycle_ranks(a: TreeAutomaton):
     The move graph takes every letter, both directions and epsilon moves.
     Its components, found by `graphs._sccs`, are numbered in topological
     order, and a state in component number i gets 2i plus the parity of
-    that component's loop tops (0 if it has no loop), asked of
-    `graphs._has_top_cycle` on the component.  Cycle ranks never decrease
-    along a move, and every closed walk inside a component has a top of
-    the component's parity, so read as a weak automaton on its cycle ranks
-    the automaton keeps its language (Emerson & Lei, "Modalities for model
-    checking", SCP 1987).
+    that component's loop tops (0 if it has no loop).  A looping
+    component's highest rank is a loop top, so `graphs._has_top_cycle`,
+    one ascending pass over `graphs._rank_sccs`, asks the other parity.
+    Cycle ranks never decrease along a move, and every closed walk in a
+    component has a top of its parity, so read as a weak automaton on its
+    cycle ranks the automaton keeps its language (Emerson & Lei, SCP 1987).
     """
     _, letter, moves, _, rank = _view(a)
     width = len(letter)
@@ -173,10 +166,10 @@ def _cycle_ranks(a: TreeAutomaton):
             for q in range(len(rank))]
     ranks = [0] * len(rank)
     for level, comp in enumerate(reversed(_sccs(succ))):
-        odd = False
+        odd = 0
         if has_cycle_inside(comp, succ):
-            odd = _has_top_cycle(comp, succ, rank, 1)
-            if odd and _has_top_cycle(comp, succ, rank, 0):
+            odd = max(map(rank.__getitem__, comp)) % 2
+            if _has_top_cycle(comp, succ, rank, 1 - odd):
                 return None
         for q in comp:
             ranks[q] = 2 * level + odd
@@ -385,66 +378,43 @@ def w_member(t: RegularTree, band: IndexPair) -> bool:
 # -- Skurczynski fixtures ------------------------------------------------------
 
 
-def _prefix_automaton(a: TreeAutomaton, prefix: str) -> TreeAutomaton:
-    states = {prefix + s: st for s, st in a.states.items()}
-    trans = tuple(Transition(prefix + t.source, t.letter, t.direction, prefix + t.target)
-                  for t in a.transitions)
-    return TreeAutomaton(alphabet=a.alphabet, states=states, initial=prefix + a.initial,
-                         transitions=trans, acceptance=a.acceptance)
-
-
-def _dualize(a: TreeAutomaton) -> TreeAutomaton:
-    """Swap owners and shift ranks by one: recognizes the complement."""
-    states = {s: State(EXISTENTIAL if st.mode == UNIVERSAL else UNIVERSAL, st.rank + 1)
-              for s, st in a.states.items()}
-    return TreeAutomaton(alphabet=a.alphabet, states=states, initial=a.initial,
-                         transitions=a.transitions, acceptance=a.acceptance)
-
-
 def skurczynski(index: IndexPair) -> TreeAutomaton:
     """Weak automaton for the canonical hard language of the given index.
 
     (0,1) accepts exactly the all-a tree; (1,n+1) is the complement of
-    (0,n); (0,n+1) walks the leftmost path and spawns the (1,n+1) automaton
-    into every right subtree.
+    (0,n), with owners swapped and ranks shifted by one; (0,n+1) walks the
+    leftmost path and spawns the (1,n+1) automaton into every right
+    subtree.  Unfolded, (0,n) is a chain of n-1 `spine` states, the one at
+    depth k named with k `c_` prefixes, ranked k and dualized k times,
+    whose right moves enter the next depth; the all-a check of (0,1) sits
+    at depth n-1.  It is built in that one pass, deepest state first.
     """
-    if index.iota == 0:
-        n = index.kappa
-        if n < 1:
-            raise ValidationError("skurczynski indices start at (0,1)")
-        if n == 1:
-            states = {
-                "w": State(UNIVERSAL, 0),
-                "rej": State(UNIVERSAL, 1),
-            }
-            trans = []
-            for d in (0, 1):
-                trans.append(Transition("w", "a", d, "w"))
-                trans.append(Transition("w", "b", d, "rej"))
-                for letter in ("a", "b"):
-                    trans.append(Transition("rej", letter, d, "rej"))
-            return TreeAutomaton(alphabet=("a", "b"), states=states, initial="w",
-                                 transitions=tuple(trans), acceptance="weak",
-                                 name=f"skurczynski_0_{n}")
-        inner = _prefix_automaton(skurczynski(IndexPair(1, n)), "c_")
-        states = dict(inner.states)
-        states["spine"] = State(UNIVERSAL, 0)
-        trans = list(inner.transitions)
-        for letter in ("a", "b"):
-            trans.append(Transition("spine", letter, 0, "spine"))
-            trans.append(Transition("spine", letter, 1, inner.initial))
-        return TreeAutomaton(alphabet=("a", "b"), states=states, initial="spine",
-                             transitions=tuple(trans), acceptance="weak",
-                             name=f"skurczynski_0_{n}")
-    # (1, n+1) = complement of (0, n)
-    n = index.kappa - 1
+    flip = index.iota  # (1, n+1) dualizes (0, n) once more
+    n = index.kappa - flip
     if n < 1:
-        raise ValidationError("skurczynski indices of the sigma side start at (1,2)")
-    base = skurczynski(IndexPair(0, n))
-    out = _dualize(base)
-    return TreeAutomaton(alphabet=out.alphabet, states=out.states, initial=out.initial,
-                         transitions=out.transitions, acceptance="weak",
-                         name=f"skurczynski_1_{n + 1}")
+        raise ValidationError("skurczynski indices of the sigma side start at (1,2)" if flip
+                              else "skurczynski indices start at (0,1)")
+    states: dict[str, State] = {}
+
+    def at(depth, name, rank):
+        shift = depth + flip  # dualizations: each swaps owners and adds one to ranks
+        states["c_" * depth + name] = State(EXISTENTIAL if shift % 2 else UNIVERSAL, rank + shift)
+        return "c_" * depth + name
+
+    w, rej = at(n - 1, "w", 0), at(n - 1, "rej", 1)
+    trans = []
+    for d in (0, 1):
+        trans += [Transition(w, "a", d, w), Transition(w, "b", d, rej),
+                  Transition(rej, "a", d, rej), Transition(rej, "b", d, rej)]
+    inner = w
+    for depth in range(n - 2, -1, -1):
+        spine = at(depth, "spine", 0)
+        for letter in ("a", "b"):
+            trans += [Transition(spine, letter, 0, spine), Transition(spine, letter, 1, inner)]
+        inner = spine
+    return TreeAutomaton(alphabet=("a", "b"), states=states, initial=inner,
+                         transitions=tuple(trans), acceptance="weak",
+                         name=f"skurczynski_{index.iota}_{index.kappa}")
 
 
 def skurczynski_member_oracle(index: IndexPair, t: RegularTree) -> bool:
@@ -483,6 +453,10 @@ class SamplerParams:
     count: int
 
     def __post_init__(self):
+        for field in ("seed", "max_nodes", "count"):
+            value = getattr(self, field)
+            if not isinstance(value, int):
+                raise ValidationError(f"{field} must be an integer, got {value!r}")
         if self.count < 1:
             raise ValidationError("count must be >= 1")
         if self.max_nodes < 1:

@@ -27,11 +27,15 @@ class RegularTree:
     root: str
 
     def __post_init__(self):
+        if not isinstance(self.arity, int):
+            raise ValidationError(f"arity must be an integer, got {self.arity!r}")
         if self.arity < 2:
             raise ValidationError(f"arity must be >= 2, got {self.arity}")
         if self.root not in self.nodes:
             raise ValidationError(f"root {self.root!r} not declared")
         for nid, node in self.nodes.items():
+            if not isinstance(node, Node):
+                raise ValidationError(f"node {nid!r} is not a Node(label, children): {node!r}")
             if len(node.children) != self.arity:
                 raise ValidationError(
                     f"node {nid!r} has {len(node.children)} children, expected {self.arity}"
@@ -79,6 +83,8 @@ class WTreeLabel(NamedTuple):
 
 
 def parse_wlabel(label: str) -> WTreeLabel:
+    if not isinstance(label, str):
+        raise ValidationError(f"not an owner:rank label: {label!r}")
     parts = label.split(":")
     if len(parts) != 2 or parts[0] not in ("E", "A"):
         raise ValidationError(f"not an owner:rank label: {label!r}")

@@ -189,6 +189,12 @@ def test_fixture_catalog_and_skurczynski(tmp_path, capsys):
     assert main(["fixture", "bogus", "x"]) == 2  # argparse refuses the kind
 
 
+def test_fixture_skurczynski_at_a_deep_index(tmp_path, capsys):
+    out = tmp_path / "f.aut"
+    assert main(["fixture", "skurczynski", "0,600", "--out", str(out)]) == 0
+    assert index_of(parse_automaton(out.read_text())) == IndexPair(0, 600)
+
+
 def test_dot_export(all_a_file, tmp_path, capsys):
     assert main(["dot", all_a_file]) == 0
     out = capsys.readouterr().out

@@ -1,24 +1,35 @@
 """The one SCC kernel, `graphs._sccs`, against the dict-keyed Tarjan it
 replaced (`conftest.ref_tarjan`), and the passes that call it against the
 same passes built on that reference: the public `tarjan_scc` and
-`condensation`, the pattern view's condensation and loop tops, cycle
-ranks and the rank-restricted cycle check.
+`condensation`, the rank-restricted routine `_rank_sccs` with its
+loop-top test, the pattern view's condensation and loop tops, cycle ranks
+and the rank-restricted cycle check; and time bounds on long chains.
 """
 
 import contextlib
 import sys
+import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from weakindex import catalog
-from weakindex.automata import _table
+from weakindex.automata import DetAutomaton, State, Transition, _table
 from weakindex.errors import (
     IndexTooHigh,
     NonWeaklyRecognizable,
     PreconditionViolated,
     UnsupportedGapConstruction,
 )
-from weakindex.graphs import _condensation, _has_top_cycle, _sccs, condensation, tarjan_scc
+from weakindex.graphs import (
+    _condensation,
+    _has_top_cycle,
+    _loop_top,
+    _rank_sccs,
+    _sccs,
+    condensation,
+    tarjan_scc,
+)
 from weakindex.patterns import _tops, _view
 from weakindex.productivity import trim
 from weakindex.rng import SplitMix64
@@ -202,6 +213,81 @@ def test_a_100000_node_chain_runs_without_recursion():
     named = {f"v{i}": [f"v{i + 1}"] for i in range(n - 1)}
     assert tarjan_scc(["v0"], named) == [[f"v{i}"] for i in reversed(range(n))]
     assert sys.getrecursionlimit() == limit
+
+
+# -- the rank-restricted routine ---------------------------------------------------------
+
+
+def ref_rank_sccs(nodes, succ, rank, r, group):
+    """`graphs._rank_sccs` on node names: the nodes of `nodes` ranked <= r,
+    their moves that stay among them and inside one group, and the
+    dict-keyed Tarjan's components of that subgraph."""
+    sub = [v for v in nodes if rank[v] <= r]
+    keep = set(sub)
+    adj = {v: [w for w in succ[v] if w in keep and (group is None or group[w] == group[v])]
+           for v in sub}
+    return sub, adj, ref_tarjan(sub, adj)
+
+
+@st.composite
+def ranked_digraphs(draw):
+    """Up to 12 int nodes with ranks 0..4; self-loops and duplicate moves;
+    the nodes given a subset in any order; a group labelling or none."""
+    n = draw(st.integers(1, 12))
+    succ = [[] for _ in range(n)]
+    for u, w in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=36)):
+        succ[u].append(w)
+    rank = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    nodes = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    group = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return nodes, succ, rank, draw(st.integers(0, 4)), group
+
+
+@settings(max_examples=400, deadline=None)
+@given(ranked_digraphs())
+def test_rank_sccs_and_loop_tops_match_the_dict_keyed_tarjan(graph):
+    nodes, succ, rank, r, group = graph
+    sub, adj, comps = _rank_sccs(nodes, succ, rank, r, group)
+    want_sub, want_adj, want_comps = ref_rank_sccs(nodes, succ, rank, r, group)
+    assert sub == want_sub
+    assert [[sub[i] for i in ws] for ws in adj] == [want_adj[v] for v in sub]
+    assert [sorted(sub[i] for i in comp) for comp in comps] == want_comps
+    for comp, want in zip(comps, want_comps):
+        tops = [sub[i] for i in comp if rank[sub[i]] == r]  # in `nodes` order
+        want_top = tops[0] if tops and ref_has_cycle_inside(want, want_adj) else None
+        assert _loop_top(comp, adj, sub, rank, r) == want_top
+
+
+def one_way_chain(n, pairs=False):
+    """State i moves to itself on the left and to state i + 1 on the right,
+    the last state to itself both ways; state i has rank i mod 3.  With
+    `pairs`, states 2k and 2k + 1 (ranks 0 and 1) form a component instead:
+    2k moves to 2k + 1 both ways, and 2k + 1 to 2k on the left and on to
+    2k + 2 on the right, so each component has loops with odd tops only."""
+    names = [f"q{i:05d}" for i in range(n)]
+    if pairs:
+        step = [(i + 1, i + 1) if i % 2 == 0 else (i - 1, i + 1) for i in range(n)]
+    else:
+        step = [(i, i + 1) for i in range(n)]
+    trans = [Transition(q, "a", d, names[min(step[i][d], n - 1)]) for i, q in enumerate(names)
+             for d in (0, 1)]
+    ranks = [i % 2 if pairs else i % 3 for i in range(n)]
+    return DetAutomaton(("a",), {q: State("A", r) for q, r in zip(names, ranks)}, names[0],
+                        tuple(trans))
+
+
+@pytest.mark.parametrize("n, pairs", [(12_000, False), (24_000, True)])
+def test_loop_tops_and_cycle_ranks_stay_linear_on_long_chains(n, pairs):
+    """12000 looping components: a routine that builds arrays of the whole
+    graph per component or per rank turns quadratic.  On the pairs chain
+    `_cycle_ranks` asks the rank-restricted routine once per component."""
+    for run in (_cycle_ranks, lambda a: _tops(a).loop):
+        a = one_way_chain(n, pairs)
+        start = time.perf_counter()
+        out = run(a)
+        assert time.perf_counter() - start < 1.5, run
+        assert len(out) == n
 
 
 # -- the passes that call the kernel -------------------------------------------------

@@ -7,12 +7,19 @@ from collections import Counter
 import pytest
 
 from weakindex import catalog, semantics
-from weakindex.automata import IndexPair, State, make_automaton
+from weakindex.automata import (
+    IndexPair,
+    State,
+    Transition,
+    TreeAutomaton,
+    index_of,
+    make_automaton,
+)
 from weakindex.classifier import weak_det_index
 from weakindex.errors import IndexTooHigh, PreconditionViolated, ValidationError
 from weakindex.cli import main
 from weakindex.formats import serialize_automaton, serialize_regular_tree
-from weakindex.games import brute_force_solve, eve_wins_arrays, solve
+from weakindex.games import Game, brute_force_solve, eve_wins_arrays, solve
 from weakindex.graphs import _has_top_cycle
 from weakindex.rng import SplitMix64
 from weakindex.semantics import (
@@ -589,6 +596,50 @@ def test_skurczynski_agrees_with_oracle():
             assert alt_accepts(a, t) == skurczynski_member_oracle(idx, t)
 
 
+def ref_skurczynski(index):
+    """`skurczynski` as it was built, recursively: (0,n+1) prefixes the
+    states of the (1,n+1) automaton with `c_` and adds the spine, and
+    (1,n+1) dualizes the (0,n) automaton."""
+    if index.iota == 1:
+        base = ref_skurczynski(IndexPair(0, index.kappa - 1))
+        states = {q: State("E" if st.mode == "A" else "A", st.rank + 1)
+                  for q, st in base.states.items()}
+        return TreeAutomaton(("a", "b"), states, base.initial, base.transitions, "weak",
+                             f"skurczynski_1_{index.kappa}")
+    n = index.kappa
+    if n == 1:
+        trans = [Transition(p, x, d, q) for d in (0, 1) for p, x, q in (
+            ("w", "a", "w"), ("w", "b", "rej"), ("rej", "a", "rej"), ("rej", "b", "rej"))]
+        return TreeAutomaton(("a", "b"), {"w": State("A", 0), "rej": State("A", 1)}, "w",
+                             tuple(trans), "weak", "skurczynski_0_1")
+    inner = ref_skurczynski(IndexPair(1, n))
+    states = {"c_" + q: st for q, st in inner.states.items()}
+    states["spine"] = State("A", 0)
+    trans = [Transition("c_" + t.source, t.letter, t.direction, "c_" + t.target)
+             for t in inner.transitions]
+    for x in ("a", "b"):
+        trans += [Transition("spine", x, 0, "spine"),
+                  Transition("spine", x, 1, "c_" + inner.initial)]
+    return TreeAutomaton(("a", "b"), states, "spine", tuple(trans), "weak", f"skurczynski_0_{n}")
+
+
+def test_skurczynski_matches_the_recursive_build():
+    for iota in (0, 1):
+        for kappa in range(iota + 1, 41):
+            idx = IndexPair(iota, kappa)
+            got, want = skurczynski(idx), ref_skurczynski(idx)
+            assert serialize_automaton(got) == serialize_automaton(want), idx
+            assert list(got.states) == list(want.states), idx
+
+
+def test_skurczynski_builds_deep_indices_quickly():
+    start = time.perf_counter()
+    for idx in (IndexPair(0, 600), IndexPair(1, 600)):
+        a = skurczynski(idx)
+        assert len(a.states) == idx.kappa - idx.iota + 1 and index_of(a) == idx
+    assert time.perf_counter() - start < 1.0
+
+
 def test_skurczynski_oracle_trivia():
     assert skurczynski_member_oracle(IndexPair(0, 1), constant_tree("a"))
     assert not skurczynski_member_oracle(IndexPair(1, 2), constant_tree("a"))
@@ -667,6 +718,41 @@ TERNARY = constant_tree("a", arity=3)
      "bounded_equiv needs a shared alphabet"),
 ])
 def test_semantics_input_errors(call, message):
+    with pytest.raises(ValidationError) as err:
+        call()
+    assert str(err.value) == message
+
+
+B_LABEL_3 = RegularTree(2, {"n": Node(3, ("m", "m")), "m": Node("z", ("n", "n"))}, "n")
+
+
+def game_at_a(positions, edges=()):
+    return Game(positions, tuple(edges), "a")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: game_at_a({"a": ("E", "x")}, [("a", "a")]), "position a: rank 'x' is not an integer"),
+    (lambda: game_at_a({"a": ("E", 0), 1: ("A", 0)}, [("a", "a"), (1, 1)]),
+     "position id 1 is not a string"),
+    (lambda: game_at_a({"a": ("E", 0, 1)}),
+     "position a: ('E', 0, 1) is not an (owner, rank) pair"),
+    (lambda: game_at_a({"a": "E"}), "position a: 'E' is not an (owner, rank) pair"),
+    (lambda: game_at_a({"a": ("E", 1.5)}, [("a", "a")]), "position a: rank 1.5 is not an integer"),
+    (lambda: game_at_a({"a": ("E", 1)}, [("a",)]), "edge ('a',) is not a pair of positions"),
+    (lambda: IndexPair(0, "2"), "index kappa must be an integer, got '2'"),
+    (lambda: SamplerParams(seed=1, max_nodes="8", alphabet=("a",), count=1),
+     "max_nodes must be an integer, got '8'"),
+    (lambda: SamplerParams(seed=1, max_nodes=8, alphabet=("a",), count=1.5),
+     "count must be an integer, got 1.5"),
+    (lambda: RegularTree("2", {"n": Node("a", ("n", "n"))}, "n"),
+     "arity must be an integer, got '2'"),
+    (lambda: RegularTree(2, {"n": ("a", ("n", "n"))}, "n"),
+     "node 'n' is not a Node(label, children): ('a', ('n', 'n'))"),
+    (lambda: parse_wlabel(3), "not an owner:rank label: 3"),
+    (lambda: w_member(constant_tree(3), IndexPair(0, 2)), "not an owner:rank label: 3"),
+    (lambda: det_accepts(catalog.all_a(), B_LABEL_3), "tree labels outside alphabet: ['z', 3]"),
+])
+def test_public_values_name_the_bad_field(call, message):
     with pytest.raises(ValidationError) as err:
         call()
     assert str(err.value) == message

@@ -122,12 +122,10 @@ class TreeAutomaton:
 
     def __post_init__(self):
         letters = tuple(self.alphabet)
-        try:
-            letters = tuple(sorted(set(letters)))
-        except TypeError:  # letters that do not sort together, so not all strings
-            bad = next(x for x in letters if not isinstance(x, str))
-            raise ValidationError(f"alphabet letter {bad!r} is not a string") from None
-        object.__setattr__(self, "alphabet", letters)
+        for x in letters:
+            if not isinstance(x, str):
+                raise ValidationError(f"alphabet letter {x!r} is not a string")
+        object.__setattr__(self, "alphabet", tuple(sorted(set(letters))))
         # a table of Transitions in its final order, as producers emit it, is
         # kept after one pass (the block layout of a DetAutomaton, else
         # _in_order); any other is deduplicated and sorted, in

@@ -7,14 +7,21 @@ acceptance condition.  Automata enter it through their one numbering,
 `automata._table`, from which `_view` derives letter ids and one flat
 list of moves by (state, letter id); trees enter it as int views
 (labels, children, root), whose labels the product search maps to letter
-ids once.  The search indexes its positions in a flat list of
-|Q|*nn slots, or in a dict for products above `_LIST_INDEX_SLOTS`.
-`bounded_equiv` indexes each tree once and runs both automata on that
-view; it takes the fixed battery and the samples as views and builds a
-`RegularTree` only for the counterexample it returns.  A query takes one
-of the four routes `_accepts` lists; cycle ranks and the cycle check run
-on the rank-restricted components of `graphs._rank_sccs`.  The run
-reduction folds the same product search into its tree.
+ids once.  The search indexes its positions (state, node) in a flat list
+of |Q|*nn slots, or in a dict for products above `_LIST_INDEX_SLOTS`.
+A query takes one of the routes `_accepts` lists.  An automaton with no
+existential state is read, once, on a rank vector that never decreases
+along a move (its own ranks, its cycle ranks or its (state, highest rank
+so far) expansion, see `_route`), so that a play is lost only inside a
+looping component of odd rank (Emerson & Lei, SCP 1987).  A state that
+can reach no such component is not live and accepts every tree; the
+one-player search never enters one, and a query from one is answered
+without a search.  `bounded_equiv` indexes each tree once and runs both
+automata on that view; it takes the fixed battery and the samples as
+views and builds a `RegularTree` only for the counterexample it returns.
+Cycle ranks and the cycle check run on the rank-restricted components of
+`graphs._rank_sccs`.  The run reduction folds the same product search
+into its tree.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from .errors import ValidationError
 from .games import ADAM, EVE, Game, eve_wins_arrays
 from .graphs import _has_top_cycle, _sccs, has_cycle_inside
 from .rng import SplitMix64
-from .trees import Node, RegularTree, parse_wlabel
+from .trees import _TOKEN, Node, RegularTree, _is_token, parse_wlabel
 
 
 # -- membership --------------------------------------------------------------
@@ -48,11 +55,7 @@ from .trees import Node, RegularTree, parse_wlabel
 def _check_letters(a: TreeAutomaton, labels):
     bad = set(labels).difference(a.alphabet)
     if bad:
-        try:
-            bad = sorted(bad)
-        except TypeError:  # labels of several types
-            bad = sorted(bad, key=repr)
-        raise ValidationError(f"tree labels outside alphabet: {bad}")
+        raise ValidationError(f"tree labels outside alphabet: {sorted(bad)}")
 
 
 def _check_labels(a: TreeAutomaton, t: RegularTree):
@@ -145,14 +148,39 @@ def _product_arrays(a: TreeAutomaton, view):
     return [sowner[q] for q in states], [srank[q] for q in states], succ
 
 
+def _successors(moves, n: int, width: int):
+    """Each of the n states' successors in the move graph of `moves`
+    (flat by (state, letter id), `width` letters): every letter, both
+    directions and epsilon moves, each target once."""
+    return [list(dict.fromkeys(p for x in range(q * width, (q + 1) * width)
+                               for _, p in moves[x]))
+            for q in range(n)]
+
+
+def _live(succ, comps, ranks):
+    """Per state of the move graph `succ`, 1 iff it can reach a looping
+    component of odd rank.  `comps` are the components `_sccs(succ)`,
+    sinks first, so each reads its successors' flags once they are set;
+    `ranks` never decreases along a move, so it is constant on each one,
+    and a play is lost only inside a looping component of odd rank
+    (Emerson & Lei, SCP 1987)."""
+    live = bytearray(len(succ))
+    for comp in comps:
+        if (ranks[comp[0]] & 1 and has_cycle_inside(comp, succ)
+                or any(live[p] for q in comp for p in succ[q])):
+            for q in comp:
+                live[q] = 1
+    return live
+
+
 def _cycle_ranks(a: TreeAutomaton):
-    """The automaton's cycle ranks, or None if one of its strongly connected
-    components has loops of both parities.
+    """(cycle ranks, `_live` flags on them) of the automaton, or None if one
+    of its strongly connected components has loops of both parities.
 
     The move graph takes every letter, both directions and epsilon moves.
-    Its components, found by `graphs._sccs`, are numbered in topological
-    order, and a state in component number i gets 2i plus the parity of
-    that component's loop tops (0 if it has no loop).  A looping
+    Its components, found by one `graphs._sccs` pass, are numbered in
+    topological order, and a state in component number i gets 2i plus the
+    parity of that component's loop tops (0 if it has no loop).  A looping
     component's highest rank is a loop top, so `graphs._has_top_cycle`,
     one ascending pass over `graphs._rank_sccs`, asks the other parity.
     Cycle ranks never decrease along a move, and every closed walk in a
@@ -160,12 +188,10 @@ def _cycle_ranks(a: TreeAutomaton):
     cycle ranks the automaton keeps its language (Emerson & Lei, SCP 1987).
     """
     _, letter, moves, _, rank = _view(a)
-    width = len(letter)
-    succ = [list(dict.fromkeys(p for x in range(q * width, (q + 1) * width)
-                               for _, p in moves[x]))
-            for q in range(len(rank))]
+    succ = _successors(moves, len(rank), len(letter))
+    comps = _sccs(succ)
     ranks = [0] * len(rank)
-    for level, comp in enumerate(reversed(_sccs(succ))):
+    for level, comp in enumerate(reversed(comps)):
         odd = 0
         if has_cycle_inside(comp, succ):
             odd = max(map(rank.__getitem__, comp)) % 2
@@ -173,72 +199,116 @@ def _cycle_ranks(a: TreeAutomaton):
                 return None
         for q in comp:
             ranks[q] = 2 * level + odd
-    return ranks
+    return ranks, _live(succ, comps, ranks)
+
+
+def _expansion(moves, rank, width: int, q0: int):
+    """(moves, ranks) of the (state, highest rank so far) expansion: pair
+    (q, m) moves where q does, to (p, max(m, rank p)), and has rank m.  The
+    pairs reachable from (q0, rank q0) are numbered in one breadth-first
+    search from it, which is pair 0."""
+    pairs = [(q0, rank[q0])]
+    index = {pairs[0]: 0}
+    out_moves = []
+    for q, m in pairs:  # breadth-first: `pairs` grows while it is read
+        for x in range(q * width, (q + 1) * width):
+            out = []
+            for d, p in moves[x]:
+                r = rank[p]
+                pair = (p, r if r > m else m)
+                j = index.get(pair)
+                if j is None:
+                    j = index[pair] = len(pairs)
+                    pairs.append(pair)
+                out.append((d, j))
+            out_moves.append(out)
+    return out_moves, [m for _, m in pairs]
 
 
 def _route(a: TreeAutomaton):
-    """(ranks, span) of the one-player search that decides `a`'s
-    memberships, or (None, None) if the product arrays decide them.  Chosen
+    """(start, ranks, moves, live) of the one-player search that decides
+    `a`'s memberships, or None if the product arrays decide them.  Chosen
     once and kept in `a._memo`.
 
-    With no existential state, a weak automaton is searched on its own
-    ranks and a strong one on its cycle ranks, if it has them.
+    Only an automaton with no existential state takes the search.  Its
+    rank vector never decreases along a move:
+    - a weak automaton's own ranks, when no move lowers them;
+    - a strong automaton's cycle ranks, if it has them (else None);
+    - otherwise, for a weak automaton, its (state, highest rank so far)
+      expansion, by `_expansion` from the initial state.
+    The search runs on states of that vector: `start` is the initial one,
+    `moves[q * |Sigma| + x]` lists the (direction, state) moves of state q
+    on letter id x, and `live[q]` is 1 iff q can reach a looping component
+    of odd rank, counting every letter, both directions and epsilon moves
+    (`_live`).  A state that is not live accepts every tree, so `moves`
+    keeps only the moves into live states.
     """
-    route = a._memo.get("membership_route")
-    if route is None:
-        _, _, _, owner, rank = _view(a)
-        ranks = None
-        if 0 not in owner:
-            ranks = rank if a.acceptance == "weak" else _cycle_ranks(a)
-        span = None if ranks is None else max(ranks) + 1
-        route = a._memo["membership_route"] = (ranks, span)
+    memo = a._memo
+    if "membership_route" in memo:
+        return memo["membership_route"]
+    sidx, letter, moves, owner, rank = _view(a)
+    width = len(letter)
+    route = None
+    if 0 not in owner:
+        start = sidx[a.initial]
+        if a.acceptance != "weak":
+            found = _cycle_ranks(a)
+        else:
+            succ = _successors(moves, len(rank), width)
+            if any(rank[p] < rank[q] for q, out in enumerate(succ) for p in out):
+                start, (moves, rank) = 0, _expansion(moves, rank, width, start)
+                succ = _successors(moves, len(rank), width)
+            found = rank, _live(succ, _sccs(succ), rank)
+        if found is not None:
+            ranks, live = found
+            moves = [[(d, p) for d, p in out if live[p]] for out in moves]
+            route = (start, ranks, moves, live)
+    memo["membership_route"] = route
     return route
 
 
-def _universal_weak_accepts(a: TreeAutomaton, view, ranks=None, span=None) -> bool:
-    """Membership of the tree `view` in `a` read as a weak automaton with
-    no existential state on `ranks` (by default its own), decided during
-    the product search itself; `span` is max(ranks) + 1.
+def _universal_weak_accepts(a: TreeAutomaton, view, route=None) -> bool:
+    """Membership of the tree `view` in `a`, an automaton with no
+    existential state, decided during the product search itself on
+    `route`, by default `_route(a)`.
 
     Adam moves alone, so Adam wins iff some play from the start breaks the
-    weak condition.  The search is a depth-first search over triples
-    (state, node, m), m the highest rank seen so far, and steps moves as
-    `_product_arrays` does.  m never decreases along a move, so all the
-    triples of a strongly connected component share one m, the highest
-    rank of every infinite play that ends in it.  Every reachable
-    component with a cycle holds a move into a triple on the search path,
-    and each such move closes a cycle, so Adam wins iff one of them enters
-    a triple with odd m.  A dead end is a leaf: Adam, stuck there, loses.
-    Triple (q, v, m) has slot (q * nn + v) * span + m in a bytearray while
-    there are at most `_LIST_INDEX_SLOTS` slots, else in a dict.
+    weak condition on the route's ranks.  Those never decrease along a
+    move, so all the positions of a strongly connected component of the
+    product share one rank, that of their states, and it is the highest
+    rank of every infinite play that ends there.  The search is a
+    depth-first search over positions (state, node), stepping moves as
+    `_product_arrays` does.  Every reachable component with a cycle holds
+    a move into a position on the search path, and each such move closes
+    a cycle, so Adam wins iff one of them enters a position of odd rank.
+    A dead end is a leaf: Adam, stuck there, loses.  The route's moves
+    lead only into live states, so the search never enters a state from
+    which every tree is accepted; such a move would only lose for Adam.
+    Position (q, v) has slot q * nn + v in a bytearray while there are at
+    most `_LIST_INDEX_SLOTS` slots, else in a dict.
     """
-    sidx, letter, moves, _, srank = _view(a)
-    if ranks is None:
-        ranks, span = srank, max(srank) + 1
+    start, ranks, moves, _ = route or _route(a)
+    letter = _view(a)[1]
     labels, children, root = view
     nn = len(labels)
     width = len(letter)
     row = [letter[x] for x in labels]
-    slots = len(ranks) * nn * span
+    slots = len(ranks) * nn
     color = bytearray(slots) if slots <= _LIST_INDEX_SLOTS else defaultdict(int)
-    q0 = sidx[a.initial]
-    m0 = ranks[q0]
-    key = (q0 * nn + root) * span + m0
+    key = start * nn + root
     color[key] = 1  # 1 while on the search path, 2 once finished
-    path = [(key, root, m0, iter(moves[q0 * width + row[root]]))]
+    path = [(key, root, iter(moves[start * width + row[root]]))]
     while path:
-        key, v, m, out = path[-1]
+        key, v, out = path[-1]
         for d, q in out:
             w = v if d is None else children[v][d]
-            r = ranks[q]
-            m2 = r if r > m else m
-            k = (q * nn + w) * span + m2
+            k = q * nn + w
             c = color[k]
             if not c:
                 color[k] = 1
-                path.append((k, w, m2, iter(moves[q * width + row[w]])))
+                path.append((k, w, iter(moves[q * width + row[w]])))
                 break
-            if c == 1 and m2 & 1:
+            if c == 1 and ranks[q] & 1:
                 return False
         else:
             color[key] = 2
@@ -246,16 +316,22 @@ def _universal_weak_accepts(a: TreeAutomaton, view, ranks=None, span=None) -> bo
     return True
 
 
+def _accepts_every_tree(a: TreeAutomaton) -> bool:
+    """Whether `a` takes the one-player search from an initial state that is
+    not live, so that its language holds every tree."""
+    route = _route(a)
+    return route is not None and not route[3][route[0]]
+
+
 def _accepts(a: TreeAutomaton, view) -> bool:
     """Membership of the tree `view` in the language of `a`, by one of
-    four routes, chosen once per automaton by `_route`.
+    three routes, chosen once per automaton by `_route`.
 
-    - A weak automaton with no existential state is decided by the
-      one-player search `_universal_weak_accepts` on its own ranks.
-    - A strong automaton with no existential state (every deterministic
-      one) whose components each have loops of one parity is decided by
-      the same search on its cycle ranks.  Neither search builds product
-      arrays.
+    - An automaton with no existential state that is weak, or strong with
+      loops of one parity in each component, is decided by the one-player
+      search `_universal_weak_accepts` on `_route`'s non-decreasing ranks,
+      which builds no product arrays.  If its initial state is not live,
+      the tree is accepted at once, with no search.
     - Any other strong product where Adam moves alone is rejected iff it
       has a cycle with an odd top: `graphs._has_top_cycle`, which returns
       at its first hit.  Every position is reachable from position 0, so
@@ -263,9 +339,10 @@ def _accepts(a: TreeAutomaton, view) -> bool:
     - Every other product goes to `eve_wins_arrays`, a winner-only solve
       at position 0.
     """
-    ranks, span = _route(a)
-    if ranks is not None:
-        return _universal_weak_accepts(a, view, ranks, span)
+    route = _route(a)
+    if route is not None:
+        start, _, _, live = route
+        return not live[start] or _universal_weak_accepts(a, view, route)
     weak = a.acceptance == "weak"
     owner, rank, succ = _product_arrays(a, view)
     if not weak and 0 not in owner:
@@ -463,6 +540,9 @@ class SamplerParams:
             raise ValidationError("max_nodes must be >= 1")
         if not self.alphabet:
             raise ValidationError("alphabet must be nonempty")
+        for x in self.alphabet:
+            if not _is_token(x):
+                raise ValidationError(f"alphabet letter {x!r} is not {_TOKEN}")
 
 
 def _sample_views(p: SamplerParams):
@@ -536,14 +616,19 @@ def bounded_equiv(a: TreeAutomaton, b: TreeAutomaton, p: SamplerParams) -> Optio
     the same ids.  Returns None on pass, or the first mismatching tree,
     the only one built as a `RegularTree`.  Sampled labels are drawn from
     `p.alphabet`, so they are checked against the automata's alphabet per
-    tree only if `p.alphabet` has a letter outside it.
+    tree only if `p.alphabet` has a letter outside it.  If it has none and
+    neither automaton's initial state is live (`_accepts_every_tree`),
+    both languages hold every tree, and None is returned before any tree
+    view is built.
     """
     if set(a.alphabet) != set(b.alphabet):
         raise ValidationError("bounded_equiv needs a shared alphabet")
+    per_tree = not set(p.alphabet) <= set(a.alphabet)
+    if not per_tree and _accepts_every_tree(a) and _accepts_every_tree(b):
+        return None
     for names, view in _battery_views(a.alphabet):
         if _accepts(a, view) != _accepts(b, view):
             return _tree_of(view, names)
-    per_tree = not set(p.alphabet) <= set(a.alphabet)
     for view in _sample_views(p):
         if per_tree:
             _check_letters(a, view[0])

@@ -8,6 +8,15 @@ from typing import NamedTuple
 from .errors import ValidationError
 
 
+_TOKEN = "a non-empty string free of whitespace and '#'"
+
+
+def _is_token(x) -> bool:
+    """Whether `x` is one token of the text formats: a non-empty string
+    free of whitespace and `#`, so that it survives a round trip."""
+    return isinstance(x, str) and "#" not in x and x.split() == [x]
+
+
 class Node(NamedTuple):
     label: str
     children: tuple[str, ...]
@@ -19,7 +28,8 @@ class RegularTree:
 
     Binary trees (arity 2) are automaton inputs; larger arities appear
     only as weak-game-language instances whose labels are `E:r` / `A:r`.
-    Every node must be reachable from the root.
+    Every node must be reachable from the root.  Node ids and labels are
+    tokens (`_is_token`), so every tree serializes to text that parses back.
     """
 
     arity: int
@@ -34,8 +44,12 @@ class RegularTree:
         if self.root not in self.nodes:
             raise ValidationError(f"root {self.root!r} not declared")
         for nid, node in self.nodes.items():
+            if not _is_token(nid):
+                raise ValidationError(f"node id {nid!r} is not {_TOKEN}")
             if not isinstance(node, Node):
                 raise ValidationError(f"node {nid!r} is not a Node(label, children): {node!r}")
+            if not _is_token(node.label):
+                raise ValidationError(f"node {nid!r}: label {node.label!r} is not {_TOKEN}")
             if len(node.children) != self.arity:
                 raise ValidationError(
                     f"node {nid!r} has {len(node.children)} children, expected {self.arity}"

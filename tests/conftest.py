@@ -10,6 +10,7 @@ from weakindex.games import ADAM, EVE, Game
 from weakindex.patterns import _view
 from weakindex.productivity import trim
 from weakindex.rng import SplitMix64
+from weakindex.semantics import _view as membership_view
 
 LETTERS = ("a", "b")
 
@@ -167,6 +168,41 @@ def ref_bfs(a: DetAutomaton, allowed, sources, goals):
                 parent[w] = j
                 queue.append(w)
     return None
+
+
+def ref_universal_weak_accepts(a: TreeAutomaton, view, ranks=None) -> bool:
+    """The reference for `semantics._universal_weak_accepts`: membership of
+    the tree `view` in `a` read as a weak automaton with no existential
+    state on `ranks` (by default its own), by a depth-first search over
+    triples (state, node, m), m the highest rank seen so far, with no
+    states skipped.  Adam wins iff a move closes a cycle on the search path
+    into a triple with odd m; a dead end is a leaf, which Adam loses."""
+    sidx, letter, moves, _, own = membership_view(a)
+    ranks = own if ranks is None else ranks
+    labels, children, root = view
+    width = len(letter)
+    row = [letter[x] for x in labels]
+    q0 = sidx[a.initial]
+    start = (q0, root, ranks[q0])
+    color = {start: 1}  # 1 while on the search path, 2 once finished
+    path = [(start, iter(moves[q0 * width + row[root]]))]
+    while path:
+        key, out = path[-1]
+        _, v, m = key
+        for d, q in out:
+            w = v if d is None else children[v][d]
+            k = (q, w, max(m, ranks[q]))
+            c = color.get(k)
+            if c is None:
+                color[k] = 1
+                path.append((k, iter(moves[q * width + row[w]])))
+                break
+            if c == 1 and k[2] % 2:
+                return False
+        else:
+            color[key] = 2
+            path.pop()
+    return True
 
 
 def ref_tarjan(nodes: list, succ: dict) -> list[list]:

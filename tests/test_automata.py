@@ -20,6 +20,8 @@ from weakindex.formats import parse_automaton, serialize_automaton
 from weakindex.productivity import trim
 from weakindex import catalog
 from weakindex.rng import SplitMix64
+from weakindex.semantics import SamplerParams
+from weakindex.trees import Node, RegularTree
 
 from conftest import random_det, random_trimmed, random_weak
 
@@ -229,6 +231,13 @@ def test_state_id_rejected(sid):
 
 
 P = Transition("p", "a", 0, "p"), Transition("p", "a", 1, "p")
+AUTOMATON_FIELDS = {"alphabet": ("a",), "states": {"p": State("A", 0)}, "initial": "p",
+                    "transitions": P}
+CONSTRUCTOR_FIELDS = {
+    RegularTree: {"arity": 2, "nodes": {"n": Node("a", ("n", "n"))}, "root": "n"},
+    SamplerParams: {"seed": 1, "max_nodes": 3, "alphabet": ("a",), "count": 1},
+}
+TOKEN = "a non-empty string free of whitespace and '#'"
 
 
 @pytest.mark.parametrize("kind, fields, message", [
@@ -253,10 +262,23 @@ P = Transition("p", "a", 0, "p"), Transition("p", "a", 1, "p")
     (TreeAutomaton, {"alphabet": ("a", 1)}, "alphabet letter 1 is not a string"),
     (TreeAutomaton, {"states": {"p": State("A", 1.5)}}, "state p: rank 1.5 is not an integer"),
     (DetAutomaton, {"states": {"p": State("A", 1.5)}}, "state p: rank 1.5 is not an integer"),
+    # letters that sort together but are not strings
+    (TreeAutomaton, {"alphabet": (1, 2)}, "alphabet letter 1 is not a string"),
+    # tree node ids and labels, and sampler letters, are tokens of the text formats
+    (RegularTree, {"nodes": {"n": Node("a b", ("n", "n"))}},
+     f"node 'n': label 'a b' is not {TOKEN}"),
+    (RegularTree, {"nodes": {"n": Node("", ("n", "n"))}}, f"node 'n': label '' is not {TOKEN}"),
+    (RegularTree, {"nodes": {"n": Node("a#", ("n", "n"))}}, f"node 'n': label 'a#' is not {TOKEN}"),
+    (RegularTree, {"nodes": {"n": Node(3, ("n", "n"))}}, f"node 'n': label 3 is not {TOKEN}"),
+    (RegularTree, {"nodes": {1: Node("a", (1, 1))}, "root": 1}, f"node id 1 is not {TOKEN}"),
+    (RegularTree, {"nodes": {"n\tm": Node("a", ("n\tm", "n\tm"))}, "root": "n\tm"},
+     f"node id 'n\\tm' is not {TOKEN}"),
+    (SamplerParams, {"alphabet": ("a", 1)}, f"alphabet letter 1 is not {TOKEN}"),
+    (SamplerParams, {"alphabet": ("a", "b c")}, f"alphabet letter 'b c' is not {TOKEN}"),
+    (SamplerParams, {"alphabet": ("#",)}, f"alphabet letter '#' is not {TOKEN}"),
 ])
 def test_constructor_names_the_bad_field(kind, fields, message):
-    args = {"alphabet": ("a",), "states": {"p": State("A", 0)}, "initial": "p",
-            "transitions": P, **fields}
+    args = {**CONSTRUCTOR_FIELDS.get(kind, AUTOMATON_FIELDS), **fields}
     with pytest.raises(ValidationError) as err:
         kind(**args)
     assert str(err.value) == message

@@ -13,7 +13,14 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from weakindex.automata import DetAutomaton, State, Transition, TreeAutomaton  # noqa: E402
 from weakindex.cli import main  # noqa: E402
-from weakindex.formats import parse_automaton, serialize_automaton  # noqa: E402
+from weakindex.errors import ValidationError  # noqa: E402
+from weakindex.formats import (  # noqa: E402
+    parse_automaton,
+    parse_regular_tree,
+    serialize_automaton,
+    serialize_regular_tree,
+)
+from weakindex.trees import Node, RegularTree  # noqa: E402
 
 IDS = ("q0", "q1", "q_2", "_", "_bot", "_top", "p", "é1", "S10")
 LETTERS = ("a", "b", "c")
@@ -97,3 +104,21 @@ def test_cli_exit_codes_hold_for_arbitrary_files(first, second):
                 code = main([arg.format(*paths) for arg in command])
             assert 0 <= code <= 5, (command, code)
             assert "Traceback" not in out.getvalue() + err.getvalue(), command
+
+
+TREE_FIELDS = st.one_of(st.text(max_size=4), st.sampled_from(("E:2", "a", "n0", "a b", "#")),
+                        st.integers(), st.none())
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(TREE_FIELDS, TREE_FIELDS, TREE_FIELDS)
+def test_every_tree_that_constructs_round_trips(root, label, other):
+    """A tree with two nodes, whose ids and labels are drawn from any text,
+    ints and None, either raises `ValidationError` or comes back equal
+    from its serialized text."""
+    try:
+        t = RegularTree(2, {root: Node(label, (other, root)), other: Node("a", (root, other))},
+                        root)
+    except ValidationError:
+        return
+    assert parse_regular_tree(serialize_regular_tree(t)) == t

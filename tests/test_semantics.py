@@ -42,7 +42,7 @@ from weakindex.semantics import (
 from weakindex.transforms import restrict, weaken_02, weaken_14
 from weakindex.trees import Node, RegularTree, constant_tree, parse_wlabel
 
-from conftest import criterion_5_stream, random_det, random_weak
+from conftest import criterion_5_stream, random_det, random_weak, ref_universal_weak_accepts
 
 
 def tree_with_b_at_root():
@@ -349,7 +349,7 @@ def _cycle_check_accepts(a, view):
 
 
 def _route_of(a):
-    return "cycle check" if semantics._route(a)[0] is None else "search"
+    return "cycle check" if semantics._route(a) is None else "search"
 
 
 def test_cycle_rank_route_matches_the_cycle_check_on_random_automata():
@@ -476,6 +476,151 @@ def test_one_player_search_index_list_and_dict_agree(monkeypatch):
         verdicts[bound] = [semantics._accepts(a, v) for a in automata for v in views]
     assert len(automata) >= 150 and len(set(verdicts[0])) == 2
     assert verdicts[0] == verdicts[1 << 40]
+
+
+# -- the search's route: non-decreasing ranks and live states ------------------------
+
+
+def _weak_kind(a):
+    return "own ranks" if a.is_restricted() else "expansion"
+
+
+def test_route_matches_the_triple_search_on_random_weak_automata():
+    """The 300 universal weak automata of the kernel comparison above
+    against the search over (state, node, highest rank so far) triples:
+    many lower a rank along a move and so take the expansion, and on both
+    kinds some initial states are not live."""
+    rng = SplitMix64(1919)
+    views = [_tree_view(t) for t in sample_regular_tree(
+        SamplerParams(seed=19, max_nodes=6, alphabet=("a", "b"), count=25))]
+    seen = Counter()
+    for _ in range(300):
+        a = _universal(_random_alternating(rng, "weak"))
+        every = semantics._accepts_every_tree(a)
+        seen[_weak_kind(a), "every tree" if every else "live"] += 1
+        for v in views:
+            expected = ref_universal_weak_accepts(a, v)
+            assert semantics._accepts(a, v) == expected, (a, v)
+            assert _universal_weak_accepts(a, v) == expected, (a, v)
+            assert expected or not every, (a, v)
+            seen[_weak_kind(a), expected] += 1
+    assert len(seen) == 8 and min(seen.values()) >= 40, seen
+
+
+def test_route_matches_the_triple_search_on_constructions():
+    """The universal outputs of weaken_02, weaken_14 and the weak
+    deterministic relabeling over the first 200 automata of criterion 5's
+    stream, on the battery and sampled trees.  No move of theirs lowers a
+    rank, and most accept every tree."""
+    views = [v for _, v in _battery_views(("a", "b"))]
+    views += [_tree_view(t) for t in sample_regular_tree(
+        SamplerParams(seed=55, max_nodes=8, alphabet=("a", "b"), count=12))]
+    seen = Counter()
+    for a in criterion_5_stream(200):
+        outputs = []
+        with contextlib.suppress(IndexTooHigh):
+            outputs.append(weaken_02(a))
+        with contextlib.suppress(PreconditionViolated):
+            outputs.append(weaken_14(a)[0])
+        relabeled = weak_det_index(a)
+        if relabeled is not None:
+            outputs.append(relabeled[1])
+        for out in outputs:
+            if any(st.mode == "E" for st in out.states.values()):
+                continue
+            seen[_weak_kind(out), semantics._accepts_every_tree(out)] += 1
+            for v in views:
+                assert semantics._accepts(out, v) == ref_universal_weak_accepts(out, v), (a, out, v)
+    assert seen[("own ranks", False)] >= 50 and seen[("own ranks", True)] >= 300, seen
+
+
+def test_route_matches_the_triple_search_on_cycle_ranks():
+    """Deterministic automata, trimmed from criterion 5's stream and drawn
+    untrimmed, against the triple search on their cycle ranks."""
+    views = [v for _, v in _battery_views(("a", "b"))]
+    views += [_tree_view(t) for t in sample_regular_tree(
+        SamplerParams(seed=57, max_nodes=8, alphabet=("a", "b"), count=12))]
+    rng = SplitMix64(5757)
+    seen = Counter()
+    for a in criterion_5_stream(200) + [random_det(rng, max_states=5) for _ in range(200)]:
+        found = semantics._cycle_ranks(a)
+        if found is None:
+            continue
+        every = semantics._accepts_every_tree(a)
+        for v in views:
+            expected = ref_universal_weak_accepts(a, v, found[0])
+            assert semantics._accepts(a, v) == expected, (a, v)
+            seen["every tree" if every else "live", expected] += 1
+    assert len(seen) == 3 and min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("states, moves, verdicts", [
+    # a rank-3 state on no loop before an even rank-0 self-loop: every play
+    # sees 3, so every tree is rejected, though no loop of the automaton
+    # has an odd rank
+    ({"i": 3, "p": 0}, [("i", "a", 0, "p"), ("i", "b", 0, "p"),
+                        ("p", "a", 0, "p"), ("p", "b", 1, "p")], (False, False, False)),
+    # an odd self-loop reached only through an epsilon move
+    ({"i": 0, "p": 1}, [("i", "a", None, "p"), ("p", "a", 0, "p"), ("p", "b", 0, "p")],
+     (False, True, False)),
+    # a dead end below a live state: p loops on b only
+    ({"i": 0, "d": 1, "p": 1}, [("i", "a", 0, "d"), ("i", "a", 1, "p"), ("p", "b", 0, "p")],
+     (True, True, False)),
+])
+def test_route_hand_made(states, moves, verdicts):
+    """Weak universal automata on the all-a tree, the all-b tree and the
+    tree with an a at the root over all b."""
+    a = make_automaton(("a", "b"), {q: ("A", r) for q, r in states.items()}, "i", moves,
+                       acceptance="weak")
+    trees = (constant_tree("a"), constant_tree("b"),
+             RegularTree(2, {"r": Node("a", ("n", "n")), "n": Node("b", ("n", "n"))}, "r"))
+    for t, member in zip(trees, verdicts):
+        view = _tree_view(t)
+        assert semantics._accepts(a, view) == member, t
+        assert _universal_weak_accepts(a, view) == member, t
+        assert ref_universal_weak_accepts(a, view) == member, t
+        assert _kernel_accepts(a, view) == member, t
+
+
+def _every_tree(acceptance):
+    """A one-state universal automaton with an even self-loop on every
+    letter: its initial state is not live."""
+    return make_automaton(("a", "b"), {"q": ("A", 0)}, "q",
+                          [("q", x, d, "q") for x in ("a", "b") for d in (0, 1)],
+                          acceptance=acceptance, deterministic=acceptance == "parity")
+
+
+def test_labels_outside_the_alphabet_raise_when_every_tree_is_accepted():
+    t = RegularTree(2, {"r": Node("a", ("n", "n")), "n": Node("c", ("n", "n"))}, "r")
+    for acceptance, accepts in (("parity", det_accepts), ("weak", alt_accepts)):
+        a = _every_tree(acceptance)
+        assert semantics._accepts_every_tree(a)
+        assert accepts(a, constant_tree("a"))
+        with pytest.raises(ValidationError, match=r"^tree labels outside alphabet: \['c'\]$"):
+            accepts(a, t)
+
+
+def test_bounded_equiv_of_automata_that_accept_every_tree(monkeypatch):
+    """Two automata whose initial states are not live agree on every tree:
+    `bounded_equiv` returns None before it builds a tree view.  A sampler
+    letter outside their alphabet still raises at the first sampled tree
+    that has it, and not before."""
+    a, b = _every_tree("parity"), _every_tree("weak")
+    p = SamplerParams(seed=3, max_nodes=4, alphabet=("a", "b", "c"), count=40)
+    first = next(i for i, t in enumerate(sample_regular_tree(p)) if "c" in t.labels())
+    assert first >= 1
+    before = SamplerParams(seed=3, max_nodes=4, alphabet=("a", "b", "c"), count=first)
+    assert bounded_equiv(a, b, before) is None
+    with pytest.raises(ValidationError, match=r"^tree labels outside alphabet: \['c'\]$"):
+        bounded_equiv(a, b, SamplerParams(seed=3, max_nodes=4, alphabet=("a", "b", "c"),
+                                          count=first + 1))
+    monkeypatch.setattr(semantics, "_battery_views", _refuse)
+    monkeypatch.setattr(semantics, "_sample_views", _refuse)
+    assert bounded_equiv(a, b, SamplerParams(seed=3, max_nodes=4, alphabet=("a", "b"),
+                                             count=40)) is None
+    with pytest.raises(AssertionError):
+        bounded_equiv(a, catalog.all_a(), SamplerParams(seed=3, max_nodes=4,
+                                                        alphabet=("a", "b"), count=40))
 
 
 def _one_way_ring(n):
@@ -723,7 +868,7 @@ def test_semantics_input_errors(call, message):
     assert str(err.value) == message
 
 
-B_LABEL_3 = RegularTree(2, {"n": Node(3, ("m", "m")), "m": Node("z", ("n", "n"))}, "n")
+FOREIGN_LABELS = RegularTree(2, {"n": Node("z", ("m", "m")), "m": Node("y", ("n", "n"))}, "n")
 
 
 def game_at_a(positions, edges=()):
@@ -749,8 +894,8 @@ def game_at_a(positions, edges=()):
     (lambda: RegularTree(2, {"n": ("a", ("n", "n"))}, "n"),
      "node 'n' is not a Node(label, children): ('a', ('n', 'n'))"),
     (lambda: parse_wlabel(3), "not an owner:rank label: 3"),
-    (lambda: w_member(constant_tree(3), IndexPair(0, 2)), "not an owner:rank label: 3"),
-    (lambda: det_accepts(catalog.all_a(), B_LABEL_3), "tree labels outside alphabet: ['z', 3]"),
+    (lambda: w_member(constant_tree("x"), IndexPair(0, 2)), "not an owner:rank label: 'x'"),
+    (lambda: det_accepts(catalog.all_a(), FOREIGN_LABELS), "tree labels outside alphabet: ['y', 'z']"),
 ])
 def test_public_values_name_the_bad_field(call, message):
     with pytest.raises(ValidationError) as err:

@@ -15,6 +15,7 @@ from operator import eq, itemgetter, lt
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ValidationError
+from .trees import _TOKEN, _is_token
 
 EXISTENTIAL = "E"
 UNIVERSAL = "A"
@@ -125,6 +126,8 @@ class TreeAutomaton:
         for x in letters:
             if not isinstance(x, str):
                 raise ValidationError(f"alphabet letter {x!r} is not a string")
+            if not _is_token(x):
+                raise ValidationError(f"alphabet letter {x!r} is not {_TOKEN}")
         object.__setattr__(self, "alphabet", tuple(sorted(set(letters))))
         # a table of Transitions in its final order, as producers emit it, is
         # kept after one pass (the block layout of a DetAutomaton, else

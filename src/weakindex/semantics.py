@@ -11,8 +11,8 @@ ids once.  The search indexes its positions (state, node) in a flat list
 of |Q|*nn slots, or in a dict for products above `_LIST_INDEX_SLOTS`.
 A query takes one of the routes `_accepts` lists.  An automaton with no
 existential state is read, once, on a rank vector that never decreases
-along a move (its own ranks, its cycle ranks or its (state, highest rank
-so far) expansion, see `_route`), so that a play is lost only inside a
+along a move (a strong automaton's cycle ranks, a weak automaton's
+(state, highest rank so far) expansion, see `_route`), so that a play is lost only inside a
 looping component of odd rank (Emerson & Lei, SCP 1987).  A state that
 can reach no such component is not live and accepts every tree; the
 one-player search never enters one, and a query from one is answered
@@ -232,10 +232,11 @@ def _route(a: TreeAutomaton):
 
     Only an automaton with no existential state takes the search.  Its
     rank vector never decreases along a move:
-    - a weak automaton's own ranks, when no move lowers them;
     - a strong automaton's cycle ranks, if it has them (else None);
-    - otherwise, for a weak automaton, its (state, highest rank so far)
-      expansion, by `_expansion` from the initial state.
+    - a weak automaton's (state, highest rank so far) expansion, by
+      `_expansion` from the initial state.  When no move lowers a rank,
+      every pair is (q, rank q), and the expansion is the automaton on
+      its own ranks, cut to the states its initial state reaches.
     The search runs on states of that vector: `start` is the initial one,
     `moves[q * |Sigma| + x]` lists the (direction, state) moves of state q
     on letter id x, and `live[q]` is 1 iff q can reach a looping component
@@ -247,18 +248,15 @@ def _route(a: TreeAutomaton):
     if "membership_route" in memo:
         return memo["membership_route"]
     sidx, letter, moves, owner, rank = _view(a)
-    width = len(letter)
     route = None
     if 0 not in owner:
-        start = sidx[a.initial]
-        if a.acceptance != "weak":
-            found = _cycle_ranks(a)
+        if a.acceptance == "weak":
+            width = len(letter)
+            moves, ranks = _expansion(moves, rank, width, sidx[a.initial])
+            succ = _successors(moves, len(ranks), width)
+            start, found = 0, (ranks, _live(succ, _sccs(succ), ranks))
         else:
-            succ = _successors(moves, len(rank), width)
-            if any(rank[p] < rank[q] for q, out in enumerate(succ) for p in out):
-                start, (moves, rank) = 0, _expansion(moves, rank, width, start)
-                succ = _successors(moves, len(rank), width)
-            found = rank, _live(succ, _sccs(succ), rank)
+            start, found = sidx[a.initial], _cycle_ranks(a)
         if found is not None:
             ranks, live = found
             moves = [[(d, p) for d, p in out if live[p]] for out in moves]

@@ -264,6 +264,10 @@ TOKEN = "a non-empty string free of whitespace and '#'"
     (DetAutomaton, {"states": {"p": State("A", 1.5)}}, "state p: rank 1.5 is not an integer"),
     # letters that sort together but are not strings
     (TreeAutomaton, {"alphabet": (1, 2)}, "alphabet letter 1 is not a string"),
+    # letters that would not survive a round trip through the text format
+    (TreeAutomaton, {"alphabet": ("a", "a b")}, f"alphabet letter 'a b' is not {TOKEN}"),
+    (TreeAutomaton, {"alphabet": ("a", "")}, f"alphabet letter '' is not {TOKEN}"),
+    (TreeAutomaton, {"alphabet": ("a", "b#")}, f"alphabet letter 'b#' is not {TOKEN}"),
     # tree node ids and labels, and sampler letters, are tokens of the text formats
     (RegularTree, {"nodes": {"n": Node("a b", ("n", "n"))}},
      f"node 'n': label 'a b' is not {TOKEN}"),

@@ -220,36 +220,53 @@ def _universal(a):
     return a.with_states({q: State("A", st.rank) for q, st in a.states.items()})
 
 
+def _weak_kind(a):
+    return "restricted" if a.is_restricted() else "lowers a rank"
+
+
 def test_one_player_search_matches_the_kernel_on_random_automata():
     """Weak automata with every state universal, shaped as
     `_random_alternating` draws them: the corpus has dead ends, epsilon
-    self-loops and moves that land twice on one position."""
+    self-loops and moves that land twice on one position.  The search, and
+    the search over (state, node, highest rank so far) triples it replaced,
+    agree with the kernel.  Many automata lower a rank along a move, and
+    among both those and the rest some initial states are not live."""
     rng = SplitMix64(1919)
     views = [_tree_view(t) for t in sample_regular_tree(
         SamplerParams(seed=19, max_nodes=6, alphabet=("a", "b"), count=25))]
     seen = {"dead end": 0, "epsilon self-loop": 0, "move listed twice": 0, "reject": 0}
+    kinds = Counter()
     for _ in range(300):
         a = _universal(_random_alternating(rng, "weak"))
         seen["epsilon self-loop"] += any(t.direction is None and t.source == t.target
                                          for t in a.transitions)
+        every = semantics._accepts_every_tree(a)
+        kinds[_weak_kind(a), "every tree" if every else "live"] += 1
         for v in views:
             _, _, succ = _product_arrays(a, v)
             seen["dead end"] += any(not s for s in succ)
             seen["move listed twice"] += any(len(set(s)) < len(s) for s in succ)
             expected = _kernel_accepts(a, v)
             seen["reject"] += not expected
+            kinds[_weak_kind(a), expected] += 1
             assert _universal_weak_accepts(a, v) == expected, (a, v)
+            assert semantics._accepts(a, v) == expected, (a, v)
+            assert ref_universal_weak_accepts(a, v) == expected, (a, v)
+            assert expected or not every, (a, v)
     assert min(seen.values()) >= 100, seen
+    assert len(kinds) == 8 and min(kinds.values()) >= 40, kinds
 
 
 def test_one_player_search_matches_the_kernel_on_constructions():
     """The universal outputs of weaken_02, weaken_14 and the weak
     deterministic relabeling over the first 200 automata of criterion 5's
-    stream, on the battery and sampled trees."""
+    stream, on the battery and sampled trees.  No move of theirs lowers a
+    rank, and most accept every tree."""
     views = [v for _, v in _battery_views(("a", "b"))]
     views += [_tree_view(t) for t in sample_regular_tree(
         SamplerParams(seed=55, max_nodes=8, alphabet=("a", "b"), count=12))]
     checked = {"weaken_02": 0, "weaken_14": 0, "weak_det_relabel": 0}
+    kinds = Counter()
     for a in criterion_5_stream(200):
         outputs = []
         with contextlib.suppress(IndexTooHigh):
@@ -263,9 +280,14 @@ def test_one_player_search_matches_the_kernel_on_constructions():
             if any(st.mode == "E" for st in out.states.values()):
                 continue
             checked[kind] += 1
+            kinds[_weak_kind(out), semantics._accepts_every_tree(out)] += 1
             for v in views:
-                assert _universal_weak_accepts(out, v) == _kernel_accepts(out, v), (kind, a, v)
+                expected = _kernel_accepts(out, v)
+                assert _universal_weak_accepts(out, v) == expected, (kind, a, v)
+                assert semantics._accepts(out, v) == expected, (kind, a, v)
+                assert ref_universal_weak_accepts(out, v) == expected, (kind, a, v)
     assert min(checked.values()) >= 150, checked
+    assert kinds[("restricted", False)] >= 50 and kinds[("restricted", True)] >= 300, kinds
 
 
 def test_one_player_search_above_the_list_index_bound():
@@ -479,59 +501,6 @@ def test_one_player_search_index_list_and_dict_agree(monkeypatch):
 
 
 # -- the search's route: non-decreasing ranks and live states ------------------------
-
-
-def _weak_kind(a):
-    return "own ranks" if a.is_restricted() else "expansion"
-
-
-def test_route_matches_the_triple_search_on_random_weak_automata():
-    """The 300 universal weak automata of the kernel comparison above
-    against the search over (state, node, highest rank so far) triples:
-    many lower a rank along a move and so take the expansion, and on both
-    kinds some initial states are not live."""
-    rng = SplitMix64(1919)
-    views = [_tree_view(t) for t in sample_regular_tree(
-        SamplerParams(seed=19, max_nodes=6, alphabet=("a", "b"), count=25))]
-    seen = Counter()
-    for _ in range(300):
-        a = _universal(_random_alternating(rng, "weak"))
-        every = semantics._accepts_every_tree(a)
-        seen[_weak_kind(a), "every tree" if every else "live"] += 1
-        for v in views:
-            expected = ref_universal_weak_accepts(a, v)
-            assert semantics._accepts(a, v) == expected, (a, v)
-            assert _universal_weak_accepts(a, v) == expected, (a, v)
-            assert expected or not every, (a, v)
-            seen[_weak_kind(a), expected] += 1
-    assert len(seen) == 8 and min(seen.values()) >= 40, seen
-
-
-def test_route_matches_the_triple_search_on_constructions():
-    """The universal outputs of weaken_02, weaken_14 and the weak
-    deterministic relabeling over the first 200 automata of criterion 5's
-    stream, on the battery and sampled trees.  No move of theirs lowers a
-    rank, and most accept every tree."""
-    views = [v for _, v in _battery_views(("a", "b"))]
-    views += [_tree_view(t) for t in sample_regular_tree(
-        SamplerParams(seed=55, max_nodes=8, alphabet=("a", "b"), count=12))]
-    seen = Counter()
-    for a in criterion_5_stream(200):
-        outputs = []
-        with contextlib.suppress(IndexTooHigh):
-            outputs.append(weaken_02(a))
-        with contextlib.suppress(PreconditionViolated):
-            outputs.append(weaken_14(a)[0])
-        relabeled = weak_det_index(a)
-        if relabeled is not None:
-            outputs.append(relabeled[1])
-        for out in outputs:
-            if any(st.mode == "E" for st in out.states.values()):
-                continue
-            seen[_weak_kind(out), semantics._accepts_every_tree(out)] += 1
-            for v in views:
-                assert semantics._accepts(out, v) == ref_universal_weak_accepts(out, v), (a, out, v)
-    assert seen[("own ranks", False)] >= 50 and seen[("own ranks", True)] >= 300, seen
 
 
 def test_route_matches_the_triple_search_on_cycle_ranks():

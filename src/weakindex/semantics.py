@@ -9,16 +9,19 @@ list of moves by (state, letter id); trees enter it as int views
 (labels, children, root), whose labels the product search maps to letter
 ids once.  The search indexes its positions (state, node) in a flat list
 of |Q|*nn slots, or in a dict for products above `_LIST_INDEX_SLOTS`.
-A query takes one of the routes `_accepts` lists.  An automaton with no
-existential state is read, once, on a rank vector that never decreases
-along a move (a strong automaton's cycle ranks, a weak automaton's
-(state, highest rank so far) expansion, see `_route`), so that a play is lost only inside a
-looping component of odd rank (Emerson & Lei, SCP 1987).  A state that
-can reach no such component is not live and accepts every tree; the
-one-player search never enters one, and a query from one is answered
-without a search.  `bounded_equiv` indexes each tree once and runs both
-automata on that view; it takes the fixed battery and the samples as
-views and builds a `RegularTree` only for the counterexample it returns.
+A query takes one of the routes `_accepts` lists.  An automaton is read,
+once, on a rank vector that never decreases along a move (a strong
+automaton's cycle ranks, a weak automaton's (state, highest rank so far)
+expansion, see `_vector`), so that a play is lost only inside a looping
+component of odd rank or at a state where Eve is stuck (Emerson & Lei,
+SCP 1987).  A state that can reach neither, or from which Eve can force
+every play out of such states (her attractor), is not live and accepts
+every tree, and a query from one is answered without a search.  An
+automaton with no existential state is decided by a one-player search
+that never enters a state that is not live.  `bounded_equiv` indexes each
+tree once and runs both automata on that view; it takes the fixed battery
+and the samples as views and builds a `RegularTree` only for the
+counterexample it returns.
 Cycle ranks and the cycle check run on the rank-restricted components of
 `graphs._rank_sccs`.  The run reduction folds the same product search
 into its tree.
@@ -157,25 +160,72 @@ def _successors(moves, n: int, width: int):
             for q in range(n)]
 
 
-def _live(succ, comps, ranks):
+def _live(succ, comps, ranks, stuck):
     """Per state of the move graph `succ`, 1 iff it can reach a looping
-    component of odd rank.  `comps` are the components `_sccs(succ)`,
-    sinks first, so each reads its successors' flags once they are set;
-    `ranks` never decreases along a move, so it is constant on each one,
-    and a play is lost only inside a looping component of odd rank
-    (Emerson & Lei, SCP 1987)."""
+    component of odd rank or a state q with `stuck[q]` set, an existential
+    state with no move on some letter.  `comps` are the components
+    `_sccs(succ)`, sinks first, so each reads its successors' flags once
+    they are set; `ranks` never decreases along a move, so it is constant
+    on each one, and a play is lost only inside a looping component of odd
+    rank (Emerson & Lei, SCP 1987) or where Eve is stuck."""
     live = bytearray(len(succ))
     for comp in comps:
         if (ranks[comp[0]] & 1 and has_cycle_inside(comp, succ)
+                or any(stuck[q] for q in comp)
                 or any(live[p] for q in comp for p in succ[q])):
             for q in comp:
                 live[q] = 1
     return live
 
 
+def _stuck(moves, owner, width: int):
+    """Per state, 1 iff it is existential and has no move on some letter."""
+    return bytearray(not owner[q] and not all(moves[q * width:(q + 1) * width])
+                     for q in range(len(owner)))
+
+
+def _attract(live, moves, owner, width: int):
+    """Clear, in place, the `live` flag of every state from which Eve can
+    force a play into states that are not live whatever letter each
+    position reads: an existential state with, on every letter, a move to
+    such a state, or a universal one whose moves on every letter all lead
+    to such states, repeated to the least fixed point (Eve's attractor).
+    From those states too Eve wins on every tree.  Linear in the moves:
+    `need[q]` counts what still keeps q out, Adam's moves into live states
+    or Eve's letters with no move out of them."""
+    need = [0] * len(live)
+    waiting = [[] for _ in live]  # per live state, the (state, letter) slots it holds up
+    for q, flag in enumerate(live):
+        if not flag:
+            continue
+        for x in range(q * width, (q + 1) * width):
+            held = [p for _, p in moves[x] if live[p]]
+            if owner[q]:
+                need[q] += len(held)
+            elif len(held) == len(moves[x]):
+                need[q] += 1
+            else:
+                continue
+            for p in held:
+                waiting[p].append(x)
+    counted = bytearray(len(moves))  # Eve's slots already let through
+    todo = [q for q, flag in enumerate(live) if flag and not need[q]]
+    while todo:
+        p = todo.pop()
+        live[p] = 0
+        for x in waiting[p]:
+            q = x // width
+            if owner[q] or not counted[x]:
+                counted[x] = 1
+                need[q] -= 1
+                if not need[q]:
+                    todo.append(q)
+
+
 def _cycle_ranks(a: TreeAutomaton):
-    """(cycle ranks, `_live` flags on them) of the automaton, or None if one
-    of its strongly connected components has loops of both parities.
+    """(cycle ranks, move graph, its components sinks first) of the
+    automaton, or None if one of its strongly connected components has
+    loops of both parities.
 
     The move graph takes every letter, both directions and epsilon moves.
     Its components, found by one `graphs._sccs` pass, are numbered in
@@ -199,14 +249,15 @@ def _cycle_ranks(a: TreeAutomaton):
                 return None
         for q in comp:
             ranks[q] = 2 * level + odd
-    return ranks, _live(succ, comps, ranks)
+    return ranks, succ, comps
 
 
 def _expansion(moves, rank, width: int, q0: int):
-    """(moves, ranks) of the (state, highest rank so far) expansion: pair
-    (q, m) moves where q does, to (p, max(m, rank p)), and has rank m.  The
-    pairs reachable from (q0, rank q0) are numbered in one breadth-first
-    search from it, which is pair 0."""
+    """(moves, ranks, states) of the (state, highest rank so far) expansion:
+    pair (q, m) moves where q does, to (p, max(m, rank p)), and has rank m;
+    `states[j]` is the state of pair j.  The pairs reachable from
+    (q0, rank q0) are numbered in one breadth-first search from it, which
+    is pair 0."""
     pairs = [(q0, rank[q0])]
     index = {pairs[0]: 0}
     out_moves = []
@@ -222,7 +273,50 @@ def _expansion(moves, rank, width: int, q0: int):
                     pairs.append(pair)
                 out.append((d, j))
             out_moves.append(out)
-    return out_moves, [m for _, m in pairs]
+    return out_moves, [m for _, m in pairs], [q for q, _ in pairs]
+
+
+def _vector(a: TreeAutomaton):
+    """(start, ranks, moves, live) of `a` read on a rank vector that never
+    decreases along a move, or None if it has none.  Built once and kept
+    in `a._memo`.
+
+    - A weak automaton: its (state, highest rank so far) expansion, by
+      `_expansion` from the initial state.  When no move lowers a rank,
+      every pair is (q, rank q), and the expansion is the automaton on its
+      own ranks, cut to the states its initial state reaches.
+    - A strong automaton: its cycle ranks, if it has them (else None).
+    `start` is the initial state of the vector, `moves[q * |Sigma| + x]`
+    lists the (direction, state) moves of state q on letter id x, and
+    `live[q]` is 0 only if Eve wins from q on every tree: q can reach no
+    looping component of odd rank and no existential state with no move
+    on some letter, counting every letter, both directions and epsilon
+    moves (`_live`), or Eve can force every play from q into such states
+    (`_attract`).  With no existential state the attractor clears no
+    flag, so `live[q]` is then 1 iff q can reach a looping component of
+    odd rank.
+    """
+    memo = a._memo
+    if "membership_vector" in memo:
+        return memo["membership_vector"]
+    sidx, letter, moves, owner, rank = _view(a)
+    width = len(letter)
+    if a.acceptance == "weak":
+        moves, ranks, states = _expansion(moves, rank, width, sidx[a.initial])
+        owner = [owner[q] for q in states]
+        succ = _successors(moves, len(ranks), width)
+        start, found = 0, (ranks, succ, _sccs(succ))
+    else:
+        start, found = sidx[a.initial], _cycle_ranks(a)
+    vector = None
+    if found is not None:
+        ranks, succ, comps = found
+        live = _live(succ, comps, ranks, _stuck(moves, owner, width))
+        if 0 in owner:
+            _attract(live, moves, owner, width)
+        vector = (start, ranks, moves, live)
+    memo["membership_vector"] = vector
+    return vector
 
 
 def _route(a: TreeAutomaton):
@@ -230,35 +324,18 @@ def _route(a: TreeAutomaton):
     `a`'s memberships, or None if the product arrays decide them.  Chosen
     once and kept in `a._memo`.
 
-    Only an automaton with no existential state takes the search.  Its
-    rank vector never decreases along a move:
-    - a strong automaton's cycle ranks, if it has them (else None);
-    - a weak automaton's (state, highest rank so far) expansion, by
-      `_expansion` from the initial state.  When no move lowers a rank,
-      every pair is (q, rank q), and the expansion is the automaton on
-      its own ranks, cut to the states its initial state reaches.
-    The search runs on states of that vector: `start` is the initial one,
-    `moves[q * |Sigma| + x]` lists the (direction, state) moves of state q
-    on letter id x, and `live[q]` is 1 iff q can reach a looping component
-    of odd rank, counting every letter, both directions and epsilon moves
-    (`_live`).  A state that is not live accepts every tree, so `moves`
-    keeps only the moves into live states.
+    Only an automaton with no existential state and a `_vector` takes the
+    search, on that vector.  A state that is not live accepts every tree,
+    so the route's `moves` keep only the moves into live states.
     """
     memo = a._memo
     if "membership_route" in memo:
         return memo["membership_route"]
-    sidx, letter, moves, owner, rank = _view(a)
     route = None
-    if 0 not in owner:
-        if a.acceptance == "weak":
-            width = len(letter)
-            moves, ranks = _expansion(moves, rank, width, sidx[a.initial])
-            succ = _successors(moves, len(ranks), width)
-            start, found = 0, (ranks, _live(succ, _sccs(succ), ranks))
-        else:
-            start, found = sidx[a.initial], _cycle_ranks(a)
+    if 0 not in _view(a)[3]:
+        found = _vector(a)
         if found is not None:
-            ranks, live = found
+            start, ranks, moves, live = found
             moves = [[(d, p) for d, p in out if live[p]] for out in moves]
             route = (start, ranks, moves, live)
     memo["membership_route"] = route
@@ -315,21 +392,22 @@ def _universal_weak_accepts(a: TreeAutomaton, view, route=None) -> bool:
 
 
 def _accepts_every_tree(a: TreeAutomaton) -> bool:
-    """Whether `a` takes the one-player search from an initial state that is
-    not live, so that its language holds every tree."""
-    route = _route(a)
-    return route is not None and not route[3][route[0]]
+    """Whether the initial state of `a`'s `_vector` is not live, so that
+    its language holds every tree."""
+    vector = _vector(a)
+    return vector is not None and not vector[3][vector[0]]
 
 
 def _accepts(a: TreeAutomaton, view) -> bool:
-    """Membership of the tree `view` in the language of `a`, by one of
-    three routes, chosen once per automaton by `_route`.
+    """Membership of the tree `view` in the language of `a`.
 
+    If the initial state of `a`'s `_vector` is not live, the tree is
+    accepted at once, with no search.  Otherwise one of three routes,
+    chosen once per automaton by `_route`, decides:
     - An automaton with no existential state that is weak, or strong with
       loops of one parity in each component, is decided by the one-player
       search `_universal_weak_accepts` on `_route`'s non-decreasing ranks,
-      which builds no product arrays.  If its initial state is not live,
-      the tree is accepted at once, with no search.
+      which builds no product arrays.
     - Any other strong product where Adam moves alone is rejected iff it
       has a cycle with an odd top: `graphs._has_top_cycle`, which returns
       at its first hit.  Every position is reachable from position 0, so
@@ -337,10 +415,11 @@ def _accepts(a: TreeAutomaton, view) -> bool:
     - Every other product goes to `eve_wins_arrays`, a winner-only solve
       at position 0.
     """
+    if _accepts_every_tree(a):
+        return True
     route = _route(a)
     if route is not None:
-        start, _, _, live = route
-        return not live[start] or _universal_weak_accepts(a, view, route)
+        return _universal_weak_accepts(a, view, route)
     weak = a.acceptance == "weak"
     owner, rank, succ = _product_arrays(a, view)
     if not weak and 0 not in owner:
@@ -614,16 +693,15 @@ def bounded_equiv(a: TreeAutomaton, b: TreeAutomaton, p: SamplerParams) -> Optio
     the same ids.  Returns None on pass, or the first mismatching tree,
     the only one built as a `RegularTree`.  Sampled labels are drawn from
     `p.alphabet`, so they are checked against the automata's alphabet per
-    tree only if `p.alphabet` has a letter outside it.  If it has none and
-    neither automaton's initial state is live (`_accepts_every_tree`),
-    both languages hold every tree, and None is returned before any tree
-    view is built.
+    tree only if `p.alphabet` has a letter outside it.  Every call walks
+    the whole battery and all `p.count` samples, also when both automata
+    accept every tree: each of those memberships is then answered at once
+    (`_accepts`), and a call costs what its trees cost, not whether the
+    pair happens to hold every tree.
     """
     if set(a.alphabet) != set(b.alphabet):
         raise ValidationError("bounded_equiv needs a shared alphabet")
     per_tree = not set(p.alphabet) <= set(a.alphabet)
-    if not per_tree and _accepts_every_tree(a) and _accepts_every_tree(b):
-        return None
     for names, view in _battery_views(a.alphabet):
         if _accepts(a, view) != _accepts(b, view):
             return _tree_of(view, names)

@@ -16,7 +16,13 @@ from weakindex.automata import (
     make_automaton,
 )
 from weakindex.classifier import weak_det_index
-from weakindex.errors import IndexTooHigh, PreconditionViolated, ValidationError
+from weakindex.errors import (
+    IndexTooHigh,
+    NonWeaklyRecognizable,
+    PreconditionViolated,
+    UnsupportedGapConstruction,
+    ValidationError,
+)
 from weakindex.cli import main
 from weakindex.formats import serialize_automaton, serialize_regular_tree
 from weakindex.games import Game, brute_force_solve, eve_wins_arrays, solve
@@ -39,7 +45,7 @@ from weakindex.semantics import (
     skurczynski_member_oracle,
     w_member,
 )
-from weakindex.transforms import restrict, weaken_02, weaken_14
+from weakindex.transforms import restrict, weaken, weaken_02, weaken_13, weaken_14
 from weakindex.trees import Node, RegularTree, constant_tree, parse_wlabel
 
 from conftest import criterion_5_stream, random_det, random_weak, ref_universal_weak_accepts
@@ -570,10 +576,12 @@ def test_labels_outside_the_alphabet_raise_when_every_tree_is_accepted():
 
 
 def test_bounded_equiv_of_automata_that_accept_every_tree(monkeypatch):
-    """Two automata whose initial states are not live agree on every tree:
-    `bounded_equiv` returns None before it builds a tree view.  A sampler
-    letter outside their alphabet still raises at the first sampled tree
-    that has it, and not before."""
+    """Two automata whose initial states are not live agree on every tree.
+    `bounded_equiv` still walks the whole battery and every sampled tree,
+    each membership answered at once, with no product arrays and no
+    search, so a call costs what its trees cost.  A sampler letter outside
+    their alphabet raises at the first sampled tree that has it, and not
+    before."""
     a, b = _every_tree("parity"), _every_tree("weak")
     p = SamplerParams(seed=3, max_nodes=4, alphabet=("a", "b", "c"), count=40)
     first = next(i for i, t in enumerate(sample_regular_tree(p)) if "c" in t.labels())
@@ -583,13 +591,136 @@ def test_bounded_equiv_of_automata_that_accept_every_tree(monkeypatch):
     with pytest.raises(ValidationError, match=r"^tree labels outside alphabet: \['c'\]$"):
         bounded_equiv(a, b, SamplerParams(seed=3, max_nodes=4, alphabet=("a", "b", "c"),
                                           count=first + 1))
-    monkeypatch.setattr(semantics, "_battery_views", _refuse)
-    monkeypatch.setattr(semantics, "_sample_views", _refuse)
+    drawn = []
+    sample = semantics._sample_views
+    monkeypatch.setattr(semantics, "_sample_views",
+                        lambda q: (drawn.append(v) or v for v in sample(q)))
+    monkeypatch.setattr(semantics, "_product_arrays", _refuse)
+    monkeypatch.setattr(semantics, "_universal_weak_accepts", _refuse)
     assert bounded_equiv(a, b, SamplerParams(seed=3, max_nodes=4, alphabet=("a", "b"),
                                              count=40)) is None
+    assert len(drawn) == 40
     with pytest.raises(AssertionError):
         bounded_equiv(a, catalog.all_a(), SamplerParams(seed=3, max_nodes=4,
                                                         alphabet=("a", "b"), count=40))
+
+
+# -- existential states: Eve's attractor of the states that are not live -----------
+
+
+def _solver_accepts(a, view):
+    """Membership by the kernel under `a`'s own acceptance condition."""
+    return eve_wins_arrays(*_product_arrays(a, view), a.acceptance == "weak")
+
+
+@pytest.mark.parametrize("acceptance, states, moves, every, verdicts", [
+    # Eve picks, on every letter, the even self-loop s over the odd one o
+    ("weak", {"i": ("E", 0), "o": ("A", 1), "s": ("A", 0)},
+     [("i", x, None, q) for x in "ab" for q in "os"]
+     + [(q, x, d, q) for q in "os" for x in "ab" for d in (0, 1)],
+     True, (True, True, True)),
+    # the same under strong acceptance, on cycle ranks: o loops on 3, s on 2
+    ("parity", {"i": ("E", 1), "o": ("A", 3), "s": ("A", 2)},
+     [("i", x, None, q) for x in "ab" for q in "os"]
+     + [(q, x, d, q) for q in "os" for x in "ab" for d in (0, 1)],
+     True, (True, True, True)),
+    # Adam moves only into e, from which Eve picks s: both are attracted
+    ("weak", {"i": ("A", 0), "e": ("E", 0), "o": ("A", 1), "s": ("A", 0)},
+     [("i", x, d, "e") for x in "ab" for d in (0, 1)]
+     + [("e", x, None, q) for x in "ab" for q in "os"]
+     + [(q, x, d, q) for q in "os" for x in "ab" for d in (0, 1)],
+     True, (True, True, True)),
+    # Adam may also move into the odd self-loop o: i stays live
+    ("weak", {"i": ("A", 0), "e": ("E", 0), "o": ("A", 1), "s": ("A", 0)},
+     [("i", x, 0, "e") for x in "ab"] + [("i", "a", 1, "o")]
+     + [("e", x, None, q) for x in "ab" for q in "os"]
+     + [(q, x, d, q) for q in "os" for x in "ab" for d in (0, 1)],
+     False, (False, True, False)),
+    # Eve has a move on a only: she is stuck on b, though no loop is odd
+    ("weak", {"i": ("E", 0), "s": ("A", 0)},
+     [("i", "a", None, "s")] + [("s", x, d, "s") for x in "ab" for d in (0, 1)],
+     False, (True, False, True)),
+    # the same dead end below a universal state
+    ("weak", {"i": ("A", 0), "e": ("E", 0), "s": ("A", 0)},
+     [("i", x, 0, "e") for x in "ab"] + [("e", "a", None, "s")]
+     + [("s", x, d, "s") for x in "ab" for d in (0, 1)],
+     False, (True, False, False)),
+])
+def test_every_tree_with_existential_states_hand_made(acceptance, states, moves, every,
+                                                      verdicts):
+    """Automata with existential states on the all-a tree, the all-b tree
+    and the tree with an a at the root over all b."""
+    a = make_automaton(("a", "b"), states, "i", moves, acceptance=acceptance)
+    assert semantics._accepts_every_tree(a) is every
+    trees = (constant_tree("a"), constant_tree("b"),
+             RegularTree(2, {"r": Node("a", ("n", "n")), "n": Node("b", ("n", "n"))}, "r"))
+    for t, member in zip(trees, verdicts):
+        view = _tree_view(t)
+        assert semantics._accepts(a, view) == member, t
+        assert _solver_accepts(a, view) == member, t
+
+
+def test_every_tree_with_existential_states_matches_the_kernel(monkeypatch):
+    """Weak and strong automata with an existential state, drawn by
+    `_random_alternating`: each whose initial state `_vector` finds not
+    live is accepted by the kernel on every tree, and `_accepts` agrees
+    with the kernel throughout.  Eve's attractor clears the initial state
+    of some that reach an odd loop or a dead end of hers."""
+    rng = SplitMix64(2323)
+    views = [_tree_view(t) for t in sample_regular_tree(
+        SamplerParams(seed=23, max_nodes=6, alphabet=("a", "b"), count=25))]
+    automata = []
+    while len(automata) < 1000:
+        a = _random_alternating(rng, ("weak", "parity")[len(automata) % 2])
+        if any(st.mode == "E" for st in a.states.values()):
+            automata.append(a)
+    every = [semantics._accepts_every_tree(a) for a in automata]
+    for a, flag in zip(automata, every):
+        for v in views:
+            expected = _solver_accepts(a, v)
+            assert semantics._accepts(a, v) == expected, (a, v)
+            assert expected or not flag, (a, v)
+    monkeypatch.setattr(semantics, "_attract", lambda *args: None)
+    unattracted = [semantics._accepts_every_tree(a.with_states(dict(a.states)))
+                   for a in automata]
+    kinds = Counter((a.acceptance, flag, old) for a, flag, old in zip(automata, every, unattracted))
+    assert not kinds[("weak", False, True)] and not kinds[("parity", False, True)], kinds
+    assert kinds["weak", True, False] >= 5 and kinds["parity", True, False] >= 2, kinds
+    assert min(kinds[k, True, True] for k in ("weak", "parity")) >= 50, kinds
+
+
+def test_every_tree_on_constructions_with_existential_states():
+    """The outputs of weaken_13, weaken_14 and weaken with an existential
+    state over the first 200 automata of criterion 5's stream: each whose
+    initial state is not live is accepted by the kernel on the battery and
+    sampled trees.  weaken_13 guesses, at an existential state, where its
+    input's run stops seeing odd ranks; it keeps every tree of an input
+    whose initial state is not live, and Eve's attractor finds that."""
+    views = [v for _, v in _battery_views(("a", "b"))]
+    views += [_tree_view(t) for t in sample_regular_tree(
+        SamplerParams(seed=58, max_nodes=8, alphabet=("a", "b"), count=12))]
+    seen = Counter()
+    for a in criterion_5_stream(200):
+        outputs = []
+        with contextlib.suppress(IndexTooHigh, PreconditionViolated):
+            outputs.append(("weaken_13", weaken_13(a)))
+        with contextlib.suppress(PreconditionViolated):
+            outputs.append(("weaken_14", weaken_14(a)[0]))
+        with contextlib.suppress(UnsupportedGapConstruction, NonWeaklyRecognizable):
+            outputs.append(("weaken", weaken(a)[0]))
+        for kind, out in outputs:
+            if all(st.mode == "A" for st in out.states.values()):
+                continue
+            every = semantics._accepts_every_tree(out)
+            seen[kind, every] += 1
+            if kind == "weaken_13":
+                assert every == semantics._accepts_every_tree(a), (a, out)
+            for v in views:
+                expected = _solver_accepts(out, v)
+                assert semantics._accepts(out, v) == expected, (kind, a, v)
+                assert expected or not every, (kind, a, v)
+    assert seen["weaken_13", True] >= 100 and seen["weaken_13", False] >= 1, seen
+    assert seen["weaken_14", False] >= 10, seen
 
 
 def _one_way_ring(n):

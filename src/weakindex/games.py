@@ -284,9 +284,12 @@ def _solve_weak_layers(arena, stop=None):
     """Descending-rank attractor layering for the weak condition, no strategies.
 
     The arena is `_arena`'s: `solve_weak` and `eve_wins_arrays` build it.
-    Weak membership products with an Eve position come here through
-    `eve_wins_arrays`; those where Adam moves alone never do, since
-    `semantics` decides them in its product search.
+    Membership products of automata with an existential state and a rank
+    vector that never decreases along a move come here through
+    `eve_wins_arrays`: weak automata on their expansion, and strong ones
+    on their cycle ranks, on which the weak condition accepts the runs the
+    strong one does.  Those of automata with no existential state never
+    do, since `semantics` decides them in its product search.
     Positions wait in one bucket per rank; the highest rank with positions
     left is attracted for the player of its parity, and each position
     counts its successors not yet removed (a move listed twice counts

@@ -18,7 +18,13 @@ SCP 1987).  A state that can reach neither, or from which Eve can force
 every play out of such states (her attractor), is not live and accepts
 every tree, and a query from one is answered without a search.  An
 automaton with no existential state is decided by a one-player search
-that never enters a state that is not live.  `bounded_equiv` indexes each
+that never enters a state that is not live.  One with an existential
+state is decided by the linear weak layering of `eve_wins_arrays` on the
+product of its vector, cut where Eve has already won: a slot where she
+can move into a state that is not live is a leaf won by her, and Adam's
+moves into such states are dropped (`_route`).  Only a strong automaton
+with no cycle ranks is decided on the product of its own ranks, by the
+cycle check or the strong solver.  `bounded_equiv` indexes each
 tree once and runs both automata on that view; it takes the fixed battery
 and the samples as views and builds a `RegularTree` only for the
 counterexample it returns.
@@ -114,23 +120,33 @@ def _tree_of(view, names=None) -> RegularTree:
 _LIST_INDEX_SLOTS = 1 << 12
 
 
-def _product_arrays(a: TreeAutomaton, view):
+def _product_arrays(a: TreeAutomaton, view, route=None):
     """Product positions (state, node) reachable from (initial, root), as an
-    int game (owner, rank, succ) in breadth-first order.
+    int game (owner, rank, succ) in breadth-first order: the one product
+    search of the membership engine.
 
-    A move listed twice in the automaton is listed twice in `succ`, and a
-    position with no move is a dead end.  Every position is reachable from
-    position 0.  Positions are numbered in search order, so the game does
-    not depend on how the view numbers its nodes.
+    The states are those of `a`'s `_view`, or with a `route` from `_route`
+    for an automaton with an existential state, those of its rank vector:
+    then a position's rank is its vector state's, its owner is the owner
+    the route gives its (state, letter id) slot, and a slot the route
+    marks as won by Eve is a position where Adam is stuck.  A move listed
+    twice is listed twice in `succ`, and a position with no move is a dead
+    end.  Every position is reachable from position 0.  Positions are
+    numbered in search order, so the game does not depend on how the view
+    numbers its nodes.
     """
-    sidx, letter, moves, sowner, srank = _view(a)
+    if route is None:
+        sidx, letter, moves, owner, rank = _view(a)
+        q0 = sidx[a.initial]
+    else:
+        q0, rank, moves, owner = route
+        letter = _view(a)[1]
     labels, children, root = view
     nn = len(labels)
     width = len(letter)
     row = [letter[x] for x in labels]
-    slots = len(sowner) * nn
+    slots = len(rank) * nn
     index = [-1] * slots if slots <= _LIST_INDEX_SLOTS else defaultdict(lambda: -1)
-    q0 = sidx[a.initial]
     index[q0 * nn + root] = 0
     states, nodes = [q0], [root]
     succ: list[list[int]] = []
@@ -148,7 +164,10 @@ def _product_arrays(a: TreeAutomaton, view):
                 nodes.append(n2)
             out.append(j)
         succ.append(out)
-    return [sowner[q] for q in states], [srank[q] for q in states], succ
+    ranks = [rank[q] for q in states]
+    if route is None:
+        return [owner[q] for q in states], ranks, succ
+    return [owner[q * width + row[v]] for q, v in zip(states, nodes)], ranks, succ
 
 
 def _successors(moves, n: int, width: int):
@@ -277,9 +296,9 @@ def _expansion(moves, rank, width: int, q0: int):
 
 
 def _vector(a: TreeAutomaton):
-    """(start, ranks, moves, live) of `a` read on a rank vector that never
-    decreases along a move, or None if it has none.  Built once and kept
-    in `a._memo`.
+    """(start, ranks, moves, live, owner) of `a` read on a rank vector that
+    never decreases along a move, or None if it has none.  Built once and
+    kept in `a._memo`.
 
     - A weak automaton: its (state, highest rank so far) expansion, by
       `_expansion` from the initial state.  When no move lowers a rank,
@@ -287,14 +306,14 @@ def _vector(a: TreeAutomaton):
       own ranks, cut to the states its initial state reaches.
     - A strong automaton: its cycle ranks, if it has them (else None).
     `start` is the initial state of the vector, `moves[q * |Sigma| + x]`
-    lists the (direction, state) moves of state q on letter id x, and
-    `live[q]` is 0 only if Eve wins from q on every tree: q can reach no
-    looping component of odd rank and no existential state with no move
-    on some letter, counting every letter, both directions and epsilon
-    moves (`_live`), or Eve can force every play from q into such states
-    (`_attract`).  With no existential state the attractor clears no
-    flag, so `live[q]` is then 1 iff q can reach a looping component of
-    odd rank.
+    lists the (direction, state) moves of state q on letter id x,
+    `owner[q]` is 0 if q is existential, and `live[q]` is 0 only if Eve
+    wins from q on every tree: q can reach no looping component of odd
+    rank and no existential state with no move on some letter, counting
+    every letter, both directions and epsilon moves (`_live`), or Eve can
+    force every play from q into such states (`_attract`).  With no
+    existential state the attractor clears no flag, so `live[q]` is then
+    1 iff q can reach a looping component of odd rank.
     """
     memo = a._memo
     if "membership_vector" in memo:
@@ -314,30 +333,54 @@ def _vector(a: TreeAutomaton):
         live = _live(succ, comps, ranks, _stuck(moves, owner, width))
         if 0 in owner:
             _attract(live, moves, owner, width)
-        vector = (start, ranks, moves, live)
+        vector = (start, ranks, moves, live, owner)
     memo["membership_vector"] = vector
     return vector
 
 
 def _route(a: TreeAutomaton):
-    """(start, ranks, moves, live) of the one-player search that decides
-    `a`'s memberships, or None if the product arrays decide them.  Chosen
-    once and kept in `a._memo`.
+    """(start, ranks, moves, owner) on `a`'s `_vector` that decide its
+    memberships, or None if the product arrays on its `_view` decide them:
+    a strong automaton with a component whose loops have tops of both
+    parities.  Chosen once and kept in `a._memo`.
 
-    Only an automaton with no existential state and a `_vector` takes the
-    search, on that vector.  A state that is not live accepts every tree,
-    so the route's `moves` keep only the moves into live states.
+    A state that is not live accepts every tree, and the route's moves
+    lead only into live states.  An automaton with no existential state
+    takes the one-player search `_universal_weak_accepts`, and its route's
+    `owner` is None.  For one with an existential state, `owner[q *
+    |Sigma| + x]` is the owner of the (state, letter id) slot, and each
+    slot gets one move table:
+    - an existential slot with a move into a state that is not live is
+      won by Eve, who takes that move: the slot gets owner 1 and no move,
+      a dead end where Adam is stuck;
+    - a universal slot keeps its moves into live states; with none left
+      Adam is at a dead end and loses;
+    - an existential slot with no move stays a dead end Eve loses (`_stuck`).
+    Its memberships are decided by `eve_wins_arrays` on the product
+    arrays of the route, under the weak condition on the vector ranks.
     """
     memo = a._memo
     if "membership_route" in memo:
         return memo["membership_route"]
     route = None
-    if 0 not in _view(a)[3]:
-        found = _vector(a)
-        if found is not None:
-            start, ranks, moves, live = found
+    found = _vector(a)
+    if found is not None:
+        start, ranks, moves, live, owner = found
+        _, letter, _, view_owner, _ = _view(a)
+        if 0 not in view_owner:
             moves = [[(d, p) for d, p in out if live[p]] for out in moves]
-            route = (start, ranks, moves, live)
+            route = (start, ranks, moves, None)
+        else:
+            width = len(letter)
+            table, slot_owner = [], bytearray()
+            for x, out in enumerate(moves):
+                o = owner[x // width]
+                kept = [(d, p) for d, p in out if live[p]]
+                if not o and len(kept) < len(out):  # Eve moves where she wins
+                    o, kept = 1, []
+                table.append(kept)
+                slot_owner.append(o)
+            route = (start, ranks, table, slot_owner)
     memo["membership_route"] = route
     return route
 
@@ -402,29 +445,35 @@ def _accepts(a: TreeAutomaton, view) -> bool:
     """Membership of the tree `view` in the language of `a`.
 
     If the initial state of `a`'s `_vector` is not live, the tree is
-    accepted at once, with no search.  Otherwise one of three routes,
+    accepted at once, with no search.  Otherwise one of four routes,
     chosen once per automaton by `_route`, decides:
-    - An automaton with no existential state that is weak, or strong with
-      loops of one parity in each component, is decided by the one-player
-      search `_universal_weak_accepts` on `_route`'s non-decreasing ranks,
-      which builds no product arrays.
-    - Any other strong product where Adam moves alone is rejected iff it
-      has a cycle with an odd top: `graphs._has_top_cycle`, which returns
-      at its first hit.  Every position is reachable from position 0, so
-      no reachability pass comes first.
-    - Every other product goes to `eve_wins_arrays`, a winner-only solve
-      at position 0.
+    - An automaton with a `_vector` (weak, or strong with loops of one
+      parity in each component) and no existential state is decided by
+      the one-player search `_universal_weak_accepts` on the vector's
+      non-decreasing ranks, which builds no product arrays.
+    - One with a `_vector` and an existential state is decided by
+      `eve_wins_arrays` under the weak condition on the product arrays of
+      the route, cut where Eve has already won: linear weak layering,
+      also for a strong automaton.
+    - A strong automaton with no `_vector` whose product Adam moves in
+      alone is rejected iff the product has a cycle with an odd top:
+      `graphs._has_top_cycle`, which returns at its first hit.  Every
+      position is reachable from position 0, so no reachability pass
+      comes first.
+    - Any other strong product with no `_vector` goes to the strong
+      solver of `eve_wins_arrays`, a winner-only solve at position 0.
     """
     if _accepts_every_tree(a):
         return True
     route = _route(a)
-    if route is not None:
+    if route is None:
+        owner, rank, succ = _product_arrays(a, view)
+        if 0 not in owner:
+            return not _has_top_cycle(range(len(succ)), succ, rank, 1)
+        return eve_wins_arrays(owner, rank, succ, weak=False)
+    if route[3] is None:
         return _universal_weak_accepts(a, view, route)
-    weak = a.acceptance == "weak"
-    owner, rank, succ = _product_arrays(a, view)
-    if not weak and 0 not in owner:
-        return not _has_top_cycle(range(len(succ)), succ, rank, 1)
-    return eve_wins_arrays(owner, rank, succ, weak)
+    return eve_wins_arrays(*_product_arrays(a, view, route), weak=True)
 
 
 def alt_accepts(a: TreeAutomaton, t: RegularTree) -> bool:

@@ -339,33 +339,46 @@ def _refuse(*args, **kwargs):
     raise AssertionError("product arrays built")
 
 
+def _refuse_view(a, view, route=None):
+    """`_product_arrays` refused on the automaton's view, allowed on a route."""
+    assert route is not None, "product arrays built on the view"
+    return _product_arrays(a, view, route)
+
+
 def test_accepts_routes_universal_weak_automata_to_the_one_player_search(monkeypatch):
     """An automaton with no existential state builds no product arrays if
-    it is weak, or strong with loops of one parity per component; one
-    existential state or one component with loops of both parities sends
-    it back to the product arrays."""
+    it is weak, or strong with loops of one parity per component; one with
+    an existential state builds them on its route, never on its view, and
+    one component with loops of both parities sends it back to the
+    product arrays on the view."""
     a = make_automaton(("a",), {"i": ("A", 0), "p": ("A", 1)}, "i",
                        [("i", "a", 0, "p"), ("p", "a", None, "p")], acceptance="weak")
     view = _tree_view(constant_tree("a"))
+    mixed = a.with_states({"i": State("E", 0), "p": State("A", 1)})
+    expected = _kernel_accepts(mixed, view)
     monkeypatch.setattr(semantics, "_product_arrays", _refuse)
     assert semantics._accepts(a, view) is False
-    mixed = a.with_states({"i": State("E", 0), "p": State("A", 1)})
     with pytest.raises(AssertionError, match="product arrays built"):
         semantics._accepts(mixed, view)
-
     # components {i} (no loop), {e} (loop top 2) and {p, q} (loop tops 3)
     strong = make_automaton(("a",), {"i": ("A", 1), "e": ("A", 2), "p": ("A", 3), "q": ("A", 0)},
                             "i", [("i", "a", 0, "e"), ("i", "a", 1, "p"), ("e", "a", None, "e"),
                                   ("p", "a", 0, "q"), ("p", "a", 1, "p"), ("q", "a", 1, "p")])
     assert semantics._accepts(strong, view) is False
-    both = strong.with_states({**strong.states, "q": State("A", 4)})  # loop tops 3 and 4
-    with pytest.raises(AssertionError, match="product arrays built"):
-        semantics._accepts(both, view)
-
     for name in ("all_a", "ex_b_left"):
         assert semantics._accepts(catalog.get(name), view) is (name == "all_a"), name
+
+    monkeypatch.setattr(semantics, "_product_arrays", _refuse_view)
+    assert semantics._route(mixed)[3] is not None
+    assert semantics._accepts(mixed, view) is expected is False
+    both = strong.with_states({**strong.states, "q": State("A", 4)})  # loop tops 3 and 4
+    with pytest.raises(AssertionError, match="product arrays built on the view"):
+        semantics._accepts(both, view)
+    eve_both = both.with_states({**both.states, "i": State("E", 1)})
+    with pytest.raises(AssertionError, match="product arrays built on the view"):
+        semantics._accepts(eve_both, view)
     for name in ("fin_b_left", "inf_b_left", "spine_fin_b", "split_min"):
-        with pytest.raises(AssertionError, match="product arrays built"):
+        with pytest.raises(AssertionError, match="product arrays built on the view"):
             semantics._accepts(catalog.get(name), view)
 
 
@@ -613,28 +626,34 @@ def _solver_accepts(a, view):
     return eve_wins_arrays(*_product_arrays(a, view), a.acceptance == "weak")
 
 
+def _eve_route(a):
+    """Whether `a`'s memberships take the Eve route: product arrays of its
+    route on the vector, solved under the weak condition."""
+    route = semantics._route(a)
+    return route is not None and route[3] is not None
+
+
+_LOOPS = [(q, x, d, q) for q in "os" for x in "ab" for d in (0, 1)]  # o and s loop on every letter
+
+
 @pytest.mark.parametrize("acceptance, states, moves, every, verdicts", [
     # Eve picks, on every letter, the even self-loop s over the odd one o
     ("weak", {"i": ("E", 0), "o": ("A", 1), "s": ("A", 0)},
-     [("i", x, None, q) for x in "ab" for q in "os"]
-     + [(q, x, d, q) for q in "os" for x in "ab" for d in (0, 1)],
+     [("i", x, None, q) for x in "ab" for q in "os"] + _LOOPS,
      True, (True, True, True)),
     # the same under strong acceptance, on cycle ranks: o loops on 3, s on 2
     ("parity", {"i": ("E", 1), "o": ("A", 3), "s": ("A", 2)},
-     [("i", x, None, q) for x in "ab" for q in "os"]
-     + [(q, x, d, q) for q in "os" for x in "ab" for d in (0, 1)],
+     [("i", x, None, q) for x in "ab" for q in "os"] + _LOOPS,
      True, (True, True, True)),
     # Adam moves only into e, from which Eve picks s: both are attracted
     ("weak", {"i": ("A", 0), "e": ("E", 0), "o": ("A", 1), "s": ("A", 0)},
      [("i", x, d, "e") for x in "ab" for d in (0, 1)]
-     + [("e", x, None, q) for x in "ab" for q in "os"]
-     + [(q, x, d, q) for q in "os" for x in "ab" for d in (0, 1)],
+     + [("e", x, None, q) for x in "ab" for q in "os"] + _LOOPS,
      True, (True, True, True)),
     # Adam may also move into the odd self-loop o: i stays live
     ("weak", {"i": ("A", 0), "e": ("E", 0), "o": ("A", 1), "s": ("A", 0)},
      [("i", x, 0, "e") for x in "ab"] + [("i", "a", 1, "o")]
-     + [("e", x, None, q) for x in "ab" for q in "os"]
-     + [(q, x, d, q) for q in "os" for x in "ab" for d in (0, 1)],
+     + [("e", x, None, q) for x in "ab" for q in "os"] + _LOOPS,
      False, (False, True, False)),
     # Eve has a move on a only: she is stuck on b, though no loop is odd
     ("weak", {"i": ("E", 0), "s": ("A", 0)},
@@ -645,12 +664,43 @@ def _solver_accepts(a, view):
      [("i", x, 0, "e") for x in "ab"] + [("e", "a", None, "s")]
      + [("s", x, d, "s") for x in "ab" for d in (0, 1)],
      False, (True, False, False)),
+    # Eve may move, on a, into s, which is not live, beside o; on b only
+    # into o.  Her route slot on a is won
+    ("weak", {"i": ("E", 0), "o": ("A", 1), "s": ("A", 0)},
+     [("i", "a", 0, "s"), ("i", "a", 1, "o"), ("i", "b", 0, "o")] + _LOOPS,
+     False, (True, False, True)),
+    # the same moves into s and o through epsilon moves
+    ("weak", {"i": ("E", 0), "o": ("A", 1), "s": ("A", 0)},
+     [("i", "a", None, "s"), ("i", "a", None, "o"), ("i", "b", None, "o")] + _LOOPS,
+     False, (True, False, True)),
+    # Adam's moves on a all lead into s: his route slot keeps none, so he
+    # is stuck and loses; on b he moves to e, from which Eve has only o on b
+    ("weak", {"i": ("A", 0), "e": ("E", 0), "o": ("A", 1), "s": ("A", 0)},
+     [("i", "a", 0, "s"), ("i", "a", 1, "s"), ("i", "b", 0, "e"),
+      ("e", "a", None, "s"), ("e", "b", None, "o")] + _LOOPS,
+     False, (True, False, True)),
+    # Eve at e has no move on b: stuck on the letter she reads, she loses
+    # even though her only move, on a, leads into s
+    ("weak", {"i": ("A", 0), "e": ("E", 0), "o": ("A", 1), "s": ("A", 0)},
+     [("i", x, d, "e") for x in "ab" for d in (0, 1)] + [("e", "a", None, "s")] + _LOOPS,
+     False, (True, False, False)),
+    # strong: Eve may stay on her even loop l on a; her other moves lead to
+    # Adam's u, and only u enters the odd loop o.  The rank 3 of i is seen
+    # once, so on its old ranks the weak condition would reject the all-a
+    # tree
+    ("parity", {"i": ("E", 3), "l": ("E", 0), "u": ("A", 1), "o": ("A", 3), "s": ("A", 2)},
+     [("i", x, 0, "l") for x in "ab"]
+     + [("l", "a", 0, "l"), ("l", "a", 1, "u"), ("l", "b", 1, "u")]
+     + [("u", x, 0, "o") for x in "ab"] + _LOOPS,
+     False, (True, False, False)),
 ])
 def test_every_tree_with_existential_states_hand_made(acceptance, states, moves, every,
                                                       verdicts):
     """Automata with existential states on the all-a tree, the all-b tree
-    and the tree with an a at the root over all b."""
+    and the tree with an a at the root over all b: each takes the Eve
+    route, and its verdicts match the full product's."""
     a = make_automaton(("a", "b"), states, "i", moves, acceptance=acceptance)
+    assert _eve_route(a)
     assert semantics._accepts_every_tree(a) is every
     trees = (constant_tree("a"), constant_tree("b"),
              RegularTree(2, {"r": Node("a", ("n", "n")), "n": Node("b", ("n", "n"))}, "r"))
@@ -662,10 +712,12 @@ def test_every_tree_with_existential_states_hand_made(acceptance, states, moves,
 
 def test_every_tree_with_existential_states_matches_the_kernel(monkeypatch):
     """Weak and strong automata with an existential state, drawn by
-    `_random_alternating`: each whose initial state `_vector` finds not
-    live is accepted by the kernel on every tree, and `_accepts` agrees
-    with the kernel throughout.  Eve's attractor clears the initial state
-    of some that reach an odd loop or a dead end of hers."""
+    `_random_alternating`, topped up to 500 strong ones with cycle ranks:
+    each whose initial state `_vector` finds not live is accepted by the
+    kernel on every tree, and `_accepts` agrees with the kernel
+    throughout.  Each with a `_vector` takes the Eve route, whose games
+    all reach `eve_wins_arrays` as weak games.  Eve's attractor clears the
+    initial state of some that reach an odd loop or a dead end of hers."""
     rng = SplitMix64(2323)
     views = [_tree_view(t) for t in sample_regular_tree(
         SamplerParams(seed=23, max_nodes=6, alphabet=("a", "b"), count=25))]
@@ -674,12 +726,33 @@ def test_every_tree_with_existential_states_matches_the_kernel(monkeypatch):
         a = _random_alternating(rng, ("weak", "parity")[len(automata) % 2])
         if any(st.mode == "E" for st in a.states.values()):
             automata.append(a)
+    strong = sum(a.acceptance == "parity" and semantics._vector(a) is not None for a in automata)
+    while strong < 500:  # strong ones with cycle ranks, as many as the weak ones
+        a = _random_alternating(rng, "parity")
+        if any(st.mode == "E" for st in a.states.values()) and semantics._vector(a) is not None:
+            automata.append(a)
+            strong += 1
+    games = []  # per kernel call from `_accepts`, whether it solves a weak game
+    solve_arrays = semantics.eve_wins_arrays
+    monkeypatch.setattr(semantics, "eve_wins_arrays",
+                        lambda *args, **kw: games.append(kw["weak"]) or solve_arrays(*args, **kw))
     every = [semantics._accepts_every_tree(a) for a in automata]
+    routed, verdicts = Counter(), Counter()
     for a, flag in zip(automata, every):
+        vector = semantics._vector(a) is not None
+        assert _eve_route(a) is vector, a
+        routed[a.acceptance, vector] += 1
+        games.clear()
         for v in views:
             expected = _solver_accepts(a, v)
             assert semantics._accepts(a, v) == expected, (a, v)
             assert expected or not flag, (a, v)
+            verdicts[a.acceptance, vector, flag, expected] += 1
+        assert all(games) or not vector, a
+    assert min(verdicts[k, True, False, m] for k in ("weak", "parity") for m in (True, False)) \
+        >= 1000, verdicts
+    assert routed["weak", True] == routed["parity", True] == 500, routed
+    assert routed["parity", False] >= 150, routed
     monkeypatch.setattr(semantics, "_attract", lambda *args: None)
     unattracted = [semantics._accepts_every_tree(a.with_states(dict(a.states)))
                    for a in automata]
@@ -691,11 +764,15 @@ def test_every_tree_with_existential_states_matches_the_kernel(monkeypatch):
 
 def test_every_tree_on_constructions_with_existential_states():
     """The outputs of weaken_13, weaken_14 and weaken with an existential
-    state over the first 200 automata of criterion 5's stream: each whose
-    initial state is not live is accepted by the kernel on the battery and
-    sampled trees.  weaken_13 guesses, at an existential state, where its
-    input's run stops seeing odd ranks; it keeps every tree of an input
-    whose initial state is not live, and Eve's attractor finds that."""
+    state over the first 200 automata of criterion 5's stream, and
+    `restrict` of each, strong on ranks that never decrease, so on their
+    cycle ranks.  Each takes the Eve route, and its verdict on the battery
+    and sampled trees equals the full product solved under the output's
+    own condition; each whose initial state is not live is accepted
+    there.  weaken_13 guesses, at an existential state, where its input's
+    run stops seeing odd ranks; it keeps every tree of an input whose
+    initial state is not live, and Eve's attractor finds that.  None of
+    weaken's outputs here has an existential state."""
     views = [v for _, v in _battery_views(("a", "b"))]
     views += [_tree_view(t) for t in sample_regular_tree(
         SamplerParams(seed=58, max_nodes=8, alphabet=("a", "b"), count=12))]
@@ -708,9 +785,11 @@ def test_every_tree_on_constructions_with_existential_states():
             outputs.append(("weaken_14", weaken_14(a)[0]))
         with contextlib.suppress(UnsupportedGapConstruction, NonWeaklyRecognizable):
             outputs.append(("weaken", weaken(a)[0]))
+        outputs += [("restrict", restrict(out)) for _, out in outputs]
         for kind, out in outputs:
             if all(st.mode == "A" for st in out.states.values()):
                 continue
+            assert _eve_route(out), (kind, a)
             every = semantics._accepts_every_tree(out)
             seen[kind, every] += 1
             if kind == "weaken_13":
@@ -719,8 +798,11 @@ def test_every_tree_on_constructions_with_existential_states():
                 expected = _solver_accepts(out, v)
                 assert semantics._accepts(out, v) == expected, (kind, a, v)
                 assert expected or not every, (kind, a, v)
-    assert seen["weaken_13", True] >= 100 and seen["weaken_13", False] >= 1, seen
-    assert seen["weaken_14", False] >= 10, seen
+    assert seen["weaken_13", True] >= 100 and seen["weaken_13", False] >= 3, seen
+    assert seen["weaken_14", False] >= 15 and seen["restrict", False] >= 20, seen
+    assert seen["restrict", True] >= 100, seen
+    assert not seen["weaken", True] and not seen["weaken", False], seen
+
 
 
 def _one_way_ring(n):

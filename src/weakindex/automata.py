@@ -66,9 +66,9 @@ class IndexPair:
     kappa: int
 
     def __post_init__(self):
-        if not (isinstance(self.iota, int) and self.iota in (0, 1)):
+        if not (type(self.iota) is int and self.iota in (0, 1)):  # not a bool
             raise ValidationError(f"index iota must be 0 or 1, got {self.iota!r}")
-        if not isinstance(self.kappa, int):
+        if type(self.kappa) is not int:
             raise ValidationError(f"index kappa must be an integer, got {self.kappa!r}")
         if self.kappa < self.iota:
             raise ValidationError(f"index ({self.iota},{self.kappa}) is not constructible")
@@ -199,7 +199,7 @@ class TreeAutomaton:
                 raise ValidationError(f"bad state id {sid!r}")
             if st.mode not in (EXISTENTIAL, UNIVERSAL):
                 raise ValidationError(f"state {sid}: bad mode {st.mode!r}")
-            if not isinstance(st.rank, int):
+            if type(st.rank) is not int:  # as the fast path: a bool is refused
                 raise ValidationError(f"state {sid}: rank {st.rank!r} is not an integer")
             if st.rank < 0:
                 raise ValidationError(f"state {sid}: negative rank")

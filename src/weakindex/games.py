@@ -62,7 +62,7 @@ class Game:
                     f"position {pid}: {pos!r} is not an (owner, rank) pair") from None
             if owner not in (EVE, ADAM):
                 raise ValidationError(f"position {pid}: bad owner {owner!r}")
-            if not isinstance(rank, int):
+            if type(rank) is not int:  # not a bool
                 raise ValidationError(f"position {pid}: rank {rank!r} is not an integer")
             if rank < 0:
                 raise ValidationError(f"position {pid}: negative rank")

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .automata import (
@@ -54,7 +55,7 @@ from .automata import (
 from .errors import ValidationError
 from .games import ADAM, EVE, Game, eve_wins_arrays
 from .graphs import _has_top_cycle, _sccs, has_cycle_inside
-from .rng import SplitMix64
+from .rng import _words
 from .trees import _TOKEN, Node, RegularTree, _is_token, parse_wlabel
 
 
@@ -658,7 +659,7 @@ class SamplerParams:
     def __post_init__(self):
         for field in ("seed", "max_nodes", "count"):
             value = getattr(self, field)
-            if not isinstance(value, int):
+            if type(value) is not int:  # not a bool
                 raise ValidationError(f"{field} must be an integer, got {value!r}")
         if self.count < 1:
             raise ValidationError("count must be >= 1")
@@ -677,20 +678,23 @@ def _sample_views(p: SamplerParams):
     Node count is uniform in [1, max_nodes]; a random tree skeleton keeps
     every node reachable, remaining child slots are wired uniformly.  Child
     s of node i is slot 2i + s, and the free slots stay in slot order, so
-    each skeleton step is a pop and two appends.
+    each skeleton step is a pop and two appends.  A draw below n is the
+    next word of `SplitMix64(p.seed)` modulo n, which is what
+    `SplitMix64.below(n)` returns; the words come from `rng._words`.
     """
-    below = SplitMix64(p.seed).below
+    words = _words(p.seed)
+    draw = words.__next__
     letters = tuple(p.alphabet)
     width = len(letters)
     for _ in range(p.count):
-        k = 1 + below(p.max_nodes)
-        labels = [letters[below(width)] for _ in range(k)]
+        k = 1 + draw() % p.max_nodes
+        labels = [letters[w % width] for w in islice(words, k)]
         slots = [-1] * (2 * k)
         free = [0, 1]
-        for j in range(1, k):
-            slots[free.pop(below(len(free)))] = j
+        for j, w in enumerate(islice(words, k - 1), 1):
+            slots[free.pop(w % len(free))] = j
             free += (2 * j, 2 * j + 1)
-        slots = [below(k) if c < 0 else c for c in slots]
+        slots = [draw() % k if c < 0 else c for c in slots]
         yield labels, list(zip(slots[::2], slots[1::2])), 0
 
 

@@ -37,7 +37,7 @@ class RegularTree:
     root: str
 
     def __post_init__(self):
-        if not isinstance(self.arity, int):
+        if type(self.arity) is not int:  # not a bool
             raise ValidationError(f"arity must be an integer, got {self.arity!r}")
         if self.arity < 2:
             raise ValidationError(f"arity must be >= 2, got {self.arity}")

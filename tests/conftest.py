@@ -258,6 +258,24 @@ def ref_tarjan(nodes: list, succ: dict) -> list[list]:
     return sccs
 
 
+def ref_sample_views(p):
+    """The reference for `semantics._sample_views`: the same trees drawn
+    one scalar `SplitMix64.below` step at a time."""
+    below = SplitMix64(p.seed).below
+    letters = tuple(p.alphabet)
+    width = len(letters)
+    for _ in range(p.count):
+        k = 1 + below(p.max_nodes)
+        labels = [letters[below(width)] for _ in range(k)]
+        slots = [-1] * (2 * k)
+        free = [0, 1]
+        for j in range(1, k):
+            slots[free.pop(below(len(free)))] = j
+            free += (2 * j, 2 * j + 1)
+        slots = [below(k) if c < 0 else c for c in slots]
+        yield labels, list(zip(slots[::2], slots[1::2])), 0
+
+
 @pytest.fixture
 def rng():
     return SplitMix64(20240809)

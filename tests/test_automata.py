@@ -280,12 +280,27 @@ TOKEN = "a non-empty string free of whitespace and '#'"
     (SamplerParams, {"alphabet": ("a", 1)}, f"alphabet letter 1 is not {TOKEN}"),
     (SamplerParams, {"alphabet": ("a", "b c")}, f"alphabet letter 'b c' is not {TOKEN}"),
     (SamplerParams, {"alphabet": ("#",)}, f"alphabet letter '#' is not {TOKEN}"),
+    # a bool is an int to isinstance, but the text format has no rank True
+    (TreeAutomaton, {"states": {"p": State("A", True)}}, "state p: rank True is not an integer"),
+    (DetAutomaton, {"states": {"p": State("A", True)}}, "state p: rank True is not an integer"),
 ])
 def test_constructor_names_the_bad_field(kind, fields, message):
     args = {**CONSTRUCTOR_FIELDS.get(kind, AUTOMATON_FIELDS), **fields}
     with pytest.raises(ValidationError) as err:
         kind(**args)
     assert str(err.value) == message
+
+
+def test_integer_ranks_round_trip_and_bools_are_refused():
+    """Every automaton that constructs serializes to text that parses back
+    to it; a rank True used to construct and then fail to parse."""
+    moves = [("p", "a", 0, "p"), ("p", "a", 1, "p")]
+    for rank in (0, 1, 7):
+        a = make_automaton(("a",), {"p": ("A", rank)}, "p", moves, deterministic=True)
+        assert parse_automaton(serialize_automaton(a)) == a
+    for rank in (True, False):
+        with pytest.raises(ValidationError, match=f"^state p: rank {rank} is not an integer$"):
+            make_automaton(("a",), {"p": ("A", rank)}, "p", moves, deterministic=True)
 
 
 def test_non_total_table_names_first_missing_key():

@@ -3,6 +3,7 @@ import hashlib
 import math
 import time
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -27,11 +28,12 @@ from weakindex.cli import main
 from weakindex.formats import serialize_automaton, serialize_regular_tree
 from weakindex.games import Game, brute_force_solve, eve_wins_arrays, solve
 from weakindex.graphs import _has_top_cycle
-from weakindex.rng import SplitMix64
+from weakindex.rng import _CHUNK, SplitMix64, _words
 from weakindex.semantics import (
     SamplerParams,
     _battery_views,
     _product_arrays,
+    _sample_views,
     _tree_view,
     _universal_weak_accepts,
     alt_accepts,
@@ -48,7 +50,13 @@ from weakindex.semantics import (
 from weakindex.transforms import restrict, weaken, weaken_02, weaken_13, weaken_14
 from weakindex.trees import Node, RegularTree, constant_tree, parse_wlabel
 
-from conftest import criterion_5_stream, random_det, random_weak, ref_universal_weak_accepts
+from conftest import (
+    criterion_5_stream,
+    random_det,
+    random_weak,
+    ref_sample_views,
+    ref_universal_weak_accepts,
+)
 
 
 def tree_with_b_at_root():
@@ -1019,6 +1027,41 @@ def test_splitmix64_stream_pinned():
         "ac4ed88399cdfdbf4a782a291d02e7a03672d5905edaba3d026e4f05de7bb23e"
 
 
+@pytest.mark.parametrize("seed", [0, -1, 2**64 - 1, 2**64 + 5, 2024])
+def test_words_are_the_scalar_stream(seed):
+    """The lane-computed words are the scalar generator's outputs, across
+    chunk edges and with the seed masked to 64 bits."""
+    for n in (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7):
+        rng = SplitMix64(seed)
+        assert list(islice(_words(seed), n)) == [rng.next_u64() for _ in range(n)], n
+
+
+def _draws(views):
+    """The words a sample's trees used: 1 + k + (k - 1) + (k + 1) per tree
+    of k nodes."""
+    return sum(3 * len(labels) + 1 for labels, _, _ in views)
+
+
+@pytest.mark.parametrize("seed", [-7, 3, 2**64, 2**64 + 11, 2**70 + 1])
+@pytest.mark.parametrize("max_nodes", [1, 2, 8, 85, 3000])
+@pytest.mark.parametrize("letters", [("a",), ("a", "b"), ("a", "b", "c")])
+def test_sample_views_match_scalar_reference(seed, max_nodes, letters):
+    """The sampler draws the reference's trees, for samples whose draws
+    end inside a chunk and exactly on a chunk edge."""
+    def params(count):
+        return SamplerParams(seed=seed, max_nodes=max_nodes, alphabet=letters, count=count)
+
+    long = list(ref_sample_views(params(200 if max_nodes < 100 else 3)))
+    # the least count whose draws end at each offset into a chunk
+    ends = {_draws(long[:c]) % _CHUNK: c for c in range(len(long), 0, -1)}
+    counts = {1, len(long), ends.get(0, 1), min(c for r, c in ends.items() if r)}
+    for count in counts:
+        p = params(count)
+        assert list(_sample_views(p)) == list(ref_sample_views(p)), count
+    if max_nodes == 1:  # four words a tree: 64 trees end on the first chunk's edge
+        assert ends[0] == _CHUNK // 4
+
+
 def test_sampler_rejects_bad_params():
     with pytest.raises(ValidationError):
         SamplerParams(seed=1, max_nodes=0, alphabet=("a",), count=1)
@@ -1078,6 +1121,18 @@ def game_at_a(positions, edges=()):
     (lambda: parse_wlabel(3), "not an owner:rank label: 3"),
     (lambda: w_member(constant_tree("x"), IndexPair(0, 2)), "not an owner:rank label: 'x'"),
     (lambda: det_accepts(catalog.all_a(), FOREIGN_LABELS), "tree labels outside alphabet: ['y', 'z']"),
+    # a bool is an int to isinstance, but no field here takes one
+    (lambda: game_at_a({"a": ("E", True)}, [("a", "a")]), "position a: rank True is not an integer"),
+    (lambda: IndexPair(True, 1), "index iota must be 0 or 1, got True"),
+    (lambda: IndexPair(0, True), "index kappa must be an integer, got True"),
+    (lambda: SamplerParams(seed=True, max_nodes=8, alphabet=("a",), count=1),
+     "seed must be an integer, got True"),
+    (lambda: SamplerParams(seed=1, max_nodes=True, alphabet=("a",), count=1),
+     "max_nodes must be an integer, got True"),
+    (lambda: SamplerParams(seed=1, max_nodes=8, alphabet=("a",), count=True),
+     "count must be an integer, got True"),
+    (lambda: RegularTree(True, {"n": Node("a", ("n", "n"))}, "n"),
+     "arity must be an integer, got True"),
 ])
 def test_public_values_name_the_bad_field(call, message):
     with pytest.raises(ValidationError) as err:

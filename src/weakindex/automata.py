@@ -15,6 +15,7 @@ from operator import eq, itemgetter, lt
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ValidationError
+from .graphs import _condensation
 from .trees import _TOKEN, _is_token
 
 EXISTENTIAL = "E"
@@ -353,6 +354,25 @@ def _table(a: TreeAutomaton, keep: bool = True) -> _Table:
                       [0 if st.mode == EXISTENTIAL else 1 for st in states],
                       [index[t.target] for t in a.transitions])
     return _memo(a, "table", build) if keep else a._memo.get("table") or build()
+
+
+def _graph(a: TreeAutomaton):
+    """`a`'s move graph on its `_table` numbering, built once and kept in
+    `a._memo`: (succ, sccs, scc_of, edges), `succ[i]` state i's distinct
+    successors, ascending, over every letter, both directions and epsilon
+    moves, and the rest its condensation by `graphs._condensation`.  The
+    transitions are sorted by source, so a state's moves are one slice of
+    them: for a `DetAutomaton` its block of 2|Sigma|, else found by bisection."""
+    def build():
+        ids, _, _, _, target = _table(a)
+        ts = a.transitions
+        if isinstance(a, DetAutomaton):
+            bounds = range(0, len(ts) + 1, 2 * len(a.alphabet))
+        else:  # (q,) sorts before q's transitions and after those of smaller ids
+            bounds = [bisect_left(ts, (q,)) for q in ids] + [len(ts)]
+        succ = [sorted(set(target[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+        return (succ, *_condensation(succ))
+    return _memo(a, "graph", build)
 
 
 def _sink_moves(q: str, alphabet: tuple[str, ...]) -> list[Transition]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import catalog
 from .automata import DetAutomaton, IndexPair
@@ -214,10 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = cache(build_parser)  # built on `main`'s first call, then reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:

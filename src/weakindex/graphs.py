@@ -2,16 +2,17 @@
 the condensation, reachability and the rank-restricted components.
 
 `_sccs` is the one SCC pass (Tarjan, SIAM J. Comput. 1972), iterative so
-large graphs do not hit the recursion limit.  It runs on int nodes
-0..n-1 and a successor list per node, keeps `index` and `low` in lists,
-marks its stack in a bytearray and cuts each component off it in one
-slice, sorted.  Every internal pass calls it on ints.
-`_rank_sccs` is the one code that builds the subgraph ranked at most r,
-and `_loop_top` the one test for a loop with top r on its components; the
-pattern view's loop tops, the cycle ranks of `semantics` and
-`_has_top_cycle` run on them.  `tarjan_scc` and `condensation` keep their
-contract, any hashable nodes and a successor dict that may lack keys, by
-numbering the nodes and calling the kernel.
+large graphs do not hit the recursion limit.  It runs on int nodes 0..n-1
+and a successor list per node, keeps `index` and `low` in lists, marks its
+stack in a bytearray and cuts each component off it in one slice, sorted.
+Every internal pass calls it on ints, and `automata._graph` condenses each
+automaton's move graph once, by `_condensation`.  `_rank_sccs` is the one
+code that builds the subgraph ranked at most r, and `_loop_top` the one
+test for a loop with top r on its components; the pattern view's loop
+tops, the cycle ranks of `semantics` and `_has_top_cycle` run on them.
+`tarjan_scc` and `condensation` keep their contract, any hashable nodes
+and a successor dict that may lack keys, by numbering the nodes and
+calling the kernel.
 """
 
 from __future__ import annotations

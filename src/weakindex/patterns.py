@@ -8,14 +8,15 @@ p's strongly connected component supports a cycle and holds a state of
 rank r.
 
 Everything runs on one int view of the automaton (`_view`), which reads
-its numbering (ids, ranks and target indices) from `automata._table` and
-is kept in `a._memo` with what derives from it, once each: the
-rank-restricted SCCs of each rank, the loop tops of states and
-transitions as bitmasks with one bit per distinct rank and each SCC's
-smallest loops (`_tops`), the witness loops, the replicated set and the
-weak chain lengths.  Searches run on state and transition indices and map
-back to ids only to build a witness.  A brute-force enumerator over
-strongly connected state subsets serves as the independent oracle.
+its numbering from `automata._table` and its move graph and condensation
+from `automata._graph`, shared with `semantics`.  It is kept in `a._memo`
+with what derives from it, once each: the rank-restricted SCCs of each
+rank, the loop tops of states and transitions as bitmasks with one bit
+per distinct rank and each SCC's smallest loops (`_tops`), the witness
+loops, the replicated set and the weak chain lengths.  Searches run on
+state and transition indices and map back to ids only to build a
+witness.  A brute-force enumerator over strongly connected state subsets
+serves as the independent oracle.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .automata import BOT, DetAutomaton, IndexPair, Transition, _memo, _table
+from .automata import BOT, DetAutomaton, IndexPair, Transition, _graph, _memo, _table
 from .errors import GameTooLarge, ValidationError
-from .graphs import _condensation, _loop_top, _rank_sccs as _graph_rank_sccs, reachable_from
+from .graphs import _loop_top, _rank_sccs as _graph_rank_sccs, has_cycle_inside, reachable_from
 
 INF = float("inf")
 _Build = Callable[[], object]  # builds a witness once a check has decided it exists
@@ -233,7 +234,7 @@ class _View(NamedTuple):
     parity: tuple[int, int]  # the masks of the even and of the odd ranks
     width: int
     target: list[int]  # per transition
-    succ: list[list[int]]  # per state, its distinct successors, ascending
+    succ: list[list[int]]  # `automata._graph`: per state, its distinct successors, ascending
     sccs: list[list[int]]  # the condensation: SCCs in topological order,
     scc_of: list[int]  # each state's SCC
     edges: list[set[int]]  # and the SCC successor sets
@@ -246,11 +247,10 @@ def _view(a: DetAutomaton) -> _View:
         ranks = sorted(set(rank))
         bit = {r: k for k, r in enumerate(ranks)}
         parity = tuple(sum(1 << k for k, r in enumerate(ranks) if r % 2 == b) for b in (0, 1))
-        width = 2 * len(a.alphabet)
-        succ = [sorted(set(target[lo:lo + width])) for lo in range(0, len(target), width)]
-        sccs, scc_of, edges = _condensation(succ)
-        return _View(ids, index, rank, ranks, [bit[r] for r in rank], parity, width, target,
-                     succ, sccs, scc_of, edges, [max(map(rank.__getitem__, c)) for c in sccs])
+        graph = _graph(a)
+        return _View(ids, index, rank, ranks, [bit[r] for r in rank], parity,
+                     2 * len(a.alphabet), target, *graph,
+                     [max(map(rank.__getitem__, c)) for c in graph[1]])
     return _memo(a, "view", build)
 
 
@@ -718,7 +718,7 @@ class PatternInventory:
         for size in range(1, len(states) + 1):
             for combo in itertools.combinations(states, size):
                 s = frozenset(combo)
-                if self._strongly_connected(s, succ) and self._has_cycle(s, succ):
+                if has_cycle_inside(combo, succ) and self._strongly_connected(s, succ):
                     self.subsets.append((s, max(a.rank(q) for q in s)))
         self.loop_tops = {q: frozenset(m for s, m in self.subsets if q in s)
                           for q in states}
@@ -733,23 +733,9 @@ class PatternInventory:
 
     def _strongly_connected(self, s: frozenset, succ) -> bool:
         first = next(iter(s))
-        fwd = reachable_from([first], {q: [w for w in succ[q] if w in s] for q in s})
-        ok = fwd >= s
-        if ok:
-            pred: dict[str, list[str]] = {q: [] for q in s}
-            for q in s:
-                for w in succ[q]:
-                    if w in s:
-                        pred[w].append(q)
-            bwd = reachable_from([first], pred)
-            ok = bwd >= s
-        return ok
-
-    def _has_cycle(self, s: frozenset, succ) -> bool:
-        if len(s) > 1:
-            return True
-        q = next(iter(s))
-        return q in succ[q]
+        inside = {q: [w for w in succ[q] if w in s] for q in s}
+        pred = {q: [p for p in s if q in inside[p]] for q in s}
+        return reachable_from([first], inside) >= s and reachable_from([first], pred) >= s
 
     def _compute_replicated(self) -> frozenset[str]:
         a = self.automaton

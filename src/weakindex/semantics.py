@@ -27,9 +27,9 @@ with no cycle ranks is decided on the product of its own ranks, by the
 cycle check or the strong solver.  `bounded_equiv` indexes each
 tree once and runs both automata on that view; it takes the fixed battery
 and the samples as views and builds a `RegularTree` only for the
-counterexample it returns.
-Cycle ranks and the cycle check run on the rank-restricted components of
-`graphs._rank_sccs`.  The run reduction folds the same product search
+counterexample it returns.  Cycle ranks read the pattern view's move
+graph, `automata._graph`; they and the cycle check run on the components
+of `graphs._rank_sccs`.  The run reduction folds the same product search
 into its tree.
 """
 
@@ -48,6 +48,7 @@ from .automata import (
     Transition,
     TreeAutomaton,
     UNIVERSAL,
+    _graph,
     _table,
     index_of,
     normalize_ranks,
@@ -171,15 +172,6 @@ def _product_arrays(a: TreeAutomaton, view, route=None):
     return [owner[q * width + row[v]] for q, v in zip(states, nodes)], ranks, succ
 
 
-def _successors(moves, n: int, width: int):
-    """Each of the n states' successors in the move graph of `moves`
-    (flat by (state, letter id), `width` letters): every letter, both
-    directions and epsilon moves, each target once."""
-    return [list(dict.fromkeys(p for x in range(q * width, (q + 1) * width)
-                               for _, p in moves[x]))
-            for q in range(n)]
-
-
 def _live(succ, comps, ranks, stuck):
     """Per state of the move graph `succ`, 1 iff it can reach a looping
     component of odd rank or a state q with `stuck[q]` set, an existential
@@ -243,44 +235,41 @@ def _attract(live, moves, owner, width: int):
 
 
 def _cycle_ranks(a: TreeAutomaton):
-    """(cycle ranks, move graph, its components sinks first) of the
-    automaton, or None if one of its strongly connected components has
-    loops of both parities.
+    """(cycle ranks, move graph, its components sinks first) of `a`, or
+    None if one of its components has loops of both parities.
 
-    The move graph takes every letter, both directions and epsilon moves.
-    Its components, found by one `graphs._sccs` pass, are numbered in
-    topological order, and a state in component number i gets 2i plus the
-    parity of that component's loop tops (0 if it has no loop).  A looping
-    component's highest rank is a loop top, so `graphs._has_top_cycle`,
-    one ascending pass over `graphs._rank_sccs`, asks the other parity.
-    Cycle ranks never decrease along a move, and every closed walk in a
-    component has a top of its parity, so read as a weak automaton on its
-    cycle ranks the automaton keeps its language (Emerson & Lei, SCP 1987).
+    The graph and its components are `automata._graph`'s, which the
+    pattern view reads too.  A state in component c, in topological
+    order, gets 2c plus the parity of its component's loop tops (0 with
+    no loop).  A looping component's highest rank is a loop top, so
+    `graphs._has_top_cycle` asks the other parity.  Cycle ranks never
+    decrease along a move, and every closed walk in a component has a top
+    of its parity, so read as a weak automaton on its cycle ranks the
+    automaton keeps its language (Emerson & Lei, SCP 1987).
     """
-    _, letter, moves, _, rank = _view(a)
-    succ = _successors(moves, len(rank), len(letter))
-    comps = _sccs(succ)
+    rank, (succ, sccs, _, _) = _table(a).rank, _graph(a)
     ranks = [0] * len(rank)
-    for level, comp in enumerate(reversed(comps)):
+    for c, comp in enumerate(sccs):
         odd = 0
         if has_cycle_inside(comp, succ):
             odd = max(map(rank.__getitem__, comp)) % 2
             if _has_top_cycle(comp, succ, rank, 1 - odd):
                 return None
         for q in comp:
-            ranks[q] = 2 * level + odd
-    return ranks, succ, comps
+            ranks[q] = 2 * c + odd
+    return ranks, succ, sccs[::-1]
 
 
 def _expansion(moves, rank, width: int, q0: int):
-    """(moves, ranks, states) of the (state, highest rank so far) expansion:
-    pair (q, m) moves where q does, to (p, max(m, rank p)), and has rank m;
-    `states[j]` is the state of pair j.  The pairs reachable from
-    (q0, rank q0) are numbered in one breadth-first search from it, which
-    is pair 0."""
+    """(moves, ranks, states, succ) of the (state, highest rank so far)
+    expansion: pair (q, m) moves where q does, to (p, max(m, rank p)), and
+    has rank m; `states[j]` is the state of pair j and `succ[j]` its
+    distinct successors, in the order of its moves.  The pairs reachable
+    from (q0, rank q0) are numbered in one breadth-first search from it,
+    which is pair 0."""
     pairs = [(q0, rank[q0])]
     index = {pairs[0]: 0}
-    out_moves = []
+    out_moves, succ = [], []
     for q, m in pairs:  # breadth-first: `pairs` grows while it is read
         for x in range(q * width, (q + 1) * width):
             out = []
@@ -293,7 +282,8 @@ def _expansion(moves, rank, width: int, q0: int):
                     pairs.append(pair)
                 out.append((d, j))
             out_moves.append(out)
-    return out_moves, [m for _, m in pairs], [q for q, _ in pairs]
+        succ.append(list(dict.fromkeys(j for out in out_moves[-width:] for _, j in out)))
+    return out_moves, [m for _, m in pairs], [q for q, _ in pairs], succ
 
 
 def _vector(a: TreeAutomaton):
@@ -322,9 +312,8 @@ def _vector(a: TreeAutomaton):
     sidx, letter, moves, owner, rank = _view(a)
     width = len(letter)
     if a.acceptance == "weak":
-        moves, ranks, states = _expansion(moves, rank, width, sidx[a.initial])
+        moves, ranks, states, succ = _expansion(moves, rank, width, sidx[a.initial])
         owner = [owner[q] for q in states]
-        succ = _successors(moves, len(ranks), width)
         start, found = 0, (ranks, succ, _sccs(succ))
     else:
         start, found = sidx[a.initial], _cycle_ranks(a)

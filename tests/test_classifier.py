@@ -50,6 +50,7 @@ def test_catalog_borel_and_weak_alt():
     for name, (level, walt) in EXPECTED.items():
         report = classify(catalog.get(name))
         assert report.borel.minimal is level, name
+        assert str(report.borel) == str(report.borel.minimal), name
         if walt is None:
             assert report.weak_alt is None
         else:

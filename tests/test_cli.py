@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from weakindex import catalog
+from weakindex import catalog, cli
 from weakindex.automata import IndexPair, index_of
 from weakindex.cli import main
 from weakindex.formats import parse_automaton, serialize_automaton, serialize_regular_tree
@@ -228,6 +228,28 @@ def test_dot_malformed_tree_reports_tree_error(tmp_path, capsys):
 
 def test_usage_error_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+def test_parser_is_built_once_and_prints_as_a_fresh_one(monkeypatch, capsys):
+    """`--help` and a usage error print the same bytes and exit the same
+    on a second call in one process, with no parser built for it, as a
+    fresh `build_parser()` does."""
+    fresh = cli.build_parser
+
+    def refuse():
+        raise AssertionError("main built a second parser")
+
+    for argv, code in ((["--help"], 0), (["frobnicate"], 2)):
+        first = (main(argv), *capsys.readouterr())
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        second = (main(argv), *capsys.readouterr())
+        monkeypatch.undo()
+        with pytest.raises(SystemExit) as exit_:
+            fresh().parse_args(argv)
+        assert exit_.value.code == code
+        assert first == second == (code, *capsys.readouterr())
+        _, out, err = first
+        assert err if code else out  # help on stdout, the usage error on stderr
 
 
 def test_deterministic_reports(all_a_file, capsys):

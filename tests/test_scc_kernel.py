@@ -13,7 +13,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakindex import catalog
+from weakindex import catalog, graphs
 from weakindex.automata import DetAutomaton, State, Transition, _table
 from weakindex.errors import (
     IndexTooHigh,
@@ -80,11 +80,12 @@ def ref_has_top_cycle(nodes, succ, rank, parity):
 
 
 def ref_cycle_ranks(a):
-    """`semantics._cycle_ranks` as it was, on successor dicts."""
+    """`semantics._cycle_ranks` on successor dicts.  Each state's successors
+    are ascending, as in the one move graph, so that the components no
+    path orders are numbered as there."""
     _, letter, moves, _, rank = membership_view(a)
     width = len(letter)
-    succ = {q: list(dict.fromkeys(p for x in range(q * width, (q + 1) * width)
-                                  for _, p in moves[x]))
+    succ = {q: sorted(set(p for x in range(q * width, (q + 1) * width) for _, p in moves[x]))
             for q in range(len(rank))}
     ranks = [0] * len(rank)
     for level, comp in enumerate(reversed(ref_tarjan(range(len(rank)), succ))):
@@ -291,6 +292,28 @@ def test_loop_tops_and_cycle_ranks_stay_linear_on_long_chains(n, pairs):
 
 
 # -- the passes that call the kernel -------------------------------------------------
+
+
+def test_pattern_view_and_cycle_ranks_share_one_move_graph(monkeypatch):
+    """`patterns._view` and `semantics._cycle_ranks` read one successor list
+    and one condensation, in either order: the kernel runs once for both.
+    The chain's looping components each hold one rank, so the cycle check
+    asks the rank-restricted routine nothing."""
+    kernel, calls = graphs._sccs, []
+
+    def counted(succ, roots=None):
+        calls.append(len(succ))
+        return kernel(succ, roots)
+
+    for m in list(sys.modules.values()):
+        if m is not None and m.__name__.startswith("weakindex") and vars(m).get("_sccs") is kernel:
+            monkeypatch.setattr(m, "_sccs", counted)
+    for first, second in ((_view, _cycle_ranks), (_cycle_ranks, _view)):
+        a = one_way_chain(50, pairs=False)
+        first(a), second(a)
+        assert _cycle_ranks(a)[1] is _view(a).succ
+        assert calls == [50]
+        calls.clear()
 
 
 def assert_view_and_tops_match(a):

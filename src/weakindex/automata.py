@@ -15,7 +15,7 @@ from operator import eq, itemgetter, lt
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ValidationError
-from .graphs import _condensation
+from .graphs import _sccs
 from .trees import _TOKEN, _is_token
 
 EXISTENTIAL = "E"
@@ -358,9 +358,11 @@ def _table(a: TreeAutomaton, keep: bool = True) -> _Table:
 
 def _graph(a: TreeAutomaton):
     """`a`'s move graph on its `_table` numbering, built once and kept in
-    `a._memo`: (succ, sccs, scc_of, edges), `succ[i]` state i's distinct
-    successors, ascending, over every letter, both directions and epsilon
-    moves, and the rest its condensation by `graphs._condensation`.  The
+    `a._memo`: (succ, sccs), `succ[i]` state i's distinct successors,
+    ascending, over every letter, both directions and epsilon moves, and
+    `sccs` its strongly connected components by `graphs._sccs`, in
+    topological order (sources first).  The pattern view condenses it
+    further; membership reads only these two.  The
     transitions are sorted by source, so a state's moves are one slice of
     them: for a `DetAutomaton` its block of 2|Sigma|, else found by bisection."""
     def build():
@@ -371,7 +373,7 @@ def _graph(a: TreeAutomaton):
         else:  # (q,) sorts before q's transitions and after those of smaller ids
             bounds = [bisect_left(ts, (q,)) for q in ids] + [len(ts)]
         succ = [sorted(set(target[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
-        return (succ, *_condensation(succ))
+        return succ, _sccs(succ)[::-1]
     return _memo(a, "graph", build)
 
 

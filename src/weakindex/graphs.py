@@ -5,11 +5,12 @@ the condensation, reachability and the rank-restricted components.
 large graphs do not hit the recursion limit.  It runs on int nodes 0..n-1
 and a successor list per node, keeps `index` and `low` in lists, marks its
 stack in a bytearray and cuts each component off it in one slice, sorted.
-Every internal pass calls it on ints, and `automata._graph` condenses each
-automaton's move graph once, by `_condensation`.  `_rank_sccs` is the one
-code that builds the subgraph ranked at most r, and `_loop_top` the one
-test for a loop with top r on its components; the pattern view's loop
-tops, the cycle ranks of `semantics` and `_has_top_cycle` run on them.
+Every internal pass calls it on ints, and `automata._graph` runs it once
+on each automaton's move graph; the pattern view condenses that, by
+`_condensation`.  `_rank_sccs` is the one code that builds the subgraph
+ranked at most r, and `_loop_top` the one test for a loop with top r on
+its components; the pattern view's loop tops, the cycle ranks and odd
+loop tops of `semantics` and `_has_top_cycle` run on them.
 `tarjan_scc` and `condensation` keep their contract, any hashable nodes
 and a successor dict that may lack keys, by numbering the nodes and
 calling the kernel.
@@ -70,10 +71,10 @@ def _sccs(succ, roots=None) -> list[list[int]]:
     return out
 
 
-def _condensation(succ):
+def _condensation(succ, sccs):
     """(SCCs in topological order, each node's SCC, the SCC successor sets)
-    of the graph on nodes 0..len(succ)-1, as `_sccs` finds it."""
-    sccs = _sccs(succ)[::-1]  # sources first
+    of the graph on nodes 0..len(succ)-1, given `sccs`, its SCCs in
+    topological order (sources first) as `_sccs(succ)[::-1]` finds them."""
     comp_of = [0] * len(succ)
     for c, comp in enumerate(sccs):
         for v in comp:
@@ -118,7 +119,7 @@ def condensation(nodes: list, succ: dict):
     sccs = tarjan_scc(nodes, succ)[::-1]  # topological order (sources first)
     comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
     edges: list[set[int]] = [set() for _ in sccs]
-    for v in nodes:
+    for v in comp_of:  # every node the search numbered, also those reached only through `succ`
         for w in succ.get(v, ()):
             if comp_of[v] != comp_of[w]:
                 edges[comp_of[v]].add(comp_of[w])

@@ -8,15 +8,16 @@ p's strongly connected component supports a cycle and holds a state of
 rank r.
 
 Everything runs on one int view of the automaton (`_view`), which reads
-its numbering from `automata._table` and its move graph and condensation
-from `automata._graph`, shared with `semantics`.  It is kept in `a._memo`
-with what derives from it, once each: the rank-restricted SCCs of each
-rank, the loop tops of states and transitions as bitmasks with one bit
-per distinct rank and each SCC's smallest loops (`_tops`), the witness
-loops, the replicated set and the weak chain lengths.  Searches run on
-state and transition indices and map back to ids only to build a
-witness.  A brute-force enumerator over strongly connected state subsets
-serves as the independent oracle.
+its numbering from `automata._table` and its move graph and components
+from `automata._graph`, shared with `semantics`, and condenses them by
+`graphs._condensation`.  It is kept in `a._memo` with what derives from
+it, once each: the rank-restricted SCCs of each rank, the loop tops of
+states and transitions as bitmasks with one bit per distinct rank and
+each SCC's smallest loops (`_tops`), the witness loops, the replicated
+set and the weak chain lengths.  Searches run on state and transition
+indices and map back to ids only to build a witness.  A brute-force
+enumerator over strongly connected state subsets serves as the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from typing import Callable, NamedTuple, Optional
 
 from .automata import BOT, DetAutomaton, IndexPair, Transition, _graph, _memo, _table
 from .errors import GameTooLarge, ValidationError
-from .graphs import _loop_top, _rank_sccs as _graph_rank_sccs, has_cycle_inside, reachable_from
+from .graphs import (_condensation, _loop_top, _rank_sccs as _graph_rank_sccs, has_cycle_inside,
+                     reachable_from)
 
 INF = float("inf")
 _Build = Callable[[], object]  # builds a witness once a check has decided it exists
@@ -247,10 +249,10 @@ def _view(a: DetAutomaton) -> _View:
         ranks = sorted(set(rank))
         bit = {r: k for k, r in enumerate(ranks)}
         parity = tuple(sum(1 << k for k, r in enumerate(ranks) if r % 2 == b) for b in (0, 1))
-        graph = _graph(a)
+        succ, sccs = _graph(a)
         return _View(ids, index, rank, ranks, [bit[r] for r in rank], parity,
-                     2 * len(a.alphabet), target, *graph,
-                     [max(map(rank.__getitem__, c)) for c in graph[1]])
+                     2 * len(a.alphabet), target, succ, *_condensation(succ, sccs),
+                     [max(map(rank.__getitem__, c)) for c in sccs])
     return _memo(a, "view", build)
 
 

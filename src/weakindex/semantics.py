@@ -17,20 +17,24 @@ component of odd rank or at a state where Eve is stuck (Emerson & Lei,
 SCP 1987).  A state that can reach neither, or from which Eve can force
 every play out of such states (her attractor), is not live and accepts
 every tree, and a query from one is answered without a search.  An
-automaton with no existential state is decided by a one-player search
-that never enters a state that is not live.  One with an existential
-state is decided by the linear weak layering of `eve_wins_arrays` on the
-product of its vector, cut where Eve has already won: a slot where she
-can move into a state that is not live is a leaf won by her, and Adam's
-moves into such states are dropped (`_route`).  Only a strong automaton
-with no cycle ranks is decided on the product of its own ranks, by the
-cycle check or the strong solver.  `bounded_equiv` indexes each
-tree once and runs both automata on that view; it takes the fixed battery
-and the samples as views and builds a `RegularTree` only for the
-counterexample it returns.  Cycle ranks read the pattern view's move
-graph, `automata._graph`; they and the cycle check run on the components
-of `graphs._rank_sccs`.  The run reduction folds the same product search
-into its tree.
+automaton with a vector and no existential state is decided by a
+one-player search that never enters a state that is not live.  One with
+an existential state is decided by the linear weak layering of
+`eve_wins_arrays` on the product of its vector, cut where Eve has
+already won: a slot where she can move into a state that is not live is
+a leaf won by her, and Adam's moves into such states are dropped
+(`_route`).  A strong automaton with
+no cycle ranks and no existential state is decided by a nested
+depth-first search over guessed odd loop tops (`_nested_accepts`), on
+copies of the automaton built once (`_top_copies`), with no product
+arrays.  Only a strong automaton with no cycle ranks and an existential
+state is decided on the product arrays of its own ranks, by the strong
+solver.  `bounded_equiv` indexes each tree once and runs both automata
+on that view; it takes the fixed battery and the samples as views and
+builds a `RegularTree` only for the counterexample it returns.  Cycle
+ranks and odd loop tops read the pattern view's move graph,
+`automata._graph`, and run on the components of `graphs._rank_sccs`.
+The run reduction folds the same product search into its tree.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .automata import (
 )
 from .errors import ValidationError
 from .games import ADAM, EVE, Game, eve_wins_arrays
-from .graphs import _has_top_cycle, _sccs, has_cycle_inside
+from .graphs import _has_top_cycle, _loop_top, _rank_sccs, _sccs, has_cycle_inside
 from .rng import _words
 from .trees import _TOKEN, Node, RegularTree, _is_token, parse_wlabel
 
@@ -247,7 +251,7 @@ def _cycle_ranks(a: TreeAutomaton):
     of its parity, so read as a weak automaton on its cycle ranks the
     automaton keeps its language (Emerson & Lei, SCP 1987).
     """
-    rank, (succ, sccs, _, _) = _table(a).rank, _graph(a)
+    rank, (succ, sccs) = _table(a).rank, _graph(a)
     ranks = [0] * len(rank)
     for c, comp in enumerate(sccs):
         odd = 0
@@ -330,9 +334,10 @@ def _vector(a: TreeAutomaton):
 
 def _route(a: TreeAutomaton):
     """(start, ranks, moves, owner) on `a`'s `_vector` that decide its
-    memberships, or None if the product arrays on its `_view` decide them:
-    a strong automaton with a component whose loops have tops of both
-    parities.  Chosen once and kept in `a._memo`.
+    memberships, or None if it has no `_vector`: a strong automaton with a
+    component whose loops have tops of both parities, which `_accepts`
+    decides by the nested search, or with an existential state on the
+    product arrays of its `_view`.  Chosen once and kept in `a._memo`.
 
     A state that is not live accepts every tree, and the route's moves
     lead only into live states.  An automaton with no existential state
@@ -424,6 +429,149 @@ def _universal_weak_accepts(a: TreeAutomaton, view, route=None) -> bool:
     return True
 
 
+def _top_copies(a: TreeAutomaton):
+    """(start, accepting, moves) of the graph on which `_nested_accepts`
+    decides the memberships of `a`, an automaton with no existential
+    state and no `_vector`, or None if its initial state can reach no odd
+    loop top, so that it accepts every tree.  Built once and kept in
+    `a._memo`.
+
+    An odd loop top is a state q of odd rank r that lies on a cycle of the
+    subgraph ranked at most r: `graphs._loop_top` on the components of
+    `graphs._rank_sccs` at r, asked once per odd rank r on the looping
+    components of `automata._graph` that hold a state of rank r.  The
+    graph's states come in copies:
+    - copy 0 is `a` itself, states 0..|Q|-1 as `_view` numbers them, with
+      its moves cut to states that can reach an odd loop top;
+    - copy r, for each odd rank r that tops a loop, holds the states of
+      the components at r that hold such a top, numbered after the copies
+      before it, and keeps only the moves inside the source's component;
+    - an odd loop top q of copy 0 moves first, by epsilon on every letter,
+      to its own state in copy rank(q).
+    A state of copy r is accepting iff its rank is r; no state of copy 0
+    is.  `moves[s * |Sigma| + x]` lists the (direction, state) moves of
+    state s on letter id x, and `start` is the initial state in copy 0.
+    """
+    memo = a._memo
+    if "membership_copies" in memo:
+        return memo["membership_copies"]
+    sidx, letter, moves, _, rank = _view(a)
+    width = len(letter)
+    succ, sccs = _graph(a)
+    n = len(rank)
+    held = defaultdict(list)  # odd rank r -> the looping components with a state of rank r
+    for comp in sccs:
+        if has_cycle_inside(comp, succ):
+            for r in {rank[q] for q in comp if rank[q] & 1}:
+                held[r] += comp
+    jump = [-1] * n  # per odd loop top of copy 0, its state in the copy of its rank
+    accepting, copy_moves = bytearray(n), []
+    for r in sorted(held):
+        sub, adj, comps = _rank_sccs(held[r], succ, rank, r)
+        for comp in comps:
+            if _loop_top(comp, adj, sub, rank, r) is None:
+                continue
+            states = [sub[i] for i in comp]
+            place = {q: len(accepting) + k for k, q in enumerate(states)}
+            for q in states:
+                accepting.append(rank[q] == r)
+                if rank[q] == r:
+                    jump[q] = place[q]
+                copy_moves += ([(d, place[p]) for d, p in moves[x] if p in place]
+                               for x in range(q * width, (q + 1) * width))
+    reach = bytearray(n)  # 1 iff the state can reach an odd loop top
+    for comp in reversed(sccs):  # sinks first
+        if any(jump[q] >= 0 for q in comp) or any(reach[p] for q in comp for p in succ[q]):
+            for q in comp:
+                reach[q] = 1
+    copies = None
+    start = sidx[a.initial]
+    if reach[start]:
+        table = []
+        for q in range(n):
+            first = [(None, jump[q])] if jump[q] >= 0 else []
+            table += (first + [(d, p) for d, p in moves[x] if reach[p]]
+                      for x in range(q * width, (q + 1) * width))
+        copies = (start, accepting, table + copy_moves)
+    memo["membership_copies"] = copies
+    return copies
+
+
+def _nested_accepts(a: TreeAutomaton, view) -> bool:
+    """Membership of the tree `view` in `a`, an automaton with no
+    existential state and no `_vector`, decided by a nested depth-first
+    search over the positions (state, node) of `_top_copies(a)`, stepping
+    moves as `_universal_weak_accepts` does.
+
+    Adam moves alone, so he wins iff the product of `a` and the tree has a
+    reachable cycle whose top rank r is odd.  Such a cycle runs through an
+    odd loop top q of rank r and stays inside q's component at r, so it is
+    reached in copy 0, entered at q in copy r and closed there through an
+    accepting position; a cycle through an accepting position of copy r
+    is one of the product with top r.  Adam wins iff some accepting cycle
+    is reachable, and the search finds one as the nested depth-first
+    search of Courcoubetis, Vardi, Wolper and Yannakakis (FMSD 1992) does,
+    in the colours of Schwoon and Esparza (TACAS 2005): the blue search
+    marks the positions on its path cyan and those it has finished blue,
+    and on finishing an accepting position runs a red search from it
+    through blue positions, which it turns red.  A move from the blue
+    search into a cyan position closes a cycle, accepting if either end
+    is; a move of a red search into a cyan position closes one through
+    the accepting position it started from.  Either returns at once.  Each
+    position is searched at most once in blue and once in red.  Position
+    (s, v) has slot s * nn + v in a bytearray while there are at most
+    `_LIST_INDEX_SLOTS` slots, else in a dict.
+    """
+    copies = _top_copies(a)
+    if copies is None:
+        return True
+    start, accepting, moves = copies
+    letter = _view(a)[1]
+    labels, children, root = view
+    nn = len(labels)
+    width = len(letter)
+    row = [letter[x] for x in labels]
+    slots = len(accepting) * nn
+    color = bytearray(slots) if slots <= _LIST_INDEX_SLOTS else defaultdict(int)
+    key = start * nn + root
+    color[key] = 1  # 1 cyan, 2 blue, 3 red
+    blue = [(key, start, root, iter(moves[start * width + row[root]]))]
+    while blue:
+        key, s, v, out = blue[-1]
+        for d, p in out:
+            w = v if d is None else children[v][d]
+            k = p * nn + w
+            c = color[k]
+            if not c:
+                color[k] = 1
+                blue.append((k, p, w, iter(moves[p * width + row[w]])))
+                break
+            if c == 1 and (accepting[s] or accepting[p]):
+                return False
+        else:
+            blue.pop()
+            if not accepting[s]:
+                color[key] = 2
+                continue
+            red = [(v, iter(moves[s * width + row[v]]))]  # (s, v) stays cyan meanwhile
+            while red:
+                u, rest = red[-1]
+                for d, p in rest:
+                    w = u if d is None else children[u][d]
+                    k = p * nn + w
+                    c = color[k]
+                    if c == 1:
+                        return False
+                    if c == 2:
+                        color[k] = 3
+                        red.append((w, iter(moves[p * width + row[w]])))
+                        break
+                else:
+                    red.pop()
+            color[key] = 3
+    return True
+
+
 def _accepts_every_tree(a: TreeAutomaton) -> bool:
     """Whether the initial state of `a`'s `_vector` is not live, so that
     its language holds every tree."""
@@ -445,22 +593,21 @@ def _accepts(a: TreeAutomaton, view) -> bool:
       `eve_wins_arrays` under the weak condition on the product arrays of
       the route, cut where Eve has already won: linear weak layering,
       also for a strong automaton.
-    - A strong automaton with no `_vector` whose product Adam moves in
-      alone is rejected iff the product has a cycle with an odd top:
-      `graphs._has_top_cycle`, which returns at its first hit.  Every
-      position is reachable from position 0, so no reachability pass
-      comes first.
-    - Any other strong product with no `_vector` goes to the strong
-      solver of `eve_wins_arrays`, a winner-only solve at position 0.
+    - A strong automaton with no `_vector` and no existential state is
+      decided by the nested depth-first search `_nested_accepts` over
+      guessed odd loop tops, which builds no product arrays either; if
+      its initial state reaches no odd loop top, at once.
+    - A strong automaton with no `_vector` and an existential state goes
+      to the strong solver of `eve_wins_arrays` on the product arrays of
+      its view, a winner-only solve at position 0.
     """
     if _accepts_every_tree(a):
         return True
     route = _route(a)
     if route is None:
-        owner, rank, succ = _product_arrays(a, view)
-        if 0 not in owner:
-            return not _has_top_cycle(range(len(succ)), succ, rank, 1)
-        return eve_wins_arrays(owner, rank, succ, weak=False)
+        if 0 not in _view(a)[3]:
+            return _nested_accepts(a, view)
+        return eve_wins_arrays(*_product_arrays(a, view), weak=False)
     if route[3] is None:
         return _universal_weak_accepts(a, view, route)
     return eve_wins_arrays(*_product_arrays(a, view, route), weak=True)
@@ -476,8 +623,8 @@ def det_accepts(a: DetAutomaton, t: RegularTree) -> bool:
     """Deterministic membership: the unique run must have no reachable cycle
     with odd top rank; the product game is all-Adam.  `_accepts` decides it
     by the one-player search on the automaton's cycle ranks, or by the
-    cycle check on the product if a component of the automaton has loops
-    of both parities."""
+    nested search over guessed odd loop tops if a component of the
+    automaton has loops of both parities."""
     _check_labels(a, t)
     return _accepts(a, _tree_view(t))
 

@@ -51,12 +51,13 @@ from test_acceptance import _admissible_pool
 
 
 def ref_condensation(nodes, succ):
-    """`condensation` as it was: SCCs in topological order, a dict from
-    node to SCC, and the SCC successor sets, in the same insertion order."""
+    """`condensation` as it was, with the SCC edges out of every node the
+    search reaches: SCCs in topological order, a dict from node to SCC,
+    and the SCC successor sets, in the same insertion order."""
     sccs = ref_tarjan(nodes, succ)[::-1]
     comp_of = {v: i for i, comp in enumerate(sccs) for v in comp}
     edges = [set() for _ in sccs]
-    for v in nodes:
+    for v in comp_of:
         for w in succ.get(v, ()):
             if comp_of[v] != comp_of[w]:
                 edges[comp_of[v]].add(comp_of[w])
@@ -160,7 +161,7 @@ def check_graph(n, edges, roots, names):
     as_dict = dict(enumerate(succ))
     assert _sccs(succ) == ref_tarjan(range(n), as_dict)
     assert _sccs(succ, roots) == ref_tarjan(roots, as_dict)
-    sccs, comp_of, cedges = _condensation(succ)
+    sccs, comp_of, cedges = _condensation(succ, _sccs(succ)[::-1])
     want = ref_condensation(range(n), as_dict)
     assert (sccs, dict(enumerate(comp_of)), cedges) == want
 
@@ -202,6 +203,13 @@ def test_kernel_matches_the_dict_keyed_tarjan_on_seeded_graphs():
         roots = [u for u in range(n) if rng.below(3)]
         roots.reverse()
         check_graph(n, edges, roots, [f"s{u:03d}" for u in range(n)])
+
+
+def test_condensation_keeps_edges_out_of_nodes_reached_only_through_succ():
+    """b and c are not among the nodes passed, but the search reaches them,
+    so the edge b -> c is an SCC edge too."""
+    assert condensation(["a"], {"a": ["b"], "b": ["c"]}) == (
+        [["a"], ["b"], ["c"]], {"a": 0, "b": 1, "c": 2}, [{1}, {2}, set()])
 
 
 def test_a_100000_node_chain_runs_without_recursion():
@@ -296,7 +304,8 @@ def test_loop_tops_and_cycle_ranks_stay_linear_on_long_chains(n, pairs):
 
 def test_pattern_view_and_cycle_ranks_share_one_move_graph(monkeypatch):
     """`patterns._view` and `semantics._cycle_ranks` read one successor list
-    and one condensation, in either order: the kernel runs once for both.
+    and one list of components, in either order: the kernel runs once for
+    both.
     The chain's looping components each hold one rank, so the cycle check
     asks the rank-restricted routine nothing."""
     kernel, calls = graphs._sccs, []

@@ -9,6 +9,7 @@ import pytest
 
 from weakindex import catalog, semantics
 from weakindex.automata import (
+    DetAutomaton,
     IndexPair,
     State,
     Transition,
@@ -354,11 +355,12 @@ def _refuse_view(a, view, route=None):
 
 
 def test_accepts_routes_universal_weak_automata_to_the_one_player_search(monkeypatch):
-    """An automaton with no existential state builds no product arrays if
-    it is weak, or strong with loops of one parity per component; one with
-    an existential state builds them on its route, never on its view, and
-    one component with loops of both parities sends it back to the
-    product arrays on the view."""
+    """An automaton with no existential state builds no product arrays,
+    whether it is weak, strong with loops of one parity per component, or
+    strong with a component whose loops have tops of both parities; one
+    with an existential state and a `_vector` builds them on its route,
+    never on its view, and only one with an existential state and no
+    `_vector` builds them on the view."""
     a = make_automaton(("a",), {"i": ("A", 0), "p": ("A", 1)}, "i",
                        [("i", "a", 0, "p"), ("p", "a", None, "p")], acceptance="weak")
     view = _tree_view(constant_tree("a"))
@@ -376,18 +378,22 @@ def test_accepts_routes_universal_weak_automata_to_the_one_player_search(monkeyp
     for name in ("all_a", "ex_b_left"):
         assert semantics._accepts(catalog.get(name), view) is (name == "all_a"), name
 
+    # with loops of both parities in a component and no existential state,
+    # the nested search decides, on no product arrays either
+    both = strong.with_states({**strong.states, "q": State("A", 4)})  # loop tops 3 and 4
+    assert semantics._route(both) is None
+    assert semantics._accepts(both, view) is False
+    for name in ("fin_b_left", "inf_b_left", "spine_fin_b", "split_min"):
+        a = catalog.get(name)
+        assert semantics._route(a) is None, name
+        assert semantics._accepts(a, view) is _cycle_check_accepts(a, view), name
+
     monkeypatch.setattr(semantics, "_product_arrays", _refuse_view)
     assert semantics._route(mixed)[3] is not None
     assert semantics._accepts(mixed, view) is expected is False
-    both = strong.with_states({**strong.states, "q": State("A", 4)})  # loop tops 3 and 4
-    with pytest.raises(AssertionError, match="product arrays built on the view"):
-        semantics._accepts(both, view)
     eve_both = both.with_states({**both.states, "i": State("E", 1)})
     with pytest.raises(AssertionError, match="product arrays built on the view"):
         semantics._accepts(eve_both, view)
-    for name in ("fin_b_left", "inf_b_left", "spine_fin_b", "split_min"):
-        with pytest.raises(AssertionError, match="product arrays built on the view"):
-            semantics._accepts(catalog.get(name), view)
 
 
 def _cycle_check_accepts(a, view):
@@ -398,6 +404,9 @@ def _cycle_check_accepts(a, view):
 
 
 def _route_of(a):
+    """The route label: `search` for an automaton decided on its
+    `_vector`, `cycle check` for one without, whose memberships the
+    nested search decides (no existential state) or the strong solver."""
     return "cycle check" if semantics._route(a) is None else "search"
 
 
@@ -525,6 +534,91 @@ def test_one_player_search_index_list_and_dict_agree(monkeypatch):
         verdicts[bound] = [semantics._accepts(a, v) for a in automata for v in views]
     assert len(automata) >= 150 and len(set(verdicts[0])) == 2
     assert verdicts[0] == verdicts[1 << 40]
+
+
+# -- the nested search over guessed odd loop tops -----------------------------------
+
+
+def _spine_tree():
+    """The tree whose root n reads a, with n as its left child and the
+    all-b subtree m as its right."""
+    return RegularTree(2, {"n": Node("a", ("n", "m")), "m": Node("b", ("m", "m"))}, "n")
+
+
+@pytest.mark.parametrize("states, moves, verdicts", [
+    # an odd loop x-b-y nested under the even top d in one component.  On
+    # the spine tree the blue search enters copy 1 at (p, n), which lies on
+    # no product cycle: c reads b at m and is stuck.  It closes x-b-y at
+    # (x, n), where neither end is accepting, so only the red search from
+    # (b, n) finds the cycle
+    ({"i": 0, "p": 1, "x": 0, "b": 1, "y": 0, "c": 0, "d": 2},
+     [("i", "a", 0, "p"), ("p", "a", 0, "x"), ("x", "a", 0, "b"), ("x", "a", 0, "d"),
+      ("x", "a", 1, "c"), ("b", "a", 0, "y"), ("y", "a", 0, "x"), ("c", "a", 0, "p"),
+      ("d", "a", 0, "x")], (False, True, False)),
+    # an odd epsilon self-loop in a component with an even loop top 2
+    ({"i": 0, "p": 1, "e": 2},
+     [("i", "a", 0, "p"), ("p", "a", None, "p"), ("p", "a", 0, "e"), ("e", "a", 0, "p")],
+     (False, True, False)),
+    # an odd self-loop on o reached only through the even loop e-f, whose
+    # odd state f tops no loop; o's component has the even loop top 2
+    ({"i": 0, "e": 4, "f": 3, "o": 1, "g": 2},
+     [("i", "a", 0, "e"), ("e", "a", 0, "f"), ("f", "a", 0, "e"), ("e", "a", 1, "o"),
+      ("o", "a", 0, "o"), ("o", "a", 1, "g"), ("g", "a", 0, "o")], (False, True, True)),
+    # an odd initial state on no loop, before a component with loop tops 2 and 3
+    ({"i": 1, "x": 2, "y": 3},
+     [("i", "a", 0, "x"), ("i", "b", 0, "x"), ("x", "a", 0, "x"), ("x", "b", 0, "y"),
+      ("y", "a", 0, "x"), ("y", "b", 0, "x")], (True, False, True)),
+])
+def test_nested_search_hand_made(states, moves, verdicts, monkeypatch):
+    """Strong universal automata with a component whose loops have tops of
+    both parities, on the all-a tree, the all-b tree and the spine tree,
+    against the cycle check on the product arrays."""
+    a = make_automaton(("a", "b"), {q: ("A", r) for q, r in states.items()}, "i", moves)
+    assert semantics._route(a) is None
+    views = [_tree_view(t) for t in (constant_tree("a"), constant_tree("b"), _spine_tree())]
+    expected = [_cycle_check_accepts(a, v) for v in views]
+    assert tuple(expected) == verdicts
+    monkeypatch.setattr(semantics, "_product_arrays", _refuse)
+    assert [semantics._accepts(a, v) for v in views] == expected
+
+
+def test_nested_search_index_list_and_dict_agree(monkeypatch):
+    """The nested search gives the same verdicts whether it indexes its
+    colours in the bytearray (every query under a huge bound) or in the
+    dict (every query over a bound of 0)."""
+    rng = SplitMix64(4713)
+    views = [_tree_view(t) for t in sample_regular_tree(
+        SamplerParams(seed=49, max_nodes=5, alphabet=("a", "b"), count=12))]
+    automata = [_universal(_random_alternating(rng, "parity")) for _ in range(600)]
+    automata = [a for a in automata if _route_of(a) == "cycle check"]
+    verdicts = {}
+    for bound in (0, 1 << 40):
+        monkeypatch.setattr(semantics, "_LIST_INDEX_SLOTS", bound)
+        verdicts[bound] = [semantics._accepts(a, v) for a in automata for v in views]
+    assert len(automata) >= 50 and len(set(verdicts[0])) == 2
+    assert verdicts[0] == verdicts[1 << 40]
+    assert verdicts[0] == [_cycle_check_accepts(a, v) for a in automata for v in views]
+
+
+def test_nested_search_on_a_1000_state_automaton_is_fast():
+    """A random deterministic automaton of 1000 states ranked 0-9 against
+    a sampled tree of over 1000 nodes: the cycle check on the product
+    arrays takes seconds here, one SCC pass per odd rank of the product;
+    the nested search returns at the first accepting cycle it closes.
+    Its verdict, rejection, is the cycle check's."""
+    rng = SplitMix64(1000)
+    names = [f"q{i:03d}" for i in range(1000)]
+    a = DetAutomaton(alphabet=("a", "b"), initial="q000", acceptance="parity",
+                     states={q: State("A", rng.below(10)) for q in names},
+                     transitions=tuple(Transition(q, x, d, names[rng.below(1000)])
+                                       for q in names for x in ("a", "b") for d in (0, 1)))
+    t = sample_regular_tree(SamplerParams(seed=1, max_nodes=4000,
+                                          alphabet=("a", "b"), count=1))[0]
+    assert len(t.nodes) >= 1000
+    assert semantics._route(a) is None
+    start = time.perf_counter()
+    assert det_accepts(a, t) is False
+    assert time.perf_counter() - start < 0.5
 
 
 # -- the search's route: non-decreasing ranks and live states ------------------------

@@ -289,7 +289,7 @@ def _solve_weak_layers(arena, stop=None):
     `eve_wins_arrays`: weak automata on their expansion, and strong ones
     on their cycle ranks, on which the weak condition accepts the runs the
     strong one does.  Those of automata with no existential state never
-    do, since `semantics` decides them in its product search.
+    do: `semantics` decides them by its nested search, on no product.
     Positions wait in one bucket per rank; the highest rank with positions
     left is attracted for the player of its parity, and each position
     counts its successors not yet removed (a move listed twice counts

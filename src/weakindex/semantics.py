@@ -9,27 +9,23 @@ list of moves by (state, letter id); trees enter it as int views
 (labels, children, root), whose labels the product search maps to letter
 ids once.  The search indexes its positions (state, node) in a flat list
 of |Q|*nn slots, or in a dict for products above `_LIST_INDEX_SLOTS`.
-A query takes one of the routes `_accepts` lists.  An automaton is read,
-once, on a rank vector that never decreases along a move (a strong
-automaton's cycle ranks, a weak automaton's (state, highest rank so far)
-expansion, see `_vector`), so that a play is lost only inside a looping
-component of odd rank or at a state where Eve is stuck (Emerson & Lei,
-SCP 1987).  A state that can reach neither, or from which Eve can force
-every play out of such states (her attractor), is not live and accepts
-every tree, and a query from one is answered without a search.  An
-automaton with a vector and no existential state is decided by a
-one-player search that never enters a state that is not live.  One with
-an existential state is decided by the linear weak layering of
-`eve_wins_arrays` on the product of its vector, cut where Eve has
-already won: a slot where she can move into a state that is not live is
-a leaf won by her, and Adam's moves into such states are dropped
-(`_route`).  A strong automaton with
-no cycle ranks and no existential state is decided by a nested
-depth-first search over guessed odd loop tops (`_nested_accepts`), on
-copies of the automaton built once (`_top_copies`), with no product
-arrays.  Only a strong automaton with no cycle ranks and an existential
-state is decided on the product arrays of its own ranks, by the strong
-solver.  `bounded_equiv` indexes each tree once and runs both automata
+A query takes one of the three routes `_accepts` lists.  An automaton is
+read, once, on a rank vector that never decreases along a move (a
+strong automaton's cycle ranks, a weak automaton's (state, highest rank
+so far) expansion, see `_vector`), so that a play is lost only inside a
+looping component of odd rank or at a state where Eve is stuck (Emerson
+& Lei, SCP 1987).  A state that can reach neither, or from which Eve can
+force every play out of such states (her attractor), is not live and
+accepts every tree, and a query from one is answered without a search.
+An automaton with no existential state is decided by one nested
+depth-first search (`_nested_accepts`) with no product arrays, on the
+graph `_top_copies` builds once: its vector cut to live states, or, for
+a strong automaton with no cycle ranks, copies of it over guessed odd
+loop tops.  One with an existential state is decided by
+`eve_wins_arrays` on product arrays: by the linear weak layering on the
+product of its vector, cut where Eve has already won (`_route`), or,
+with no cycle ranks, by the strong solver on the product of its own
+ranks.  `bounded_equiv` indexes each tree once and runs both automata
 on that view; it takes the fixed battery and the samples as views and
 builds a `RegularTree` only for the counterexample it returns.  Cycle
 ranks and odd loop tops read the pattern view's move graph,
@@ -126,27 +122,23 @@ def _tree_of(view, names=None) -> RegularTree:
 _LIST_INDEX_SLOTS = 1 << 12
 
 
-def _product_arrays(a: TreeAutomaton, view, route=None):
-    """Product positions (state, node) reachable from (initial, root), as an
-    int game (owner, rank, succ) in breadth-first order: the one product
-    search of the membership engine.
+def _product(a: TreeAutomaton, view, route=None):
+    """Product positions (state, node) reachable from (initial, root), as
+    (states, nodes, succ) in breadth-first order: the one product search
+    of the membership engine.  Position i is (`states[i]`, `nodes[i]`),
+    and `succ[i]` lists the positions its moves enter.
 
     The states are those of `a`'s `_view`, or with a `route` from `_route`
-    for an automaton with an existential state, those of its rank vector:
-    then a position's rank is its vector state's, its owner is the owner
-    the route gives its (state, letter id) slot, and a slot the route
-    marks as won by Eve is a position where Adam is stuck.  A move listed
+    those of its rank vector, stepped by the route's moves.  A move listed
     twice is listed twice in `succ`, and a position with no move is a dead
     end.  Every position is reachable from position 0.  Positions are
-    numbered in search order, so the game does not depend on how the view
-    numbers its nodes.
+    numbered in search order, so the result does not depend on how the
+    view numbers its nodes.
     """
-    if route is None:
-        sidx, letter, moves, owner, rank = _view(a)
-        q0 = sidx[a.initial]
-    else:
-        q0, rank, moves, owner = route
-        letter = _view(a)[1]
+    sidx, letter, moves, _, rank = _view(a)
+    q0 = sidx[a.initial]
+    if route is not None:
+        q0, rank, moves, _ = route
     labels, children, root = view
     nn = len(labels)
     width = len(letter)
@@ -170,28 +162,39 @@ def _product_arrays(a: TreeAutomaton, view, route=None):
                 nodes.append(n2)
             out.append(j)
         succ.append(out)
-    ranks = [rank[q] for q in states]
+    return states, nodes, succ
+
+
+def _product_arrays(a: TreeAutomaton, view, route=None):
+    """The positions of `_product(a, view, route)` as an int game (owner,
+    rank, succ).  On `a`'s view a position has its state's owner and rank.
+    On a `route` for an automaton with an existential state, a position's
+    rank is its vector state's, its owner is the owner the route gives its
+    (state, letter id) slot, and a slot the route marks as won by Eve is a
+    position where Adam is stuck.
+    """
+    states, nodes, succ = _product(a, view, route)
+    _, letter, _, owner, rank = _view(a)
     if route is None:
-        return [owner[q] for q in states], ranks, succ
-    return [owner[q * width + row[v]] for q, v in zip(states, nodes)], ranks, succ
+        return [owner[q] for q in states], [rank[q] for q in states], succ
+    _, rank, _, owner = route
+    width, row = len(letter), [letter[x] for x in view[0]]
+    return ([owner[q * width + row[v]] for q, v in zip(states, nodes)],
+            [rank[q] for q in states], succ)
 
 
-def _live(succ, comps, ranks, stuck):
-    """Per state of the move graph `succ`, 1 iff it can reach a looping
-    component of odd rank or a state q with `stuck[q]` set, an existential
-    state with no move on some letter.  `comps` are the components
-    `_sccs(succ)`, sinks first, so each reads its successors' flags once
-    they are set; `ranks` never decreases along a move, so it is constant
-    on each one, and a play is lost only inside a looping component of odd
-    rank (Emerson & Lei, SCP 1987) or where Eve is stuck."""
-    live = bytearray(len(succ))
-    for comp in comps:
-        if (ranks[comp[0]] & 1 and has_cycle_inside(comp, succ)
-                or any(stuck[q] for q in comp)
-                or any(live[p] for q in comp for p in succ[q])):
+def _reach(succ, comps, flags):
+    """Per state of the move graph `succ`, 1 iff it can reach a flagged
+    component: `comps` are components of `succ`, sinks first, and
+    `flags` holds one flag per component, in that order, so each component
+    reads its successors' marks once they are set.  The one sinks-first
+    pass of liveness (`_vector`) and of `_top_copies`."""
+    marks = bytearray(len(succ))
+    for comp, flag in zip(comps, flags):
+        if flag or any(marks[p] for q in comp for p in succ[q]):
             for q in comp:
-                live[q] = 1
-    return live
+                marks[q] = 1
+    return marks
 
 
 def _stuck(moves, owner, width: int):
@@ -301,14 +304,17 @@ def _vector(a: TreeAutomaton):
       own ranks, cut to the states its initial state reaches.
     - A strong automaton: its cycle ranks, if it has them (else None).
     `start` is the initial state of the vector, `moves[q * |Sigma| + x]`
-    lists the (direction, state) moves of state q on letter id x,
-    `owner[q]` is 0 if q is existential, and `live[q]` is 0 only if Eve
-    wins from q on every tree: q can reach no looping component of odd
-    rank and no existential state with no move on some letter, counting
-    every letter, both directions and epsilon moves (`_live`), or Eve can
-    force every play from q into such states (`_attract`).  With no
-    existential state the attractor clears no flag, so `live[q]` is then
-    1 iff q can reach a looping component of odd rank.
+    lists the (direction, state) moves of state q on letter id x, and
+    `owner[q]` is 0 if q is existential.  The ranks are constant on each
+    component of the vector's move graph, so a play is lost only inside a
+    looping component of odd rank (Emerson & Lei, SCP 1987) or where Eve
+    is stuck.  `live[q]` is 0 only if Eve wins from q on every tree: q can
+    reach no looping component of odd rank and no existential state with
+    no move on some letter, counting every letter, both directions and
+    epsilon moves (`_reach`), or Eve can force every play from q into such
+    states (`_attract`).  With no existential state the attractor clears
+    no flag, so `live[q]` is then 1 iff q can reach a looping component of
+    odd rank.
     """
     memo = a._memo
     if "membership_vector" in memo:
@@ -324,7 +330,9 @@ def _vector(a: TreeAutomaton):
     vector = None
     if found is not None:
         ranks, succ, comps = found
-        live = _live(succ, comps, ranks, _stuck(moves, owner, width))
+        stuck = _stuck(moves, owner, width)
+        live = _reach(succ, comps, (ranks[c[0]] & 1 and has_cycle_inside(c, succ)
+                                    or any(stuck[q] for q in c) for c in comps))
         if 0 in owner:
             _attract(live, moves, owner, width)
         vector = (start, ranks, moves, live, owner)
@@ -333,18 +341,15 @@ def _vector(a: TreeAutomaton):
 
 
 def _route(a: TreeAutomaton):
-    """(start, ranks, moves, owner) on `a`'s `_vector` that decide its
-    memberships, or None if it has no `_vector`: a strong automaton with a
-    component whose loops have tops of both parities, which `_accepts`
-    decides by the nested search, or with an existential state on the
-    product arrays of its `_view`.  Chosen once and kept in `a._memo`.
+    """(start, ranks, moves, owner) on the `_vector` of `a`, an automaton
+    with an existential state, that decide its memberships, or None if it
+    has no `_vector`: a strong automaton with a component whose loops have
+    tops of both parities, which `_accepts` decides on the product arrays
+    of its `_view`.  Chosen once and kept in `a._memo`.
 
     A state that is not live accepts every tree, and the route's moves
-    lead only into live states.  An automaton with no existential state
-    takes the one-player search `_universal_weak_accepts`, and its route's
-    `owner` is None.  For one with an existential state, `owner[q *
-    |Sigma| + x]` is the owner of the (state, letter id) slot, and each
-    slot gets one move table:
+    lead only into live states.  `owner[q * |Sigma| + x]` is the owner of
+    the (state, letter id) slot, and each slot gets one move table:
     - an existential slot with a move into a state that is not live is
       won by Eve, who takes that move: the slot gets owner 1 and no move,
       a dead end where Adam is stuck;
@@ -361,100 +366,59 @@ def _route(a: TreeAutomaton):
     found = _vector(a)
     if found is not None:
         start, ranks, moves, live, owner = found
-        _, letter, _, view_owner, _ = _view(a)
-        if 0 not in view_owner:
-            moves = [[(d, p) for d, p in out if live[p]] for out in moves]
-            route = (start, ranks, moves, None)
-        else:
-            width = len(letter)
-            table, slot_owner = [], bytearray()
-            for x, out in enumerate(moves):
-                o = owner[x // width]
-                kept = [(d, p) for d, p in out if live[p]]
-                if not o and len(kept) < len(out):  # Eve moves where she wins
-                    o, kept = 1, []
-                table.append(kept)
-                slot_owner.append(o)
-            route = (start, ranks, table, slot_owner)
+        width = len(_view(a)[1])
+        table, slot_owner = [], bytearray()
+        for x, out in enumerate(moves):
+            o = owner[x // width]
+            kept = [(d, p) for d, p in out if live[p]]
+            if not o and len(kept) < len(out):  # Eve moves where she wins
+                o, kept = 1, []
+            table.append(kept)
+            slot_owner.append(o)
+        route = (start, ranks, table, slot_owner)
     memo["membership_route"] = route
     return route
-
-
-def _universal_weak_accepts(a: TreeAutomaton, view, route=None) -> bool:
-    """Membership of the tree `view` in `a`, an automaton with no
-    existential state, decided during the product search itself on
-    `route`, by default `_route(a)`.
-
-    Adam moves alone, so Adam wins iff some play from the start breaks the
-    weak condition on the route's ranks.  Those never decrease along a
-    move, so all the positions of a strongly connected component of the
-    product share one rank, that of their states, and it is the highest
-    rank of every infinite play that ends there.  The search is a
-    depth-first search over positions (state, node), stepping moves as
-    `_product_arrays` does.  Every reachable component with a cycle holds
-    a move into a position on the search path, and each such move closes
-    a cycle, so Adam wins iff one of them enters a position of odd rank.
-    A dead end is a leaf: Adam, stuck there, loses.  The route's moves
-    lead only into live states, so the search never enters a state from
-    which every tree is accepted; such a move would only lose for Adam.
-    Position (q, v) has slot q * nn + v in a bytearray while there are at
-    most `_LIST_INDEX_SLOTS` slots, else in a dict.
-    """
-    start, ranks, moves, _ = route or _route(a)
-    letter = _view(a)[1]
-    labels, children, root = view
-    nn = len(labels)
-    width = len(letter)
-    row = [letter[x] for x in labels]
-    slots = len(ranks) * nn
-    color = bytearray(slots) if slots <= _LIST_INDEX_SLOTS else defaultdict(int)
-    key = start * nn + root
-    color[key] = 1  # 1 while on the search path, 2 once finished
-    path = [(key, root, iter(moves[start * width + row[root]]))]
-    while path:
-        key, v, out = path[-1]
-        for d, q in out:
-            w = v if d is None else children[v][d]
-            k = q * nn + w
-            c = color[k]
-            if not c:
-                color[k] = 1
-                path.append((k, w, iter(moves[q * width + row[w]])))
-                break
-            if c == 1 and ranks[q] & 1:
-                return False
-        else:
-            color[key] = 2
-            path.pop()
-    return True
 
 
 def _top_copies(a: TreeAutomaton):
     """(start, accepting, moves) of the graph on which `_nested_accepts`
     decides the memberships of `a`, an automaton with no existential
-    state and no `_vector`, or None if its initial state can reach no odd
-    loop top, so that it accepts every tree.  Built once and kept in
-    `a._memo`.
+    state, or None if it accepts every tree for want of an odd loop top.
+    `moves[s * |Sigma| + x]` lists the (direction, state) moves of state s
+    on letter id x.  Built once and kept in `a._memo`.
 
-    An odd loop top is a state q of odd rank r that lies on a cycle of the
-    subgraph ranked at most r: `graphs._loop_top` on the components of
-    `graphs._rank_sccs` at r, asked once per odd rank r on the looping
-    components of `automata._graph` that hold a state of rank r.  The
-    graph's states come in copies:
+    With a `_vector`, the graph is the vector, and a state is accepting
+    iff its vector rank is odd; `start` is the vector's.  Its ranks never
+    decrease along a move, so every product cycle has one rank, and it is
+    odd iff the cycle is accepting.  Its moves are cut to live states: a
+    move into a state that is not live would only lose for Adam.
+
+    Without one, an odd loop top is a state q of odd rank r that lies on a
+    cycle of the subgraph ranked at most r: `graphs._loop_top` on the
+    components of `graphs._rank_sccs` at r, asked once per odd rank r on
+    the looping components of `automata._graph` that hold a state of rank
+    r.  The graph's states come in copies:
     - copy 0 is `a` itself, states 0..|Q|-1 as `_view` numbers them, with
-      its moves cut to states that can reach an odd loop top;
+      its moves cut to states that can reach an odd loop top (`_reach`);
     - copy r, for each odd rank r that tops a loop, holds the states of
       the components at r that hold such a top, numbered after the copies
       before it, and keeps only the moves inside the source's component;
     - an odd loop top q of copy 0 moves first, by epsilon on every letter,
       to its own state in copy rank(q).
     A state of copy r is accepting iff its rank is r; no state of copy 0
-    is.  `moves[s * |Sigma| + x]` lists the (direction, state) moves of
-    state s on letter id x, and `start` is the initial state in copy 0.
+    is.  `start` is the initial state in copy 0, and the result is None if
+    it reaches no odd loop top.
     """
     memo = a._memo
     if "membership_copies" in memo:
         return memo["membership_copies"]
+    vector = _vector(a)
+    if vector is not None:
+        start, ranks, moves, live, _ = vector
+        copies = memo["membership_copies"] = (
+            start, bytearray(r & 1 for r in ranks),
+            [[(d, p) for d, p in out if live[p]] for out in moves])
+        return copies
     sidx, letter, moves, _, rank = _view(a)
     width = len(letter)
     succ, sccs = _graph(a)
@@ -479,11 +443,8 @@ def _top_copies(a: TreeAutomaton):
                     jump[q] = place[q]
                 copy_moves += ([(d, place[p]) for d, p in moves[x] if p in place]
                                for x in range(q * width, (q + 1) * width))
-    reach = bytearray(n)  # 1 iff the state can reach an odd loop top
-    for comp in reversed(sccs):  # sinks first
-        if any(jump[q] >= 0 for q in comp) or any(reach[p] for q in comp for p in succ[q]):
-            for q in comp:
-                reach[q] = 1
+    sinks_first = sccs[::-1]
+    reach = _reach(succ, sinks_first, (any(jump[q] >= 0 for q in comp) for comp in sinks_first))
     copies = None
     start = sidx[a.initial]
     if reach[start]:
@@ -499,16 +460,19 @@ def _top_copies(a: TreeAutomaton):
 
 def _nested_accepts(a: TreeAutomaton, view) -> bool:
     """Membership of the tree `view` in `a`, an automaton with no
-    existential state and no `_vector`, decided by a nested depth-first
-    search over the positions (state, node) of `_top_copies(a)`, stepping
-    moves as `_universal_weak_accepts` does.
+    existential state, decided by a nested depth-first search over the
+    positions (state, node) of `_top_copies(a)`, stepping moves as
+    `_product` does: the one search of a membership in which Adam moves
+    alone.
 
-    Adam moves alone, so he wins iff the product of `a` and the tree has a
-    reachable cycle whose top rank r is odd.  Such a cycle runs through an
-    odd loop top q of rank r and stays inside q's component at r, so it is
-    reached in copy 0, entered at q in copy r and closed there through an
-    accepting position; a cycle through an accepting position of copy r
-    is one of the product with top r.  Adam wins iff some accepting cycle
+    Adam wins iff the product of `a` and the tree has a reachable cycle
+    that breaks `a`'s condition.  On a `_vector` that is a cycle of odd
+    rank, all of whose positions are accepting.  Without one it is a cycle
+    whose top rank r is odd.  Such a cycle runs through an odd loop top q
+    of rank r and stays inside q's component at r, so it is reached in
+    copy 0, entered at q in copy r and closed there through an accepting
+    position; a cycle through an accepting position of copy r is one of
+    the product with top r.  Either way Adam wins iff some accepting cycle
     is reachable, and the search finds one as the nested depth-first
     search of Courcoubetis, Vardi, Wolper and Yannakakis (FMSD 1992) does,
     in the colours of Schwoon and Esparza (TACAS 2005): the blue search
@@ -517,10 +481,13 @@ def _nested_accepts(a: TreeAutomaton, view) -> bool:
     through blue positions, which it turns red.  A move from the blue
     search into a cyan position closes a cycle, accepting if either end
     is; a move of a red search into a cyan position closes one through
-    the accepting position it started from.  Either returns at once.  Each
-    position is searched at most once in blue and once in red.  Position
-    (s, v) has slot s * nn + v in a bytearray while there are at most
-    `_LIST_INDEX_SLOTS` slots, else in a dict.
+    the accepting position it started from.  Either returns at once.  On
+    a vector every cycle holds a move of the blue search into a cyan
+    position, so the blue search alone finds an accepting one.  Each
+    position is searched at most once in blue and once in red.  A dead
+    end is a leaf: Adam, stuck there, loses.  Position (s, v) has slot
+    s * nn + v in a bytearray while there are at most `_LIST_INDEX_SLOTS`
+    slots, else in a dict.
     """
     copies = _top_copies(a)
     if copies is None:
@@ -580,37 +547,26 @@ def _accepts_every_tree(a: TreeAutomaton) -> bool:
 
 
 def _accepts(a: TreeAutomaton, view) -> bool:
-    """Membership of the tree `view` in the language of `a`.
-
-    If the initial state of `a`'s `_vector` is not live, the tree is
-    accepted at once, with no search.  Otherwise one of four routes,
-    chosen once per automaton by `_route`, decides:
-    - An automaton with a `_vector` (weak, or strong with loops of one
-      parity in each component) and no existential state is decided by
-      the one-player search `_universal_weak_accepts` on the vector's
-      non-decreasing ranks, which builds no product arrays.
-    - One with a `_vector` and an existential state is decided by
-      `eve_wins_arrays` under the weak condition on the product arrays of
-      the route, cut where Eve has already won: linear weak layering,
-      also for a strong automaton.
-    - A strong automaton with no `_vector` and no existential state is
-      decided by the nested depth-first search `_nested_accepts` over
-      guessed odd loop tops, which builds no product arrays either; if
-      its initial state reaches no odd loop top, at once.
-    - A strong automaton with no `_vector` and an existential state goes
-      to the strong solver of `eve_wins_arrays` on the product arrays of
-      its view, a winner-only solve at position 0.
+    """Membership of the tree `view` in the language of `a`, by one of
+    three routes:
+    - If the initial state of `a`'s `_vector` is not live, the tree is
+      accepted at once, with no search.
+    - An automaton with no existential state is decided by the nested
+      depth-first search `_nested_accepts`, which builds no product
+      arrays: on its `_vector` (weak, or strong with loops of one parity
+      in each component), else on copies over guessed odd loop tops.
+    - Any other is decided by `eve_wins_arrays` on product arrays.  With a
+      `_vector`, on those of its `_route`, cut where Eve has already won,
+      under the weak condition: linear weak layering, also for a strong
+      automaton.  Without one, on those of its view, by the strong solver,
+      a winner-only solve at position 0.
     """
     if _accepts_every_tree(a):
         return True
+    if 0 not in _view(a)[3]:
+        return _nested_accepts(a, view)
     route = _route(a)
-    if route is None:
-        if 0 not in _view(a)[3]:
-            return _nested_accepts(a, view)
-        return eve_wins_arrays(*_product_arrays(a, view), weak=False)
-    if route[3] is None:
-        return _universal_weak_accepts(a, view, route)
-    return eve_wins_arrays(*_product_arrays(a, view, route), weak=True)
+    return eve_wins_arrays(*_product_arrays(a, view, route), weak=route is not None)
 
 
 def alt_accepts(a: TreeAutomaton, t: RegularTree) -> bool:
@@ -622,34 +578,24 @@ def alt_accepts(a: TreeAutomaton, t: RegularTree) -> bool:
 def det_accepts(a: DetAutomaton, t: RegularTree) -> bool:
     """Deterministic membership: the unique run must have no reachable cycle
     with odd top rank; the product game is all-Adam.  `_accepts` decides it
-    by the one-player search on the automaton's cycle ranks, or by the
-    nested search over guessed odd loop tops if a component of the
-    automaton has loops of both parities."""
+    by the nested search, on the automaton's cycle ranks, or over guessed
+    odd loop tops if a component of the automaton has loops of both
+    parities."""
     _check_labels(a, t)
     return _accepts(a, _tree_view(t))
 
 
 def product_game(a: TreeAutomaton, t: RegularTree) -> Game:
-    """The acceptance game as a public Game value (inspection, tests)."""
+    """The acceptance game as a public Game value (inspection, tests): the
+    positions of `_product` on `a`'s view, position (q, v) named `q@v`."""
     _check_labels(a, t)
-    positions = {}
-    edges = []
-    seen = set()
-    stack = [(a.initial, t.root)]
-    while stack:
-        q, v = stack.pop()
-        if (q, v) in seen:
-            continue
-        seen.add((q, v))
-        st = a.states[q]
-        pid = f"{q}@{v}"
-        positions[pid] = (EVE if st.mode == EXISTENTIAL else ADAM, st.rank)
-        for d, q2 in a.moves(q, t.label(v)):
-            v2 = v if d is None else t.child(v, d)
-            edges.append((pid, f"{q2}@{v2}"))
-            stack.append((q2, v2))
-    return Game(positions=positions, edges=tuple(edges),
-                initial=f"{a.initial}@{t.root}",
+    states, nodes, succ = _product(a, _tree_view(t))
+    ids, _, rank, owner, _ = _table(a)
+    names = sorted(t.nodes)
+    pid = [f"{ids[q]}@{names[v]}" for q, v in zip(states, nodes)]
+    return Game(positions={p: ((EVE, ADAM)[owner[q]], rank[q]) for p, q in zip(pid, states)},
+                edges=tuple((pid[i], pid[j]) for i, out in enumerate(succ) for j in out),
+                initial=pid[0],
                 condition=a.acceptance if a.acceptance in ("parity", "weak") else "parity")
 
 

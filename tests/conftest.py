@@ -171,12 +171,13 @@ def ref_bfs(a: DetAutomaton, allowed, sources, goals):
 
 
 def ref_universal_weak_accepts(a: TreeAutomaton, view, ranks=None) -> bool:
-    """The reference for `semantics._universal_weak_accepts`: membership of
-    the tree `view` in `a` read as a weak automaton with no existential
-    state on `ranks` (by default its own), by a depth-first search over
-    triples (state, node, m), m the highest rank seen so far, with no
-    states skipped.  Adam wins iff a move closes a cycle on the search path
-    into a triple with odd m; a dead end is a leaf, which Adam loses."""
+    """The reference for `semantics._nested_accepts` on an automaton with a
+    `_vector`: membership of the tree `view` in `a` read as a weak
+    automaton with no existential state on `ranks` (by default its own),
+    by a depth-first search over triples (state, node, m), m the highest
+    rank seen so far, with no states skipped.  Adam wins iff a move closes
+    a cycle on the search path into a triple with odd m; a dead end is a
+    leaf, which Adam loses."""
     sidx, letter, moves, _, own = membership_view(a)
     ranks = own if ranks is None else ranks
     labels, children, root = view

@@ -33,10 +33,10 @@ from weakindex.rng import _CHUNK, SplitMix64, _words
 from weakindex.semantics import (
     SamplerParams,
     _battery_views,
+    _nested_accepts,
     _product_arrays,
     _sample_views,
     _tree_view,
-    _universal_weak_accepts,
     alt_accepts,
     bounded_equiv,
     det_accepts,
@@ -264,7 +264,7 @@ def test_one_player_search_matches_the_kernel_on_random_automata():
             expected = _kernel_accepts(a, v)
             seen["reject"] += not expected
             kinds[_weak_kind(a), expected] += 1
-            assert _universal_weak_accepts(a, v) == expected, (a, v)
+            assert _nested_accepts(a, v) == expected, (a, v)
             assert semantics._accepts(a, v) == expected, (a, v)
             assert ref_universal_weak_accepts(a, v) == expected, (a, v)
             assert expected or not every, (a, v)
@@ -298,7 +298,7 @@ def test_one_player_search_matches_the_kernel_on_constructions():
             kinds[_weak_kind(out), semantics._accepts_every_tree(out)] += 1
             for v in views:
                 expected = _kernel_accepts(out, v)
-                assert _universal_weak_accepts(out, v) == expected, (kind, a, v)
+                assert _nested_accepts(out, v) == expected, (kind, a, v)
                 assert semantics._accepts(out, v) == expected, (kind, a, v)
                 assert ref_universal_weak_accepts(out, v) == expected, (kind, a, v)
     assert min(checked.values()) >= 150, checked
@@ -320,7 +320,7 @@ def test_one_player_search_above_the_list_index_bound():
             continue
         assert len(a.states) * len(t.nodes) > semantics._LIST_INDEX_SLOTS
         expected = _kernel_accepts(a, view)
-        assert _universal_weak_accepts(a, view) == expected, a
+        assert _nested_accepts(a, view) == expected, a
         verdicts.add(expected)
 
 
@@ -340,7 +340,7 @@ def test_one_player_search_hand_made(states, moves, member):
     a = make_automaton(("a",), {q: ("A", r) for q, r in states.items()}, "i",
                        [(q, "a", d, q2) for q, d, q2 in moves], acceptance="weak")
     view = _tree_view(constant_tree("a"))
-    assert _universal_weak_accepts(a, view) == member
+    assert _nested_accepts(a, view) == member
     assert _kernel_accepts(a, view) == member
 
 
@@ -381,15 +381,15 @@ def test_accepts_routes_universal_weak_automata_to_the_one_player_search(monkeyp
     # with loops of both parities in a component and no existential state,
     # the nested search decides, on no product arrays either
     both = strong.with_states({**strong.states, "q": State("A", 4)})  # loop tops 3 and 4
-    assert semantics._route(both) is None
+    assert semantics._vector(both) is None
     assert semantics._accepts(both, view) is False
     for name in ("fin_b_left", "inf_b_left", "spine_fin_b", "split_min"):
         a = catalog.get(name)
-        assert semantics._route(a) is None, name
+        assert semantics._vector(a) is None, name
         assert semantics._accepts(a, view) is _cycle_check_accepts(a, view), name
 
     monkeypatch.setattr(semantics, "_product_arrays", _refuse_view)
-    assert semantics._route(mixed)[3] is not None
+    assert semantics._route(mixed) is not None
     assert semantics._accepts(mixed, view) is expected is False
     eve_both = both.with_states({**both.states, "i": State("E", 1)})
     with pytest.raises(AssertionError, match="product arrays built on the view"):
@@ -406,8 +406,9 @@ def _cycle_check_accepts(a, view):
 def _route_of(a):
     """The route label: `search` for an automaton decided on its
     `_vector`, `cycle check` for one without, whose memberships the
-    nested search decides (no existential state) or the strong solver."""
-    return "cycle check" if semantics._route(a) is None else "search"
+    nested search decides over guessed odd loop tops (no existential
+    state) or the strong solver."""
+    return "cycle check" if semantics._vector(a) is None else "search"
 
 
 def test_cycle_rank_route_matches_the_cycle_check_on_random_automata():
@@ -574,7 +575,7 @@ def test_nested_search_hand_made(states, moves, verdicts, monkeypatch):
     both parities, on the all-a tree, the all-b tree and the spine tree,
     against the cycle check on the product arrays."""
     a = make_automaton(("a", "b"), {q: ("A", r) for q, r in states.items()}, "i", moves)
-    assert semantics._route(a) is None
+    assert semantics._vector(a) is None
     views = [_tree_view(t) for t in (constant_tree("a"), constant_tree("b"), _spine_tree())]
     expected = [_cycle_check_accepts(a, v) for v in views]
     assert tuple(expected) == verdicts
@@ -585,19 +586,48 @@ def test_nested_search_hand_made(states, moves, verdicts, monkeypatch):
 def test_nested_search_index_list_and_dict_agree(monkeypatch):
     """The nested search gives the same verdicts whether it indexes its
     colours in the bytearray (every query under a huge bound) or in the
-    dict (every query over a bound of 0)."""
+    dict (every query over a bound of 0), on both graphs `_top_copies`
+    builds: copies over guessed odd loop tops for strong automata with no
+    cycle ranks, and the vector for weak universal automata with an
+    epsilon move and a dead end, one of which lowers a rank, and for a
+    strong one with cycle ranks.  The verdicts are the cycle check's, or
+    for a weak automaton the kernel's."""
     rng = SplitMix64(4713)
     views = [_tree_view(t) for t in sample_regular_tree(
         SamplerParams(seed=49, max_nodes=5, alphabet=("a", "b"), count=12))]
     automata = [_universal(_random_alternating(rng, "parity")) for _ in range(600)]
     automata = [a for a in automata if _route_of(a) == "cycle check"]
+    assert len(automata) >= 50
+    vector = [make_automaton(("a", "b"), {q: ("A", r) for q, r in states.items()}, "i",
+                             moves, acceptance=acceptance)
+              for acceptance, states, moves in [
+                  # an epsilon move into an odd a-loop, with a dead end d
+                  ("weak", {"i": 0, "p": 1, "d": 1},
+                   [("i", "a", None, "p"), ("i", "b", 0, "i"), ("p", "a", 0, "p"),
+                    ("p", "b", 1, "d")]),
+                  # the odd loop h-q and the even epsilon self-loop e lower a
+                  # rank; h and q are stuck on b
+                  ("weak", {"i": 0, "h": 3, "q": 0, "e": 2},
+                   [("i", "a", None, "h"), ("i", "b", 1, "e"), ("e", "b", None, "e"),
+                    ("e", "a", 0, "i"), ("h", "a", 0, "q"), ("q", "a", 0, "h")]),
+                  # components {i, z} (loop tops 3) and {x, o, y} (loop tops 2 and 4)
+                  ("parity", {"i": 0, "x": 2, "o": 1, "y": 4, "z": 3},
+                   [("i", "a", 0, "x"), ("i", "b", None, "z"), ("z", "a", 1, "z"),
+                    ("z", "b", 0, "i"), ("x", "a", 0, "o"), ("o", "a", 0, "x"),
+                    ("o", "b", 1, "y"), ("y", "b", 1, "o")]),
+              ]]
+    assert all(_route_of(a) == "search" and not semantics._accepts_every_tree(a)
+               for a in vector)
+    automata += vector
     verdicts = {}
     for bound in (0, 1 << 40):
         monkeypatch.setattr(semantics, "_LIST_INDEX_SLOTS", bound)
         verdicts[bound] = [semantics._accepts(a, v) for a in automata for v in views]
-    assert len(automata) >= 50 and len(set(verdicts[0])) == 2
+    assert len(set(verdicts[0])) == 2
+    assert len(set(verdicts[0][-len(vector) * len(views):])) == 2
     assert verdicts[0] == verdicts[1 << 40]
-    assert verdicts[0] == [_cycle_check_accepts(a, v) for a in automata for v in views]
+    check = {"parity": _cycle_check_accepts, "weak": _kernel_accepts}
+    assert verdicts[0] == [check[a.acceptance](a, v) for a in automata for v in views]
 
 
 def test_nested_search_on_a_1000_state_automaton_is_fast():
@@ -615,7 +645,7 @@ def test_nested_search_on_a_1000_state_automaton_is_fast():
     t = sample_regular_tree(SamplerParams(seed=1, max_nodes=4000,
                                           alphabet=("a", "b"), count=1))[0]
     assert len(t.nodes) >= 1000
-    assert semantics._route(a) is None
+    assert semantics._vector(a) is None
     start = time.perf_counter()
     assert det_accepts(a, t) is False
     assert time.perf_counter() - start < 0.5
@@ -667,7 +697,7 @@ def test_route_hand_made(states, moves, verdicts):
     for t, member in zip(trees, verdicts):
         view = _tree_view(t)
         assert semantics._accepts(a, view) == member, t
-        assert _universal_weak_accepts(a, view) == member, t
+        assert _nested_accepts(a, view) == member, t
         assert ref_universal_weak_accepts(a, view) == member, t
         assert _kernel_accepts(a, view) == member, t
 
@@ -711,7 +741,7 @@ def test_bounded_equiv_of_automata_that_accept_every_tree(monkeypatch):
     monkeypatch.setattr(semantics, "_sample_views",
                         lambda q: (drawn.append(v) or v for v in sample(q)))
     monkeypatch.setattr(semantics, "_product_arrays", _refuse)
-    monkeypatch.setattr(semantics, "_universal_weak_accepts", _refuse)
+    monkeypatch.setattr(semantics, "_nested_accepts", _refuse)
     assert bounded_equiv(a, b, SamplerParams(seed=3, max_nodes=4, alphabet=("a", "b"),
                                              count=40)) is None
     assert len(drawn) == 40
@@ -729,10 +759,10 @@ def _solver_accepts(a, view):
 
 
 def _eve_route(a):
-    """Whether `a`'s memberships take the Eve route: product arrays of its
-    route on the vector, solved under the weak condition."""
-    route = semantics._route(a)
-    return route is not None and route[3] is not None
+    """Whether the memberships of `a`, an automaton with an existential
+    state, take the Eve route: product arrays of its route on the vector,
+    solved under the weak condition."""
+    return semantics._route(a) is not None
 
 
 _LOOPS = [(q, x, d, q) for q in "os" for x in "ab" for d in (0, 1)]  # o and s loop on every letter

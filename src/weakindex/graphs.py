@@ -9,8 +9,8 @@ Every internal pass calls it on ints, and `automata._graph` runs it once
 on each automaton's move graph; the pattern view condenses that, by
 `_condensation`.  `_rank_sccs` is the one code that builds the subgraph
 ranked at most r, and `_loop_top` the one test for a loop with top r on
-its components; the pattern view's loop tops, the cycle ranks and odd
-loop tops of `semantics` and `_has_top_cycle` run on them.
+its components; the pattern view's loop tops, the cycle ranks and the
+odd loop tops of `semantics._search` and `_has_top_cycle` run on them.
 `tarjan_scc` and `condensation` keep their contract, any hashable nodes
 and a successor dict that may lack keys, by numbering the nodes and
 calling the kernel.

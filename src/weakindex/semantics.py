@@ -9,28 +9,29 @@ list of moves by (state, letter id); trees enter it as int views
 (labels, children, root), whose labels the product search maps to letter
 ids once.  The search indexes its positions (state, node) in a flat list
 of |Q|*nn slots, or in a dict for products above `_LIST_INDEX_SLOTS`.
-A query takes one of the three routes `_accepts` lists.  An automaton is
-read, once, on a rank vector that never decreases along a move (a
-strong automaton's cycle ranks, a weak automaton's (state, highest rank
-so far) expansion, see `_vector`), so that a play is lost only inside a
-looping component of odd rank or at a state where Eve is stuck (Emerson
-& Lei, SCP 1987).  A state that can reach neither, or from which Eve can
-force every play out of such states (her attractor), is not live and
-accepts every tree, and a query from one is answered without a search.
-An automaton with no existential state is decided by one nested
-depth-first search (`_nested_accepts`) with no product arrays, on the
-graph `_top_copies` builds once: its vector cut to live states, or, for
-a strong automaton with no cycle ranks, copies of it over guessed odd
-loop tops.  One with an existential state is decided by
-`eve_wins_arrays` on product arrays: by the linear weak layering on the
-product of its vector, cut where Eve has already won (`_route`), or,
-with no cycle ranks, by the strong solver on the product of its own
-ranks.  `bounded_equiv` indexes each tree once and runs both automata
-on that view; it takes the fixed battery and the samples as views and
-builds a `RegularTree` only for the counterexample it returns.  Cycle
-ranks and odd loop tops read the pattern view's move graph,
-`automata._graph`, and run on the components of `graphs._rank_sccs`.
-The run reduction folds the same product search into its tree.
+An automaton is read, once, on a rank vector that never decreases along
+a move (a strong automaton's cycle ranks, a weak automaton's (state,
+highest rank so far) expansion, see `_vector`), so that a play is lost
+only inside a looping component of odd rank or at a state where Eve is
+stuck (Emerson & Lei, SCP 1987).  A state that can reach neither, or
+from which Eve can force every play out of such states (her attractor),
+is not live and accepts every tree.  `_search` builds, once per
+automaton, the one table (start, ranks, moves, owner per slot) its
+queries run on, or none when its start is not live, so that every query
+is answered without a search.  With no existential state the table is
+the vector cut to live states or, for a strong automaton with no cycle
+ranks, copies of it over guessed odd loop tops, and one nested
+depth-first search (`_nested_accepts`) decides on it with no product
+arrays.  With one, `eve_wins_arrays` decides on the table's product
+arrays: by the linear weak layering on the vector cut where Eve has
+already won, or, with no cycle ranks, by the strong solver on the
+automaton's own view (`_plain`).  `bounded_equiv` indexes each tree
+once and runs both automata on that view; it takes the fixed battery
+and the samples as views and builds a `RegularTree` only for the
+counterexample it returns.  Cycle ranks and odd loop tops read the
+pattern view's move graph, `automata._graph`, and run on the components
+of `graphs._rank_sccs`.  The run reduction folds the same product search
+into its tree.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .automata import (
     TreeAutomaton,
     UNIVERSAL,
     _graph,
+    _memo,
     _table,
     index_of,
     normalize_ranks,
@@ -122,23 +124,21 @@ def _tree_of(view, names=None) -> RegularTree:
 _LIST_INDEX_SLOTS = 1 << 12
 
 
-def _product(a: TreeAutomaton, view, route=None):
-    """Product positions (state, node) reachable from (initial, root), as
+def _product(a: TreeAutomaton, view, table=None):
+    """Product positions (state, node) reachable from (start, root), as
     (states, nodes, succ) in breadth-first order: the one product search
     of the membership engine.  Position i is (`states[i]`, `nodes[i]`),
     and `succ[i]` lists the positions its moves enter.
 
-    The states are those of `a`'s `_view`, or with a `route` from `_route`
-    those of its rank vector, stepped by the route's moves.  A move listed
+    The states and moves are those of `table`, a membership table of `a`
+    from `_search`, by default `a`'s own view, `_plain(a)`.  A move listed
     twice is listed twice in `succ`, and a position with no move is a dead
     end.  Every position is reachable from position 0.  Positions are
     numbered in search order, so the result does not depend on how the
     view numbers its nodes.
     """
-    sidx, letter, moves, _, rank = _view(a)
-    q0 = sidx[a.initial]
-    if route is not None:
-        q0, rank, moves, _ = route
+    q0, rank, moves, _ = _plain(a) if table is None else table
+    letter = _view(a)[1]
     labels, children, root = view
     nn = len(labels)
     width = len(letter)
@@ -165,19 +165,17 @@ def _product(a: TreeAutomaton, view, route=None):
     return states, nodes, succ
 
 
-def _product_arrays(a: TreeAutomaton, view, route=None):
-    """The positions of `_product(a, view, route)` as an int game (owner,
-    rank, succ).  On `a`'s view a position has its state's owner and rank.
-    On a `route` for an automaton with an existential state, a position's
-    rank is its vector state's, its owner is the owner the route gives its
-    (state, letter id) slot, and a slot the route marks as won by Eve is a
-    position where Adam is stuck.
+def _product_arrays(a: TreeAutomaton, view, table=None):
+    """The positions of `_product(a, view, table)` as an int game (owner,
+    rank, succ): a position has its state's rank in the table, and the
+    owner the table gives its (state, letter id) slot.  On a `_search`
+    table a slot won by Eve is a position where Adam is stuck.
     """
-    states, nodes, succ = _product(a, view, route)
-    _, letter, _, owner, rank = _view(a)
-    if route is None:
-        return [owner[q] for q in states], [rank[q] for q in states], succ
-    _, rank, _, owner = route
+    if table is None:
+        table = _plain(a)
+    states, nodes, succ = _product(a, view, table)
+    _, rank, _, owner = table
+    letter = _view(a)[1]
     width, row = len(letter), [letter[x] for x in view[0]]
     return ([owner[q * width + row[v]] for q, v in zip(states, nodes)],
             [rank[q] for q in states], succ)
@@ -188,7 +186,7 @@ def _reach(succ, comps, flags):
     component: `comps` are components of `succ`, sinks first, and
     `flags` holds one flag per component, in that order, so each component
     reads its successors' marks once they are set.  The one sinks-first
-    pass of liveness (`_vector`) and of `_top_copies`."""
+    pass of liveness (`_vector`) and of `_search`'s copies."""
     marks = bytearray(len(succ))
     for comp, flag in zip(comps, flags):
         if flag or any(marks[p] for q in comp for p in succ[q]):
@@ -316,88 +314,59 @@ def _vector(a: TreeAutomaton):
     no flag, so `live[q]` is then 1 iff q can reach a looping component of
     odd rank.
     """
-    memo = a._memo
-    if "membership_vector" in memo:
-        return memo["membership_vector"]
-    sidx, letter, moves, owner, rank = _view(a)
-    width = len(letter)
-    if a.acceptance == "weak":
-        moves, ranks, states, succ = _expansion(moves, rank, width, sidx[a.initial])
-        owner = [owner[q] for q in states]
-        start, found = 0, (ranks, succ, _sccs(succ))
-    else:
-        start, found = sidx[a.initial], _cycle_ranks(a)
-    vector = None
-    if found is not None:
+    def build():
+        sidx, letter, moves, owner, rank = _view(a)
+        width = len(letter)
+        if a.acceptance == "weak":
+            moves, ranks, states, succ = _expansion(moves, rank, width, sidx[a.initial])
+            owner = [owner[q] for q in states]
+            start, found = 0, (ranks, succ, _sccs(succ))
+        else:
+            start, found = sidx[a.initial], _cycle_ranks(a)
+        if found is None:
+            return None
         ranks, succ, comps = found
         stuck = _stuck(moves, owner, width)
         live = _reach(succ, comps, (ranks[c[0]] & 1 and has_cycle_inside(c, succ)
                                     or any(stuck[q] for q in c) for c in comps))
         if 0 in owner:
             _attract(live, moves, owner, width)
-        vector = (start, ranks, moves, live, owner)
-    memo["membership_vector"] = vector
-    return vector
+        return start, ranks, moves, live, owner
+    return _memo(a, "membership_vector", build)
 
 
-def _route(a: TreeAutomaton):
-    """(start, ranks, moves, owner) on the `_vector` of `a`, an automaton
-    with an existential state, that decide its memberships, or None if it
-    has no `_vector`: a strong automaton with a component whose loops have
-    tops of both parities, which `_accepts` decides on the product arrays
-    of its `_view`.  Chosen once and kept in `a._memo`.
-
-    A state that is not live accepts every tree, and the route's moves
-    lead only into live states.  `owner[q * |Sigma| + x]` is the owner of
-    the (state, letter id) slot, and each slot gets one move table:
-    - an existential slot with a move into a state that is not live is
-      won by Eve, who takes that move: the slot gets owner 1 and no move,
-      a dead end where Adam is stuck;
-    - a universal slot keeps its moves into live states; with none left
-      Adam is at a dead end and loses;
-    - an existential slot with no move stays a dead end Eve loses (`_stuck`).
-    Its memberships are decided by `eve_wins_arrays` on the product
-    arrays of the route, under the weak condition on the vector ranks.
-    """
-    memo = a._memo
-    if "membership_route" in memo:
-        return memo["membership_route"]
-    route = None
-    found = _vector(a)
-    if found is not None:
-        start, ranks, moves, live, owner = found
-        width = len(_view(a)[1])
-        table, slot_owner = [], bytearray()
-        for x, out in enumerate(moves):
-            o = owner[x // width]
-            kept = [(d, p) for d, p in out if live[p]]
-            if not o and len(kept) < len(out):  # Eve moves where she wins
-                o, kept = 1, []
-            table.append(kept)
-            slot_owner.append(o)
-        route = (start, ranks, table, slot_owner)
-    memo["membership_route"] = route
-    return route
+def _plain(a: TreeAutomaton):
+    """`a`'s own `_view` as a membership table (start, ranks, moves,
+    owner): its initial state, its ranks and moves, and per (state, letter
+    id) slot its state's owner."""
+    sidx, letter, moves, owner, rank = _view(a)
+    return sidx[a.initial], rank, moves, bytearray(o for o in owner for _ in letter)
 
 
-def _top_copies(a: TreeAutomaton):
-    """(start, accepting, moves) of the graph on which `_nested_accepts`
-    decides the memberships of `a`, an automaton with no existential
-    state, or None if it accepts every tree for want of an odd loop top.
-    `moves[s * |Sigma| + x]` lists the (direction, state) moves of state s
-    on letter id x.  Built once and kept in `a._memo`.
+def _search(a: TreeAutomaton):
+    """(start, ranks, moves, owner), the table on which `_accepts` decides
+    the memberships of `a`, or None if its language holds every tree.
+    Its moves and owners are listed per (state s, letter id x) slot
+    s * |Sigma| + x, as `_view`'s moves are.  Built once, kept in `a._memo`.
 
-    With a `_vector`, the graph is the vector, and a state is accepting
-    iff its vector rank is odd; `start` is the vector's.  Its ranks never
-    decrease along a move, so every product cycle has one rank, and it is
-    odd iff the cycle is accepting.  Its moves are cut to live states: a
-    move into a state that is not live would only lose for Adam.
+    With a `_vector`, the table is None if the vector's start is not live;
+    else its states and owners are the vector's, and its moves lead only
+    into live states: a move into a state that is not live would only lose
+    for Adam.  With no existential state a state's rank is 1 iff its
+    vector rank is odd.  Otherwise the ranks are the vector's, and an
+    existential slot with a move into a state that is not live is won by
+    Eve, who takes that move: the slot gets owner 1 and no move, a dead
+    end where Adam is stuck.  A universal slot with no move into a live
+    state is a dead end Adam loses, an existential slot with no move one
+    Eve loses (`_stuck`).
 
-    Without one, an odd loop top is a state q of odd rank r that lies on a
-    cycle of the subgraph ranked at most r: `graphs._loop_top` on the
-    components of `graphs._rank_sccs` at r, asked once per odd rank r on
-    the looping components of `automata._graph` that hold a state of rank
-    r.  The graph's states come in copies:
+    Without one, an automaton with an existential state gets its own view,
+    `_plain(a)`.  One with none gets copies of itself over guessed odd
+    loop tops, every slot Adam's.  An odd loop top is a state q of odd
+    rank r that lies on a cycle of the subgraph ranked at most r:
+    `graphs._loop_top` on the components of `graphs._rank_sccs` at r,
+    asked once per odd rank r on the looping components of
+    `automata._graph` that hold a state of rank r.  The states are copies:
     - copy 0 is `a` itself, states 0..|Q|-1 as `_view` numbers them, with
       its moves cut to states that can reach an odd loop top (`_reach`);
     - copy r, for each odd rank r that tops a loop, holds the states of
@@ -405,65 +374,78 @@ def _top_copies(a: TreeAutomaton):
       before it, and keeps only the moves inside the source's component;
     - an odd loop top q of copy 0 moves first, by epsilon on every letter,
       to its own state in copy rank(q).
-    A state of copy r is accepting iff its rank is r; no state of copy 0
-    is.  `start` is the initial state in copy 0, and the result is None if
-    it reaches no odd loop top.
+    A state of copy r has rank 1 iff its rank is r; every state of copy 0
+    has rank 0.  `start` is the initial state in copy 0, and the table is
+    None if it reaches no odd loop top.
     """
     memo = a._memo
-    if "membership_copies" in memo:
-        return memo["membership_copies"]
-    vector = _vector(a)
-    if vector is not None:
-        start, ranks, moves, live, _ = vector
-        copies = memo["membership_copies"] = (
-            start, bytearray(r & 1 for r in ranks),
-            [[(d, p) for d, p in out if live[p]] for out in moves])
-        return copies
-    sidx, letter, moves, _, rank = _view(a)
-    width = len(letter)
-    succ, sccs = _graph(a)
-    n = len(rank)
-    held = defaultdict(list)  # odd rank r -> the looping components with a state of rank r
-    for comp in sccs:
-        if has_cycle_inside(comp, succ):
-            for r in {rank[q] for q in comp if rank[q] & 1}:
-                held[r] += comp
-    jump = [-1] * n  # per odd loop top of copy 0, its state in the copy of its rank
-    accepting, copy_moves = bytearray(n), []
-    for r in sorted(held):
-        sub, adj, comps = _rank_sccs(held[r], succ, rank, r)
-        for comp in comps:
-            if _loop_top(comp, adj, sub, rank, r) is None:
-                continue
-            states = [sub[i] for i in comp]
-            place = {q: len(accepting) + k for k, q in enumerate(states)}
-            for q in states:
-                accepting.append(rank[q] == r)
-                if rank[q] == r:
-                    jump[q] = place[q]
-                copy_moves += ([(d, place[p]) for d, p in moves[x] if p in place]
-                               for x in range(q * width, (q + 1) * width))
-    sinks_first = sccs[::-1]
-    reach = _reach(succ, sinks_first, (any(jump[q] >= 0 for q in comp) for comp in sinks_first))
-    copies = None
-    start = sidx[a.initial]
-    if reach[start]:
-        table = []
+    if "membership_search" in memo:
+        return memo["membership_search"]
+
+    def build():  # nested, so that a memo hit creates none of its comprehensions' cells
+        sidx, letter, moves, owner, rank = _view(a)
+        width = len(letter)
+        existential = 0 in owner
+        vector = _vector(a)
+        if vector is not None:
+            start, ranks, moves, live, owner = vector
+            if not live[start]:
+                return None
+            kept = [[(d, p) for d, p in out if live[p]] for out in moves]
+            if not existential:
+                return start, bytearray(r & 1 for r in ranks), kept, bytearray([1]) * len(moves)
+            slot_owner = bytearray(o for o in owner for _ in letter)
+            for x, out in enumerate(moves):
+                if not slot_owner[x] and len(kept[x]) < len(out):  # Eve moves where she wins
+                    slot_owner[x], kept[x] = 1, []
+            return start, ranks, kept, slot_owner
+        if existential:
+            return _plain(a)
+        succ, sccs = _graph(a)
+        n = len(rank)
+        held = defaultdict(list)  # odd rank r -> the looping components with a state of rank r
+        for comp in sccs:
+            if has_cycle_inside(comp, succ):
+                for r in {rank[q] for q in comp if rank[q] & 1}:
+                    held[r] += comp
+        jump = [-1] * n  # per odd loop top of copy 0, its state in the copy of its rank
+        accepting, copy_moves = bytearray(n), []
+        for r in sorted(held):
+            sub, adj, comps = _rank_sccs(held[r], succ, rank, r)
+            for comp in comps:
+                if _loop_top(comp, adj, sub, rank, r) is None:
+                    continue
+                states = [sub[i] for i in comp]
+                place = {q: len(accepting) + k for k, q in enumerate(states)}
+                for q in states:
+                    accepting.append(rank[q] == r)
+                    if rank[q] == r:
+                        jump[q] = place[q]
+                    copy_moves += ([(d, place[p]) for d, p in moves[x] if p in place]
+                                   for x in range(q * width, (q + 1) * width))
+        sinks_first = sccs[::-1]
+        reach = _reach(succ, sinks_first,
+                       (any(jump[q] >= 0 for q in comp) for comp in sinks_first))
+        start = sidx[a.initial]
+        if not reach[start]:
+            return None
+        kept = []
         for q in range(n):
             first = [(None, jump[q])] if jump[q] >= 0 else []
-            table += (first + [(d, p) for d, p in moves[x] if reach[p]]
-                      for x in range(q * width, (q + 1) * width))
-        copies = (start, accepting, table + copy_moves)
-    memo["membership_copies"] = copies
-    return copies
+            kept += (first + [(d, p) for d, p in moves[x] if reach[p]]
+                     for x in range(q * width, (q + 1) * width))
+        kept += copy_moves
+        return start, accepting, kept, bytearray([1]) * len(kept)
+    table = memo["membership_search"] = build()
+    return table
 
 
 def _nested_accepts(a: TreeAutomaton, view) -> bool:
     """Membership of the tree `view` in `a`, an automaton with no
     existential state, decided by a nested depth-first search over the
-    positions (state, node) of `_top_copies(a)`, stepping moves as
+    positions (state, node) of its `_search` table, stepping moves as
     `_product` does: the one search of a membership in which Adam moves
-    alone.
+    alone.  A position is accepting iff its state's rank in the table is 1.
 
     Adam wins iff the product of `a` and the tree has a reachable cycle
     that breaks `a`'s condition.  On a `_vector` that is a cycle of odd
@@ -489,10 +471,10 @@ def _nested_accepts(a: TreeAutomaton, view) -> bool:
     s * nn + v in a bytearray while there are at most `_LIST_INDEX_SLOTS`
     slots, else in a dict.
     """
-    copies = _top_copies(a)
-    if copies is None:
+    table = _search(a)
+    if table is None:
         return True
-    start, accepting, moves = copies
+    start, accepting, moves, _ = table
     letter = _view(a)[1]
     labels, children, root = view
     nn = len(labels)
@@ -539,34 +521,27 @@ def _nested_accepts(a: TreeAutomaton, view) -> bool:
     return True
 
 
-def _accepts_every_tree(a: TreeAutomaton) -> bool:
-    """Whether the initial state of `a`'s `_vector` is not live, so that
-    its language holds every tree."""
-    vector = _vector(a)
-    return vector is not None and not vector[3][vector[0]]
-
-
 def _accepts(a: TreeAutomaton, view) -> bool:
-    """Membership of the tree `view` in the language of `a`, by one of
-    three routes:
-    - If the initial state of `a`'s `_vector` is not live, the tree is
-      accepted at once, with no search.
+    """Membership of the tree `view` in the language of `a`, on its one
+    `_search` table:
+    - With no table, the tree is accepted at once, with no search.
     - An automaton with no existential state is decided by the nested
       depth-first search `_nested_accepts`, which builds no product
       arrays: on its `_vector` (weak, or strong with loops of one parity
-      in each component), else on copies over guessed odd loop tops.
-    - Any other is decided by `eve_wins_arrays` on product arrays.  With a
-      `_vector`, on those of its `_route`, cut where Eve has already won,
-      under the weak condition: linear weak layering, also for a strong
-      automaton.  Without one, on those of its view, by the strong solver,
-      a winner-only solve at position 0.
+      in each component) cut to live states, else on copies over guessed
+      odd loop tops.
+    - Any other is decided by `eve_wins_arrays` on the table's product
+      arrays.  With a `_vector`, the table is the vector cut where Eve has
+      already won, solved under the weak condition: linear weak layering,
+      also for a strong automaton.  Without one, it is `a`'s own view,
+      solved by the strong solver, a winner-only solve at position 0.
     """
-    if _accepts_every_tree(a):
+    table = _search(a)
+    if table is None:
         return True
     if 0 not in _view(a)[3]:
         return _nested_accepts(a, view)
-    route = _route(a)
-    return eve_wins_arrays(*_product_arrays(a, view, route), weak=route is not None)
+    return eve_wins_arrays(*_product_arrays(a, view, table), weak=_vector(a) is not None)
 
 
 def alt_accepts(a: TreeAutomaton, t: RegularTree) -> bool:
@@ -578,9 +553,9 @@ def alt_accepts(a: TreeAutomaton, t: RegularTree) -> bool:
 def det_accepts(a: DetAutomaton, t: RegularTree) -> bool:
     """Deterministic membership: the unique run must have no reachable cycle
     with odd top rank; the product game is all-Adam.  `_accepts` decides it
-    by the nested search, on the automaton's cycle ranks, or over guessed
-    odd loop tops if a component of the automaton has loops of both
-    parities."""
+    by the nested search on the automaton's `_search` table: its cycle
+    ranks, or copies over guessed odd loop tops if a component of the
+    automaton has loops of both parities."""
     _check_labels(a, t)
     return _accepts(a, _tree_view(t))
 

@@ -255,7 +255,7 @@ def test_one_player_search_matches_the_kernel_on_random_automata():
         a = _universal(_random_alternating(rng, "weak"))
         seen["epsilon self-loop"] += any(t.direction is None and t.source == t.target
                                          for t in a.transitions)
-        every = semantics._accepts_every_tree(a)
+        every = semantics._search(a) is None
         kinds[_weak_kind(a), "every tree" if every else "live"] += 1
         for v in views:
             _, _, succ = _product_arrays(a, v)
@@ -295,7 +295,7 @@ def test_one_player_search_matches_the_kernel_on_constructions():
             if any(st.mode == "E" for st in out.states.values()):
                 continue
             checked[kind] += 1
-            kinds[_weak_kind(out), semantics._accepts_every_tree(out)] += 1
+            kinds[_weak_kind(out), semantics._search(out) is None] += 1
             for v in views:
                 expected = _kernel_accepts(out, v)
                 assert _nested_accepts(out, v) == expected, (kind, a, v)
@@ -348,19 +348,21 @@ def _refuse(*args, **kwargs):
     raise AssertionError("product arrays built")
 
 
-def _refuse_view(a, view, route=None):
-    """`_product_arrays` refused on the automaton's view, allowed on a route."""
-    assert route is not None, "product arrays built on the view"
-    return _product_arrays(a, view, route)
+def _refuse_view(a, view, table=None):
+    """`_product_arrays` refused on a table whose ranks are the
+    automaton's own, allowed on any other."""
+    ranks = semantics._plain(a)[1] if table is None else table[1]
+    assert ranks is not semantics._view(a)[4], "product arrays built on the view"
+    return _product_arrays(a, view, table)
 
 
 def test_accepts_routes_universal_weak_automata_to_the_one_player_search(monkeypatch):
     """An automaton with no existential state builds no product arrays,
     whether it is weak, strong with loops of one parity per component, or
     strong with a component whose loops have tops of both parities; one
-    with an existential state and a `_vector` builds them on its route,
-    never on its view, and only one with an existential state and no
-    `_vector` builds them on the view."""
+    with an existential state and a `_vector` builds them on its
+    `_search` table, never on its view, and only one with an existential
+    state and no `_vector` builds them on the view."""
     a = make_automaton(("a",), {"i": ("A", 0), "p": ("A", 1)}, "i",
                        [("i", "a", 0, "p"), ("p", "a", None, "p")], acceptance="weak")
     view = _tree_view(constant_tree("a"))
@@ -389,7 +391,7 @@ def test_accepts_routes_universal_weak_automata_to_the_one_player_search(monkeyp
         assert semantics._accepts(a, view) is _cycle_check_accepts(a, view), name
 
     monkeypatch.setattr(semantics, "_product_arrays", _refuse_view)
-    assert semantics._route(mixed) is not None
+    assert semantics._vector(mixed) is not None
     assert semantics._accepts(mixed, view) is expected is False
     eve_both = both.with_states({**both.states, "i": State("E", 1)})
     with pytest.raises(AssertionError, match="product arrays built on the view"):
@@ -616,7 +618,7 @@ def test_nested_search_index_list_and_dict_agree(monkeypatch):
                     ("z", "b", 0, "i"), ("x", "a", 0, "o"), ("o", "a", 0, "x"),
                     ("o", "b", 1, "y"), ("y", "b", 1, "o")]),
               ]]
-    assert all(_route_of(a) == "search" and not semantics._accepts_every_tree(a)
+    assert all(_route_of(a) == "search" and semantics._search(a) is not None
                for a in vector)
     automata += vector
     verdicts = {}
@@ -628,6 +630,34 @@ def test_nested_search_index_list_and_dict_agree(monkeypatch):
     assert verdicts[0] == verdicts[1 << 40]
     check = {"parity": _cycle_check_accepts, "weak": _kernel_accepts}
     assert verdicts[0] == [check[a.acceptance](a, v) for a in automata for v in views]
+
+
+def test_nested_search_matches_the_strong_solver_on_its_table():
+    """An automaton with no existential state has one `_search` table,
+    whose ranks are odd-rank flags: on the vector, or on the copies over
+    guessed odd loop tops.  The strong condition on those flags is exact,
+    so the strong solver on the table's product arrays decides what the
+    nested search does.  Criterion 5's stream, `random_det` and universal
+    weak and strong automata drawn by `_random_alternating`, on the
+    battery and sampled trees; both verdicts on both kinds of table."""
+    views = [v for _, v in _battery_views(("a", "b"))]
+    views += [_tree_view(t) for t in sample_regular_tree(
+        SamplerParams(seed=59, max_nodes=8, alphabet=("a", "b"), count=8))]
+    rng = SplitMix64(5959)
+    automata = criterion_5_stream(200) + [random_det(rng, max_states=5) for _ in range(200)]
+    automata += [_universal(_random_alternating(rng, kind))
+                 for kind in ("weak", "parity") for _ in range(200)]
+    seen = Counter()
+    for a in automata:
+        table = semantics._search(a)
+        if table is None:
+            continue
+        kind = "copies" if semantics._vector(a) is None else "vector"
+        for v in views:
+            nested = _nested_accepts(a, v)
+            assert nested == eve_wins_arrays(*_product_arrays(a, v, table), weak=False), (a, v)
+            seen[kind, nested] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 500, seen
 
 
 def test_nested_search_on_a_1000_state_automaton_is_fast():
@@ -666,7 +696,7 @@ def test_route_matches_the_triple_search_on_cycle_ranks():
         found = semantics._cycle_ranks(a)
         if found is None:
             continue
-        every = semantics._accepts_every_tree(a)
+        every = semantics._search(a) is None
         for v in views:
             expected = ref_universal_weak_accepts(a, v, found[0])
             assert semantics._accepts(a, v) == expected, (a, v)
@@ -714,7 +744,7 @@ def test_labels_outside_the_alphabet_raise_when_every_tree_is_accepted():
     t = RegularTree(2, {"r": Node("a", ("n", "n")), "n": Node("c", ("n", "n"))}, "r")
     for acceptance, accepts in (("parity", det_accepts), ("weak", alt_accepts)):
         a = _every_tree(acceptance)
-        assert semantics._accepts_every_tree(a)
+        assert semantics._search(a) is None
         assert accepts(a, constant_tree("a"))
         with pytest.raises(ValidationError, match=r"^tree labels outside alphabet: \['c'\]$"):
             accepts(a, t)
@@ -760,9 +790,9 @@ def _solver_accepts(a, view):
 
 def _eve_route(a):
     """Whether the memberships of `a`, an automaton with an existential
-    state, take the Eve route: product arrays of its route on the vector,
-    solved under the weak condition."""
-    return semantics._route(a) is not None
+    state, take the Eve route: product arrays of its `_search` table on
+    the vector, solved under the weak condition."""
+    return semantics._vector(a) is not None
 
 
 _LOOPS = [(q, x, d, q) for q in "os" for x in "ab" for d in (0, 1)]  # o and s loop on every letter
@@ -797,7 +827,7 @@ _LOOPS = [(q, x, d, q) for q in "os" for x in "ab" for d in (0, 1)]  # o and s l
      + [("s", x, d, "s") for x in "ab" for d in (0, 1)],
      False, (True, False, False)),
     # Eve may move, on a, into s, which is not live, beside o; on b only
-    # into o.  Her route slot on a is won
+    # into o.  Her table slot on a is won
     ("weak", {"i": ("E", 0), "o": ("A", 1), "s": ("A", 0)},
      [("i", "a", 0, "s"), ("i", "a", 1, "o"), ("i", "b", 0, "o")] + _LOOPS,
      False, (True, False, True)),
@@ -805,7 +835,7 @@ _LOOPS = [(q, x, d, q) for q in "os" for x in "ab" for d in (0, 1)]  # o and s l
     ("weak", {"i": ("E", 0), "o": ("A", 1), "s": ("A", 0)},
      [("i", "a", None, "s"), ("i", "a", None, "o"), ("i", "b", None, "o")] + _LOOPS,
      False, (True, False, True)),
-    # Adam's moves on a all lead into s: his route slot keeps none, so he
+    # Adam's moves on a all lead into s: his table slot keeps none, so he
     # is stuck and loses; on b he moves to e, from which Eve has only o on b
     ("weak", {"i": ("A", 0), "e": ("E", 0), "o": ("A", 1), "s": ("A", 0)},
      [("i", "a", 0, "s"), ("i", "a", 1, "s"), ("i", "b", 0, "e"),
@@ -833,7 +863,7 @@ def test_every_tree_with_existential_states_hand_made(acceptance, states, moves,
     route, and its verdicts match the full product's."""
     a = make_automaton(("a", "b"), states, "i", moves, acceptance=acceptance)
     assert _eve_route(a)
-    assert semantics._accepts_every_tree(a) is every
+    assert (semantics._search(a) is None) is every
     trees = (constant_tree("a"), constant_tree("b"),
              RegularTree(2, {"r": Node("a", ("n", "n")), "n": Node("b", ("n", "n"))}, "r"))
     for t, member in zip(trees, verdicts):
@@ -868,7 +898,7 @@ def test_every_tree_with_existential_states_matches_the_kernel(monkeypatch):
     solve_arrays = semantics.eve_wins_arrays
     monkeypatch.setattr(semantics, "eve_wins_arrays",
                         lambda *args, **kw: games.append(kw["weak"]) or solve_arrays(*args, **kw))
-    every = [semantics._accepts_every_tree(a) for a in automata]
+    every = [semantics._search(a) is None for a in automata]
     routed, verdicts = Counter(), Counter()
     for a, flag in zip(automata, every):
         vector = semantics._vector(a) is not None
@@ -886,7 +916,7 @@ def test_every_tree_with_existential_states_matches_the_kernel(monkeypatch):
     assert routed["weak", True] == routed["parity", True] == 500, routed
     assert routed["parity", False] >= 150, routed
     monkeypatch.setattr(semantics, "_attract", lambda *args: None)
-    unattracted = [semantics._accepts_every_tree(a.with_states(dict(a.states)))
+    unattracted = [semantics._search(a.with_states(dict(a.states))) is None
                    for a in automata]
     kinds = Counter((a.acceptance, flag, old) for a, flag, old in zip(automata, every, unattracted))
     assert not kinds[("weak", False, True)] and not kinds[("parity", False, True)], kinds
@@ -922,10 +952,10 @@ def test_every_tree_on_constructions_with_existential_states():
             if all(st.mode == "A" for st in out.states.values()):
                 continue
             assert _eve_route(out), (kind, a)
-            every = semantics._accepts_every_tree(out)
+            every = semantics._search(out) is None
             seen[kind, every] += 1
             if kind == "weaken_13":
-                assert every == semantics._accepts_every_tree(a), (a, out)
+                assert every == (semantics._search(a) is None), (a, out)
             for v in views:
                 expected = _solver_accepts(out, v)
                 assert semantics._accepts(out, v) == expected, (kind, a, v)

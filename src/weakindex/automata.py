@@ -15,7 +15,7 @@ from operator import eq, itemgetter, lt
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import ValidationError
-from .graphs import _sccs
+from .graphs import _loop_comps, _sccs
 from .trees import _TOKEN, _is_token
 
 EXISTENTIAL = "E"
@@ -375,6 +375,12 @@ def _graph(a: TreeAutomaton):
         succ = [sorted(set(target[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
         return succ, _sccs(succ)[::-1]
     return _memo(a, "graph", build)
+
+
+def _loops(a: TreeAutomaton) -> list[tuple[int, int, list[int]]]:
+    """`graphs._loop_comps` on `a`'s `_graph` and `_table` ranks, built once
+    and kept in `a._memo`: the one list of `a`'s loop components by top rank."""
+    return _memo(a, "loops", lambda: _loop_comps(*_graph(a), _table(a).rank))
 
 
 def _sink_moves(q: str, alphabet: tuple[str, ...]) -> list[Transition]:

@@ -24,8 +24,8 @@ positions by rank buckets.
 The weak layering, `_solve_weak_layers`, returns each rank's attractor
 queue, which `solve_weak` reads its strategies off.  `check_strategy`
 numbers the (position, rank) nodes of the plays a solution's strategies
-allow and asks `graphs._has_top_cycle`, on ints, for a play they cannot
-win.
+allow and looks, in their loop components by top rank
+(`graphs._loop_comps`), for a play they cannot win.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import compress, takewhile
 
 from .errors import FormatError, GameTooLarge, ValidationError
-from .graphs import _has_top_cycle
+from .graphs import _loop_comps, _sccs
 
 EVE = "E"
 ADAM = "A"
@@ -445,8 +445,9 @@ def check_strategy(g: Game, sol: Solution) -> bool:
                            for w in moves]
             stack.extend(graph[node])
         num = {node: i for i, node in enumerate(graph)}
-        if _has_top_cycle(range(len(num)), [[num[w] for w in ws] for ws in graph.values()],
-                          [node[1] for node in graph], opp_parity):
+        isucc = [[num[w] for w in ws] for ws in graph.values()]
+        if any(r % 2 == opp_parity
+               for _, r, _ in _loop_comps(isucc, _sccs(isucc), [node[1] for node in graph])):
             return False
     return True
 

@@ -1,5 +1,5 @@
 """Graph helpers on one SCC kernel: Tarjan's strongly connected components,
-the condensation, reachability and the rank-restricted components.
+the condensation, reachability and the components of loops by top rank.
 
 `_sccs` is the one SCC pass (Tarjan, SIAM J. Comput. 1972), iterative so
 large graphs do not hit the recursion limit.  It runs on int nodes 0..n-1
@@ -7,10 +7,12 @@ and a successor list per node, keeps `index` and `low` in lists, marks its
 stack in a bytearray and cuts each component off it in one slice, sorted.
 Every internal pass calls it on ints, and `automata._graph` runs it once
 on each automaton's move graph; the pattern view condenses that, by
-`_condensation`.  `_rank_sccs` is the one code that builds the subgraph
-ranked at most r, and `_loop_top` the one test for a loop with top r on
-its components; the pattern view's loop tops, the cycle ranks and the
-odd loop tops of `semantics._search` and `_has_top_cycle` run on them.
+`_condensation`.  `_loop_comps` is the one rank-restricted pass: per
+looping SCC and per rank r of its nodes, the components of loops with top
+r, found by `_rank_sccs` on that SCC's subgraph ranked at most r.  It runs
+once per automaton, by `automata._loops`, for the pattern view's loop tops
+and witness loops, the cycle ranks and the odd loop tops of
+`semantics._search`, and on each graph `games.check_strategy` builds.
 `tarjan_scc` and `condensation` keep their contract, any hashable nodes
 and a successor dict that may lack keys, by numbering the nodes and
 calling the kernel.
@@ -146,40 +148,33 @@ def has_cycle_inside(comp: list, succ) -> bool:
     return v in succ[v]
 
 
-def _rank_sccs(nodes, succ, rank, r, group=None):
+def _rank_sccs(nodes, succ, rank, r):
     """(sub, adj, comps): `sub` the int nodes of `nodes` ranked at most r,
-    in `nodes` order; `adj[i]` the moves `succ[sub[i]]` into `sub` (inside
-    one `group[v]`, if given) and `comps` the components `_sccs(adj)`, both
-    by place in `sub`.  It builds nothing larger than `sub` and its moves."""
+    in `nodes` order; `adj[i]` the moves `succ[sub[i]]` into `sub` and
+    `comps` the components `_sccs(adj)`, both by place in `sub`.  It builds
+    nothing larger than `sub` and its moves."""
     sub = [v for v in nodes if rank[v] <= r]
     num = {v: i for i, v in enumerate(sub)}
-    if group is None:
-        adj = [[num[w] for w in succ[v] if w in num] for v in sub]
-    else:
-        adj = [[num[w] for w in succ[v] if w in num and group[w] == g]
-               for v, g in zip(sub, map(group.__getitem__, sub))]
+    adj = [[num[w] for w in succ[v] if w in num] for v in sub]
     return sub, adj, _sccs(adj)
 
 
-def _loop_top(comp, adj, sub, rank, r):
-    """The first node of rank r in `comp`, a component `_rank_sccs` found
-    at r (places in `sub`), if `comp` supports a cycle, else None: a loop
-    with top rank r runs through comp's nodes iff it is not None."""
-    if len(comp) > 1 or comp[0] in adj[comp[0]]:  # `has_cycle_inside`, inlined
-        for i in comp:
-            if rank[sub[i]] == r:
-                return sub[i]
-    return None
-
-
-def _has_top_cycle(nodes, succ, rank, parity: int) -> bool:
-    """Whether the subgraph induced by the int nodes `nodes` (moves
-    `succ[v]`, ranks `rank[v]`) has a cycle whose top rank has `parity`:
-    `_loop_top` on `_rank_sccs` at each such rank, ascending, to a hit."""
-    nodes = list(nodes)
-    for r in sorted({rank[v] for v in nodes if rank[v] % 2 == parity}):
-        sub, adj, comps = _rank_sccs(nodes, succ, rank, r)
-        for comp in comps:
-            if _loop_top(comp, adj, sub, rank, r) is not None:
-                return True
-    return False
+def _loop_comps(succ, sccs, rank) -> list[tuple[int, int, list[int]]]:
+    """(c, r, comp) for each SCC `sccs[c]` that supports a cycle, each rank
+    r of its nodes, ascending, and each component `comp` (sorted) of its
+    subgraph ranked at most r that supports a cycle and holds a node of
+    rank r: the nodes of the loops with top r.  At the SCC's top rank that
+    is the whole SCC; below it `_rank_sccs` searches the SCC alone, and
+    the components come in the order of that search."""
+    out = []
+    for c, scc in enumerate(sccs):
+        if not has_cycle_inside(scc, succ):
+            continue
+        ranks = sorted({rank[v] for v in scc})
+        for r in ranks[:-1]:
+            sub, adj, comps = _rank_sccs(scc, succ, rank, r)
+            for comp in comps:
+                if has_cycle_inside(comp, adj) and any(rank[sub[i]] == r for i in comp):
+                    out.append((c, r, [sub[i] for i in comp]))
+        out.append((c, ranks[-1], scc))
+    return out

@@ -2,34 +2,33 @@
 
 All detectors expect a trimmed deterministic automaton and return explicit
 witnesses.  The workhorse is the rank-restricted SCC method of
-`graphs._rank_sccs` and its test `graphs._loop_top`: a loop through p
-with top rank exactly r exists iff, in the subgraph of states ranked <= r,
-p's strongly connected component supports a cycle and holds a state of
-rank r.
+`graphs._loop_comps`, run once per automaton by `automata._loops`: a loop
+through p with top rank exactly r exists iff, in the subgraph of states
+ranked <= r, p's strongly connected component supports a cycle and holds
+a state of rank r.
 
 Everything runs on one int view of the automaton (`_view`), which reads
 its numbering from `automata._table` and its move graph and components
 from `automata._graph`, shared with `semantics`, and condenses them by
 `graphs._condensation`.  It is kept in `a._memo` with what derives from
-it, once each: the rank-restricted SCCs of each rank, the loop tops of
-states and transitions as bitmasks with one bit per distinct rank and
-each SCC's smallest loops (`_tops`), the witness loops, the replicated
-set and the weak chain lengths.  Searches run on state and transition
-indices and map back to ids only to build a witness.  A brute-force
-enumerator over strongly connected state subsets serves as the
-independent oracle.
+it, once each: the loop tops of states and transitions as bitmasks with
+one bit per distinct rank and each SCC's smallest loops (`_tops`), the
+witness loops, the replicated set and the weak chain lengths.  Searches
+run on state and transition indices and map back to ids only to build a
+witness.  A brute-force enumerator over strongly connected state subsets
+serves as the independent oracle.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .automata import BOT, DetAutomaton, IndexPair, Transition, _graph, _memo, _table
+from .automata import BOT, DetAutomaton, IndexPair, Transition, _graph, _loops, _memo, _table
 from .errors import GameTooLarge, ValidationError
-from .graphs import (_condensation, _loop_top, _rank_sccs as _graph_rank_sccs, has_cycle_inside,
-                     reachable_from)
+from .graphs import _condensation, has_cycle_inside, reachable_from
 
 INF = float("inf")
 _Build = Callable[[], object]  # builds a witness once a check has decided it exists
@@ -240,7 +239,6 @@ class _View(NamedTuple):
     sccs: list[list[int]]  # the condensation: SCCs in topological order,
     scc_of: list[int]  # each state's SCC
     edges: list[set[int]]  # and the SCC successor sets
-    scc_top: list[int]  # each SCC's highest rank
 
 
 def _view(a: DetAutomaton) -> _View:
@@ -251,45 +249,13 @@ def _view(a: DetAutomaton) -> _View:
         parity = tuple(sum(1 << k for k, r in enumerate(ranks) if r % 2 == b) for b in (0, 1))
         succ, sccs = _graph(a)
         return _View(ids, index, rank, ranks, [bit[r] for r in rank], parity,
-                     2 * len(a.alphabet), target, succ, *_condensation(succ, sccs),
-                     [max(map(rank.__getitem__, c)) for c in sccs])
+                     2 * len(a.alphabet), target, succ, *_condensation(succ, sccs))
     return _memo(a, "view", build)
 
 
 def _ranks_of(a: DetAutomaton, mask: int) -> list[int]:
     """The ranks whose bits are set in `mask`, ascending."""
     return [r for k, r in enumerate(_view(a).ranks) if mask >> k & 1]
-
-
-def _rank_sccs(a: DetAutomaton, r: int) -> tuple[list[list[int]], list[int]]:
-    """SCCs of the subgraph of states ranked <= r, and each state's SCC
-    there (-1 above r).
-
-    Each lies inside one SCC of the whole graph, so a whole SCC ranked <= r
-    throughout is one of them.  `graphs._rank_sccs` searches the states of
-    the other SCCs, ascending and grouped by whole SCC: it explores each one
-    alone from its smallest state ranked <= r, so its components come out
-    as from a search of that SCC alone; their order across SCCs means nothing.
-    """
-    def build():
-        v = _view(a)
-        comps, split = [], []
-        for comp, top in zip(v.sccs, v.scc_top):
-            if top <= r:
-                comps.append(comp)
-            else:
-                split += comp
-        split.sort()
-        sub, _, found = _graph_rank_sccs(split, v.succ, v.rank, r, v.scc_of)
-        for comp in found:  # from places in `sub` to state indices, in place
-            comp[:] = map(sub.__getitem__, comp)
-        comps += found
-        comp_of = [-1] * len(v.rank)
-        for c, comp in enumerate(comps):
-            for i in comp:
-                comp_of[i] = c
-        return comps, comp_of
-    return _memo(a, ("rank_sccs", r), build)
 
 
 class _Tops(NamedTuple):
@@ -304,27 +270,27 @@ class _Tops(NamedTuple):
 
 
 def _tops(a: DetAutomaton) -> _Tops:
+    """The loop tops of `a`'s states and transitions and each SCC's
+    smallest loops, read off the components of `automata._loops`: a loop
+    with top r runs through the states of a component at r, and starts
+    with a transition iff both its ends lie in one."""
     def build():
         v = _view(a)
-        width, target, rank, states = v.width, v.target, v.rank, range(len(v.rank))
+        width, target, rank = v.width, v.target, v.rank
         tops = _Tops([0] * len(v.ids), [0] * len(target), [[None, None] for _ in v.sccs])
         loop, edge = tops.loop, tops.edge
-        for k, r in enumerate(v.ranks):
-            bit = 1 << k
-            comps, comp_of = _rank_sccs(a, r)
-            for c, comp in enumerate(comps):
-                first = _loop_top(comp, v.succ, states, rank, r)  # comps hold state indices
-                if first is None:
-                    continue
-                slot = tops.scc[v.scc_of[comp[0]]]
-                if slot[r % 2] is None:
-                    slot[r % 2] = (r, first)
-                for i in comp:
-                    loop[i] |= bit
-                    lo = i * width
-                    for j, w in enumerate(target[lo:lo + width], lo):
-                        if comp_of[w] == c:
-                            edge[j] |= bit
+        for c, r, comp in _loops(a):
+            first = next(i for i in comp if rank[i] == r)
+            slot = tops.scc[c]
+            if slot[r % 2] is None:
+                slot[r % 2] = (r, first)
+            bit, inside = 1 << v.level[first], set(comp)
+            for i in comp:
+                loop[i] |= bit
+                lo = i * width
+                for j, w in enumerate(target[lo:lo + width], lo):
+                    if w in inside:
+                        edge[j] |= bit
         return tops
     return _memo(a, "tops", build)
 
@@ -401,15 +367,24 @@ def _closed_walk(a: DetAutomaton, comp: set[int], pivot: int, via: int, top: int
     return Loop(tuple(a.transitions[j] for j in best), top)
 
 
+def _loop_comp(a: DetAutomaton, i: int, r: int) -> tuple[set[int], int]:
+    """(comp, via): state i's component among the loops with top rank
+    exactly r, the entry of `automata._loops` (sorted by SCC and rank) that
+    holds i, and its smallest rank-r state.  The loop tops of i hold r."""
+    loops, v = _loops(a), _view(a)
+    k = bisect_left(loops, (v.scc_of[i], r))
+    while i not in loops[k][2]:
+        k += 1
+    return set(loops[k][2]), next(q for q in loops[k][2] if v.rank[q] == r)
+
+
 def _pivot_loop(a: DetAutomaton, pivot: int, r: int) -> Loop:
     """Loop through pivot with top rank exactly r, inside pivot's component
     of the rank <= r part and through its smallest rank-r state.  Kept in
     `a._memo`: the Borel bits ask for many of the same loops."""
     def build():
-        comps, comp_of = _rank_sccs(a, r)
-        comp = comps[comp_of[pivot]]
-        rank = _view(a).rank
-        return _closed_walk(a, set(comp), pivot, min(i for i in comp if rank[i] == r), r)
+        comp, via = _loop_comp(a, pivot, r)
+        return _closed_walk(a, comp, pivot, via, r)
     return _memo(a, ("loop", pivot, r), build)
 
 
@@ -418,11 +393,8 @@ def _edge_loop(a: DetAutomaton, j: int, r: int) -> Loop:
     exactly r.  Every path from j's target back to its source in the rank
     <= r part stays inside their common component, so the search does too."""
     v = _view(a)
-    comps, comp_of = _rank_sccs(a, r)
     p, q = j // v.width, v.target[j]
-    comp = comps[comp_of[p]]
-    via = min(i for i in comp if v.rank[i] == r)
-    allowed = set(comp)
+    allowed, via = _loop_comp(a, p, r)
     path = [j] + _bfs(a, allowed, [q], {via}) + _bfs(a, allowed, [via], {p})
     return Loop(tuple(a.transitions[k] for k in path), r)
 

@@ -29,9 +29,9 @@ automaton's own view (`_plain`).  `bounded_equiv` indexes each tree
 once and runs both automata on that view; it takes the fixed battery
 and the samples as views and builds a `RegularTree` only for the
 counterexample it returns.  Cycle ranks and odd loop tops read the
-pattern view's move graph, `automata._graph`, and run on the components
-of `graphs._rank_sccs`.  The run reduction folds the same product search
-into its tree.
+loop components of the pattern view's move graph, `automata._loops`, the
+one list the pattern view's loop tops read too.  The run reduction folds
+the same product search into its tree.
 """
 
 from __future__ import annotations
@@ -50,14 +50,14 @@ from .automata import (
     TreeAutomaton,
     UNIVERSAL,
     _graph,
-    _memo,
+    _loops,
     _table,
     index_of,
     normalize_ranks,
 )
 from .errors import ValidationError
 from .games import ADAM, EVE, Game, eve_wins_arrays
-from .graphs import _has_top_cycle, _loop_top, _rank_sccs, _sccs, has_cycle_inside
+from .graphs import _sccs, has_cycle_inside
 from .rng import _words
 from .trees import _TOKEN, Node, RegularTree, _is_token, parse_wlabel
 
@@ -244,24 +244,24 @@ def _cycle_ranks(a: TreeAutomaton):
     None if one of its components has loops of both parities.
 
     The graph and its components are `automata._graph`'s, which the
-    pattern view reads too.  A state in component c, in topological
-    order, gets 2c plus the parity of its component's loop tops (0 with
-    no loop).  A looping component's highest rank is a loop top, so
-    `graphs._has_top_cycle` asks the other parity.  Cycle ranks never
-    decrease along a move, and every closed walk in a component has a top
-    of its parity, so read as a weak automaton on its cycle ranks the
-    automaton keeps its language (Emerson & Lei, SCP 1987).
+    pattern view reads too, and the parities of each component's loop
+    tops are those of its entries in `automata._loops`.  A state in
+    component c, in topological order, gets 2c plus the parity of its
+    component's loop tops (0 with no loop).  Cycle ranks never decrease
+    along a move, and every closed walk in a component has a top of its
+    parity, so read as a weak automaton on its cycle ranks the automaton
+    keeps its language (Emerson & Lei, SCP 1987).
     """
-    rank, (succ, sccs) = _table(a).rank, _graph(a)
-    ranks = [0] * len(rank)
+    succ, sccs = _graph(a)
+    parities = bytearray(len(sccs))  # per component, bit b set if a loop top has parity b
+    for c, r, _ in _loops(a):
+        parities[c] |= 1 << (r & 1)
+    if 3 in parities:
+        return None
+    ranks = [0] * len(succ)
     for c, comp in enumerate(sccs):
-        odd = 0
-        if has_cycle_inside(comp, succ):
-            odd = max(map(rank.__getitem__, comp)) % 2
-            if _has_top_cycle(comp, succ, rank, 1 - odd):
-                return None
         for q in comp:
-            ranks[q] = 2 * c + odd
+            ranks[q] = 2 * c + (parities[c] >> 1)
     return ranks, succ, sccs[::-1]
 
 
@@ -314,7 +314,11 @@ def _vector(a: TreeAutomaton):
     no flag, so `live[q]` is then 1 iff q can reach a looping component of
     odd rank.
     """
-    def build():
+    memo = a._memo
+    if "membership_vector" in memo:
+        return memo["membership_vector"]
+
+    def build():  # nested, as in `_search`: a memo hit makes no closure
         sidx, letter, moves, owner, rank = _view(a)
         width = len(letter)
         if a.acceptance == "weak":
@@ -332,7 +336,8 @@ def _vector(a: TreeAutomaton):
         if 0 in owner:
             _attract(live, moves, owner, width)
         return start, ranks, moves, live, owner
-    return _memo(a, "membership_vector", build)
+    vector = memo["membership_vector"] = build()
+    return vector
 
 
 def _plain(a: TreeAutomaton):
@@ -363,19 +368,18 @@ def _search(a: TreeAutomaton):
     Without one, an automaton with an existential state gets its own view,
     `_plain(a)`.  One with none gets copies of itself over guessed odd
     loop tops, every slot Adam's.  An odd loop top is a state q of odd
-    rank r that lies on a cycle of the subgraph ranked at most r:
-    `graphs._loop_top` on the components of `graphs._rank_sccs` at r,
-    asked once per odd rank r on the looping components of
-    `automata._graph` that hold a state of rank r.  The states are copies:
+    rank r that lies on a cycle of the subgraph ranked at most r: a
+    rank-r state of an entry (c, r, comp) of `automata._loops` with r
+    odd.  The states are copies:
     - copy 0 is `a` itself, states 0..|Q|-1 as `_view` numbers them, with
       its moves cut to states that can reach an odd loop top (`_reach`);
-    - copy r, for each odd rank r that tops a loop, holds the states of
-      the components at r that hold such a top, numbered after the copies
-      before it, and keeps only the moves inside the source's component;
+    - each entry with odd r gives a copy of its component, numbered
+      after the copies before it in `_loops`' order, that keeps only the
+      moves inside that component;
     - an odd loop top q of copy 0 moves first, by epsilon on every letter,
-      to its own state in copy rank(q).
-    A state of copy r has rank 1 iff its rank is r; every state of copy 0
-    has rank 0.  `start` is the initial state in copy 0, and the table is
+      to its own state in the copy of its component at rank(q).
+    A state of the copy of a component at r has rank 1 iff its rank is r;
+    every state of copy 0 has rank 0.  `start` is the initial state in copy 0, and the table is
     None if it reaches no odd loop top.
     """
     memo = a._memo
@@ -403,26 +407,18 @@ def _search(a: TreeAutomaton):
             return _plain(a)
         succ, sccs = _graph(a)
         n = len(rank)
-        held = defaultdict(list)  # odd rank r -> the looping components with a state of rank r
-        for comp in sccs:
-            if has_cycle_inside(comp, succ):
-                for r in {rank[q] for q in comp if rank[q] & 1}:
-                    held[r] += comp
         jump = [-1] * n  # per odd loop top of copy 0, its state in the copy of its rank
         accepting, copy_moves = bytearray(n), []
-        for r in sorted(held):
-            sub, adj, comps = _rank_sccs(held[r], succ, rank, r)
-            for comp in comps:
-                if _loop_top(comp, adj, sub, rank, r) is None:
-                    continue
-                states = [sub[i] for i in comp]
-                place = {q: len(accepting) + k for k, q in enumerate(states)}
-                for q in states:
-                    accepting.append(rank[q] == r)
-                    if rank[q] == r:
-                        jump[q] = place[q]
-                    copy_moves += ([(d, place[p]) for d, p in moves[x] if p in place]
-                                   for x in range(q * width, (q + 1) * width))
+        for _, r, comp in _loops(a):
+            if not r & 1:
+                continue
+            place = {q: len(accepting) + k for k, q in enumerate(comp)}
+            for q in comp:
+                accepting.append(rank[q] == r)
+                if rank[q] == r:
+                    jump[q] = place[q]
+                copy_moves += ([(d, place[p]) for d, p in moves[x] if p in place]
+                               for x in range(q * width, (q + 1) * width))
         sinks_first = sccs[::-1]
         reach = _reach(succ, sinks_first,
                        (any(jump[q] >= 0 for q in comp) for comp in sinks_first))

@@ -259,6 +259,26 @@ def ref_tarjan(nodes: list, succ: dict) -> list[list]:
     return sccs
 
 
+def ref_has_cycle_inside(comp, succ):
+    return len(comp) > 1 or comp[0] in succ.get(comp[0], ())
+
+
+def ref_has_top_cycle(nodes, succ, rank, parity):
+    """Whether the subgraph induced by `nodes`, on the successor dict
+    `succ` and ranks `rank[v]`, has a cycle whose top rank has `parity`:
+    at each such rank r, ascending, `ref_tarjan` on the nodes ranked at
+    most r, to a component that supports a cycle and holds a node of
+    rank r.  The reference for the loop tops of `graphs._loop_comps`."""
+    for r in sorted({rank[v] for v in nodes if rank[v] % 2 == parity}):
+        sub = [v for v in nodes if rank[v] <= r]
+        keep = set(sub)
+        adj = {v: [w for w in succ[v] if w in keep] for v in sub}
+        for comp in ref_tarjan(sub, adj):
+            if ref_has_cycle_inside(comp, adj) and any(rank[v] == r for v in comp):
+                return True
+    return False
+
+
 def ref_sample_views(p):
     """The reference for `semantics._sample_views`: the same trees drawn
     one scalar `SplitMix64.below` step at a time."""

@@ -12,14 +12,13 @@ replicated set, condensation and per-SCC smallest loops.
 import pytest
 
 from weakindex import catalog
-from weakindex.automata import BOT, DetAutomaton, State, Transition, normalize_ranks
+from weakindex.automata import BOT, DetAutomaton, State, Transition, _loops, normalize_ranks
 from weakindex.classifier import classify
 from weakindex.cli import main
 from weakindex.errors import EmptyLanguage, WeakIndexError
 from weakindex.formats import serialize_automaton
 from weakindex.graphs import condensation, has_cycle_inside, reachable_from, tarjan_scc
 from weakindex.patterns import (
-    _rank_sccs,
     _tops,
     _view,
     edge_tops,
@@ -100,9 +99,9 @@ def assert_view_matches_reference(a):
     assert loop_ranks(a) == ref.loop_ranks
     assert edge_tops(a) == ref.edge_tops
     assert replicated_set(a) == ref.replicated
-    for r, (comps, _, _) in ref.rank_sccs.items():
-        got = {tuple(v.ids[i] for i in comp) for comp in _rank_sccs(a, r)[0]}
-        assert got == {tuple(comp) for comp in comps}, r
+    for r, (comps, _, top) in ref.rank_sccs.items():  # the components of loops with top r
+        got = {tuple(v.ids[i] for i in comp) for _, s, comp in _loops(a) if s == r}
+        assert got == {tuple(comp) for comp, is_top in zip(comps, top) if is_top}, r
     # per SCC and top parity: the smallest top, and the smallest state of
     # that rank in the first component carrying such a loop
     want = [[s and (s[0], min(q for q in s[1] if a.rank(q) == s[0])) for s in slot]

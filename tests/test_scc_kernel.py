@@ -1,9 +1,10 @@
 """The one SCC kernel, `graphs._sccs`, against the dict-keyed Tarjan it
 replaced (`conftest.ref_tarjan`), and the passes that call it against the
 same passes built on that reference: the public `tarjan_scc` and
-`condensation`, the rank-restricted routine `_rank_sccs` with its
-loop-top test, the pattern view's condensation and loop tops, cycle ranks
-and the rank-restricted cycle check; and time bounds on long chains.
+`condensation`, the rank-restricted routine `_rank_sccs`, the loop
+components `_loop_comps`, the pattern view's condensation and loop tops,
+cycle ranks and the loop tops of membership products; and time bounds on
+long chains.
 """
 
 import contextlib
@@ -23,8 +24,7 @@ from weakindex.errors import (
 )
 from weakindex.graphs import (
     _condensation,
-    _has_top_cycle,
-    _loop_top,
+    _loop_comps,
     _rank_sccs,
     _sccs,
     condensation,
@@ -37,13 +37,21 @@ from weakindex.semantics import (
     SamplerParams,
     _cycle_ranks,
     _product_arrays,
+    _search,
     _tree_view,
     _view as membership_view,
     sample_regular_tree,
 )
 from weakindex.transforms import restrict, weaken, weaken_02, weaken_13, weaken_14
 
-from conftest import cli_large_input, criterion_5_stream, random_weak, ref_tarjan
+from conftest import (
+    cli_large_input,
+    criterion_5_stream,
+    random_weak,
+    ref_has_cycle_inside,
+    ref_has_top_cycle,
+    ref_tarjan,
+)
 from test_acceptance import _admissible_pool
 
 
@@ -62,22 +70,6 @@ def ref_condensation(nodes, succ):
             if comp_of[v] != comp_of[w]:
                 edges[comp_of[v]].add(comp_of[w])
     return sccs, comp_of, edges
-
-
-def ref_has_cycle_inside(comp, succ):
-    return len(comp) > 1 or comp[0] in succ.get(comp[0], ())
-
-
-def ref_has_top_cycle(nodes, succ, rank, parity):
-    """`graphs._has_top_cycle` as it was, on a successor dict."""
-    for r in sorted({rank[v] for v in nodes if rank[v] % 2 == parity}):
-        sub = [v for v in nodes if rank[v] <= r]
-        keep = set(sub)
-        adj = {v: [w for w in succ[v] if w in keep] for v in sub}
-        for comp in ref_tarjan(sub, adj):
-            if ref_has_cycle_inside(comp, adj) and any(rank[v] == r for v in comp):
-                return True
-    return False
 
 
 def ref_cycle_ranks(a):
@@ -227,21 +219,41 @@ def test_a_100000_node_chain_runs_without_recursion():
 # -- the rank-restricted routine ---------------------------------------------------------
 
 
-def ref_rank_sccs(nodes, succ, rank, r, group):
+def ref_rank_sccs(nodes, succ, rank, r):
     """`graphs._rank_sccs` on node names: the nodes of `nodes` ranked <= r,
-    their moves that stay among them and inside one group, and the
-    dict-keyed Tarjan's components of that subgraph."""
+    their moves that stay among them, and the dict-keyed Tarjan's
+    components of that subgraph."""
     sub = [v for v in nodes if rank[v] <= r]
     keep = set(sub)
-    adj = {v: [w for w in succ[v] if w in keep and (group is None or group[w] == group[v])]
-           for v in sub}
+    adj = {v: [w for w in succ[v] if w in keep] for v in sub}
     return sub, adj, ref_tarjan(sub, adj)
+
+
+def ref_loop_comps(succ, sccs, rank):
+    """`graphs._loop_comps` on a successor dict: per SCC that supports a
+    cycle and per rank of its nodes, ascending, the dict-keyed Tarjan's
+    components of the SCC's nodes ranked at most r that support a cycle
+    and hold a node of rank r, the top rank searched like any other."""
+    out = []
+    for c, scc in enumerate(sccs):
+        if not ref_has_cycle_inside(scc, succ):
+            continue
+        for r in sorted({rank[v] for v in scc}):
+            _, adj, comps = ref_rank_sccs(scc, succ, rank, r)
+            out += [(c, r, comp) for comp in comps
+                    if ref_has_cycle_inside(comp, adj) and any(rank[v] == r for v in comp)]
+    return out
+
+
+def assert_loop_comps_match(succ, rank):
+    sccs = _sccs(succ)[::-1]
+    assert _loop_comps(succ, sccs, rank) == ref_loop_comps(dict(enumerate(succ)), sccs, rank)
 
 
 @st.composite
 def ranked_digraphs(draw):
     """Up to 12 int nodes with ranks 0..4; self-loops and duplicate moves;
-    the nodes given a subset in any order; a group labelling or none."""
+    the nodes given a subset in any order."""
     n = draw(st.integers(1, 12))
     succ = [[] for _ in range(n)]
     for u, w in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
@@ -249,23 +261,35 @@ def ranked_digraphs(draw):
         succ[u].append(w)
     rank = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
     nodes = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
-    group = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    return nodes, succ, rank, draw(st.integers(0, 4)), group
+    return nodes, succ, rank, draw(st.integers(0, 4))
 
 
 @settings(max_examples=400, deadline=None)
 @given(ranked_digraphs())
 def test_rank_sccs_and_loop_tops_match_the_dict_keyed_tarjan(graph):
-    nodes, succ, rank, r, group = graph
-    sub, adj, comps = _rank_sccs(nodes, succ, rank, r, group)
-    want_sub, want_adj, want_comps = ref_rank_sccs(nodes, succ, rank, r, group)
+    nodes, succ, rank, r = graph
+    sub, adj, comps = _rank_sccs(nodes, succ, rank, r)
+    want_sub, want_adj, want_comps = ref_rank_sccs(nodes, succ, rank, r)
     assert sub == want_sub
     assert [[sub[i] for i in ws] for ws in adj] == [want_adj[v] for v in sub]
     assert [sorted(sub[i] for i in comp) for comp in comps] == want_comps
-    for comp, want in zip(comps, want_comps):
-        tops = [sub[i] for i in comp if rank[sub[i]] == r]  # in `nodes` order
-        want_top = tops[0] if tops and ref_has_cycle_inside(want, want_adj) else None
-        assert _loop_top(comp, adj, sub, rank, r) == want_top
+    assert_loop_comps_match(succ, rank)
+
+
+def test_loop_comps_match_the_dict_keyed_tarjan_on_seeded_graphs():
+    """Larger graphs with up to 6 ranks: dense and sparse, with many small
+    and a few large components, self-loops and duplicate moves."""
+    rng = SplitMix64(3131)
+    for _ in range(300):
+        n = 1 + rng.below(80)
+        succ = [[] for _ in range(n)]
+        for _ in range(rng.below(3 * n + 1)):
+            succ[rng.below(n)].append(rng.below(n))
+        for u in range(n):
+            if rng.below(8) == 0:
+                succ[u] += [u, u]  # a self-loop, twice
+        top = 1 + rng.below(6)
+        assert_loop_comps_match(succ, [rng.below(top) for _ in range(n)])
 
 
 def one_way_chain(n, pairs=False):
@@ -306,8 +330,8 @@ def test_pattern_view_and_cycle_ranks_share_one_move_graph(monkeypatch):
     """`patterns._view` and `semantics._cycle_ranks` read one successor list
     and one list of components, in either order: the kernel runs once for
     both.
-    The chain's looping components each hold one rank, so the cycle check
-    asks the rank-restricted routine nothing."""
+    The chain's looping components each hold one rank, so their loop
+    components ask the rank-restricted routine nothing."""
     kernel, calls = graphs._sccs, []
 
     def counted(succ, roots=None):
@@ -323,6 +347,29 @@ def test_pattern_view_and_cycle_ranks_share_one_move_graph(monkeypatch):
         assert _cycle_ranks(a)[1] is _view(a).succ
         assert calls == [50]
         calls.clear()
+
+
+def test_loop_tops_cycle_ranks_and_copies_share_one_loop_kernel_run(monkeypatch):
+    """`patterns._tops`, `semantics._cycle_ranks` and the copies over
+    guessed odd loop tops of `semantics._search` read one list of loop
+    components: on trimmed inf_b_left, a strong automaton with loops of
+    both parities in one component and no existential state, all three
+    are built on one run of `graphs._loop_comps`."""
+    kernel, calls = graphs._loop_comps, []
+
+    def counted(succ, sccs, rank):
+        calls.append(len(succ))
+        return kernel(succ, sccs, rank)
+
+    for m in list(sys.modules.values()):
+        if (m is not None and m.__name__.startswith("weakindex")
+                and vars(m).get("_loop_comps") is kernel):
+            monkeypatch.setattr(m, "_loop_comps", counted)
+    a = trim(catalog.get("inf_b_left"))
+    assert any(_tops(a).loop)
+    assert _cycle_ranks(a) is None
+    assert _search(a) is not None
+    assert calls == [len(a.states)]
 
 
 def assert_view_and_tops_match(a):
@@ -371,6 +418,9 @@ def criterion_4_automata():
 
 
 def test_cycle_ranks_and_cycle_check_match_the_reference_on_criterion_4_products():
+    """Cycle ranks of criterion 4's automata, and the loop top parities of
+    their products with sampled trees, against `ref_cycle_ranks` and
+    `conftest.ref_has_top_cycle`."""
     views = [_tree_view(t) for t in sample_regular_tree(
         SamplerParams(seed=42, max_nodes=8, alphabet=("a", "b"), count=12))]
     some_ranks = products = 0
@@ -381,9 +431,10 @@ def test_cycle_ranks_and_cycle_check_match_the_reference_on_criterion_4_products
         some_ranks += ranks is not None
         for view in views:
             _, rank, succ = _product_arrays(a, view)
+            tops = {r % 2 for _, r, _ in _loop_comps(succ, _sccs(succ)[::-1], rank)}
             as_dict = dict(enumerate(succ))
             for parity in (0, 1):
-                assert (_has_top_cycle(range(len(succ)), succ, rank, parity)
-                        == ref_has_top_cycle(range(len(succ)), as_dict, rank, parity)), a
+                assert (parity in tops) == ref_has_top_cycle(range(len(succ)), as_dict, rank,
+                                                             parity), a
             products += 1
     assert some_ranks > 50 and products > 3000

@@ -14,14 +14,13 @@ import pytest
 
 from weakindex import catalog
 from weakindex.automata import BOT
-from weakindex.graphs import has_cycle_inside, reachable_from
+from weakindex.graphs import _rank_sccs, has_cycle_inside, reachable_from
 from weakindex.patterns import (
     Loop,
     ReplicationWitness,
     _bfs,
     _closed_walk,
     _edge_loop,
-    _rank_sccs,
     _replicated,
     _tops,
     _view,
@@ -117,16 +116,19 @@ def assert_searches_match(a, pivots_per_comp=None):
     v = _view(a)
     walks = 0
     for r in v.ranks:
-        for comp in _rank_sccs(a, r)[0]:
-            if not has_cycle_inside(comp, v.succ):
-                continue
-            allowed = set(comp)
-            for p in comp[:pivots_per_comp]:
-                assert _closed_walk(a, allowed, p, p, r) == ref_closed_walk(a, allowed, p, p, r)
-                walks += 1
-            via = min(comp, key=lambda i: (-v.rank[i], i))
-            assert (_closed_walk(a, allowed, comp[0], via, r)
-                    == ref_closed_walk(a, allowed, comp[0], via, r))
+        for scc in v.sccs:  # each component of the rank <= r part lies inside one SCC
+            sub, _, found = _rank_sccs(scc, v.succ, v.rank, r)
+            for comp in ([sub[i] for i in c] for c in found):
+                if not has_cycle_inside(comp, v.succ):
+                    continue
+                allowed = set(comp)
+                for p in comp[:pivots_per_comp]:
+                    assert (_closed_walk(a, allowed, p, p, r)
+                            == ref_closed_walk(a, allowed, p, p, r))
+                    walks += 1
+                via = min(comp, key=lambda i: (-v.rank[i], i))
+                assert (_closed_walk(a, allowed, comp[0], via, r)
+                        == ref_closed_walk(a, allowed, comp[0], via, r))
     assert _replicated(a) == ref_replicated(a)
     assert is_universal(a) == ref_is_universal(a)
     for q in v.ids[:pivots_per_comp]:

@@ -28,7 +28,6 @@ from weakindex.errors import (
 from weakindex.cli import main
 from weakindex.formats import serialize_automaton, serialize_regular_tree
 from weakindex.games import Game, brute_force_solve, eve_wins_arrays, solve
-from weakindex.graphs import _has_top_cycle
 from weakindex.rng import _CHUNK, SplitMix64, _words
 from weakindex.semantics import (
     SamplerParams,
@@ -55,6 +54,7 @@ from conftest import (
     criterion_5_stream,
     random_det,
     random_weak,
+    ref_has_top_cycle,
     ref_sample_views,
     ref_universal_weak_accepts,
 )
@@ -399,10 +399,10 @@ def test_accepts_routes_universal_weak_automata_to_the_one_player_search(monkeyp
 
 
 def _cycle_check_accepts(a, view):
-    """Strong membership where Adam moves alone by the cycle check on the
-    product arrays."""
+    """Strong membership where Adam moves alone by the reference cycle
+    check, `conftest.ref_has_top_cycle`, on the product arrays."""
     _, rank, succ = _product_arrays(a, view)
-    return not _has_top_cycle(range(len(succ)), succ, rank, 1)
+    return not ref_has_top_cycle(range(len(succ)), dict(enumerate(succ)), rank, 1)
 
 
 def _route_of(a):

@@ -11,16 +11,18 @@ run on: a stuck position gets a single edge to a self-looping sink whose
 rank is a fresh value above every real rank, odd when the stuck owner is
 Eve and even when it is Adam.  That encodes the dead-end rule for both
 conditions at once.  `_arena` also builds the predecessor lists, and it
-leaves the caller's lists as they are; trim's emptiness arena has no dead
-ends and builds its own.
-Zielonka's strong solver is one generator frame, `_winners_frame`, with
-one attractor, `_remove_attractor`, run on an explicit stack so its depth
-is not bounded by the interpreter's recursion limit, which it leaves
-alone.  The frame records strategies only for `solve_parity`, which
-passes it a list for them.  Callers that need only the winners (trim and
-`eve_wins_arrays`) use `_strong_winners`, which decides self-loops first
-and then runs the same frames.  `_solve_frames` orders the first frame's
-positions by rank buckets.
+leaves the caller's lists as they are.  Trim's emptiness game builds no
+arena: it is solved on the states of the deterministic table, with
+Adam's (state, letter) pairs left implicit (`_table_attractor`).
+Zielonka's strong solver is one generator frame, `_winners_frame`, run
+on an explicit stack so its depth is not bounded by the interpreter's
+recursion limit, which it leaves alone.  The frame takes its attractor:
+`_remove_attractor` on an arena, `_table_attractor` on trim's table.  It
+records strategies only for `solve_parity`, which passes it a list for
+them.  `eve_wins_arrays`, which needs only the winners, uses
+`_strong_winners`, which decides self-loops first and then runs the same
+frames.  `_solve_frames` orders the first frame's positions by rank
+buckets.
 The weak layering, `_solve_weak_layers`, returns each rank's attractor
 queue, which `solve_weak` reads its strategies off.  `check_strategy`
 numbers the (position, rank) nodes of the plays a solution's strategies
@@ -160,23 +162,91 @@ def _remove_attractor(arena, player: int, targets, inside: bytearray, strat=None
     return queue
 
 
-def _winners_frame(arena, win: bytearray, inside: bytearray, positions: list[int], strat=None):
+def _table_attractor(table, player: int, targets, inside: bytearray, strat=None) -> list[int]:
+    """Attractor of the states `targets` for `player` in the emptiness game
+    of a deterministic table, within the subgame marked 1 in `inside`.
+    The attracted positions are marked 0, removed from the subgame, and
+    returned.
+
+    `table` is (width, rank, target, pred): the n states are Eve's
+    positions, ranked `rank`, and Adam's positions, the pairs, are left
+    implicit.  Pair j = q·|Sigma| + x is state q's move on letter x, is
+    marked at `inside[n + j]` and has the rank of q; it moves to
+    `target[2j]` and `target[2j + 1]`, its only predecessor is q, and
+    `pred[w]` lists the indices i into `target` that enter state w (pair
+    i >> 1, state i // width).  A pair is in the subgame when its state is
+    and its mark is 1, so a state's pairs leave and come back with it.
+    Eve takes a state once both moves of one of its open pairs are taken
+    (a move out of the subgame is not counted).  Adam takes a pair once
+    one of its moves is taken, and a state once all of its open pairs are
+    taken; a pair he takes from a state that stays is returned as n + j.
+    Trim needs no strategies, so `strat` is not read.
+    """
+    width, _, target, pred = table
+    n, k = len(pred), width >> 1
+    queue = list(targets)
+    for v in queue:
+        inside[v] = 2
+    live: dict[int, int] = {}
+    taken: list[int] = []
+    for w in queue:  # the queue grows while it is read
+        for i in pred[w]:
+            q, j = i // width, n + (i >> 1)
+            if inside[q] != 1 or inside[j] != 1:
+                continue
+            if player:
+                inside[j] = 2
+                taken.append(j)
+                left = live.get(q)
+                if left is None:
+                    lo = n + q * k
+                    left = inside.count(1, lo, lo + k)  # open pairs besides j
+                else:
+                    left -= 1
+                live[q] = left
+            else:
+                left = live.get(j)
+                if left is None:
+                    e = i & -2
+                    left = (inside[target[e]] != 0) + (inside[target[e + 1]] != 0)
+                live[j] = left = left - 1
+            if left:
+                continue
+            inside[q] = 2
+            queue.append(q)
+    for v in queue:
+        inside[v] = 0
+    for j in taken:  # a pair of a taken state leaves with it
+        if inside[(j - n) // k]:
+            inside[j] = 0
+            queue.append(j)
+        else:
+            inside[j] = 1
+    return queue
+
+
+def _winners_frame(arena, attract, win: bytearray, inside: bytearray, positions: list[int],
+                   strat=None):
     """Zielonka's algorithm on the subgame `positions`, as one generator frame.
 
     The subgame is exactly the positions marked 1 in `inside` when the
     frame starts, and again when it ends; `positions` lists them by
     descending rank, so the top-rank positions come first, in index order.
+    `attract` is the attractor for the arena's kind: `_remove_attractor`,
+    or `_table_attractor` on trim's table, whose implicit pairs `positions`
+    leaves out; whatever an attractor returns, pairs included, the frame
+    restores and writes winners for.
     It yields each smaller subgame, having marked it, and resumes once
     that subgame's winners are in `win`; it writes the winner of each of
     its own positions there.  Given a list `strat`, it also writes a move
     there for every position its owner wins, possibly over the move of a
     subgame it has since given up.
     """
-    owner, rank, succ, _ = arena
+    rank = arena[1]
     d = rank[positions[0]]
     sigma = d % 2  # the player favoured by rank d
     top = list(takewhile(lambda v: rank[v] == d, positions))
-    attr = _remove_attractor(arena, sigma, top, inside, strat)
+    attr = attract(arena, sigma, top, inside, strat)
     rest = [v for v in positions if inside[v]]
     if rest:
         yield rest
@@ -186,11 +256,12 @@ def _winners_frame(arena, win: bytearray, inside: bytearray, positions: list[int
     lost = sorted(v for v in rest if win[v] != sigma)  # index order fixes the recorded moves
     if not lost:
         if strat is not None:
+            owner, succ = arena[0], arena[2]
             for v in top:
                 if owner[v] == sigma:
                     strat[v] = min(w for w in succ[v] if inside[w])
         return
-    attr = _remove_attractor(arena, 1 - sigma, lost, inside, strat)
+    attr = attract(arena, 1 - sigma, lost, inside, strat)
     rest = [v for v in positions if inside[v]]
     if rest:
         yield rest
@@ -199,14 +270,15 @@ def _winners_frame(arena, win: bytearray, inside: bytearray, positions: list[int
         win[v] = 1 - sigma
 
 
-def _solve_frames(arena, win: bytearray, inside: bytearray, strat=None) -> None:
-    """Solve the subgame marked 1 in `inside` by `_winners_frame`s run on
-    an explicit stack, writing its winners into `win` (and its moves into
-    `strat`, if given).
+def _solve_frames(arena, attract, win: bytearray, inside: bytearray, strat=None) -> None:
+    """Solve the subgame marked 1 in `inside` by `_winners_frame`s on the
+    attractor `attract`, run on an explicit stack, writing its winners into
+    `win` (and its moves into `strat`, if given).
 
-    The first frame's positions are dealt into one bucket per rank in
-    index order, and the buckets are read in descending rank: the order
-    of a stable sort by descending rank, without a keyed sort."""
+    The first frame's positions, those `arena[1]` ranks, are dealt into
+    one bucket per rank in index order, and the buckets are read in
+    descending rank: the order of a stable sort by descending rank,
+    without a keyed sort."""
     rank = arena[1]
     buckets: dict[int, list[int]] = {}
     for v in compress(range(len(rank)), inside):
@@ -216,19 +288,20 @@ def _solve_frames(arena, win: bytearray, inside: bytearray, strat=None) -> None:
         else:
             bucket.append(v)
     rest = [v for r in sorted(buckets, reverse=True) for v in buckets[r]]
-    stack = [_winners_frame(arena, win, inside, rest, strat)] if rest else []
+    stack = [_winners_frame(arena, attract, win, inside, rest, strat)] if rest else []
     while stack:
         try:
             sub = next(stack[-1])
         except StopIteration:
             stack.pop()
         else:
-            stack.append(_winners_frame(arena, win, inside, sub, strat))
+            stack.append(_winners_frame(arena, attract, win, inside, sub, strat))
 
 
 def _strong_winners(arena) -> bytearray:
     """Winner of every position of a strong-parity arena with no dead ends
-    (as `_arena` builds it), 0 being Eve; no strategies are built.
+    (as `_arena` builds it), 0 being Eve; no strategies are built.  It
+    serves `eve_wins_arrays`; trim solves its game on its table instead.
 
     Self-loops are decided first, as Friedmann and Lange do: a position
     whose self-loop has its owner's parity is won by its owner, who can
@@ -260,7 +333,7 @@ def _strong_winners(arena) -> bytearray:
         targets = [v for v in decided[player] if inside[v]]
         for v in _remove_attractor(arena, player, targets, inside):
             win[v] = player
-    _solve_frames(arena, win, inside)
+    _solve_frames(arena, _remove_attractor, win, inside)
     return win
 
 
@@ -348,7 +421,8 @@ def solve_parity(g: Game) -> Solution:
     owner, rank, succ, ids = _game_arrays(g)
     n = len(ids)
     win, strat = bytearray(n + 2), [0] * (n + 2)
-    _solve_frames(_arena(owner, rank, succ), win, bytearray(b"\x01") * (n + 2), strat)
+    _solve_frames(_arena(owner, rank, succ), _remove_attractor, win, bytearray(b"\x01") * (n + 2),
+                  strat)
     # a move into a sink is a dead end's
     return Solution(winner={pid: EVE if win[v] == 0 else ADAM for v, pid in enumerate(ids)},
                     strategy={ids[v]: ids[strat[v]] for v in range(n)
@@ -401,7 +475,7 @@ def eve_wins_arrays(owner: list[int], rank: list[int], succ: list[list[int]],
     Dead ends follow the usual rule (stuck owner loses).  The game is
     totalized by `_arena`; weak games are peeled by `_solve_weak_layers`,
     which stops once `position` has its layer, and strong games go to
-    `_strong_winners`, as trim's emptiness arena does.
+    `_strong_winners`, whose only caller this is.
     """
     arena = _arena(owner, rank, succ)
     if weak:

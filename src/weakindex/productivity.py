@@ -6,10 +6,12 @@ two productive states or sends both branches to `_bot`.
 
 Emptiness, productivity and trim read the automaton's one numbering,
 `automata._table`: its state indices and its target index per transition,
-in the 2|Sigma| blocks of a deterministic table.  The emptiness arena is
-built from that table in bulk, by slices and zips over the targets, with
-no per-move index arithmetic.  They leave no memory on the automaton: the
-table is kept only if it was already, and the arena is transient.
+in the 2|Sigma| blocks of a deterministic table.  The emptiness game is
+solved on that table's states, with Adam's (state, letter) pairs left
+implicit in its blocks, so no arena is built; the one list built beside
+the table is each state's entering moves.  They leave no memory on the
+automaton: the table is kept only if it was already, and that list is
+transient.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from .automata import BOT, DetAutomaton, State, Transition, UNIVERSAL, _memo, _sink_moves, _table
 from .errors import EmptyLanguage, ValidationError
-from .games import _strong_winners
+from .games import _solve_frames, _table_attractor
 from .patterns import _reached, _tops, _view
 
 
@@ -37,29 +39,23 @@ def _productivity(a: DetAutomaton):
     Nonemptiness is decided by the emptiness game, solved for its winners
     only: Eve picks a letter, Adam picks a direction, ranks come from
     states, and Eve wins from q exactly when she can build a tree whose run
-    from q accepts.  The i-th state is Eve's position i, and the pair (q_i,
-    letter x) is Adam's position n + j for j = i*|Sigma| + x, which moves to
-    the states `target[2j]` and `target[2j + 1]` of the table's 2|Sigma|
-    blocks.  The arena is built in bulk: Adam's moves are the pairs
-    `zip(target[::2], target[1::2])`, and one zip of those pairs with
-    Adam's ids fills the predecessor lists.  Every position has a move and
-    none has a self-loop, so the arena is its own totalization and the
-    solver copies none of its lists.  The productive flags are the fixpoint
+    from q accepts.  The game is solved on the table itself
+    (`games._table_attractor`): the states are Eve's positions, and Adam's
+    positions, the pairs (q, letter x), stay implicit in the table's
+    2|Sigma| blocks, pair j = q·|Sigma| + x moving to `target[2j]` and
+    `target[2j + 1]`.  The one adjacency built is `pred`, the indices into
+    `target` that enter each state.  The productive flags are the fixpoint
     of `productive_states`, run on the same target indices.
     """
     table = _table(a, keep=False)
-    _, index, srank, _, target = table
-    n, k = len(srank), len(a.alphabet)
-    rank = srank + [r for r in srank for _ in range(k)]
-    left, right = target[::2], target[1::2]  # the moves of Adam's positions, in order
-    succ: list = [range(n + i * k, n + i * k + k) for i in range(n)]
-    succ += zip(left, right)
+    _, index, rank, _, target = table
+    n, width = len(rank), 2 * len(a.alphabet)
     pred: list[list[int]] = [[] for _ in range(n)]
-    pred += [[i] for i in range(n) for _ in range(k)]
-    for u, w0, w1 in zip(range(n, n + n * k), left, right):
-        pred[w0].append(u)
-        pred[w1].append(u)
-    win = _strong_winners(([0] * n + [1] * (n * k), rank, succ, pred))
+    for i, w in enumerate(target):
+        pred[w].append(i)
+    size = n + len(target) // 2
+    win = bytearray(size)
+    _solve_frames((width, rank, target, pred), _table_attractor, win, bytearray(b"\x01") * size)
     nonempty = [not w for w in win[:n]]
     productive = [False] * n
     i0 = index[a.initial]
@@ -67,7 +63,8 @@ def _productivity(a: DetAutomaton):
         productive[i0] = True
         queue = [i0]
         for i in queue:  # the queue grows while it is read
-            for q1, q2 in succ[n + i * k:n + i * k + k]:
+            for j in range(i * width, i * width + width, 2):
+                q1, q2 = target[j], target[j + 1]
                 if nonempty[q1] and nonempty[q2]:
                     for q in (q1, q2):
                         if not productive[q]:
@@ -97,9 +94,9 @@ def trim(a: DetAutomaton) -> DetAutomaton:
     Language is unchanged.  Raises EmptyLanguage when the initial state is
     empty, in which case the normal form is undefined.
 
-    One pass over ints (`_productivity`): the emptiness arena is solved
-    for its winners only, and the productive states are found on the
-    table's target indices.  A productive state keeps its block of 2|Sigma|
+    One pass over ints (`_productivity`): the emptiness game is solved on
+    the table for its winners only, and the productive states are found on
+    the table's target indices.  A productive state keeps its block of 2|Sigma|
     parent transitions (see `DetAutomaton`), except that a pair with an
     empty target is redirected, both branches, to `_bot`, so the table
     comes out in its final block layout.  Whether a whole block is kept is

@@ -6,11 +6,12 @@ import pytest
 
 from weakindex.automata import DetAutomaton, State, Transition, TreeAutomaton
 from weakindex.errors import EmptyLanguage
-from weakindex.games import ADAM, EVE, Game
+from weakindex.games import ADAM, EVE, Game, solve_parity
 from weakindex.patterns import _view
-from weakindex.productivity import trim
+from weakindex.productivity import nonempty_states, trim
 from weakindex.rng import SplitMix64
-from weakindex.semantics import _view as membership_view
+from weakindex.semantics import _view as membership_view, det_accepts
+from weakindex.trees import Node, RegularTree
 
 LETTERS = ("a", "b")
 
@@ -117,6 +118,100 @@ def cli_large_input(seed: int, stream: int) -> DetAutomaton:
     stream 2 draws 2000 states over ranks {1, 2}."""
     n, ranks = {1: (1000, C9_RANKS), 2: (2000, (1, 2))}[stream]
     return _nonempty_det(SplitMix64(seed * 64 + stream), n, ranks)
+
+
+def disjoint_self_loops(n: int, letters=("a",)) -> DetAutomaton:
+    """State q_i moves to itself on every letter and direction, with rank i."""
+    names = [f"q{i:05d}" for i in range(n)]
+    return DetAutomaton(alphabet=tuple(letters),
+                        states={q: State("A", i) for i, q in enumerate(names)},
+                        initial=names[0],
+                        transitions=tuple(Transition(q, x, d, q) for q in names
+                                          for x in letters for d in (0, 1)))
+
+
+def disjoint_mixed_pairs(n: int, letters=("a", "b")) -> DetAutomaton:
+    """n // 2 pairs: p_i (rank 2i + 2) moves to itself on the first letter
+    and to o_i (rank 2i + 3) on the others; o_i moves back to p_i on every
+    letter."""
+    states: dict[str, State] = {}
+    trans: list[Transition] = []
+    for i in range(n // 2):
+        p, o = f"p{i:05d}", f"o{i:05d}"
+        states[p], states[o] = State("A", 2 * i + 2), State("A", 2 * i + 3)
+        trans += [Transition(p, x, d, p if x == letters[0] else o) for x in letters for d in (0, 1)]
+        trans += [Transition(o, x, d, p) for x in letters for d in (0, 1)]
+    return DetAutomaton(alphabet=tuple(letters), states=states, initial="p00000",
+                        transitions=tuple(trans))
+
+
+def one_way_ring(n: int, letters=("a",)) -> DetAutomaton:
+    """State q_i moves to q_{i+1 mod n} on every letter and direction, with
+    rank i + 1."""
+    names = [f"q{i:05d}" for i in range(n)]
+    return DetAutomaton(alphabet=tuple(letters),
+                        states={q: State("A", i + 1) for i, q in enumerate(names)},
+                        initial=names[0],
+                        transitions=tuple(Transition(q, x, d, names[(i + 1) % n])
+                                          for i, q in enumerate(names)
+                                          for x in letters for d in (0, 1)))
+
+
+def certify_nonempty(a: DetAutomaton, samples: int = 20) -> None:
+    """Certify `nonempty_states(a)` with checks that do not use `games`.
+
+    The strategies come from `solve_parity(emptiness_game(a))`, but any
+    source would do: only the checks below vouch for them.
+    - Eve's region: her letter picks make one regular tree over the states
+      she wins, with the two targets of each pick as children, so the run
+      from q on the part rooted at q is in state p at node p.  Every state
+      she wins accepts its tree iff no cycle of that graph has an odd top
+      (`ref_has_top_cycle`).  `det_accepts` of `a` started at q must
+      accept the part rooted at q, for every such q up to 60 states and
+      `samples` seeded ones above.
+    - Adam's region: fix his directions and keep every letter.  The region
+      must be closed under those moves, and no cycle in it may have an
+      even top, so every run from it rejects.
+    - The two regions cover the states, and Eve's is `nonempty_states(a)`.
+    """
+    sol = solve_parity(emptiness_game(a))
+    eve = sorted(q for q in a.states if sol.winner[f"s:{q}"] == EVE)
+    adam = sorted(q for q in a.states if sol.winner[f"s:{q}"] == ADAM)
+    assert len(eve) + len(adam) == len(a.states)
+    assert set(eve) == nonempty_states(a), a.name
+    rank = {q: st.rank for q, st in a.states.items()}
+
+    nodes: dict[str, Node] = {}
+    for q in eve:
+        letter = sol.strategy[f"s:{q}"][len(f"m:{q}:"):]
+        assert letter in a.alphabet, (q, letter)
+        nodes[q] = Node(letter, a.pair(q, letter))
+    assert all(c in nodes for node in nodes.values() for c in node.children)
+    assert not ref_has_top_cycle(eve, {q: node.children for q, node in nodes.items()}, rank,
+                                 parity=1)
+    roots = eve
+    if len(a.states) > 60 and eve:
+        below = SplitMix64(len(a.states)).below
+        roots = [eve[below(len(eve))] for _ in range(samples)]
+    for q in roots:
+        keep, stack = {q}, [q]
+        while stack:
+            for c in nodes[stack.pop()].children:
+                if c not in keep:
+                    keep.add(c)
+                    stack.append(c)
+        tree = RegularTree(2, {p: nodes[p] for p in keep}, q)
+        start = DetAutomaton(alphabet=a.alphabet, states=dict(a.states), initial=q,
+                             transitions=a.transitions)
+        assert det_accepts(start, tree), (a.name, q)
+
+    succ: dict[str, list[str]] = {}
+    for q in adam:
+        succ[q] = [sol.strategy[f"m:{q}:{x}"][len("s:"):] for x in a.alphabet]
+        assert all(t in a.pair(q, x) for t, x in zip(succ[q], a.alphabet)), q
+    region = set(adam)
+    assert all(t in region for moves in succ.values() for t in moves)
+    assert not ref_has_top_cycle(adam, succ, rank, parity=0)
 
 
 def random_trimmed(rng: SplitMix64, max_states: int = 5, letters=LETTERS,

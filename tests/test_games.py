@@ -81,8 +81,8 @@ def test_more_ranks_than_the_recursion_limit(monkeypatch):
     for p in (1, n - 1):  # an Adam and an Eve position
         assert eve_wins_arrays(owner, rank, succ, weak=False, position=p)
     # a chain of states with distinct ranks, descending to an even rank at
-    # its looping end: the emptiness arena has no self-loops, so the
-    # winner-only solver nests one frame per rank
+    # its looping end: trim solves its emptiness game on the table, with
+    # no self-loop pre-pass, so the frames nest one per rank
     names = [f"q{i}" for i in range(n)]
     a = DetAutomaton(alphabet=("a",), states={q: State("A", n + 1 - i) for i, q in enumerate(names)},
                      initial="q0", transitions=tuple(Transition(q, "a", d, t) for q, t in

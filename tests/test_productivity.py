@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from weakindex import catalog
+from weakindex import catalog, games
 from weakindex.automata import BOT, DetAutomaton, State, Transition, _table, make_automaton
 from weakindex.classifier import classify
 from weakindex.errors import EmptyLanguage, ValidationError
@@ -21,7 +21,16 @@ from weakindex.rng import SplitMix64
 from weakindex.semantics import SamplerParams, det_accepts, sample_regular_tree
 from weakindex.trees import constant_tree
 
-from conftest import emptiness_game, random_det
+from conftest import (
+    certify_nonempty,
+    criterion_5_stream,
+    disjoint_mixed_pairs,
+    disjoint_self_loops,
+    emptiness_game,
+    large_inputs,
+    one_way_ring,
+    random_det,
+)
 
 
 def one_state(rank):
@@ -152,21 +161,61 @@ def test_is_empty_is_universal_trivia():
 
 
 def test_nonempty_matches_emptiness_game():
-    # the int arena's position layout depends on |Sigma|, so vary it; the
+    # trim's game lays Adam's pairs out by |Sigma|, so vary it; the
     # string-keyed `emptiness_game` under `solve_parity` is the reference,
-    # and since `solve_parity` runs the frames trim does, `check_strategy`
-    # certifies its regions apart from them
+    # and `check_strategy` certifies its regions apart from the frames
     rng = SplitMix64(5150)
+    inputs = []
     for letters in (("a",), ("a", "b"), ("a", "b", "c")):
-        for max_states in (5, 12):
-            for _ in range(40):
-                a = random_det(rng, max_states, letters)
-                g = emptiness_game(a)
-                sol = solve_parity(g)
-                assert check_strategy(g, sol), a
-                ne = nonempty_states(a)
-                for q in a.states:
-                    assert (sol.winner[f"s:{q}"] == "E") == (q in ne), (a, q)
+        for max_states, max_rank, count in ((5, 3, 40), (12, 3, 40), (40, 11, 15)):
+            inputs += [random_det(rng, max_states, letters, max_rank) for _ in range(count)]
+        for n in (20, 31, 40):
+            inputs += [disjoint_self_loops(n, letters), one_way_ring(n, letters)]
+            if len(letters) > 1:
+                inputs.append(disjoint_mixed_pairs(n, letters))
+    assert sum(len({st.rank for st in a.states.values()}) >= 10 for a in inputs) >= 20
+    for a in inputs:
+        g = emptiness_game(a)
+        sol = solve_parity(g)
+        assert check_strategy(g, sol), a
+        ne = nonempty_states(a)
+        for q in a.states:
+            assert (sol.winner[f"s:{q}"] == "E") == (q in ne), (a, q)
+
+
+@pytest.mark.parametrize("source", ["catalog", "criterion_5", "large", "self_loops_150",
+                                    "mixed_pairs_300", "one_way_ring_500"])
+def test_nonempty_states_are_certified(source):
+    # trim's winners decide every later verdict; here each is backed by a
+    # witness tree or a refutation that `certify_nonempty` checks apart
+    # from the solver
+    inputs = {
+        "catalog": lambda: [catalog.get(name) for name in catalog.CATALOG],
+        "criterion_5": lambda: criterion_5_stream(300),
+        "large": lambda: large_inputs()[::2],  # one of 1000 states, one of 2000
+        "self_loops_150": lambda: [disjoint_self_loops(150)],
+        "mixed_pairs_300": lambda: [disjoint_mixed_pairs(300)],
+        "one_way_ring_500": lambda: [one_way_ring(500)],
+    }[source]()
+    # the graph check covers every state Eve wins; `det_accepts` from a
+    # started copy of the ring repeats its 500-rank loop-top pass, 0.15 s
+    samples = 4 if source == "one_way_ring_500" else 20
+    for a in inputs:
+        certify_nonempty(a, samples)
+
+
+def test_trim_builds_no_arena(monkeypatch):
+    # trim solves its emptiness game on the table's states, with Adam's
+    # pairs implicit: the arena solver's winners and attractor never run
+    inputs = [catalog.get(name) for name in catalog.CATALOG] + large_inputs()[:1]
+    before = [serialize_automaton(trim(a)) for a in inputs]
+
+    def refuse(*_):
+        raise AssertionError("trim built an arena")
+
+    monkeypatch.setattr(games, "_strong_winners", refuse)
+    monkeypatch.setattr(games, "_remove_attractor", refuse)
+    assert [serialize_automaton(trim(a)) for a in inputs] == before
 
 
 C9_RANKS = (0, 0, 0, 0, 1, 1, 2, 2, 2, 3)  # criterion 9's scale generator

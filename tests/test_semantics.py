@@ -52,6 +52,7 @@ from weakindex.trees import Node, RegularTree, constant_tree, parse_wlabel
 
 from conftest import (
     criterion_5_stream,
+    one_way_ring,
     random_det,
     random_weak,
     ref_has_top_cycle,
@@ -967,20 +968,12 @@ def test_every_tree_on_constructions_with_existential_states():
 
 
 
-def _one_way_ring(n):
-    """State q_i moves to q_{i+1 mod n} in both directions, with rank i + 1."""
-    names = [f"q{i:03d}" for i in range(n)]
-    return make_automaton(("a",), {q: ("A", i + 1) for i, q in enumerate(names)}, names[0],
-                          [(q, "a", d, names[(i + 1) % n]) for i, q in enumerate(names)
-                           for d in (0, 1)], deterministic=True)
-
-
 def test_det_accepts_on_the_one_way_ring_is_fast():
     """Every product cycle goes round the ring, so its top is n; the
     250-state ring used to take over a minute on this tree."""
     t = sample_regular_tree(SamplerParams(seed=3, max_nodes=3000, alphabet=("a",), count=1))[0]
     for n in (25, 50, 250):
-        a = _one_way_ring(n)
+        a = one_way_ring(n)
         start = time.perf_counter()
         assert det_accepts(a, t) == (n % 2 == 0), n
         assert n < 250 or time.perf_counter() - start < 3.0

@@ -17,7 +17,10 @@ Adam's (state, letter) pairs left implicit (`_table_attractor`).
 Zielonka's strong solver is one generator frame, `_winners_frame`, run
 on an explicit stack so its depth is not bounded by the interpreter's
 recursion limit, which it leaves alone.  The frame takes its attractor:
-`_remove_attractor` on an arena, `_table_attractor` on trim's table.  It
+`_remove_attractor` on an arena, `_table_attractor` on trim's table.
+`_remove_attractor` is the one arena attractor: the frames, the
+self-loop pre-pass and membership's liveness (`semantics._attract`, Eve's
+attractor on an arena of states and letter slots) all run on it.  It
 records strategies only for `solve_parity`, which passes it a list for
 them.  `eve_wins_arrays`, which needs only the winners, uses
 `_strong_winners`, which decides self-loops first and then runs the same
@@ -308,13 +311,14 @@ def _strong_winners(arena) -> bytearray:
     stay there forever, and one whose only move is a self-loop of the
     other parity is lost by its owner.  Any other self-loop of its owner's
     losing parity is dropped, since taking it gains its owner nothing.
-    The self-loops are found by one comprehension, and the arena's lists
-    are copied only if there is one.  The attractors of the decided
-    positions are removed, and `_solve_frames` solves the rest.
+    The self-loops are found by one comprehension over the positions
+    below the two sinks, whose self-loops the frames decide, and the
+    arena's lists are copied only if there is one.  The attractors of the
+    decided positions are removed, and `_solve_frames` solves the rest.
     """
     owner, rank, succ, pred = arena
     size = len(owner)
-    loops = [v for v, s in enumerate(succ) if v in s]
+    loops = [v for v, s in zip(range(size - 2), succ) if v in s]
     if loops:
         succ, pred = list(succ), list(pred)  # only the lists of dropped self-loops change
     decided: tuple[list[int], list[int]] = ([], [])

@@ -14,11 +14,12 @@ a move (a strong automaton's cycle ranks, a weak automaton's (state,
 highest rank so far) expansion, see `_vector`), so that a play is lost
 only inside a looping component of odd rank or at a state where Eve is
 stuck (Emerson & Lei, SCP 1987).  A state that can reach neither, or
-from which Eve can force every play out of such states (her attractor),
-is not live and accepts every tree.  `_search` builds, once per
-automaton, the one table (start, ranks, moves, owner per slot) its
-queries run on, or none when its start is not live, so that every query
-is answered without a search.  With no existential state the table is
+from which Eve can force every play out of such states (her attractor,
+run on the games' one arena attractor `games._remove_attractor`), is not
+live and accepts every tree.  `_search` builds, once per automaton, the
+one table (start, ranks, moves, owner per slot) its queries run on, or
+none when its start is not live, so that every query is answered
+without a search.  With no existential state the table is
 the vector cut to live states or, for a strong automaton with no cycle
 ranks, copies of it over guessed odd loop tops, and one nested
 depth-first search (`_nested_accepts`) decides on it with no product
@@ -56,7 +57,7 @@ from .automata import (
     normalize_ranks,
 )
 from .errors import ValidationError
-from .games import ADAM, EVE, Game, eve_wins_arrays
+from .games import ADAM, EVE, Game, _arena, _remove_attractor, eve_wins_arrays
 from .graphs import _sccs, has_cycle_inside
 from .rng import _words
 from .trees import _TOKEN, Node, RegularTree, _is_token, parse_wlabel
@@ -204,39 +205,21 @@ def _stuck(moves, owner, width: int):
 def _attract(live, moves, owner, width: int):
     """Clear, in place, the `live` flag of every state from which Eve can
     force a play into states that are not live whatever letter each
-    position reads: an existential state with, on every letter, a move to
-    such a state, or a universal one whose moves on every letter all lead
-    to such states, repeated to the least fixed point (Eve's attractor).
-    From those states too Eve wins on every tree.  Linear in the moves:
-    `need[q]` counts what still keeps q out, Adam's moves into live states
-    or Eve's letters with no move out of them."""
-    need = [0] * len(live)
-    waiting = [[] for _ in live]  # per live state, the (state, letter) slots it holds up
-    for q, flag in enumerate(live):
-        if not flag:
-            continue
-        for x in range(q * width, (q + 1) * width):
-            held = [p for _, p in moves[x] if live[p]]
-            if owner[q]:
-                need[q] += len(held)
-            elif len(held) == len(moves[x]):
-                need[q] += 1
-            else:
-                continue
-            for p in held:
-                waiting[p].append(x)
-    counted = bytearray(len(moves))  # Eve's slots already let through
-    todo = [q for q, flag in enumerate(live) if flag and not need[q]]
-    while todo:
-        p = todo.pop()
-        live[p] = 0
-        for x in waiting[p]:
-            q = x // width
-            if owner[q] or not counted[x]:
-                counted[x] = 1
-                need[q] -= 1
-                if not need[q]:
-                    todo.append(q)
+    position reads (her attractor): from those states too Eve wins on
+    every tree.  It is `games._remove_attractor` on an `_arena` whose
+    positions are the m (state q, letter id x) slots q * |Sigma| + x,
+    owned by q's owner and moving to the slot's targets, then the states
+    m + q, Adam's, who picks the letter, moving to their slots.  The
+    targets are the states that are not live and the arena's Eve-won sink,
+    so an Adam slot with no move is won by Eve and an Eve slot with none
+    is lost."""
+    m, n = len(moves), len(live)
+    arena = _arena([o for o in owner for _ in range(width)] + [1] * n, [0] * (m + n),
+                   [[m + p for _, p in out] for out in moves]
+                   + [list(range(q * width, (q + 1) * width)) for q in range(n)])
+    inside = bytearray(b"\x01") * (m + n + 2)
+    _remove_attractor(arena, 0, [m + q for q in range(n) if not live[q]] + [m + n], inside)
+    live[:] = inside[m:m + n]
 
 
 def _cycle_ranks(a: TreeAutomaton):
@@ -310,7 +293,8 @@ def _vector(a: TreeAutomaton):
     reach no looping component of odd rank and no existential state with
     no move on some letter, counting every letter, both directions and
     epsilon moves (`_reach`), or Eve can force every play from q into such
-    states (`_attract`).  With no existential state the attractor clears
+    states (`_attract`, on `games._remove_attractor`, the one arena
+    attractor).  With no existential state the attractor clears
     no flag, so `live[q]` is then 1 iff q can reach a looping component of
     odd rank.
     """

@@ -57,16 +57,20 @@ class RegularTree:
             for c in node.children:
                 if c not in self.nodes:
                     raise ValidationError(f"node {nid!r} references undeclared child {c!r}")
-        seen = {self.root}
-        stack = [self.root]
+        unreachable = set(self.nodes) - self._reachable(self.root)
+        if unreachable:
+            raise ValidationError(f"unreachable nodes: {sorted(unreachable)}")
+
+    def _reachable(self, nid: str) -> set[str]:
+        """The nodes reachable from nid, nid included."""
+        seen = {nid}
+        stack = [nid]
         while stack:
             for c in self.nodes[stack.pop()].children:
                 if c not in seen:
                     seen.add(c)
                     stack.append(c)
-        unreachable = set(self.nodes) - seen
-        if unreachable:
-            raise ValidationError(f"unreachable nodes: {sorted(unreachable)}")
+        return seen
 
     def label(self, nid: str) -> str:
         return self.nodes[nid].label
@@ -79,14 +83,7 @@ class RegularTree:
 
     def rerooted(self, nid: str) -> "RegularTree":
         """Subtree rooted at nid, restricted to its reachable part."""
-        keep = {nid}
-        stack = [nid]
-        while stack:
-            for c in self.nodes[stack.pop()].children:
-                if c not in keep:
-                    keep.add(c)
-                    stack.append(c)
-        return RegularTree(self.arity, {k: self.nodes[k] for k in keep}, nid)
+        return RegularTree(self.arity, {k: self.nodes[k] for k in self._reachable(nid)}, nid)
 
 
 class WTreeLabel(NamedTuple):

@@ -301,6 +301,45 @@ def ref_universal_weak_accepts(a: TreeAutomaton, view, ranks=None) -> bool:
     return True
 
 
+def ref_eve_attractor(live, moves, owner, width: int):
+    """The reference for `semantics._attract`, a counter fixpoint of its
+    own.  Clear, in place, the `live` flag of every state from which Eve can
+    force a play into states that are not live whatever letter each
+    position reads: an existential state with, on every letter, a move to
+    such a state, or a universal one whose moves on every letter all lead
+    to such states, repeated to the least fixed point (Eve's attractor).
+    From those states too Eve wins on every tree.  Linear in the moves:
+    `need[q]` counts what still keeps q out, Adam's moves into live states
+    or Eve's letters with no move out of them."""
+    need = [0] * len(live)
+    waiting = [[] for _ in live]  # per live state, the (state, letter) slots it holds up
+    for q, flag in enumerate(live):
+        if not flag:
+            continue
+        for x in range(q * width, (q + 1) * width):
+            held = [p for _, p in moves[x] if live[p]]
+            if owner[q]:
+                need[q] += len(held)
+            elif len(held) == len(moves[x]):
+                need[q] += 1
+            else:
+                continue
+            for p in held:
+                waiting[p].append(x)
+    counted = bytearray(len(moves))  # Eve's slots already let through
+    todo = [q for q, flag in enumerate(live) if flag and not need[q]]
+    while todo:
+        p = todo.pop()
+        live[p] = 0
+        for x in waiting[p]:
+            q = x // width
+            if owner[q] or not counted[x]:
+                counted[x] = 1
+                need[q] -= 1
+                if not need[q]:
+                    todo.append(q)
+
+
 def ref_tarjan(nodes: list, succ: dict) -> list[list]:
     """The reference for `graphs._sccs` and `tarjan_scc`: Tarjan's algorithm
     on dict-keyed `index` and `low` and an `on_stack` set, iterative.

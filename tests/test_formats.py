@@ -38,6 +38,17 @@ def test_regular_tree_arity_mismatch():
 def test_regular_tree_unreachable_nodes_rejected():
     with pytest.raises(FormatError, match="nreachable"):
         parse_regular_tree("arity 2\nroot n\nnode n a n n\nnode m b m m\n")
+    with pytest.raises(ValidationError, match=r"^unreachable nodes: \['m', 'p'\]$"):
+        RegularTree(2, {"n": Node("a", ("n", "n")), "m": Node("b", ("p", "m")),
+                        "p": Node("a", ("p", "p"))}, "n")
+
+
+def test_regular_tree_rerooted_keeps_the_reachable_part():
+    t = RegularTree(2, {"r": Node("a", ("m", "r")), "m": Node("b", ("p", "m")),
+                        "p": Node("a", ("p", "p"))}, "r")
+    sub = t.rerooted("m")
+    assert sub.root == "m" and sub.nodes == {"m": t.nodes["m"], "p": t.nodes["p"]}
+    assert t.rerooted("r") == t
 
 
 @pytest.mark.parametrize("text, message, line", [

@@ -202,6 +202,20 @@ def test_winner_only_solver_on_the_chain(top_parity):
     assert elapsed < 0.25, elapsed
 
 
+def test_winner_only_solver_copies_no_lists_without_self_loops(monkeypatch):
+    # the arena's two sinks loop on themselves, but they are not the
+    # self-loops of the pre-pass: with none below them, every attractor
+    # runs on the arena's own lists
+    lists = []
+    attract = games._remove_attractor
+    monkeypatch.setattr(games, "_remove_attractor",
+                        lambda arena, *args: lists.append(arena[2]) or attract(arena, *args))
+    owner, rank, succ = [0, 1, 0], [1, 2, 3], [[1, 2], [0], []]
+    arena = _arena(owner, rank, succ)
+    assert list(_strong_winners(arena)) == [0, 0, 1, 0, 1]
+    assert lists and all(s is arena[2] for s in lists)
+
+
 def test_brute_force_guard():
     positions = {f"p{i}": ("E", 0) for i in range(13)}
     g = game(positions, [(f"p{i}", f"p{i}") for i in range(13)])

@@ -55,6 +55,7 @@ from conftest import (
     one_way_ring,
     random_det,
     random_weak,
+    ref_eve_attractor,
     ref_has_top_cycle,
     ref_sample_views,
     ref_universal_weak_accepts,
@@ -799,7 +800,7 @@ def _eve_route(a):
 _LOOPS = [(q, x, d, q) for q in "os" for x in "ab" for d in (0, 1)]  # o and s loop on every letter
 
 
-@pytest.mark.parametrize("acceptance, states, moves, every, verdicts", [
+_EVE_CASES = [
     # Eve picks, on every letter, the even self-loop s over the odd one o
     ("weak", {"i": ("E", 0), "o": ("A", 1), "s": ("A", 0)},
      [("i", x, None, q) for x in "ab" for q in "os"] + _LOOPS,
@@ -856,7 +857,10 @@ _LOOPS = [(q, x, d, q) for q in "os" for x in "ab" for d in (0, 1)]  # o and s l
      + [("l", "a", 0, "l"), ("l", "a", 1, "u"), ("l", "b", 1, "u")]
      + [("u", x, 0, "o") for x in "ab"] + _LOOPS,
      False, (True, False, False)),
-])
+]
+
+
+@pytest.mark.parametrize("acceptance, states, moves, every, verdicts", _EVE_CASES)
 def test_every_tree_with_existential_states_hand_made(acceptance, states, moves, every,
                                                       verdicts):
     """Automata with existential states on the all-a tree, the all-b tree
@@ -966,6 +970,45 @@ def test_every_tree_on_constructions_with_existential_states():
     assert seen["restrict", True] >= 100, seen
     assert not seen["weaken", True] and not seen["weaken", False], seen
 
+
+def test_attract_matches_the_counter_reference(monkeypatch):
+    """`_attract`, Eve's attractor on `games._remove_attractor`, leaves the
+    live flags that `ref_eve_attractor`, a counter fixpoint of its own,
+    leaves, on every call `_vector` makes: over 1000 weak and strong
+    automata with an existential state drawn by `_random_alternating`,
+    the outputs of weaken_13 and weaken_14 over the first 200 automata of
+    criterion 5's stream, and the hand-made cases above."""
+    calls = Counter()
+    attract = semantics._attract
+
+    def checked(live, moves, owner, width):
+        expected = bytearray(live)
+        ref_eve_attractor(expected, moves, owner, width)
+        cleared = expected != live
+        attract(live, moves, owner, width)
+        assert live == expected, (moves, owner, width)
+        calls[source, cleared] += 1
+
+    monkeypatch.setattr(semantics, "_attract", checked)
+    rng = SplitMix64(3131)
+    source, drawn = "random", 0
+    while drawn < 1000:
+        a = _random_alternating(rng, ("weak", "parity")[drawn % 2])
+        if any(st.mode == "E" for st in a.states.values()):
+            semantics._vector(a)
+            drawn += 1
+    source = "constructions"
+    for a in criterion_5_stream(200):
+        with contextlib.suppress(IndexTooHigh, PreconditionViolated):
+            semantics._vector(weaken_13(a))
+        with contextlib.suppress(PreconditionViolated):
+            semantics._vector(weaken_14(a)[0])
+    source = "hand-made"
+    for acceptance, states, moves, _, _ in _EVE_CASES:
+        semantics._vector(make_automaton(("a", "b"), states, "i", moves, acceptance=acceptance))
+    assert calls["random", True] >= 15 and calls["random", False] >= 500, calls
+    assert calls["constructions", True] >= 100 and calls["constructions", False] >= 10, calls
+    assert calls["hand-made", True] >= 4 and calls["hand-made", False] >= 5, calls
 
 
 def test_det_accepts_on_the_one_way_ring_is_fast():
